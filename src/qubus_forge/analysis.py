@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,6 @@ _LN10 = math.log(10.0)
 
 def fidelity(a: HybridState, b: HybridState) -> float:
     """|<a|b>|^2 normalized by both norms; insensitive to global phase."""
-    if a.layout != b.layout:
-        raise ValueError("layout mismatch")
     return overlap_sq(a, b)
 
 
@@ -169,26 +165,10 @@ def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
     )
 
 
-def default_sweep_workers() -> int:
-    """Worker cap from the QUBUS_FORGE_THREADS environment variable (>= 1)."""
-    raw = os.environ.get("QUBUS_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_sweep(grid: SweepGrid, max_workers: int | None = None) -> list[SweepRow]:
+def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """One :class:`SweepRow` per grid point, ordered by grid index
-    (alpha outermost, eta innermost) regardless of completion order."""
-    points = list(
-        itertools.product(grid.alpha_values, grid.theta_values, grid.eta_values)
-    )
-    if max_workers is None:
-        max_workers = default_sweep_workers()
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda p: sweep_point(*p, grid.n), points))
+    (alpha outermost, eta innermost)."""
+    points = itertools.product(grid.alpha_values, grid.theta_values, grid.eta_values)
     return [sweep_point(*p, grid.n) for p in points]
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .analysis import (
     SWEEP_CSV_HEADER,
     SweepGrid,
-    default_sweep_workers,
     run_sweep,
     verify_basis,
 )
@@ -34,7 +33,7 @@ from .protocols import (
     phased_coeffs,
     prepare_single_photon_qudit,
 )
-from .state import GRAM_EXACT, NORM_MODES, state_to_dict
+from .state import GRAM_EXACT, state_to_dict
 
 _LN10 = math.log(10.0)
 COMMANDS = ("prepare", "generate", "sweep", "verify-basis")
@@ -58,7 +57,6 @@ class RunConfig:
     theta: float = 0.01
     alpha: complex = 500.0 + 0j
     eta: float = 1.0
-    norm_mode: str = GRAM_EXACT
     alpha_values: tuple[float, ...] = ()
     theta_values: tuple[float, ...] = ()
     eta_values: tuple[float, ...] = ()
@@ -82,7 +80,6 @@ class RunConfig:
             theta=self.theta,
             alpha=self.alpha,
             detector=detector,
-            norm_mode=self.norm_mode,
         )
 
     def sweep_grid(self) -> SweepGrid:
@@ -157,7 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--theta", type=float, default=0.01)
     p_gen.add_argument("--alpha", type=str, default="500")
     p_gen.add_argument("--eta", type=float, default=1.0)
-    p_gen.add_argument("--norm-mode", choices=NORM_MODES, default=GRAM_EXACT)
     p_gen.add_argument("--dump-state", action="store_true",
                        help="include the final state in the JSON output")
     add_output_flags(p_gen)
@@ -221,7 +217,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             theta=args.theta,
             alpha=_complex_value(args.alpha),
             eta=args.eta,
-            norm_mode=args.norm_mode,
             output=args.output or "json",
             out=args.out,
             dump_state=args.dump_state,
@@ -278,7 +273,6 @@ def config_to_text(cfg: RunConfig) -> str:
             + (repr(alpha.real) if alpha.imag == 0 else repr(alpha).strip("()"))
         )
         lines.append(f"eta = {cfg.eta!r}")
-        lines.append(f"norm_mode = {cfg.norm_mode}")
         lines.append(f"dump_state = {'true' if cfg.dump_state else 'false'}")
     elif cfg.command == "sweep":
         lines.append("alpha = " + ",".join(repr(a) for a in cfg.alpha_values))
@@ -356,7 +350,7 @@ def _run_generate(cfg: RunConfig) -> tuple[str, int]:
         "theta": cfg.theta,
         "alpha": [spec.alpha.real, spec.alpha.imag],
         "eta": cfg.eta,
-        "norm_mode": cfg.norm_mode,
+        "norm_mode": GRAM_EXACT,
         "success_prob": report.success_prob,
         "success_prob_log10": _log10_or_none(report.success_prob),
         "error_prob_total": report.error_prob_total,
@@ -385,12 +379,8 @@ def _run_verify_basis(cfg: RunConfig) -> tuple[str, int]:
     return json.dumps(doc, indent=2) + "\n", 0
 
 
-def _sweep_rows(cfg: RunConfig):
-    return run_sweep(cfg.sweep_grid(), max_workers=default_sweep_workers())
-
-
 def _run_sweep_json(cfg: RunConfig) -> tuple[str, int]:
-    rows = _sweep_rows(cfg)
+    rows = run_sweep(cfg.sweep_grid())
     doc = {
         "command": "sweep",
         "n": cfg.n,
@@ -413,7 +403,7 @@ def _run_sweep_json(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _run_sweep_csv(cfg: RunConfig) -> tuple[str, int]:
-    rows = _sweep_rows(cfg)
+    rows = run_sweep(cfg.sweep_grid())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER)

@@ -211,10 +211,10 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
     return canonicalize(state.with_terms(new_terms))
 
 
-def apply_fourier_lomi(state: HybridState, inverse: bool = False) -> HybridState:
+def apply_fourier_lomi(state: HybridState) -> HybridState:
     """n-mode Fourier transform on the single-photon spatial register.
 
-    Mode j maps to (1/sqrt(n)) sum_k exp(+-2 pi i j k / n) |k>; all other
+    Mode j maps to (1/sqrt(n)) sum_k exp(2 pi i j k / n) |k>; all other
     labels and the qubus beams are untouched.
     """
     layout = state.layout
@@ -222,13 +222,12 @@ def apply_fourier_lomi(state: HybridState, inverse: bool = False) -> HybridState
         raise ValueError("layout has no single-photon spatial register")
     n = layout.ancilla_modes
     slot = layout.ancilla_slot
-    sign = -1.0 if inverse else 1.0
     scale = 1.0 / math.sqrt(n)
     new_terms = []
     for t in state.terms:
         j = t.labels[slot]
         for k in range(n):
-            amp = t.amp * scale * cmath.exp(sign * 2j * math.pi * j * k / n)
+            amp = t.amp * scale * cmath.exp(2j * math.pi * j * k / n)
             labels = list(t.labels)
             labels[slot] = k
             new_terms.append(Term(amp, tuple(labels), t.qubus))

@@ -35,17 +35,14 @@ class DetectorModel:
 
     eta = 1 is the ideal photon-number non-resolving detector.  The detector
     stays silent on a coherent amplitude beta with probability
-    exp(-eta |beta|^2).  Dark counts are reserved but not modeled.
+    exp(-eta |beta|^2).  Dark counts are not modeled.
     """
 
     efficiency: float = 1.0
-    dark_count_prob: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in [0, 1]")
-        if self.dark_count_prob != 0.0:
-            raise ValueError("dark counts are not modeled")
 
     @classmethod
     def ideal_pnnd(cls) -> "DetectorModel":
@@ -180,10 +177,9 @@ def herald_vacuum(
                 Term(t.amp * scale, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
                 for t in vacuum_terms
             ),
-            s.norm_mode,
         )
     else:
-        heralded = HybridState(new_layout, (), s.norm_mode)
+        heralded = HybridState(new_layout, ())
 
     records.sort(key=lambda r: (-r.weight, round(r.beam_amp.real, 12),
                                 round(r.beam_amp.imag, 12)))
@@ -225,7 +221,7 @@ def feedforward_outcomes(
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-        out = canonicalize(HybridState(new_layout, tuple(picked), state.norm_mode))
+        out = canonicalize(HybridState(new_layout, tuple(picked)))
         scale = 1.0 / math.sqrt(state_norm_sq(out))
         out = out.with_terms(Term(t.amp * scale, t.labels, t.qubus) for t in out.terms)
         outcomes.append(out)

@@ -31,8 +31,6 @@ from .heralding import (
     measure_ancilla_and_feedforward,
 )
 from .state import (
-    GRAM_EXACT,
-    NORM_MODES,
     POL_H,
     POL_V,
     HybridState,
@@ -93,7 +91,6 @@ class ProtocolSpec:
     theta: float
     alpha: complex
     detector: DetectorModel = DetectorModel.ideal_pnnd()
-    norm_mode: str = GRAM_EXACT
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(int(k) for k in self.shifts))
@@ -119,10 +116,14 @@ class ProtocolSpec:
             norm = sum(c.real * c.real + c.imag * c.imag for c in vec)
             if abs(norm - 1.0) > 1e-12:
                 raise ValueError("coefficient vectors must have unit norm")
+        if not (
+            math.isfinite(self.theta)
+            and math.isfinite(self.alpha.real)
+            and math.isfinite(self.alpha.imag)
+        ):
+            raise ValueError("theta and alpha must be finite")
         if self.alpha != 0 and self.theta == 0.0:
             raise ValueError("theta must be nonzero when alpha is nonzero")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"unknown norm mode {self.norm_mode!r}")
 
     @classmethod
     def balanced(
@@ -133,7 +134,6 @@ class ProtocolSpec:
         theta: float = 0.01,
         alpha: complex = 500.0,
         detector: DetectorModel | None = None,
-        norm_mode: str = GRAM_EXACT,
         phase_indices=None,
     ) -> "ProtocolSpec":
         """Spec with balanced coefficients, optionally phased per party."""
@@ -150,7 +150,6 @@ class ProtocolSpec:
             theta=theta,
             alpha=alpha,
             detector=detector if detector is not None else DetectorModel.ideal_pnnd(),
-            norm_mode=norm_mode,
         )
 
 
@@ -172,7 +171,7 @@ class GenerationReport:
     failed_stage: int | None = None
 
 
-def prepare_single_photon_qudit(n: int, norm_mode: str = GRAM_EXACT) -> HybridState:
+def prepare_single_photon_qudit(n: int) -> HybridState:
     """Balanced single-photon spatial qudit (1/sqrt(n)) sum_j |j>_s.
 
     Built by the physical cascade: a horizontally polarized photon passes a
@@ -184,7 +183,7 @@ def prepare_single_photon_qudit(n: int, norm_mode: str = GRAM_EXACT) -> HybridSt
         raise ValueError("dimension must be >= 1")
     prep_layout = RegisterLayout(prep_modes=n + 1)
     work = prep_layout.work_mode
-    state = HybridState(prep_layout, (Term(1.0, (work, POL_H)),), norm_mode)
+    state = HybridState(prep_layout, (Term(1.0, (work, POL_H)),))
     for j in range(n - 1):
         state = apply_su2(state, prep_rotation(n, j))
         state = apply_pbs(state, work, j)
@@ -198,9 +197,7 @@ def prepare_single_photon_qudit(n: int, norm_mode: str = GRAM_EXACT) -> HybridSt
         if t.labels[pol_slot] != POL_V or t.labels[sp_slot] >= n:
             raise RuntimeError("preparation cascade left a stray component")
         terms.append(Term(t.amp, (t.labels[sp_slot],)))
-    return canonicalize(
-        HybridState(RegisterLayout(ancilla_modes=n), tuple(terms), norm_mode)
-    )
+    return canonicalize(HybridState(RegisterLayout(ancilla_modes=n), tuple(terms)))
 
 
 def _attach_party(state: HybridState, coeffs) -> HybridState:
@@ -216,7 +213,7 @@ def _attach_party(state: HybridState, coeffs) -> HybridState:
                 terms.append(
                     Term(t.amp * c, t.labels[:cut] + (m,) + t.labels[cut:], t.qubus)
                 )
-    return HybridState(new_layout, tuple(terms), state.norm_mode)
+    return HybridState(new_layout, tuple(terms))
 
 
 def _with_fresh_beams(state: HybridState, alpha: complex) -> HybridState:
@@ -224,7 +221,7 @@ def _with_fresh_beams(state: HybridState, alpha: complex) -> HybridState:
     layout = state.layout.replace(qubus_count=state.layout.qubus_count + 2)
     alpha = complex(alpha)
     terms = [Term(t.amp, t.labels, t.qubus + (alpha, alpha)) for t in state.terms]
-    return HybridState(layout, tuple(terms), state.norm_mode)
+    return HybridState(layout, tuple(terms))
 
 
 def _run_stage(
@@ -277,9 +274,7 @@ def entangle_stage(
     )
 
 
-def target_state(
-    n: int, m: int, k, parties: int = 2, norm_mode: str = GRAM_EXACT
-) -> HybridState:
+def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     """Maximally entangled target (1/sqrt(n)) sum_j tau^{jm} (x)_i |(j+k_i) mod n>.
 
     ``k`` may be a single shift (applied to every party after the first,
@@ -307,7 +302,7 @@ def target_state(
         )
         for j in range(n)
     )
-    return HybridState(layout, terms, norm_mode)
+    return HybridState(layout, terms)
 
 
 def generate(spec: ProtocolSpec) -> GenerationReport:
@@ -317,7 +312,7 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
     The overall success probability is the product of the per-stage herald
     probabilities; the total error probability is 1 - prod(1 - P_E,stage).
     """
-    state = prepare_single_photon_qudit(spec.n, spec.norm_mode)
+    state = prepare_single_photon_qudit(spec.n)
     outcomes: list[HeraldOutcome] = []
     for party in range(spec.parties):
         outcome = entangle_stage(state, spec, party)
@@ -344,9 +339,7 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
     phase_indices = [coeff_phase_index(vec) for vec in spec.coeffs]
     if all(m is not None for m in phase_indices):
         m_total = sum(phase_indices) % spec.n
-        target = target_state(
-            spec.n, m_total, spec.shifts, spec.parties, spec.norm_mode
-        )
+        target = target_state(spec.n, m_total, spec.shifts, spec.parties)
         fidelity = overlap_sq(final, target)
 
     return GenerationReport(

@@ -20,9 +20,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+# The one norm convention; written to serialized states under "norm_mode"
+# so the output schema names it.
 GRAM_EXACT = "gram_exact"
-ORTHOGONAL_APPROX = "orthogonal_approx"
-NORM_MODES = (GRAM_EXACT, ORTHOGONAL_APPROX)
 
 # Two qubus amplitudes are the same beam value when they agree to this
 # relative tolerance (absolute near zero).  Double-precision phase
@@ -194,12 +194,9 @@ class HybridState:
 
     layout: RegisterLayout
     terms: tuple[Term, ...]
-    norm_mode: str = GRAM_EXACT
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"unknown norm mode {self.norm_mode!r}")
         dims = self.layout.label_dims()
         for t in self.terms:
             if len(t.labels) != len(dims):
@@ -284,18 +281,14 @@ def _pair_weight(t: Term, u: Term) -> complex:
 
 
 def state_norm_sq(state: HybridState) -> float:
-    """Squared norm of a hybrid state.
+    """Physical squared norm of a hybrid state.
 
-    In ``gram_exact`` mode this is the physical norm: amplitudes of terms
-    with identical labels interfere through the full product of coherent
-    overlaps.  In ``orthogonal_approx`` mode distinct qubus tuples are
-    treated as orthogonal, so the norm is the sum of |amp|^2 after merging.
+    Amplitudes of terms with identical labels interfere through the full
+    product of coherent overlaps (the Gram matrix of their beam tuples).
     """
     if not state.terms:
         raise ValueError("empty state")
     s = canonicalize(state)
-    if s.norm_mode == ORTHOGONAL_APPROX:
-        return sum(_abs_sq(t.amp) for t in s.terms)
     groups: dict[tuple[int, ...], list[Term]] = {}
     for t in s.terms:
         groups.setdefault(t.labels, []).append(t)
@@ -312,7 +305,7 @@ def inner_product(a: HybridState, b: HybridState) -> complex:
     """<a|b> with exact coherent-state overlaps.
 
     Discrete labels contribute 0/1; qubus beams contribute their full
-    coherent overlap regardless of either state's norm mode.
+    coherent overlap.
     """
     if a.layout != b.layout:
         raise ValueError("layout mismatch")
@@ -334,9 +327,7 @@ def overlap_sq(a: HybridState, b: HybridState) -> float:
     Insensitive to the global phase and normalization of either state.
     """
     ip = inner_product(a, b)
-    na = state_norm_sq(dataclasses.replace(a, norm_mode=GRAM_EXACT))
-    nb = state_norm_sq(dataclasses.replace(b, norm_mode=GRAM_EXACT))
-    return _abs_sq(ip) / (na * nb)
+    return _abs_sq(ip) / (state_norm_sq(a) * state_norm_sq(b))
 
 
 def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
@@ -357,7 +348,7 @@ def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
         Term(t.amp, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
         for t in state.terms
     ]
-    return HybridState(new_layout, tuple(new_terms), state.norm_mode)
+    return HybridState(new_layout, tuple(new_terms))
 
 
 def permute_parties(state: HybridState, order) -> HybridState:
@@ -377,7 +368,7 @@ def permute_parties(state: HybridState, order) -> HybridState:
         )
         for t in state.terms
     ]
-    return HybridState(new_layout, tuple(new_terms), state.norm_mode)
+    return HybridState(new_layout, tuple(new_terms))
 
 
 def state_to_dict(state: HybridState) -> dict:
@@ -389,7 +380,7 @@ def state_to_dict(state: HybridState) -> dict:
             "prep_modes": state.layout.prep_modes,
             "qubus_count": state.layout.qubus_count,
         },
-        "norm_mode": state.norm_mode,
+        "norm_mode": GRAM_EXACT,
         "terms": [
             {
                 "amp": [t.amp.real, t.amp.imag],
@@ -402,7 +393,12 @@ def state_to_dict(state: HybridState) -> dict:
 
 
 def state_from_dict(data: dict) -> HybridState:
-    """Inverse of :func:`state_to_dict`."""
+    """Inverse of :func:`state_to_dict`.
+
+    Raises ValueError when ``norm_mode`` names anything but ``gram_exact``.
+    """
+    if data["norm_mode"] != GRAM_EXACT:
+        raise ValueError(f"unknown norm mode {data['norm_mode']!r}")
     lay = data["layout"]
     layout = RegisterLayout(
         party_dims=tuple(lay["party_dims"]),
@@ -418,4 +414,4 @@ def state_from_dict(data: dict) -> HybridState:
         )
         for t in data["terms"]
     )
-    return HybridState(layout, terms, data["norm_mode"])
+    return HybridState(layout, terms)

@@ -38,8 +38,6 @@ from qubus_forge.protocols import (
     target_state,
 )
 from qubus_forge.state import (
-    GRAM_EXACT,
-    ORTHOGONAL_APPROX,
     HybridState,
     RegisterLayout,
     Term,
@@ -53,28 +51,20 @@ THETA = 0.01
 
 
 def test_criterion_1_success_probabilities():
-    # 1/9 for the asymmetric qutrit pair, both norm modes
-    orth = generate(
-        ProtocolSpec.balanced(3, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA,
-                              norm_mode=ORTHOGONAL_APPROX)
+    # 1/9 for the asymmetric qutrit pair
+    report = generate(
+        ProtocolSpec.balanced(3, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
     )
-    assert abs(orth.success_prob - 1.0 / 9.0) <= 1e-12
-    gram = generate(
-        ProtocolSpec.balanced(3, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA,
-                              norm_mode=GRAM_EXACT)
-    )
-    assert abs(gram.success_prob - 1.0 / 9.0) <= 1e-8
+    assert abs(report.success_prob - 1.0 / 9.0) <= 1e-12
     # 1/n^2 across dimensions
     for n in range(2, 9):
         report = generate(
-            ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA,
-                                  norm_mode=ORTHOGONAL_APPROX)
+            ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         )
         assert abs(report.success_prob - n**-2) <= 1e-12, n
     # 1/n^M for three parties
     three = generate(
-        ProtocolSpec.balanced(3, 3, shifts=(0, 0, 0), theta=THETA, alpha=ALPHA,
-                              norm_mode=ORTHOGONAL_APPROX)
+        ProtocolSpec.balanced(3, 3, shifts=(0, 0, 0), theta=THETA, alpha=ALPHA)
     )
     assert abs(three.success_prob - 1.0 / 27.0) <= 1e-12
     print("ACCEPTANCE 1 (success probabilities 1/n^M): PASS")

@@ -194,24 +194,6 @@ def test_run_sweep_single_point_and_ordering():
     ]
 
 
-def test_run_sweep_parallel_matches_serial():
-    grid = SweepGrid((10.0, 100.0), (0.01, 0.05), (1.0,), 3)
-    assert run_sweep(grid, max_workers=4) == run_sweep(grid, max_workers=1)
-
-
-def test_sweep_worker_cap_from_environment(monkeypatch):
-    from qubus_forge.analysis import default_sweep_workers
-
-    monkeypatch.delenv("QUBUS_FORGE_THREADS", raising=False)
-    assert default_sweep_workers() == 1
-    monkeypatch.setenv("QUBUS_FORGE_THREADS", "6")
-    assert default_sweep_workers() == 6
-    monkeypatch.setenv("QUBUS_FORGE_THREADS", "0")
-    assert default_sweep_workers() == 1
-    monkeypatch.setenv("QUBUS_FORGE_THREADS", "many")
-    assert default_sweep_workers() == 1
-
-
 def test_full_grid_sim_matches_closed_form_in_log_space():
     grid = SweepGrid((1.0, 10.0, 100.0, 500.0), (0.001, 0.01, 0.1), (1.0,), 3)
     for row in run_sweep(grid):

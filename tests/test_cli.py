@@ -84,6 +84,14 @@ def test_out_of_range_parameters_exit_2(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "verify-basis", "--n", "11")
     assert code == 2
+    for flag, value in (("--alpha", "nan"), ("--theta", "inf"),
+                        ("--theta", "nan")):
+        code, out, err = run_cli(
+            capsys, "generate", "--n", "3", "--shifts", "0,1", "--balanced",
+            flag, value,
+        )
+        assert (code, out) == (2, ""), (flag, value)
+        assert "finite" in err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -177,7 +185,7 @@ def test_config_round_trip():
     cfg, _ = parse_argv(
         ["generate", "--n", "4", "--m-parties", "2", "--shifts", "0,3",
          "--balanced-phases", "2,1", "--theta", "0.02", "--alpha", "250",
-         "--eta", "0.9", "--norm-mode", "orthogonal_approx"]
+         "--eta", "0.9"]
     )
     text = config_to_text(cfg)
     cfg2, _ = parse_argv(config_text_to_argv(text))
@@ -239,6 +247,11 @@ def test_malformed_config_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(path))
     assert code == 2
     assert "command" in err
+    # norm_mode is not a setting: a file that names one is rejected
+    path.write_text("command = generate\nn = 3\nbalanced = true\n"
+                    "norm_mode = gram_exact\n")
+    code, _, err = run_cli(capsys, "--config", str(path))
+    assert code == 2
 
 
 def test_internal_invariant_violation_exits_4(capsys, monkeypatch):

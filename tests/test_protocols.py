@@ -18,7 +18,6 @@ from qubus_forge.protocols import (
     target_state,
 )
 from qubus_forge.state import (
-    ORTHOGONAL_APPROX,
     POL_V,
     HybridState,
     RegisterLayout,
@@ -171,7 +170,7 @@ def test_generate_orthogonal_approx_success_is_exact():
         for parties in (2, 3):
             spec = ProtocolSpec.balanced(
                 n, parties, shifts=(0, 1 % n) + (0,) * (parties - 2),
-                theta=THETA, alpha=ALPHA, norm_mode=ORTHOGONAL_APPROX,
+                theta=THETA, alpha=ALPHA,
             )
             assert generate(spec).success_prob == pytest.approx(
                 n**-parties, abs=1e-12
@@ -275,6 +274,14 @@ def test_protocol_spec_validation():
         ProtocolSpec(**{**ok, "shifts": (0, 3)})
     with pytest.raises(ValueError, match=">= 2"):
         ProtocolSpec(**{**ok, "n": 1, "coeffs": ((1.0,), (1.0,))})
+    for bad in (
+        {"theta": float("nan")},
+        {"theta": float("inf")},
+        {"alpha": float("nan")},
+        {"alpha": complex(500.0, float("-inf"))},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolSpec(**{**ok, **bad})
     # alpha = 0 with theta = 0 is allowed (nothing couples)
     ProtocolSpec(**{**ok, "theta": 0.0, "alpha": 0.0})
 

@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qubus_forge.state import (
-    GRAM_EXACT,
-    ORTHOGONAL_APPROX,
     HybridState,
     LogComplex,
     RegisterLayout,
@@ -97,10 +95,10 @@ def test_log_complex_product():
     assert (x * y).to_complex() == pytest.approx((2 + 1j) * (-0.5 + 3j), rel=1e-12)
 
 
-def _single(amp, labels=(0,), qubus=(), mode=GRAM_EXACT, layout=None):
+def _single(amp, labels=(0,), qubus=(), layout=None):
     if layout is None:
         layout = RegisterLayout(party_dims=(3,), qubus_count=len(qubus))
-    return HybridState(layout, (Term(amp, labels, qubus),), mode)
+    return HybridState(layout, (Term(amp, labels, qubus),))
 
 
 def test_norm_single_term():
@@ -121,21 +119,19 @@ def test_norm_rejects_empty_state():
 
 
 def test_norm_modes_differ_by_coherent_cross_terms():
-    # Same labels, two distinct beams: a cat-like superposition.  Exact norm
-    # carries the interference term 2 Re<alpha|-alpha> = 2 e^{-2|alpha|^2}.
+    # Same labels, two distinct beams: a cat-like superposition.  The norm
+    # is |amp|^2 summed (= 1) plus the interference term
+    # 2 |amp|^2 Re<alpha|-alpha> = e^{-2|alpha|^2}.
     layout = RegisterLayout(party_dims=(2,), qubus_count=1)
     amp = 1.0 / math.sqrt(2.0)
     for alpha in (1.0, 2.5):
         terms = (Term(amp, (0,), (alpha,)), Term(amp, (0,), (-alpha,)))
-        gram = state_norm_sq(HybridState(layout, terms, GRAM_EXACT))
-        orth = state_norm_sq(HybridState(layout, terms, ORTHOGONAL_APPROX))
-        assert orth == pytest.approx(1.0, abs=1e-15)
-        assert gram - orth == pytest.approx(math.exp(-2.0 * alpha**2), rel=1e-10)
-    # beyond |alpha|^2 = 10 the modes agree to < 1e-8
+        gram = state_norm_sq(HybridState(layout, terms))
+        assert gram - 1.0 == pytest.approx(math.exp(-2.0 * alpha**2), rel=1e-10)
+    # beyond |alpha|^2 = 10 the cross term is below 1e-8
     terms = (Term(amp, (0,), (4.0,)), Term(amp, (0,), (-4.0,)))
-    gram = state_norm_sq(HybridState(layout, terms, GRAM_EXACT))
-    orth = state_norm_sq(HybridState(layout, terms, ORTHOGONAL_APPROX))
-    assert abs(gram - orth) < 1e-8
+    gram = state_norm_sq(HybridState(layout, terms))
+    assert abs(gram - 1.0) < 1e-8
 
 
 def test_norm_invariant_under_term_order(rng_states=20):
@@ -152,12 +148,11 @@ def test_norm_invariant_under_term_order(rng_states=20):
             )
             for _ in range(6)
         )
-        for mode in (GRAM_EXACT, ORTHOGONAL_APPROX):
-            fwd = state_norm_sq(HybridState(layout, terms, mode))
-            rev = state_norm_sq(HybridState(layout, terms[::-1], mode))
-            assert fwd == pytest.approx(rev, abs=1e-12)
-            canon = state_norm_sq(canonicalize(HybridState(layout, terms, mode)))
-            assert fwd == pytest.approx(canon, abs=1e-12)
+        fwd = state_norm_sq(HybridState(layout, terms))
+        rev = state_norm_sq(HybridState(layout, terms[::-1]))
+        assert fwd == pytest.approx(rev, abs=1e-12)
+        canon = state_norm_sq(canonicalize(HybridState(layout, terms)))
+        assert fwd == pytest.approx(canon, abs=1e-12)
 
 
 def test_canonicalize_merges_amplitudes():
@@ -212,8 +207,6 @@ def test_state_validation():
         HybridState(layout, (Term(1.0, (2,), (0.0,)),))
     with pytest.raises(ValueError, match="qubus"):
         HybridState(layout, (Term(1.0, (0,), ()),))
-    with pytest.raises(ValueError, match="norm mode"):
-        HybridState(layout, (), norm_mode="bogus")
     with pytest.raises(ValueError, match="finite"):
         HybridState(layout, (Term(float("nan"), (0,), (0.0,)),))
 
@@ -254,9 +247,12 @@ def test_serialization_round_trip():
             Term(0.6 + 0.1j, (1, 0), (2.0 + 1j, 0.0)),
             Term(0.3 - 0.2j, (2, 1), (0.0, -1.5j)),
         ),
-        ORTHOGONAL_APPROX,
     )
-    assert state_from_dict(state_to_dict(state)) == state
+    data = state_to_dict(state)
+    assert data["norm_mode"] == "gram_exact"
+    assert state_from_dict(data) == state
+    with pytest.raises(ValueError, match="norm mode"):
+        state_from_dict({**data, "norm_mode": "orthogonal_approx"})
 
 
 def test_drop_uniform_beam():
