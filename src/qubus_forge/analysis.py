@@ -125,14 +125,15 @@ class SweepRow:
 
     The log10 columns stay meaningful when the probabilities themselves
     underflow double precision (exponents reach ~5e3 at theta = 0.1,
-    alpha = 500).
+    alpha = 500).  ``mean_photons_k2`` is None at n = 2, which has no
+    phase offset d = 2.
     """
 
     alpha: float
     theta: float
     eta: float
     mean_photons_k1: float
-    mean_photons_k2: float
+    mean_photons_k2: float | None
     p_error_closed: float
     p_error_simulated: float
     p_error_closed_log10: float
@@ -157,7 +158,7 @@ def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
         theta=theta,
         eta=eta,
         mean_photons_k1=mean_branch_photons(alpha, theta, 1),
-        mean_photons_k2=mean_branch_photons(alpha, theta, 2),
+        mean_photons_k2=mean_branch_photons(alpha, theta, 2) if n >= 3 else None,
         p_error_closed=math.exp(closed_log),
         p_error_simulated=outcome.error_prob,
         p_error_closed_log10=closed_log / _LN10,

@@ -414,7 +414,7 @@ def _run_sweep_csv(cfg: RunConfig) -> tuple[str, int]:
                 repr(r.theta),
                 repr(r.eta),
                 repr(r.mean_photons_k1),
-                repr(r.mean_photons_k2),
+                "" if r.mean_photons_k2 is None else repr(r.mean_photons_k2),
                 repr(r.p_error_closed),
                 repr(r.p_error_simulated),
             ]

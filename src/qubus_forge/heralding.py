@@ -15,10 +15,12 @@ import numpy as np
 from .state import (
     HybridState,
     Term,
+    _beam_key,
+    _gram_sum,
+    _merge_groups,
     canonicalize,
     overlap_sq,
     qubus_close,
-    state_norm_sq,
 )
 
 _LN10 = math.log(10.0)
@@ -112,23 +114,6 @@ class HeraldOutcome:
             raise ValueError("error probability exceeds failure weight")
 
 
-def _branch_clusters(state: HybridState, beam: int):
-    """Group terms into classes of equal beam amplitude (merge tolerance)."""
-    clusters: list[list] = []  # [representative_amp, [terms]]
-    for t in sorted(
-        state.terms, key=lambda t: (round(t.qubus[beam].real, 12),
-                                    round(t.qubus[beam].imag, 12))
-    ):
-        amp = t.qubus[beam]
-        for row in clusters:
-            if qubus_close(row[0], amp):
-                row[1].append(t)
-                break
-        else:
-            clusters.append([amp, [t]])
-    return clusters
-
-
 def herald_vacuum(
     state: HybridState, beam: int, det: DetectorModel
 ) -> HeraldOutcome:
@@ -143,20 +128,24 @@ def herald_vacuum(
     """
     if not 0 <= beam < state.layout.qubus_count:
         raise ValueError(f"beam index {beam} out of range")
-    norm = state_norm_sq(state)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("state must be normalized before heralding")
+    if not state.terms:
+        raise ValueError("empty state")
     s = canonicalize(state)
+    if abs(_gram_sum(s.terms) - 1.0) > 1e-9:
+        raise ValueError("state must be normalized before heralding")
 
     vacuum_terms: list[Term] = []
     success = 0.0
     records = []
     failure_logs = []
-    for rep, members in _branch_clusters(s, beam):
-        weight = state_norm_sq(s.with_terms(members))
+    # A class weight sums its members in canonical order; its representative
+    # (the reported beam_amp) is its first member in rounded-beam order.
+    for g in _merge_groups([(t.qubus[beam],) for t in s.terms]):
+        rep = s.terms[g[0]].qubus[beam]
+        weight = _gram_sum([s.terms[i] for i in sorted(g)])
         records.append(BranchRecord(rep, weight, det.no_click_log(rep)))
         if qubus_close(rep, 0.0):
-            vacuum_terms = members
+            vacuum_terms = [s.terms[i] for i in g]
             success = weight
         elif weight > 0.0:
             failure_logs.append(math.log(weight) + det.no_click_log(rep))
@@ -181,8 +170,7 @@ def herald_vacuum(
     else:
         heralded = HybridState(new_layout, ())
 
-    records.sort(key=lambda r: (-r.weight, round(r.beam_amp.real, 12),
-                                round(r.beam_amp.imag, 12)))
+    records.sort(key=lambda r: (-r.weight, _beam_key(r.beam_amp)))
     return HeraldOutcome(
         heralded_state=heralded,
         success_prob=success,
@@ -217,12 +205,12 @@ def feedforward_outcomes(
             j = t.labels[layout.party_slot(correction_party)]
             amp = t.amp * cmath.exp(-2j * math.pi * j * k0 / n)
             picked.append(Term(amp, t.labels[:slot] + t.labels[slot + 1 :], t.qubus))
-        if not picked:
+        out = canonicalize(HybridState(new_layout, tuple(picked)))
+        if not out.terms:
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-        out = canonicalize(HybridState(new_layout, tuple(picked)))
-        scale = 1.0 / math.sqrt(state_norm_sq(out))
+        scale = 1.0 / math.sqrt(_gram_sum(out.terms))
         out = out.with_terms(Term(t.amp * scale, t.labels, t.qubus) for t in out.terms)
         outcomes.append(out)
     return outcomes

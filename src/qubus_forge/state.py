@@ -66,11 +66,6 @@ class LogComplex:
         """|z|^2, underflowing gracefully to 0.0 below double range."""
         return math.exp(2.0 * self.log_magnitude)
 
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(
-            self.log_magnitude + other.log_magnitude, self.phase + other.phase
-        )
-
 
 def coherent_overlap(a: complex, b: complex) -> LogComplex:
     """Inner product <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b) of two
@@ -129,12 +124,6 @@ class RegisterLayout:
         if not self.has_prep:
             raise ValueError("layout has no preparation register")
         return self.prep_modes - 1
-
-    @property
-    def num_labels(self) -> int:
-        return self.num_parties + (1 if self.has_ancilla else 0) + (
-            2 if self.has_prep else 0
-        )
 
     def party_slot(self, party: int) -> int:
         if not 0 <= party < self.num_parties:
@@ -228,14 +217,34 @@ def qubus_close(u: complex, v: complex, tol: float = MERGE_TOL) -> bool:
 
 
 def _tuples_close(p, q) -> bool:
-    return all(qubus_close(u, v) for u, v in zip(p, q))
+    return all(map(qubus_close, p, q))
 
 
-def _term_sort_key(t: Term):
-    return (
-        t.labels,
-        tuple((round(q.real, 12), round(q.imag, 12)) for q in t.qubus),
-    )
+def _beam_key(q: complex) -> tuple[float, float]:
+    """Sort key of one beam amplitude: real and imaginary parts rounded to
+    the 12 decimals of :data:`MERGE_TOL`."""
+    return (round(q.real, 12), round(q.imag, 12))
+
+
+def _merge_groups(beams) -> list[list[int]]:
+    """The one rule for "these beam tuples are the same value".
+
+    Indices into ``beams`` are visited in rounded-beam order (ties keep
+    input order).  Each joins the first group whose first member agrees with
+    it within :data:`MERGE_TOL`, else starts a new group.  Groups come in
+    creation order and list their members in visit order, so a group's
+    first index is its representative.
+    """
+    groups: list[list[int]] = []
+    order = sorted(range(len(beams)), key=lambda i: tuple(map(_beam_key, beams[i])))
+    for i in order:
+        for g in groups:
+            if _tuples_close(beams[g[0]], beams[i]):
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def canonicalize(state: HybridState) -> HybridState:
@@ -246,22 +255,18 @@ def canonicalize(state: HybridState) -> HybridState:
     are removed.  Idempotent; the output term order is a deterministic sort
     on (labels, rounded qubus).
     """
-    clusters: dict[tuple[int, ...], list[list]] = {}
-    for t in sorted(state.terms, key=_term_sort_key):
-        rows = clusters.setdefault(t.labels, [])
-        for row in rows:
-            if _tuples_close(row[1], t.qubus):
-                row[0] += t.amp
-                break
-        else:
-            rows.append([t.amp, t.qubus])
-    merged = [
-        Term(amp, labels, qubus)
-        for labels, rows in clusters.items()
-        for amp, qubus in rows
-        if abs(amp) >= DROP_TOL
-    ]
-    merged.sort(key=_term_sort_key)
+    by_labels: dict[tuple[int, ...], list[Term]] = {}
+    for t in state.terms:
+        by_labels.setdefault(t.labels, []).append(t)
+    merged = []
+    for labels in sorted(by_labels):
+        same = by_labels[labels]
+        for g in _merge_groups([t.qubus for t in same]):
+            amp = same[g[0]].amp
+            for i in g[1:]:
+                amp += same[i].amp
+            if abs(amp) >= DROP_TOL:
+                merged.append(Term(amp, labels, same[g[0]].qubus))
     return state.with_terms(merged)
 
 
@@ -280,17 +285,12 @@ def _pair_weight(t: Term, u: Term) -> complex:
     return t.amp.conjugate() * u.amp * cmath.exp(complex(log_mag, phase))
 
 
-def state_norm_sq(state: HybridState) -> float:
-    """Physical squared norm of a hybrid state.
-
-    Amplitudes of terms with identical labels interfere through the full
-    product of coherent overlaps (the Gram matrix of their beam tuples).
-    """
-    if not state.terms:
-        raise ValueError("empty state")
-    s = canonicalize(state)
+def _gram_sum(terms) -> float:
+    """Squared norm of canonical ``terms``: amplitudes of equal-label terms
+    interfere through the full product of coherent overlaps (the Gram
+    matrix of their beam tuples); distinct labels are orthogonal."""
     groups: dict[tuple[int, ...], list[Term]] = {}
-    for t in s.terms:
+    for t in terms:
         groups.setdefault(t.labels, []).append(t)
     total = 0.0
     for members in groups.values():
@@ -299,6 +299,13 @@ def state_norm_sq(state: HybridState) -> float:
             for u in members[i + 1 :]:
                 total += 2.0 * _pair_weight(t, u).real
     return total
+
+
+def state_norm_sq(state: HybridState) -> float:
+    """Physical squared norm of a hybrid state (see :func:`_gram_sum`)."""
+    if not state.terms:
+        raise ValueError("empty state")
+    return _gram_sum(canonicalize(state).terms)
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -346,26 +353,6 @@ def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
     new_layout = state.layout.replace(qubus_count=state.layout.qubus_count - 1)
     new_terms = [
         Term(t.amp, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
-        for t in state.terms
-    ]
-    return HybridState(new_layout, tuple(new_terms))
-
-
-def permute_parties(state: HybridState, order) -> HybridState:
-    """Reorder the party registers: new party i is old party order[i]."""
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(state.layout.num_parties)):
-        raise ValueError("order must be a permutation of the party indices")
-    n_parties = state.layout.num_parties
-    new_layout = state.layout.replace(
-        party_dims=tuple(state.layout.party_dims[i] for i in order)
-    )
-    new_terms = [
-        Term(
-            t.amp,
-            tuple(t.labels[i] for i in order) + t.labels[n_parties:],
-            t.qubus,
-        )
         for t in state.terms
     ]
     return HybridState(new_layout, tuple(new_terms))

@@ -133,6 +133,13 @@ def test_sweep_csv_output(tmp_path, capsys):
     assert len(lines) == 9  # header + 2*2*2 rows
     first = lines[1].split(",")
     assert float(first[0]) == 100.0
+    # n = 2 has no phase offset d = 2: the mean_k2 field is empty
+    code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--alpha", "1", "--theta",
+                           "0.1", "--eta", "1", "--output", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "alpha,theta,eta,mean_k1,mean_k2,p_err_closed,p_err_sim"
+    assert lines[1].split(",")[4] == ""
 
 
 def test_sweep_json_to_stdout(capsys):
@@ -144,6 +151,11 @@ def test_sweep_json_to_stdout(capsys):
     row = doc["rows"][0]
     assert row["mean_k1"] == pytest.approx(12.4999, abs=1e-3)
     assert row["p_err_sim"] == pytest.approx(row["p_err_closed"], rel=1e-10)
+    code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--alpha", "1", "--theta",
+                           "0.1", "--eta", "1")
+    assert code == 0
+    assert '"mean_k2": null' in out
+    assert json.loads(out)["rows"][0]["mean_k2"] is None
 
 
 def test_outputs_are_deterministic(capsys):

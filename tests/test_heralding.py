@@ -187,6 +187,36 @@ def test_herald_requires_normalized_state():
         herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
     with pytest.raises(ValueError, match="beam index"):
         herald_vacuum(state, 3, DetectorModel.ideal_pnnd())
+    with pytest.raises(ValueError, match="empty state"):
+        herald_vacuum(HybridState(layout, ()), 0, DetectorModel.ideal_pnnd())
+    # the check allows |norm - 1| up to 1e-9; the excess sits on a failure
+    # branch so the vacuum weight stays a valid probability
+    for excess, accepted in ((0.5e-9, True), (2e-9, False)):
+        state = HybridState(
+            layout,
+            (
+                Term(math.sqrt(0.5), (0,), (0.0,)),
+                Term(math.sqrt(0.5 + excess), (1,), (3.0,)),
+            ),
+        )
+        if accepted:
+            outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+            assert outcome.success_prob == pytest.approx(0.5, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match="normalized"):
+                herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+
+
+def test_branch_table_merge_tolerance_edge():
+    # herald beams closer than MERGE_TOL are one branch class (here the
+    # vacuum class); beams 1.1 tolerances apart are two
+    layout = RegisterLayout(party_dims=(2,), qubus_count=1)
+    amp = math.sqrt(0.5)
+    for beam, records in ((0.9e-12, 1), (1.1e-12, 2)):
+        state = HybridState(layout, (Term(amp, (0,), (0.0,)), Term(amp, (1,), (beam,))))
+        outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+        assert len(outcome.branch_table) == records
+        assert outcome.success_prob == pytest.approx(1.0 / records, abs=1e-15)
 
 
 def test_branch_record_serialization_is_finite():
@@ -249,6 +279,13 @@ def test_feedforward_rejects_untransformed_state():
     # without the Fourier step the outcomes genuinely differ
     with pytest.raises(FeedforwardError):
         measure_ancilla_and_feedforward(asym_qutrit_with_ancilla(), 0)
+    # an outcome whose amplitudes cancel exactly is unreachable
+    layout = RegisterLayout(party_dims=(2,), ancilla_modes=2)
+    cancelled = HybridState(
+        layout, (Term(1.0, (0, 0)), Term(0.5, (1, 1)), Term(-0.5, (1, 1)))
+    )
+    with pytest.raises(FeedforwardError, match="outcome 1 is unreachable"):
+        feedforward_outcomes(cancelled, 0)
 
 
 def test_feedforward_rejects_missing_register():

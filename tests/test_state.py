@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qubus_forge.state import (
+    DROP_TOL,
+    MERGE_TOL,
     HybridState,
     LogComplex,
     RegisterLayout,
@@ -15,7 +17,6 @@ from qubus_forge.state import (
     drop_uniform_beam,
     inner_product,
     overlap_sq,
-    permute_parties,
     state_from_dict,
     state_norm_sq,
     state_to_dict,
@@ -87,12 +88,6 @@ def test_log_complex_round_trip():
         assert lc.to_complex() == pytest.approx(z, rel=1e-12)
     assert LogComplex.from_complex(0).to_complex() == 0j
     assert LogComplex(-125000.0, 0.0).abs_sq() == 0.0  # clean underflow
-
-
-def test_log_complex_product():
-    x = LogComplex.from_complex(2.0 + 1.0j)
-    y = LogComplex.from_complex(-0.5 + 3.0j)
-    assert (x * y).to_complex() == pytest.approx((2 + 1j) * (-0.5 + 3j), rel=1e-12)
 
 
 def _single(amp, labels=(0,), qubus=(), layout=None):
@@ -170,6 +165,10 @@ def test_canonicalize_drops_zero_amplitude():
     state = HybridState(layout, (Term(0.0, (0,)), Term(1.0, (1,))))
     canon = canonicalize(state)
     assert [t.labels for t in canon.terms] == [(1,)]
+    # DROP_TOL edge: just below it a term is dropped, just above it is kept
+    for factor, kept in ((0.9, [(1,)]), (1.1, [(0,), (1,)])):
+        state = HybridState(layout, (Term(factor * DROP_TOL, (0,)), Term(1.0, (1,))))
+        assert [t.labels for t in canonicalize(state).terms] == kept
 
 
 def test_canonicalize_merges_nearby_qubus_amplitudes():
@@ -181,6 +180,15 @@ def test_canonicalize_merges_nearby_qubus_amplitudes():
     canon = canonicalize(state)
     assert canon.num_terms == 1
     assert canonicalize(canon) == canon  # idempotent
+    # MERGE_TOL is absolute for beams up to |q| = 1 and relative beyond:
+    # same-label beams 0.9 tolerances apart merge, 1.1 tolerances apart stay
+    for base in (0.0, 500.0):
+        for factor, count in ((0.9, 1), (1.1, 2)):
+            shifted = base + factor * MERGE_TOL * max(1.0, base)
+            state = HybridState(
+                layout, (Term(0.5, (0,), (base,)), Term(0.5, (0,), (shifted,)))
+            )
+            assert canonicalize(state).num_terms == count
 
 
 def test_canonicalize_idempotent_on_random_states():
@@ -268,13 +276,3 @@ def test_drop_uniform_beam():
         drop_uniform_beam(uniform, 0)
     with pytest.raises(ValueError, match="out of range"):
         drop_uniform_beam(uniform, 2)
-
-
-def test_permute_parties_swaps_labels():
-    layout = RegisterLayout(party_dims=(2, 3))
-    state = HybridState(layout, (Term(1.0, (1, 2)),))
-    swapped = permute_parties(state, (1, 0))
-    assert swapped.layout.party_dims == (3, 2)
-    assert swapped.terms[0].labels == (2, 1)
-    with pytest.raises(ValueError, match="permutation"):
-        permute_parties(state, (0, 0))
