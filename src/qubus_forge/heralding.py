@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state import (
+    NORM_TOL,
     HybridState,
     Term,
     _beam_key,
-    _gram_sum,
+    _inner,
     _merge_groups,
     canonicalize,
     overlap_sq,
@@ -54,19 +55,12 @@ class DetectorModel:
     def on_off(cls, efficiency: float) -> "DetectorModel":
         return cls(float(efficiency))
 
-    @property
-    def kind(self) -> str:
-        return "ideal_pnnd" if self.efficiency == 1.0 else "on_off"
-
     def no_click_log(self, beam_amp: complex) -> float:
         """Natural log of the silence probability on amplitude beam_amp."""
         beam_amp = complex(beam_amp)
         return -self.efficiency * (
             beam_amp.real * beam_amp.real + beam_amp.imag * beam_amp.imag
         )
-
-    def no_click_prob(self, beam_amp: complex) -> float:
-        return math.exp(self.no_click_log(beam_amp))
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,11 @@ class HeraldOutcome:
     branch_table: tuple[BranchRecord, ...]
 
     def __post_init__(self):
-        if not -1e-12 <= self.success_prob <= 1.0 + 1e-12:
+        # The herald accepts states normalized to NORM_TOL, so a branch
+        # weight may exceed 1 by as much.
+        if not -NORM_TOL <= self.success_prob <= 1.0 + NORM_TOL:
             raise ValueError("success probability out of [0, 1]")
-        if self.error_prob > 1.0 - self.success_prob + 1e-12:
+        if self.error_prob > 1.0 - self.success_prob + NORM_TOL:
             raise ValueError("error probability exceeds failure weight")
 
 
@@ -131,7 +127,7 @@ def herald_vacuum(
     if not state.terms:
         raise ValueError("empty state")
     s = canonicalize(state)
-    if abs(_gram_sum(s.terms) - 1.0) > 1e-9:
+    if abs(_inner(s.terms, s.terms).real - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before heralding")
 
     vacuum_terms: list[Term] = []
@@ -142,7 +138,8 @@ def herald_vacuum(
     # (the reported beam_amp) is its first member in rounded-beam order.
     for g in _merge_groups([(t.qubus[beam],) for t in s.terms]):
         rep = s.terms[g[0]].qubus[beam]
-        weight = _gram_sum([s.terms[i] for i in sorted(g)])
+        members = [s.terms[i] for i in sorted(g)]
+        weight = _inner(members, members).real
         records.append(BranchRecord(rep, weight, det.no_click_log(rep)))
         if qubus_close(rep, 0.0):
             vacuum_terms = [s.terms[i] for i in g]
@@ -210,7 +207,7 @@ def feedforward_outcomes(
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-        scale = 1.0 / math.sqrt(_gram_sum(out.terms))
+        scale = 1.0 / math.sqrt(_inner(out.terms, out.terms).real)
         out = out.with_terms(Term(t.amp * scale, t.labels, t.qubus) for t in out.terms)
         outcomes.append(out)
     return outcomes

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from .elements import (
@@ -36,9 +37,9 @@ from .state import (
     HybridState,
     RegisterLayout,
     Term,
-    canonicalize,
     drop_uniform_beam,
     overlap_sq,
+    qubus_close,
 )
 
 
@@ -93,7 +94,7 @@ class ProtocolSpec:
     detector: DetectorModel = DetectorModel.ideal_pnnd()
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(int(k) for k in self.shifts))
+        object.__setattr__(self, "shifts", tuple(map(operator.index, self.shifts)))
         object.__setattr__(
             self, "coeffs", tuple(tuple(complex(c) for c in v) for v in self.coeffs)
         )
@@ -122,8 +123,15 @@ class ProtocolSpec:
             and math.isfinite(self.alpha.imag)
         ):
             raise ValueError("theta and alpha must be finite")
-        if self.alpha != 0 and self.theta == 0.0:
-            raise ValueError("theta must be nonzero when alpha is nonzero")
+        # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
+        # herald beam; if that is vacuum, a failure branch is heralded too.
+        for d in range(1, self.n):
+            beam = self.alpha * (1 - cmath.exp(1j * d * self.theta)) / math.sqrt(2)
+            if qubus_close(beam, 0.0):
+                raise ValueError(
+                    f"theta = {self.theta!r} with alpha = {self.alpha!r} leaves the "
+                    f"offset-{d} failure branch at vacuum on the herald beam"
+                )
 
     @classmethod
     def balanced(
@@ -197,7 +205,7 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
         if t.labels[pol_slot] != POL_V or t.labels[sp_slot] >= n:
             raise RuntimeError("preparation cascade left a stray component")
         terms.append(Term(t.amp, (t.labels[sp_slot],)))
-    return canonicalize(HybridState(RegisterLayout(ancilla_modes=n), tuple(terms)))
+    return HybridState(RegisterLayout(ancilla_modes=n), tuple(terms))
 
 
 def _attach_party(state: HybridState, coeffs) -> HybridState:
@@ -284,9 +292,9 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     if not 0 <= m < n:
         raise ValueError("phase index m must lie in [0, n)")
     if isinstance(k, (list, tuple)):
-        shifts = tuple(int(x) for x in k)
+        shifts = tuple(map(operator.index, k))
     else:
-        shifts = (0,) + (int(k),) * (parties - 1)
+        shifts = (0,) + (operator.index(k),) * (parties - 1)
     if len(shifts) != parties:
         raise ValueError("need one shift per party")
     if shifts[0] != 0:

@@ -9,8 +9,8 @@ Coherent beams are tracked symbolically by their amplitude, never by
 Fock-space truncation: every optical element supported here maps coherent
 states to coherent states, so the representation stays exact and bright
 beams (|alpha| ~ 500) cost nothing.  Overlaps such as <0|alpha>, whose
-magnitude is e^-125000 for such beams, are returned in log form
-(:class:`LogComplex`) because they underflow any fixed-precision complex.
+magnitude is e^-125000 for such beams, are returned as complex logarithms
+because they underflow any fixed-precision complex.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 # The one norm convention; written to serialized states under "norm_mode"
@@ -34,53 +35,30 @@ MERGE_TOL = 1e-12
 # Terms with |amp| below this are representational noise and are dropped.
 DROP_TOL = 1e-14
 
+# A squared norm or probability within this of its bound counts as on it.
+# Every element is unitary, so norms drift only by rounding (~1e-16 per
+# operation); 1e-9 absorbs that over any circuit built here while still
+# catching a state that was never normalized.
+NORM_TOL = 1e-9
+
 # Polarization labels of the preparation register.
 POL_H = 0
 POL_V = 1
 
 
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex value z stored as (log|z|, arg z).
+def coherent_overlap(a: complex, b: complex) -> complex:
+    """Logarithm of the inner product <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)
+    of two coherent states.
 
-    log_magnitude is -inf for z = 0.  Converting back to complex is exact
-    whenever the magnitude is representable in double precision.
-    """
-
-    log_magnitude: float
-    phase: float
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls(float("-inf"), 0.0)
-        return cls(math.log(abs(z)), cmath.phase(z))
-
-    def to_complex(self) -> complex:
-        if self.log_magnitude == float("-inf"):
-            return 0j
-        return cmath.exp(complex(self.log_magnitude, self.phase))
-
-    def abs_sq(self) -> float:
-        """|z|^2, underflowing gracefully to 0.0 below double range."""
-        return math.exp(2.0 * self.log_magnitude)
-
-
-def coherent_overlap(a: complex, b: complex) -> LogComplex:
-    """Inner product <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b) of two
-    coherent states, in log form.
-
-    The real exponent equals -|a - b|^2 / 2 identically and is evaluated in
-    that form: it avoids the cancellation the textbook expression suffers
-    for bright, nearly parallel amplitudes, and makes
-    |<a|b>|^2 = exp(-|a - b|^2) hold exactly.
+    The real part equals -|a - b|^2 / 2 identically and is evaluated in that
+    form: it avoids the cancellation the textbook expression suffers for
+    bright, nearly parallel amplitudes, and makes |<a|b>|^2 = exp(-|a - b|^2)
+    hold exactly.  The imaginary part is Im(conj(a) b).
     """
     a = complex(a)
     b = complex(b)
     d = a - b
-    log_mag = -0.5 * (d.real * d.real + d.imag * d.imag)
-    return LogComplex(log_mag, (a.conjugate() * b).imag)
+    return complex(-0.5 * (d.real * d.real + d.imag * d.imag), (a.conjugate() * b).imag)
 
 
 @dataclass(frozen=True)
@@ -101,7 +79,7 @@ class RegisterLayout:
     qubus_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "party_dims", tuple(int(d) for d in self.party_dims))
+        object.__setattr__(self, "party_dims", tuple(map(operator.index, self.party_dims)))
         if any(d < 1 for d in self.party_dims):
             raise ValueError("party dimensions must be >= 1")
         if self.ancilla_modes < 0 or self.prep_modes < 0 or self.qubus_count < 0:
@@ -168,7 +146,7 @@ class Term:
 
     def __post_init__(self):
         object.__setattr__(self, "amp", complex(self.amp))
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(operator.index, self.labels)))
         object.__setattr__(self, "qubus", tuple(complex(q) for q in self.qubus))
 
 
@@ -202,10 +180,6 @@ class HybridState:
                 )
             if not (math.isfinite(t.amp.real) and math.isfinite(t.amp.imag)):
                 raise ValueError("term amplitude must be finite")
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def with_terms(self, terms) -> "HybridState":
         return dataclasses.replace(self, terms=tuple(terms))
@@ -276,36 +250,35 @@ def _abs_sq(z: complex) -> float:
 
 def _pair_weight(t: Term, u: Term) -> complex:
     """conj(amp_t) amp_u times the product of per-beam coherent overlaps."""
-    log_mag = 0.0
-    phase = 0.0
+    log_ov = 0j
     for qa, qb in zip(t.qubus, u.qubus):
-        ov = coherent_overlap(qa, qb)
-        log_mag += ov.log_magnitude
-        phase += ov.phase
-    return t.amp.conjugate() * u.amp * cmath.exp(complex(log_mag, phase))
+        log_ov += coherent_overlap(qa, qb)
+    return t.amp.conjugate() * u.amp * cmath.exp(log_ov)
 
 
-def _gram_sum(terms) -> float:
-    """Squared norm of canonical ``terms``: amplitudes of equal-label terms
-    interfere through the full product of coherent overlaps (the Gram
-    matrix of their beam tuples); distinct labels are orthogonal."""
-    groups: dict[tuple[int, ...], list[Term]] = {}
-    for t in terms:
-        groups.setdefault(t.labels, []).append(t)
-    total = 0.0
-    for members in groups.values():
-        for i, t in enumerate(members):
-            total += _abs_sq(t.amp)
-            for u in members[i + 1 :]:
-                total += 2.0 * _pair_weight(t, u).real
+def _inner(a_terms, b_terms) -> complex:
+    """<a|b> over two term lists: equal-label terms interfere through the
+    full product of coherent overlaps, distinct labels are orthogonal.
+
+    Needs no canonical form: equal beams overlap with weight exactly 1, so
+    a duplicated (labels, beams) pair counts as its merged sum, and beams
+    that :func:`canonicalize` would merge are summed with their true overlap.
+    """
+    by_labels: dict[tuple[int, ...], list[Term]] = {}
+    for u in b_terms:
+        by_labels.setdefault(u.labels, []).append(u)
+    total = 0j
+    for t in a_terms:
+        for u in by_labels.get(t.labels, ()):
+            total += _pair_weight(t, u)
     return total
 
 
 def state_norm_sq(state: HybridState) -> float:
-    """Physical squared norm of a hybrid state (see :func:`_gram_sum`)."""
+    """Physical squared norm <state|state> of a hybrid state."""
     if not state.terms:
         raise ValueError("empty state")
-    return _gram_sum(canonicalize(state).terms)
+    return _inner(state.terms, state.terms).real
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -318,14 +291,7 @@ def inner_product(a: HybridState, b: HybridState) -> complex:
         raise ValueError("layout mismatch")
     if not a.terms or not b.terms:
         raise ValueError("empty state")
-    by_labels: dict[tuple[int, ...], list[Term]] = {}
-    for u in b.terms:
-        by_labels.setdefault(u.labels, []).append(u)
-    total = 0j
-    for t in a.terms:
-        for u in by_labels.get(t.labels, ()):
-            total += _pair_weight(t, u)
-    return total
+    return _inner(a.terms, b.terms)
 
 
 def overlap_sq(a: HybridState, b: HybridState) -> float:

@@ -242,7 +242,7 @@ def test_criterion_7_property_suites():
     for _ in range(200):
         a = complex(*rng.uniform(-4 / math.sqrt(2), 4 / math.sqrt(2), size=2))
         b = complex(*rng.uniform(-4 / math.sqrt(2), 4 / math.sqrt(2), size=2))
-        closed = coherent_overlap(a, b).to_complex()
+        closed = cmath.exp(coherent_overlap(a, b))
         assert abs(closed - fock_series(a, b)) <= 1e-10
     print("ACCEPTANCE 7 (element/erasure/overlap property suites): PASS")
 
@@ -250,7 +250,7 @@ def test_criterion_7_property_suites():
 def test_criterion_8_single_photon_qudit_preparation():
     for n in range(1, 17):
         state = prepare_single_photon_qudit(n)
-        assert state.num_terms == n
+        assert len(state.terms) == n
         expected = 1.0 / math.sqrt(n)
         for t in state.terms:
             assert abs(t.amp - expected) <= 1e-12, n

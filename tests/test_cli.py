@@ -92,6 +92,15 @@ def test_out_of_range_parameters_exit_2(capsys):
         )
         assert (code, out) == (2, ""), (flag, value)
         assert "finite" in err
+    # degenerate working points: a failure branch heralds as vacuum
+    for extra in (("--alpha", "0"),
+                  ("--theta", "3.141592653589793"),
+                  ("--alpha", "1", "--theta", "1e-13")):
+        code, out, err = run_cli(
+            capsys, "generate", "--n", "3", "--shifts", "0,1", "--balanced", *extra
+        )
+        assert (code, out) == (2, ""), extra
+        assert "theta" in err
 
 
 def test_unknown_flag_exits_2(capsys):

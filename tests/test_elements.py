@@ -173,7 +173,7 @@ def test_su2_first_cascade_rotation():
 
 def test_su2_pol_flip():
     out = apply_su2(_prep_photon(POL_H), pol_flip())
-    assert out.num_terms == 1
+    assert len(out.terms) == 1
     assert out.terms[0].labels[1] == POL_V
 
 

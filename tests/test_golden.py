@@ -29,6 +29,11 @@ GOLDEN_RUNS = [
      ["sweep", "--alpha", "100,500", "--theta", "0.001,0.01",
       "--eta", "0.7,1.0", "--n", "3", "--output", "json"]),
     ("prepare_n5.json", ["prepare", "--n", "5"]),
+    # n > 3 herald: 11 branch classes per stage.
+    ("generate_n6_three_party_dump_state.json",
+     ["generate", "--n", "6", "--m-parties", "3", "--shifts", "0,2,5",
+      "--balanced-phases", "1,4,0", "--eta", "0.8", "--theta", "0.02",
+      "--alpha", "300", "--dump-state"]),
 ]
 
 

@@ -50,8 +50,6 @@ def stage_one_pre_herald(n=3, alpha=ALPHA, theta=THETA):
 
 def test_detector_model_kinds():
     assert DetectorModel.ideal_pnnd() == DetectorModel.on_off(1.0)
-    assert DetectorModel.ideal_pnnd().kind == "ideal_pnnd"
-    assert DetectorModel.on_off(0.7).kind == "on_off"
     with pytest.raises(ValueError):
         DetectorModel.on_off(1.5)
     with pytest.raises(ValueError):
@@ -60,7 +58,7 @@ def test_detector_model_kinds():
 
 def test_detector_no_click_probability():
     det = DetectorModel.on_off(0.7)
-    assert det.no_click_prob(0.0) == 1.0
+    assert math.exp(det.no_click_log(0.0)) == 1.0
     assert det.no_click_log(2.0) == pytest.approx(-0.7 * 4.0, rel=1e-15)
 
 
@@ -177,7 +175,7 @@ def test_herald_degenerate_dark_bus():
     assert outcome.error_prob == 0.0
     assert len(outcome.branch_table) == 1
     # the unfiltered state still holds all nine label branches
-    assert outcome.heralded_state.num_terms == 9
+    assert len(outcome.heralded_state.terms) == 9
 
 
 def test_herald_requires_normalized_state():
@@ -202,6 +200,16 @@ def test_herald_requires_normalized_state():
         if accepted:
             outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
             assert outcome.success_prob == pytest.approx(0.5, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match="normalized"):
+                herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+    # with the excess on the vacuum branch, the outcome accepts the success
+    # probability the norm check let through
+    for excess, accepted in ((0.5e-9, True), (2e-9, False)):
+        state = HybridState(layout, (Term(math.sqrt(1.0 + excess), (0,), (0.0,)),))
+        if accepted:
+            outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+            assert outcome.success_prob == state_norm_sq(state)
         else:
             with pytest.raises(ValueError, match="normalized"):
                 herald_vacuum(state, 0, DetectorModel.ideal_pnnd())

@@ -47,7 +47,7 @@ def test_prepare_balanced_qutrit():
 @pytest.mark.parametrize("n", [2, 5, 7, 12])
 def test_prepare_amplitudes_are_uniform(n):
     state = prepare_single_photon_qudit(n)
-    assert state.num_terms == n
+    assert len(state.terms) == n
     for t in state.terms:
         assert abs(t.amp - 1.0 / math.sqrt(n)) < 1e-12
 
@@ -285,8 +285,19 @@ def test_protocol_spec_validation():
     ):
         with pytest.raises(ValueError, match="finite"):
             ProtocolSpec(**{**ok, **bad})
-    # alpha = 0 with theta = 0 is allowed (nothing couples)
-    ProtocolSpec(**{**ok, "theta": 0.0, "alpha": 0.0})
+    # a failure branch left at vacuum on the herald beam would be heralded
+    # as success: alpha = 0, d theta = 2 pi (n = 3, theta = pi, d = 2), or
+    # alpha theta below MERGE_TOL
+    for bad in (
+        {"theta": 0.0, "alpha": 0.0},
+        {"alpha": 0.0},
+        {"theta": math.pi},
+        {"alpha": 1.0, "theta": 1e-13},
+    ):
+        with pytest.raises(ValueError, match="theta"):
+            ProtocolSpec(**{**ok, **bad})
+    with pytest.raises(TypeError):  # a shift is never truncated to an int
+        ProtocolSpec.balanced(3, 2, shifts=(0, 1.9))
 
 
 def test_per_stage_outcomes_have_no_qubus_residue():

@@ -9,7 +9,6 @@ from qubus_forge.state import (
     DROP_TOL,
     MERGE_TOL,
     HybridState,
-    LogComplex,
     RegisterLayout,
     Term,
     canonicalize,
@@ -49,28 +48,29 @@ mid_complex = st.complex_numbers(
 def test_overlap_identity():
     for alpha in (0.3, 2.0 + 1.5j, 500.0, -7j):
         ov = coherent_overlap(alpha, alpha)
-        assert ov.log_magnitude == pytest.approx(0.0, abs=1e-12)
-        assert ov.phase == pytest.approx(0.0, abs=1e-12)
+        assert ov.real == pytest.approx(0.0, abs=1e-12)
+        assert ov.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_overlap_vacuum_against_bright_beam():
     ov = coherent_overlap(0.0, 500.0)
-    assert ov.log_magnitude == -125000.0
-    assert ov.phase == 0.0
+    assert ov.real == -125000.0
+    assert ov.imag == 0.0
+    assert cmath.exp(ov) == 0j  # clean underflow
 
 
 def test_overlap_phase_rotated_bright_beam():
     alpha, theta = 500.0, 0.01
     ov = coherent_overlap(alpha, alpha * cmath.exp(1j * theta))
     expected_log_sq = -4.0 * alpha**2 * math.sin(theta / 2.0) ** 2
-    assert 2.0 * ov.log_magnitude == pytest.approx(expected_log_sq, rel=1e-12)
+    assert 2.0 * ov.real == pytest.approx(expected_log_sq, rel=1e-12)
     # the magnitude itself lands near e^-25 ~ 1.39e-11
-    assert 1.3e-11 < ov.abs_sq() < 1.5e-11
+    assert 1.3e-11 < math.exp(2.0 * ov.real) < 1.5e-11
 
 
 @given(small_complex, small_complex)
 def test_overlap_matches_fock_series(a, b):
-    closed = coherent_overlap(a, b).to_complex()
+    closed = cmath.exp(coherent_overlap(a, b))
     series = fock_series_overlap(a, b)
     assert abs(closed - series) < 1e-10
 
@@ -79,15 +79,7 @@ def test_overlap_matches_fock_series(a, b):
 def test_overlap_abs_sq_is_gaussian_in_distance(a, b):
     ov = coherent_overlap(a, b)
     d_sq = abs(a - b) ** 2
-    assert 2.0 * ov.log_magnitude == pytest.approx(-d_sq, rel=1e-10, abs=1e-10)
-
-
-def test_log_complex_round_trip():
-    for z in (1.0, -2.5 + 0.3j, 1e-150j, 3.7e200):
-        lc = LogComplex.from_complex(z)
-        assert lc.to_complex() == pytest.approx(z, rel=1e-12)
-    assert LogComplex.from_complex(0).to_complex() == 0j
-    assert LogComplex(-125000.0, 0.0).abs_sq() == 0.0  # clean underflow
+    assert 2.0 * ov.real == pytest.approx(-d_sq, rel=1e-10, abs=1e-10)
 
 
 def _single(amp, labels=(0,), qubus=(), layout=None):
@@ -148,6 +140,21 @@ def test_norm_invariant_under_term_order(rng_states=20):
         assert fwd == pytest.approx(rev, abs=1e-12)
         canon = state_norm_sq(canonicalize(HybridState(layout, terms)))
         assert fwd == pytest.approx(canon, abs=1e-12)
+    # terms canonicalize would merge or drop count the same unmerged:
+    # a duplicated (labels, beam) pair, beams 0.5 MERGE_TOL apart, and a
+    # term below DROP_TOL
+    beam = 0.8 - 0.3j
+    raw_states = (
+        (Term(0.6, (1, 0), (beam,)), Term(0.2j, (1, 0), (beam,)),
+         Term(0.7, (2, 1), (beam,))),
+        (Term(0.6, (1, 0), (beam,)), Term(0.5, (1, 0), (beam + 0.5 * MERGE_TOL,))),
+        (Term(0.5 * DROP_TOL, (0, 0), (beam,)), Term(0.9, (1, 0), (beam,))),
+    )
+    for terms in raw_states:
+        raw = HybridState(layout, terms)
+        assert len(canonicalize(raw).terms) < len(raw.terms)
+        canon = state_norm_sq(canonicalize(raw))
+        assert state_norm_sq(raw) == pytest.approx(canon, abs=1e-12)
 
 
 def test_canonicalize_merges_amplitudes():
@@ -156,7 +163,7 @@ def test_canonicalize_merges_amplitudes():
         layout, (Term(0.3, (0,), (1.0,)), Term(0.4, (0,), (1.0,)))
     )
     canon = canonicalize(state)
-    assert canon.num_terms == 1
+    assert len(canon.terms) == 1
     assert canon.terms[0].amp == pytest.approx(0.7)
 
 
@@ -178,7 +185,7 @@ def test_canonicalize_merges_nearby_qubus_amplitudes():
         (Term(0.5, (0,), (1.0,)), Term(0.5, (0,), (1.0 + 1e-15,))),
     )
     canon = canonicalize(state)
-    assert canon.num_terms == 1
+    assert len(canon.terms) == 1
     assert canonicalize(canon) == canon  # idempotent
     # MERGE_TOL is absolute for beams up to |q| = 1 and relative beyond:
     # same-label beams 0.9 tolerances apart merge, 1.1 tolerances apart stay
@@ -188,7 +195,7 @@ def test_canonicalize_merges_nearby_qubus_amplitudes():
             state = HybridState(
                 layout, (Term(0.5, (0,), (base,)), Term(0.5, (0,), (shifted,)))
             )
-            assert canonicalize(state).num_terms == count
+            assert len(canonicalize(state).terms) == count
 
 
 def test_canonicalize_idempotent_on_random_states():
@@ -217,6 +224,8 @@ def test_state_validation():
         HybridState(layout, (Term(1.0, (0,), ()),))
     with pytest.raises(ValueError, match="finite"):
         HybridState(layout, (Term(float("nan"), (0,), (0.0,)),))
+    with pytest.raises(TypeError):  # a label is never truncated to an int
+        Term(1.0, (1.7,), (0.0,))
 
 
 def test_layout_validation_and_slots():
@@ -261,6 +270,9 @@ def test_serialization_round_trip():
     assert state_from_dict(data) == state
     with pytest.raises(ValueError, match="norm mode"):
         state_from_dict({**data, "norm_mode": "orthogonal_approx"})
+    data["terms"][0]["labels"] = [1.7, 0]  # would truncate onto label 1
+    with pytest.raises(TypeError):
+        state_from_dict(data)
 
 
 def test_drop_uniform_beam():
