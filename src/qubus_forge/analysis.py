@@ -22,7 +22,7 @@ from .protocols import (
     prepare_single_photon_qudit,
     target_state,
 )
-from .state import HybridState, inner_product, overlap_sq, state_norm_sq
+from .state import ALPHA_MAX, HybridState, inner_product, overlap_sq, state_norm_sq
 
 _LN10 = math.log(10.0)
 
@@ -109,8 +109,8 @@ class SweepGrid:
         values = self.alpha_values + self.theta_values + self.eta_values
         if any(not math.isfinite(v) for v in values):
             raise ValueError("sweep values must be finite")
-        if any(a < 0 for a in self.alpha_values):
-            raise ValueError("alpha must be >= 0")
+        if any(not 0 <= a <= ALPHA_MAX for a in self.alpha_values):
+            raise ValueError(f"alpha must lie in [0, {ALPHA_MAX:g}]")
         if any(t <= 0 for t in self.theta_values):
             raise ValueError("theta must be > 0")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_values):

@@ -32,6 +32,7 @@ from .heralding import (
     measure_ancilla_and_feedforward,
 )
 from .state import (
+    ALPHA_MAX,
     POL_H,
     POL_V,
     HybridState,
@@ -123,6 +124,8 @@ class ProtocolSpec:
             and math.isfinite(self.alpha.imag)
         ):
             raise ValueError("theta and alpha must be finite")
+        if abs(self.alpha) > ALPHA_MAX:
+            raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
         # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
         # herald beam; if that is vacuum, a failure branch is heralded too.
         for d in range(1, self.n):

@@ -15,6 +15,7 @@ because they underflow any fixed-precision complex.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import dataclasses
 import math
@@ -29,8 +30,20 @@ GRAM_EXACT = "gram_exact"
 # relative tolerance (absolute near zero).  Double-precision phase
 # arithmetic drifts by ~1e-15 per operation; 1e-12 absorbs that without
 # conflating physically distinct phases, whose smallest separation at
-# bright-beam working points is of order |alpha| * theta.
+# bright-beam working points is of order |alpha| * theta.  A merge keeps
+# the first beam q and drops the other's offset d, so for amplitudes a and b
+# it neglects the overlap phase Im(conj(q) d) <= |q| |d| and the decay
+# |d|^2 / 2: the squared norm moves by at most 2 |a| |b| (|q| |d| + |d|^2 / 2).
+# Protocol states never come near that, since their beams drift only
+# ~1e-15 relative.
 MERGE_TOL = 1e-12
+
+# Largest |alpha| a protocol or sweep accepts.  The offset-0 herald beam,
+# alpha (1 - e^{i phi} e^{-i phi}) / sqrt(2), is vacuum only up to rounding:
+# a residual of up to ~0.8 ulp of |alpha| (measured over 300 random specs,
+# n 2..32).  It must stay below MERGE_TOL's absolute floor of 1e-12, or the
+# success branch no longer heralds as vacuum; 1e3 keeps a factor ~5 margin.
+ALPHA_MAX = 1e3
 
 # Terms with |amp| below this are representational noise and are dropped.
 DROP_TOL = 1e-14
@@ -147,7 +160,9 @@ class Term:
     def __post_init__(self):
         object.__setattr__(self, "amp", complex(self.amp))
         object.__setattr__(self, "labels", tuple(map(operator.index, self.labels)))
-        object.__setattr__(self, "qubus", tuple(complex(q) for q in self.qubus))
+        object.__setattr__(self, "qubus", tuple(map(complex, self.qubus)))
+        if not all(map(cmath.isfinite, self.qubus)):
+            raise ValueError("qubus amplitudes must be finite")
 
 
 @dataclass(frozen=True)
@@ -208,15 +223,32 @@ def _merge_groups(beams) -> list[list[int]]:
     it within :data:`MERGE_TOL`, else starts a new group.  Groups come in
     creation order and list their members in visit order, so a group's
     first index is its representative.
+
+    Only representatives whose first beam has a real part within
+    w = MERGE_TOL max(1, |u0|) / (1 - MERGE_TOL) of the visited u0 are
+    tested: :func:`qubus_close` accepts no pair farther apart, so the first
+    match in creation order is the same as over all groups (the bound
+    needs finite beams, which every :class:`Term` has).
     """
-    groups: list[list[int]] = []
+    if len(beams) <= 1 or not beams[0]:
+        return [list(range(len(beams)))] if beams else []
     order = sorted(range(len(beams)), key=lambda i: tuple(map(_beam_key, beams[i])))
+    groups: list[list[int]] = []
+    reps: list[tuple[float, int]] = []  # (Re first beam, group index), sorted
     for i in order:
-        for g in groups:
-            if _tuples_close(beams[g[0]], beams[i]):
-                g.append(i)
+        u = beams[i]
+        u0 = u[0]
+        # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
+        # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
+        w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
+        lo = bisect.bisect_left(reps, (u0.real - w, -1))
+        hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
+        for k in sorted(k for _, k in reps[lo:hi]):
+            if _tuples_close(beams[groups[k][0]], u):
+                groups[k].append(i)
                 break
         else:
+            bisect.insort(reps, (u0.real, len(groups)))
             groups.append([i])
     return groups
 
@@ -236,11 +268,13 @@ def canonicalize(state: HybridState) -> HybridState:
     for labels in sorted(by_labels):
         same = by_labels[labels]
         for g in _merge_groups([t.qubus for t in same]):
-            amp = same[g[0]].amp
+            first = same[g[0]]
+            amp = first.amp
             for i in g[1:]:
                 amp += same[i].amp
             if abs(amp) >= DROP_TOL:
-                merged.append(Term(amp, labels, same[g[0]].qubus))
+                # a one-member group keeps its term as it is
+                merged.append(first if len(g) == 1 else Term(amp, labels, first.qubus))
     return state.with_terms(merged)
 
 
@@ -270,7 +304,9 @@ def _inner(a_terms, b_terms) -> complex:
     total = 0j
     for t in a_terms:
         for u in by_labels.get(t.labels, ()):
-            total += _pair_weight(t, u)
+            # _pair_weight(t, t) is exactly this: every self-overlap of a
+            # finite beam is -0.0 + 0.0j, so its exponential is 1 + 0j.
+            total += complex(_abs_sq(t.amp), 0.0) if u is t else _pair_weight(t, u)
     return total
 
 

@@ -23,7 +23,7 @@ from qubus_forge.protocols import (
     prepare_single_photon_qudit,
     target_state,
 )
-from qubus_forge.state import HybridState, RegisterLayout, Term
+from qubus_forge.state import ALPHA_MAX, HybridState, RegisterLayout, Term
 
 
 def qutrit_failure_log_literal(alpha, theta, eta=1.0):
@@ -210,6 +210,10 @@ def test_sweep_grid_validation():
         SweepGrid((1.0,), (0.01,), (1.5,), 3)
     with pytest.raises(ValueError):
         SweepGrid((-1.0,), (0.01,), (1.0,), 3)
+    SweepGrid((ALPHA_MAX,), (0.01,), (1.0,), 3)
+    for alpha in (ALPHA_MAX * (1 + 1e-15), 1e6, 1e160):
+        with pytest.raises(ValueError, match="alpha"):
+            SweepGrid((alpha,), (0.01,), (1.0,), 3)
 
 
 def test_verify_basis_bell_family():

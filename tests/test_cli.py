@@ -101,6 +101,16 @@ def test_out_of_range_parameters_exit_2(capsys):
         )
         assert (code, out) == (2, ""), extra
         assert "theta" in err
+    # beams brighter than ALPHA_MAX: the vacuum branch's rounding residual
+    # would pass MERGE_TOL's absolute floor (and 1e160 overflowed the sweep)
+    for args in (
+        ("generate", "--n", "2", "--shifts", "0,1", "--balanced", "--alpha", "1e4"),
+        ("sweep", "--alpha", "1e6", "--theta", "0.01", "--eta", "1", "--n", "3"),
+        ("sweep", "--alpha", "1e160", "--theta", "0.1", "--eta", "1", "--n", "3"),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert "alpha" in err
 
 
 def test_unknown_flag_exits_2(capsys):

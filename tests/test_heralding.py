@@ -21,6 +21,7 @@ from qubus_forge.protocols import (
 )
 from qubus_forge.elements import PhaseMap, apply_bs_5050, apply_qubus_phase, apply_xpm
 from qubus_forge.state import (
+    MERGE_TOL,
     HybridState,
     RegisterLayout,
     Term,
@@ -225,6 +226,14 @@ def test_branch_table_merge_tolerance_edge():
         outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
         assert len(outcome.branch_table) == records
         assert outcome.success_prob == pytest.approx(1.0 / records, abs=1e-15)
+    # on a bright herald beam the tolerance is relative: MERGE_TOL * 500
+    for factor, records in ((0.9, 1), (1.1, 2)):
+        beam = 500.0 + factor * MERGE_TOL * 500.0
+        state = HybridState(layout, (Term(amp, (0,), (500.0,)), Term(amp, (1,), (beam,))))
+        outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+        assert len(outcome.branch_table) == records
+        assert [r.beam_amp for r in outcome.branch_table][0] == 500.0
+        assert outcome.success_prob == 0.0
 
 
 def test_branch_record_serialization_is_finite():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qubus_forge.protocols import (
     target_state,
 )
 from qubus_forge.state import (
+    ALPHA_MAX,
     POL_V,
     HybridState,
     RegisterLayout,
@@ -298,6 +300,29 @@ def test_protocol_spec_validation():
             ProtocolSpec(**{**ok, **bad})
     with pytest.raises(TypeError):  # a shift is never truncated to an int
         ProtocolSpec.balanced(3, 2, shifts=(0, 1.9))
+    # brighter beams leave a vacuum-branch residual above MERGE_TOL's floor
+    ProtocolSpec(**{**ok, "alpha": -1j * ALPHA_MAX})
+    for alpha in (ALPHA_MAX * (1 + 1e-15), 1e4j, 1e160):
+        with pytest.raises(ValueError, match="alpha"):
+            ProtocolSpec(**{**ok, "alpha": alpha})
+
+
+def test_generate_heralds_at_alpha_bound():
+    # at |alpha| = ALPHA_MAX the offset-0 herald beam still merges with
+    # vacuum, so every stage heralds with probability 1/n
+    for n in range(2, 9):
+        for parties in (2, 3) if n <= 4 else (2,):
+            shifts = (0,) + tuple(i * (n - 1) % n for i in range(1, parties))
+            for theta in (0.003, 0.05):
+                for alpha in (ALPHA_MAX, -ALPHA_MAX, 1j * ALPHA_MAX, -1j * ALPHA_MAX):
+                    spec = ProtocolSpec.balanced(
+                        n, parties, shifts=shifts, theta=theta, alpha=alpha
+                    )
+                    report = generate(spec)
+                    assert report.failed_stage is None, (n, parties, theta, alpha)
+                    assert report.success_prob == pytest.approx(
+                        n ** -parties, rel=1e-12
+                    ), (n, parties, theta, alpha)
 
 
 def test_per_stage_outcomes_have_no_qubus_residue():
@@ -310,3 +335,39 @@ def test_per_stage_outcomes_have_no_qubus_residue():
         * (1.0 - report.per_stage[1].error_prob),
         rel=1e-12,
     )
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named function of ``qubus_forge.state`` with a call counter,
+    in every qubus_forge module that binds it."""
+    import qubus_forge.state
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(qubus_forge.state, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("qubus_forge") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_generate_work_counts_are_near_linear(monkeypatch):
+    # The grouping and the norm must stay near-linear in the term count:
+    # an O(T K) scan over branch classes, or self-pairs sent through the
+    # overlap kernel, shows here as a call count, whatever the machine.
+    # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls)
+    expected = {3: (None, None, 12), 32: (4000, 1100, 99), 48: (9000, 2500, 147)}
+    for n, (close_max, pair_max, canonicalize_calls) in expected.items():
+        spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
+        with monkeypatch.context() as mp:
+            counts = _count_calls(mp, ("qubus_close", "_pair_weight", "canonicalize"))
+            generate(spec)
+        assert counts["canonicalize"] == canonicalize_calls, (n, counts)
+        if close_max is not None:
+            assert counts["qubus_close"] <= close_max, (n, counts)
+            assert counts["_pair_weight"] <= pair_max, (n, counts)

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubus_forge.state import (
@@ -11,6 +11,9 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
+    _beam_key,
+    _merge_groups,
+    _tuples_close,
     canonicalize,
     coherent_overlap,
     drop_uniform_beam,
@@ -198,6 +201,77 @@ def test_canonicalize_merges_nearby_qubus_amplitudes():
             assert len(canonicalize(state).terms) == count
 
 
+def greedy_merge_groups(beams):
+    """Oracle: the O(T K) greedy grouping that compares each visited tuple
+    with every group representative."""
+    groups: list[list[int]] = []
+    order = sorted(range(len(beams)), key=lambda i: tuple(map(_beam_key, beams[i])))
+    for i in order:
+        for g in groups:
+            if _tuples_close(beams[g[0]], beams[i]):
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+MERGE_CENTRES = (0.0, 1.0, 500.0, -500.0, 500j)
+MERGE_DIRECTIONS = (1, -1, 1j, -1j) + tuple(
+    cmath.exp(1j * math.pi * (k + 0.5) / 2) for k in range(4)
+)
+clustered_beam = st.builds(
+    lambda c, r, d: c + r * MERGE_TOL * max(1.0, abs(c)) * d,
+    st.sampled_from(MERGE_CENTRES),
+    st.one_of(st.floats(0.0, 3.0), st.sampled_from((0.99, 1.0, 1.01))),
+    st.sampled_from(MERGE_DIRECTIONS),
+)
+beam_tuple_lists = st.integers(0, 2).flatmap(
+    lambda width: st.lists(st.tuples(*[clustered_beam] * width), max_size=14)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beam_tuple_lists)
+def test_windowed_merge_groups_equal_the_greedy_rule(beams):
+    assert _merge_groups(beams) == greedy_merge_groups(beams)
+
+
+def test_merge_window_edges():
+    # |Re d| may reach MERGE_TOL with Im d = 0; |d| > MERGE_TOL never merges
+    for c in (0.0, 500.0 + 7j, -500j):
+        scale = MERGE_TOL * max(1.0, abs(c))
+        for d, groups in ((0.99 * scale, 1), (complex(0.99, 0.5) * scale, 2)):
+            for beams in ([(c,), (c + d,)], [(c + d,), (c,)], [(c, 1.0), (c + d, 1.0)]):
+                assert len(_merge_groups(beams)) == groups, (c, d, beams)
+                assert _merge_groups(beams) == greedy_merge_groups(beams)
+    # both representatives accept the last tuple; it joins the older group,
+    # although the newer one has the smaller first-beam real part
+    beams = [(0.3e-12, -0.2e-12), (-0.3e-12, 1.4e-12), (0.0, 0.6e-12)]
+    assert _merge_groups(beams) == greedy_merge_groups(beams) == [[0, 2], [1]]
+    assert _merge_groups([(), (), ()]) == [[0, 1, 2]]
+    assert _merge_groups([(5.0,)]) == [[0]]
+    assert _merge_groups([]) == []
+
+
+def test_merge_neglects_at_most_the_stated_overlap_phase():
+    # MERGE_TOL's comment bounds the norm change of a merge of beams q and
+    # q + d by 2 |a| |b| (|q| |d| + |d|^2 / 2); at 0.9 tolerances on |q| = 500
+    # the overlap phase Im(conj(q) d) nearly reaches it
+    layout = RegisterLayout(party_dims=(2,), qubus_count=1)
+    q, d = 500.0, 0.9j * MERGE_TOL * 500.0
+    a, b = 0.5, 0.5j
+    raw = HybridState(layout, (Term(a, (0,), (q,)), Term(b, (0,), (q + d,))))
+    canon = canonicalize(raw)
+    assert len(canon.terms) == 1
+    assert state_norm_sq(raw) == pytest.approx(0.4999998875, abs=1e-15)
+    assert state_norm_sq(canon) == pytest.approx(0.5, abs=1e-15)
+    error = abs(state_norm_sq(raw) - state_norm_sq(canon))
+    bound = 2 * abs(a) * abs(b) * (abs(q) * abs(d) + abs(d) ** 2 / 2)
+    # 1e-15 is the rounding of the two norms
+    assert 0.99 * bound <= error <= bound + 1e-15
+
+
 def test_canonicalize_idempotent_on_random_states():
     import numpy as np
 
@@ -224,6 +298,10 @@ def test_state_validation():
         HybridState(layout, (Term(1.0, (0,), ()),))
     with pytest.raises(ValueError, match="finite"):
         HybridState(layout, (Term(float("nan"), (0,), (0.0,)),))
+    # the MERGE_TOL window and the free self-pair both need finite beams
+    for bad in (complex("inf"), complex("nan"), complex(1.0, float("-inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            Term(1.0, (0,), (0.5, bad))
     with pytest.raises(TypeError):  # a label is never truncated to an int
         Term(1.0, (1.7,), (0.0,))
 
