@@ -238,7 +238,8 @@ def test_windowed_merge_groups_equal_the_greedy_rule(beams):
 
 
 def test_merge_window_edges():
-    # |Re d| may reach MERGE_TOL with Im d = 0; |d| > MERGE_TOL never merges
+    # real parts 0.99 tolerances apart merge; 0.5 more in the imaginary part
+    # puts |d| above MERGE_TOL, although the real parts are as close
     for c in (0.0, 500.0 + 7j, -500j):
         scale = MERGE_TOL * max(1.0, abs(c))
         for d, groups in ((0.99 * scale, 1), (complex(0.99, 0.5) * scale, 2)):
