@@ -177,8 +177,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     command = args.command
     if command == "generate":
         parties = args.m_parties
-        if parties < 1:
-            raise ConfigError("field m-parties: must be >= 1")
         shifts = _ints(args.shifts) if args.shifts is not None else (0,) * parties
         chosen = [
             name

@@ -46,13 +46,14 @@ from .state import (
 
 def balanced_coeffs(n: int) -> tuple[complex, ...]:
     """The flat unit vector (1, ..., 1)/sqrt(n)."""
-    amp = 1.0 / math.sqrt(n)
-    return tuple(complex(amp) for _ in range(n))
+    return phased_coeffs(n, 0)
 
 
 def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     """Balanced coefficients with the linear phase pattern tau^{j m},
     tau = exp(2 pi i / n)."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     scale = 1.0 / math.sqrt(n)
     return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
 
@@ -75,6 +76,36 @@ def coeff_phase_index(coeffs, tol: float = 1e-9) -> int | None:
         if abs(c - expected) > tol:
             return None
     return m
+
+
+def _check_working_point(n: int, theta: float, alpha: complex) -> None:
+    """Reject a dimension, XPM phase and beam amplitude at which the vacuum
+    herald cannot tell success from failure."""
+    if n < 2:
+        raise ValueError("dimension n must be >= 2")
+    if not (math.isfinite(theta) and cmath.isfinite(alpha)):
+        raise ValueError("theta and alpha must be finite")
+    if abs(alpha) > ALPHA_MAX:
+        raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
+    # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
+    # herald beam; if that is vacuum, a failure branch is heralded too.
+    for d in range(1, n):
+        beam = alpha * (1 - cmath.exp(1j * d * theta)) / math.sqrt(2)
+        if qubus_close(beam, 0.0):
+            raise ValueError(
+                f"theta = {theta!r} with alpha = {alpha!r} leaves the "
+                f"offset-{d} failure branch at vacuum on the herald beam"
+            )
+
+
+def _check_shifts(shifts: tuple[int, ...], n: int, parties: int) -> None:
+    """One shift per party, each in [0, n), the first one 0."""
+    if len(shifts) != parties:
+        raise ValueError("need one shift per party")
+    if any(not 0 <= k < n for k in shifts):
+        raise ValueError("shifts must lie in [0, n)")
+    if shifts[0] != 0:
+        raise ValueError("the first party's shift must be 0")
 
 
 @dataclass(frozen=True)
@@ -100,16 +131,10 @@ class ProtocolSpec:
             self, "coeffs", tuple(tuple(complex(c) for c in v) for v in self.coeffs)
         )
         object.__setattr__(self, "alpha", complex(self.alpha))
-        if self.n < 2:
-            raise ValueError("dimension n must be >= 2")
+        _check_working_point(self.n, self.theta, self.alpha)
         if self.parties < 2:
             raise ValueError("party count must be >= 2")
-        if len(self.shifts) != self.parties:
-            raise ValueError("need one shift per party")
-        if any(not 0 <= k < self.n for k in self.shifts):
-            raise ValueError("shifts must lie in [0, n)")
-        if self.shifts[0] != 0:
-            raise ValueError("the first party's shift must be 0")
+        _check_shifts(self.shifts, self.n, self.parties)
         if len(self.coeffs) != self.parties:
             raise ValueError("need one coefficient vector per party")
         for vec in self.coeffs:
@@ -118,23 +143,6 @@ class ProtocolSpec:
             norm = sum(c.real * c.real + c.imag * c.imag for c in vec)
             if abs(norm - 1.0) > 1e-12:
                 raise ValueError("coefficient vectors must have unit norm")
-        if not (
-            math.isfinite(self.theta)
-            and math.isfinite(self.alpha.real)
-            and math.isfinite(self.alpha.imag)
-        ):
-            raise ValueError("theta and alpha must be finite")
-        if abs(self.alpha) > ALPHA_MAX:
-            raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
-        # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
-        # herald beam; if that is vacuum, a failure branch is heralded too.
-        for d in range(1, self.n):
-            beam = self.alpha * (1 - cmath.exp(1j * d * self.theta)) / math.sqrt(2)
-            if qubus_close(beam, 0.0):
-                raise ValueError(
-                    f"theta = {self.theta!r} with alpha = {self.alpha!r} leaves the "
-                    f"offset-{d} failure branch at vacuum on the herald beam"
-                )
 
     @classmethod
     def balanced(
@@ -298,20 +306,11 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
         shifts = tuple(map(operator.index, k))
     else:
         shifts = (0,) + (operator.index(k),) * (parties - 1)
-    if len(shifts) != parties:
-        raise ValueError("need one shift per party")
-    if shifts[0] != 0:
-        raise ValueError("the first party's shift must be 0")
-    if any(not 0 <= s < n for s in shifts):
-        raise ValueError("shifts must lie in [0, n)")
+    _check_shifts(shifts, n, parties)
     layout = RegisterLayout(party_dims=(n,) * parties)
-    scale = 1.0 / math.sqrt(n)
     terms = tuple(
-        Term(
-            scale * cmath.exp(2j * math.pi * j * m / n),
-            tuple((j + s) % n for s in shifts),
-        )
-        for j in range(n)
+        Term(c, tuple((j + s) % n for s in shifts))
+        for j, c in enumerate(phased_coeffs(n, m))
     )
     return HybridState(layout, terms)
 

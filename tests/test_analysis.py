@@ -23,7 +23,13 @@ from qubus_forge.protocols import (
     prepare_single_photon_qudit,
     target_state,
 )
-from qubus_forge.state import ALPHA_MAX, HybridState, RegisterLayout, Term
+from qubus_forge.state import (
+    ALPHA_MAX,
+    MERGE_TOL,
+    HybridState,
+    RegisterLayout,
+    Term,
+)
 
 
 def qutrit_failure_log_literal(alpha, theta, eta=1.0):
@@ -214,6 +220,51 @@ def test_sweep_grid_validation():
     for alpha in (ALPHA_MAX * (1 + 1e-15), 1e6, 1e160):
         with pytest.raises(ValueError, match="alpha"):
             SweepGrid((alpha,), (0.01,), (1.0,), 3)
+    # a failure branch left at vacuum on the herald beam (alpha = 0, or
+    # 2 theta = 2 pi at n = 3), and a NaN efficiency
+    with pytest.raises(ValueError, match="theta"):
+        SweepGrid((0.0,), (0.01,), (1.0,), 3)
+    with pytest.raises(ValueError, match="theta"):
+        SweepGrid((1.0,), (math.pi,), (1.0,), 3)
+    with pytest.raises(ValueError, match="efficiency"):
+        SweepGrid((1.0,), (0.01,), (float("nan"),), 3)
+
+
+def test_sweep_point_rejects_bad_working_points():
+    # the cases a grid rejects are rejected point by point too
+    for args in ((1e6, 0.01, 1.0, 3), (0.0, 0.01, 1.0, 3), (1.0, math.pi, 1.0, 3)):
+        with pytest.raises(ValueError):
+            sweep_point(*args)
+
+
+def _raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sweep_and_generate_accept_the_same_working_points(n):
+    # one rule decides the working point: a grid and a single sweep point
+    # are rejected exactly where ProtocolSpec rejects the same (alpha, theta)
+    alphas = (0.0, 1.0, ALPHA_MAX, math.nextafter(ALPHA_MAX, math.inf),
+              float("nan"), float("inf"))
+    thetas = (math.pi, 1e-13, 0.01) + tuple(
+        2 * math.pi * k / n for k in range(1, n + 1)
+    )
+    # |beam| = alpha theta / sqrt(2) at d = 1 sits on MERGE_TOL's 1e-12 floor
+    floor = math.sqrt(2) * MERGE_TOL / 1e-6
+    points = [(a, t) for a in alphas for t in thetas]
+    points += [(floor * 1.01, 1e-6), (floor * 0.99, 1e-6)]
+    verdicts = []
+    for alpha, theta in points:
+        spec = _raises(ProtocolSpec.balanced, n, 2, None, theta, alpha)
+        assert _raises(SweepGrid, (alpha,), (theta,), (1.0,), n) == spec, (alpha, theta)
+        assert _raises(sweep_point, alpha, theta, 1.0, n) == spec, (alpha, theta)
+        verdicts.append(spec)
+    assert verdicts[-2:] == [False, True]
 
 
 def test_verify_basis_bell_family():

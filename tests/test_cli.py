@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubus_forge.cli import (
     config_text_to_argv,
@@ -9,6 +13,7 @@ from qubus_forge.cli import (
     main,
     parse_argv,
 )
+from qubus_forge.state import ALPHA_MAX
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +106,20 @@ def test_out_of_range_parameters_exit_2(capsys):
         )
         assert (code, out) == (2, ""), extra
         assert "theta" in err
+    # the sweep applies the same working-point rule to every (alpha, theta)
+    for alpha, theta in (("1", "3.141592653589793"), ("0", "3.141592653589793"),
+                         ("0", "0.01"), ("1", "1e-13")):
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha", alpha, "--theta", theta, "--eta", "1",
+            "--n", "3",
+        )
+        assert (code, out) == (2, ""), (alpha, theta)
+        assert "theta" in err
+    # n = 0 is rejected before the coefficients divide by sqrt(n)
+    for mode in (("--balanced",), ("--balanced-phases", "0")):
+        code, out, err = run_cli(capsys, "generate", "--n", "0", *mode)
+        assert (code, out) == (2, ""), mode
+        assert "dimension" in err
     # beams brighter than ALPHA_MAX: the vacuum branch's rounding residual
     # would pass MERGE_TOL's absolute floor (and 1e160 overflowed the sweep)
     for args in (
@@ -307,3 +326,69 @@ def test_bad_numeric_fields(capsys):
                            "--alpha", "bogus")
     assert code == 2
     assert "alpha" in err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"JSON output contains {name}")
+
+
+def _either(draw, valid, edges, odds):
+    """Draw one of ``edges`` about once in ``odds`` draws, else from ``valid``
+    (``st.one_of`` would drop repeated branches, so it cannot weight them)."""
+    if draw(st.integers(1, odds)) == odds:
+        return draw(st.sampled_from(edges))
+    return draw(valid)
+
+
+@st.composite
+def _cli_argv(draw):
+    """generate or sweep argv over valid, edge and invalid inputs.  Edge
+    values of alpha and theta are half the draws: the degenerate working
+    points among them are what a sweep must reject."""
+    n = _either(draw, st.integers(2, 7), [-1, 0, 1], 4)
+    alpha = _either(
+        draw, st.floats(1e-3, ALPHA_MAX),
+        [0.0, 1e-13, ALPHA_MAX, math.nextafter(ALPHA_MAX, 0.0),
+         math.nextafter(ALPHA_MAX, math.inf), math.inf, -math.inf, math.nan,
+         -1.0, -ALPHA_MAX], 2,
+    )
+    theta = _either(
+        draw, st.floats(1e-6, 2 * math.pi),
+        [0.0, math.pi, 2 * math.pi / max(n, 1), 1e-13, -0.5, math.inf,
+         -math.inf, math.nan], 2,
+    )
+    eta = _either(draw, st.floats(0.0, 1.0), [0.0, 1.0, -0.1, 1.5, math.nan], 4)
+    values = [f"--n={n}", f"--alpha={alpha!r}", f"--theta={theta!r}", f"--eta={eta!r}"]
+    if draw(st.booleans()):
+        return ["sweep", *values]
+    parties = _either(draw, st.integers(2, 3), [0, 1], 4)
+    argv = ["generate", *values, f"--m-parties={parties}"]
+    shifts = _either(draw, st.none(), [[0], [0, 1], [1, 0], [0, 7], [0, -1], [0, 1, 2]], 4)
+    if shifts is not None:
+        argv.append("--shifts=" + ",".join(map(str, shifts)))
+    if draw(st.booleans()):
+        argv.append("--balanced")
+    else:
+        argv.append(f"--balanced-phases={draw(st.integers(-1, 7))}")
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_cli_argv())
+def test_cli_exit_codes_and_sweep_rows_hold_for_any_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        return
+    doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if argv[0] != "sweep":
+        return
+    for row in doc["rows"]:
+        closed_ln = row["p_err_closed_log10"] * math.log(10)
+        delta = (row["p_err_sim_log10"] - row["p_err_closed_log10"]) * math.log(10)
+        # exponents reach ~1.3e6 at |alpha| = 1e3, where one ulp is 2.3e-10
+        assert abs(math.expm1(delta)) <= 1e-10 + 4 * math.ulp(abs(closed_ln)), (
+            argv, row)
