@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heralding import DetectorModel
+from .heralding import DetectorModel, _classify_branches, _score_branches
 from .protocols import (
     _check_working_point,
-    _run_stage,
+    _pre_herald_state,
     balanced_coeffs,
     prepare_single_photon_qudit,
     target_state,
@@ -143,14 +143,17 @@ SWEEP_CSV_HEADER = ("alpha", "theta", "eta", "mean_k1", "mean_k2",
                     "p_err_closed", "p_err_sim")
 
 
-def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
-    """Evaluate one grid point: run the balanced first entangling stage and
-    compare its silent-failure probability against the closed form."""
-    _check_working_point(n, theta, alpha)
-    ancilla = prepare_single_photon_qudit(n)
-    outcome = _run_stage(
-        ancilla, balanced_coeffs(n), 0, theta, alpha, DetectorModel.on_off(eta)
-    )
+def _stage_classes(ancilla: HybridState, alpha: float, theta: float, n: int):
+    """Branch classes of the balanced first entangling stage, before any
+    detector scores them."""
+    st, beam = _pre_herald_state(ancilla, balanced_coeffs(n), 0, theta, alpha)
+    return _classify_branches(st, beam)
+
+
+def _sweep_row(alpha: float, theta: float, eta: float, n: int, classes) -> SweepRow:
+    """Score the stage's branch classes at detector efficiency eta and set the
+    result beside the closed form."""
+    outcome = _score_branches(classes, DetectorModel.on_off(eta))
     closed_log = _closed_form_log(alpha, theta, eta, n)
     return SweepRow(
         alpha=alpha,
@@ -165,11 +168,29 @@ def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
     )
 
 
+def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
+    """Evaluate one grid point: run the balanced first entangling stage and
+    compare its silent-failure probability against the closed form."""
+    _check_working_point(n, theta, alpha)
+    classes = _stage_classes(prepare_single_photon_qudit(n), alpha, theta, n)
+    return _sweep_row(alpha, theta, eta, n, classes)
+
+
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """One :class:`SweepRow` per grid point, ordered by grid index
-    (alpha outermost, eta innermost)."""
-    points = itertools.product(grid.alpha_values, grid.theta_values, grid.eta_values)
-    return [sweep_point(*p, grid.n) for p in points]
+    (alpha outermost, eta innermost).
+
+    The stage state does not depend on eta, so each (alpha, theta) pair is
+    simulated once and its branch classes are scored for every eta.
+    """
+    ancilla = prepare_single_photon_qudit(grid.n)
+    rows = []
+    for alpha, theta in itertools.product(grid.alpha_values, grid.theta_values):
+        classes = _stage_classes(ancilla, alpha, theta, grid.n)
+        rows.extend(
+            _sweep_row(alpha, theta, eta, grid.n, classes) for eta in grid.eta_values
+        )
+    return rows
 
 
 @dataclass(frozen=True)

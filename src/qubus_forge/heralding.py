@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +111,19 @@ class HeraldOutcome:
             raise ValueError("error probability exceeds failure weight")
 
 
+class _BranchClasses(NamedTuple):
+    """The detector-independent half of a vacuum herald.
+
+    ``branches`` holds one (representative beam, weight, is vacuum) entry
+    per beam-amplitude class, in class order; the herald's success weight
+    and renormalized vacuum state depend on no detector either.
+    """
+
+    heralded_state: HybridState
+    success_prob: float
+    branches: tuple[tuple[complex, float, bool], ...]
+
+
 def herald_vacuum(
     state: HybridState, beam: int, det: DetectorModel
 ) -> HeraldOutcome:
@@ -122,6 +136,12 @@ def herald_vacuum(
     dark although the state sits in a non-vacuum branch, summed as
     weight * exp(-eta |beta|^2) over those branches.
     """
+    return _score_branches(_classify_branches(state, beam), det)
+
+
+def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
+    """Group the terms of a normalized state into classes of equal
+    ``beam`` amplitude and herald the vacuum class, for any detector."""
     if not 0 <= beam < state.layout.qubus_count:
         raise ValueError(f"beam index {beam} out of range")
     if not state.terms:
@@ -132,27 +152,18 @@ def herald_vacuum(
 
     vacuum_terms: list[Term] = []
     success = 0.0
-    records = []
-    failure_logs = []
+    branches = []
     # A class weight sums its members in canonical order; its representative
     # (the reported beam_amp) is its first member in rounded-beam order.
     for g in _merge_groups([(t.qubus[beam],) for t in s.terms]):
         rep = s.terms[g[0]].qubus[beam]
         members = [s.terms[i] for i in sorted(g)]
         weight = _inner(members, members).real
-        records.append(BranchRecord(rep, weight, det.no_click_log(rep)))
-        if qubus_close(rep, 0.0):
+        vacuum = qubus_close(rep, 0.0)
+        branches.append((rep, weight, vacuum))
+        if vacuum:
             vacuum_terms = [s.terms[i] for i in g]
             success = weight
-        elif weight > 0.0:
-            failure_logs.append(math.log(weight) + det.no_click_log(rep))
-
-    if failure_logs:
-        error_log = float(np.logaddexp.reduce(failure_logs))
-        error_prob = math.exp(error_log)
-    else:
-        error_log = float("-inf")
-        error_prob = 0.0
 
     new_layout = s.layout.replace(qubus_count=s.layout.qubus_count - 1)
     if success > 0.0:
@@ -166,11 +177,30 @@ def herald_vacuum(
         )
     else:
         heralded = HybridState(new_layout, ())
+    return _BranchClasses(heralded, success, tuple(branches))
+
+
+def _score_branches(classes: _BranchClasses, det: DetectorModel) -> HeraldOutcome:
+    """Weigh each branch class by the chance that ``det`` stays dark on it."""
+    records = []
+    failure_logs = []
+    for rep, weight, vacuum in classes.branches:
+        no_click_log = det.no_click_log(rep)
+        records.append(BranchRecord(rep, weight, no_click_log))
+        if not vacuum and weight > 0.0:
+            failure_logs.append(math.log(weight) + no_click_log)
+
+    if failure_logs:
+        error_log = float(np.logaddexp.reduce(failure_logs))
+        error_prob = math.exp(error_log)
+    else:
+        error_log = float("-inf")
+        error_prob = 0.0
 
     records.sort(key=lambda r: (-r.weight, _beam_key(r.beam_amp)))
     return HeraldOutcome(
-        heralded_state=heralded,
-        success_prob=success,
+        heralded_state=classes.heralded_state,
+        success_prob=classes.success_prob,
         error_prob=error_prob,
         error_prob_log=error_log,
         branch_table=tuple(records),

@@ -85,6 +85,11 @@ def _check_working_point(n: int, theta: float, alpha: complex) -> None:
         raise ValueError("dimension n must be >= 2")
     if not (math.isfinite(theta) and cmath.isfinite(alpha)):
         raise ValueError("theta and alpha must be finite")
+    # 2 (n - 1) theta is the largest phase a stage's XPM imprints.
+    if not math.isfinite(2 * (n - 1) * abs(theta)):
+        raise ValueError(
+            f"theta = {theta!r} is too large: the XPM phase 2(n-1)|theta| overflows"
+        )
     if abs(alpha) > ALPHA_MAX:
         raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
     # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
@@ -243,16 +248,14 @@ def _with_fresh_beams(state: HybridState, alpha: complex) -> HybridState:
     return HybridState(layout, tuple(terms))
 
 
-def _run_stage(
-    state: HybridState,
-    coeffs,
-    shift: int,
-    theta: float,
-    alpha: complex,
-    detector: DetectorModel,
-) -> HeraldOutcome:
-    """One entangling stage: attach a party, couple it and the spatial
-    register to a fresh qubus pair, interfere, herald on vacuum."""
+def _pre_herald_state(
+    state: HybridState, coeffs, shift: int, theta: float, alpha: complex
+) -> tuple[HybridState, int]:
+    """Everything of one entangling stage before its herald: attach a party,
+    couple it and the spatial register to a fresh qubus pair, interfere.
+
+    Returns the state and the index of the beam the herald detector reads.
+    """
     n = state.layout.ancilla_modes
     if n == 0:
         raise ValueError("stage needs a single-photon spatial register")
@@ -268,11 +271,24 @@ def _run_stage(
         theta=theta,
     )
     st = apply_qubus_phase(st, base + 1, -(n - 1) * theta)
-    st = apply_bs_5050(st, (base, base + 1))
-    outcome = herald_vacuum(st, base, detector)
+    return apply_bs_5050(st, (base, base + 1)), base
+
+
+def _run_stage(
+    state: HybridState,
+    coeffs,
+    shift: int,
+    theta: float,
+    alpha: complex,
+    detector: DetectorModel,
+) -> HeraldOutcome:
+    """One entangling stage: attach a party, couple it and the spatial
+    register to a fresh qubus pair, interfere, herald on vacuum."""
+    st, beam = _pre_herald_state(state, coeffs, shift, theta, alpha)
+    outcome = herald_vacuum(st, beam, detector)
     if outcome.success_prob > 0.0:
         # The surviving beam is |sqrt(2) alpha> in every term: a spectator.
-        survivor = drop_uniform_beam(outcome.heralded_state, base)
+        survivor = drop_uniform_beam(outcome.heralded_state, beam)
         outcome = dataclasses.replace(outcome, heralded_state=survivor)
     return outcome
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -251,7 +253,7 @@ def test_sweep_and_generate_accept_the_same_working_points(n):
     # are rejected exactly where ProtocolSpec rejects the same (alpha, theta)
     alphas = (0.0, 1.0, ALPHA_MAX, math.nextafter(ALPHA_MAX, math.inf),
               float("nan"), float("inf"))
-    thetas = (math.pi, 1e-13, 0.01) + tuple(
+    thetas = (math.pi, 1e-13, 0.01, 9e307, 1e308) + tuple(
         2 * math.pi * k / n for k in range(1, n + 1)
     )
     # |beam| = alpha theta / sqrt(2) at d = 1 sits on MERGE_TOL's 1e-12 floor
@@ -265,6 +267,32 @@ def test_sweep_and_generate_accept_the_same_working_points(n):
         assert _raises(sweep_point, alpha, theta, 1.0, n) == spec, (alpha, theta)
         verdicts.append(spec)
     assert verdicts[-2:] == [False, True]
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_theta_is_bounded_by_the_largest_xpm_phase(n):
+    # A stage imprints phases up to 2 (n - 1) theta on its beam; a theta at
+    # which that overflows is rejected by name before cmath.exp sees it.
+    edge = sys.float_info.max / (2 * (n - 1))
+    ProtocolSpec.balanced(n, 2, None, edge, 1.0)
+    SweepGrid((1.0,), (edge,), (1.0,), n)
+    for theta in (math.nextafter(edge, math.inf), 9e307, 1e308):
+        with pytest.raises(ValueError, match="theta"):
+            ProtocolSpec.balanced(n, 2, None, theta, 1.0)
+        with pytest.raises(ValueError, match="theta"):
+            SweepGrid((1.0,), (theta,), (1.0,), n)
+        with pytest.raises(ValueError, match="theta"):
+            sweep_point(1.0, theta, 1.0, n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_run_sweep_rows_equal_sweep_point(n):
+    # run_sweep classifies each (alpha, theta) stage once and scores it for
+    # every eta; each row must be the one the single-point path gives.
+    grid = SweepGrid((30.0, 250.0), (0.004, 0.05), (0.0, 0.55, 1.0), n)
+    points = itertools.product(grid.alpha_values, grid.theta_values, grid.eta_values)
+    expected = [repr(sweep_point(*p, n)) for p in points]
+    assert [repr(row) for row in run_sweep(grid)] == expected
 
 
 def test_verify_basis_bell_family():

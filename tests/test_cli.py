@@ -130,6 +130,21 @@ def test_out_of_range_parameters_exit_2(capsys):
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, ""), args
         assert "alpha" in err
+    # theta whose largest XPM phase 2(n-1)|theta| overflows used to reach
+    # cmath.exp as a bare "math domain error"
+    for args in (
+        ("generate", "--n", "2", "--shifts", "0,1", "--balanced", "--alpha", "1",
+         "--theta", "9e307"),
+        ("generate", "--n", "2", "--shifts", "0,1", "--balanced", "--alpha", "1",
+         "--theta", "1e308"),
+        ("generate", "--n", "3", "--shifts", "0,1", "--balanced", "--alpha", "1",
+         "--theta", "1e308"),
+        ("sweep", "--alpha", "1", "--theta", "1e308", "--eta", "1", "--n", "3"),
+        ("sweep", "--alpha", "1", "--theta", "9e307", "--eta", "1", "--n", "2"),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert "theta" in err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -34,6 +34,14 @@ GOLDEN_RUNS = [
      ["generate", "--n", "6", "--m-parties", "3", "--shifts", "0,2,5",
       "--balanced-phases", "1,4,0", "--eta", "0.8", "--theta", "0.02",
       "--alpha", "300", "--dump-state"]),
+    # three etas per (alpha, theta) pair, eta 0 among them
+    ("sweep_n5_three_etas.json",
+     ["sweep", "--alpha", "50,300", "--theta", "0.003,0.05",
+      "--eta", "0,0.6,1", "--n", "5", "--output", "json"]),
+    # n = 2 has no offset d = 2: mean_k2 is empty
+    ("sweep_n2.csv",
+     ["sweep", "--alpha", "20,400", "--theta", "0.002,0.04",
+      "--eta", "0,1", "--n", "2", "--output", "csv"]),
 ]
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qubus_forge.analysis import SweepGrid, run_sweep
 from qubus_forge.elements import apply_pbs, apply_su2, pol_flip, prep_rotation
 from qubus_forge.heralding import DetectorModel
 from qubus_forge.protocols import (
@@ -338,13 +339,16 @@ def test_per_stage_outcomes_have_no_qubus_residue():
 
 
 def _count_calls(monkeypatch, names):
-    """Wrap each named function of ``qubus_forge.state`` with a call counter,
-    in every qubus_forge module that binds it."""
+    """Wrap each named function of ``qubus_forge.state`` or
+    ``qubus_forge.protocols`` with a call counter, in every qubus_forge
+    module that binds it."""
+    import qubus_forge.protocols
     import qubus_forge.state
 
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(qubus_forge.state, name)
+        home = qubus_forge.state if hasattr(qubus_forge.state, name) else qubus_forge.protocols
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
@@ -371,3 +375,24 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
         if close_max is not None:
             assert counts["qubus_close"] <= close_max, (n, counts)
             assert counts["_pair_weight"] <= pair_max, (n, counts)
+
+
+def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
+    # The stage state does not depend on eta: a sweep prepares the ancilla
+    # once per grid (its cascade canonicalizes 2n times) and simulates each
+    # of the 50 (alpha, theta) pairs once (one canonicalize, in the herald),
+    # however many etas score it.
+    alphas = tuple(50.0 + 45.0 * i for i in range(10))
+    thetas = (0.001, 0.003, 0.01, 0.03, 0.1)
+    for n in (3, 5):
+        for etas in ((0.8,), (0.5, 0.7, 0.9, 1.0)):
+            grid = SweepGrid(alphas, thetas, etas, n)
+            with monkeypatch.context() as mp:
+                counts = _count_calls(
+                    mp, ("canonicalize", "prepare_single_photon_qudit")
+                )
+                run_sweep(grid)
+            assert counts == {
+                "canonicalize": 2 * n + 50,
+                "prepare_single_photon_qudit": 1,
+            }, (n, etas, counts)
