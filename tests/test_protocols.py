@@ -347,7 +347,9 @@ def _count_calls(monkeypatch, names):
 
     counts = dict.fromkeys(names, 0)
     for name in names:
-        home = qubus_forge.state if hasattr(qubus_forge.state, name) else qubus_forge.protocols
+        home = qubus_forge.state
+        if not hasattr(home, name):
+            home = qubus_forge.protocols
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original):
