@@ -23,6 +23,7 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
+    canonicalize,
     overlap_sq,
     state_norm_sq,
 )
@@ -280,3 +281,83 @@ def test_every_element_preserves_norm(op):
     assert state_norm_sq(op(state)) == pytest.approx(
         state_norm_sq(state), abs=1e-12
     )
+
+
+def _coupled(beams):
+    """A qutrit and a spatial qutrit in every label pair, each term carrying
+    ``beams``."""
+    layout = RegisterLayout(party_dims=(3,), ancilla_modes=3, qubus_count=len(beams))
+    terms = tuple(Term(1 / 3, (j, s), beams) for j in range(3) for s in range(3))
+    return HybridState(layout, terms)
+
+
+def _h_photon():
+    return HybridState(RegisterLayout(prep_modes=2), (Term(1.0, (1, POL_H)),))
+
+
+_STAGE_MAP = PhaseMap.stage(3, 1, target_beam=1)
+_NAN = float("nan")
+_INF = float("inf")
+_BEAM_LIMIT = 1.7e308 + 1.7e308j
+
+# Every element rejects an input that makes a number it computes non-finite,
+# with the message it has always raised for it.
+REJECTED_INPUTS = [
+    ("xpm theta nan", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, _NAN),
+     "qubus amplitudes must be finite"),
+    ("xpm theta inf", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, _INF),
+     "qubus amplitudes must be finite"),
+    ("xpm theta -inf", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, -_INF),
+     "qubus amplitudes must be finite"),
+    ("xpm spatial-only theta nan",
+     lambda: apply_xpm(_coupled((1.0, 2.0)), None, _STAGE_MAP, _NAN),
+     "qubus amplitudes must be finite"),
+    # theta * units overflows inside cmath.exp
+    ("xpm theta 1e308", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, 1e308),
+     "math domain error"),
+    ("phase nan", lambda: apply_qubus_phase(_coupled((1.0, 2.0)), 1, _NAN),
+     "qubus amplitudes must be finite"),
+    ("phase inf", lambda: apply_qubus_phase(_coupled((1.0, 2.0)), 1, _INF),
+     "qubus amplitudes must be finite"),
+    ("phase -inf", lambda: apply_qubus_phase(_coupled((1.0, 2.0)), 1, -_INF),
+     "qubus amplitudes must be finite"),
+    # |beam| is finite, but a rotation by ~pi/4 puts it all on one axis
+    ("phase overflow", lambda: apply_qubus_phase(_coupled((1.0, _BEAM_LIMIT)), 1, 0.785),
+     "qubus amplitudes must be finite"),
+    ("bs overflow", lambda: apply_bs_5050(_coupled((1e308, 1e308)), (0, 1)),
+     "qubus amplitudes must be finite"),
+    ("bs overflow difference", lambda: apply_bs_5050(_coupled((1e308, -1e308)), (0, 1)),
+     "qubus amplitudes must be finite"),
+    ("su2 nan", lambda: apply_su2(_h_photon(), np.array([[_NAN, 0], [0, 1]])),
+     "term amplitude must be finite"),
+    ("su2 nan off-diagonal", lambda: apply_su2(_h_photon(), np.array([[0, 1], [_NAN, 0]])),
+     "term amplitude must be finite"),
+    ("su2 inf", lambda: apply_su2(_h_photon(), np.array([[_INF, 0], [0, 1]])),
+     "term amplitude must be finite"),
+    ("merge overflow", lambda: canonicalize(HybridState(
+        RegisterLayout(ancilla_modes=2, qubus_count=1),
+        (Term(1.7e308, (0,), (1.0,)), Term(1.7e308, (0,), (1.0,))),
+    )), "term amplitude must be finite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "build, message",
+    [(build, message) for _, build, message in REJECTED_INPUTS],
+    ids=[name for name, _, _ in REJECTED_INPUTS],
+)
+def test_elements_reject_non_finite_results(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_fourier_accepts_the_largest_finite_amplitudes(label):
+    # 1.7e308 (1 + 1j) / sqrt(2) and its phase rotations stay finite: a check
+    # that squares or sums amplitudes before they are stored would reject it.
+    state = HybridState(RegisterLayout(ancilla_modes=2), (Term(_BEAM_LIMIT, (label,)),))
+    out = apply_fourier_lomi(state)
+    assert len(out.terms) == 2
+    assert all(cmath.isfinite(t.amp) for t in out.terms)
+    assert out.terms[0].amp == _BEAM_LIMIT * (1.0 / math.sqrt(2))

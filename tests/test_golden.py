@@ -42,6 +42,10 @@ GOLDEN_RUNS = [
     ("sweep_n2.csv",
      ["sweep", "--alpha", "20,400", "--theta", "0.002,0.04",
       "--eta", "0,1", "--n", "2", "--output", "csv"]),
+    # the wide path: 576 terms before the second herald
+    ("generate_n24_dump_state.json",
+     ["generate", "--n", "24", "--shifts", "0,5", "--balanced-phases", "3,7",
+      "--eta", "0.9", "--dump-state"]),
 ]
 
 
