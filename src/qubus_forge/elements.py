@@ -18,12 +18,20 @@ from .state import (
     POL_H,
     POL_V,
     HybridState,
-    Term,
+    _state,
+    _term,
     canonicalize,
 )
 
 _SQRT2 = math.sqrt(2.0)
 _UNITARY_TOL = 1e-12
+
+
+def _finite_beam(q: complex) -> complex:
+    """``q``, once it is known to be a finite beam amplitude."""
+    if not cmath.isfinite(q):
+        raise ValueError("qubus amplitudes must be finite")
+    return q
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,8 @@ def apply_xpm(
             f"phase map has {len(phase_map.spatial_phase)} spatial entries, "
             f"layout declares {layout.ancilla_modes} modes"
         )
+    if not math.isfinite(theta):  # it would make every rotated beam non-finite
+        raise ValueError("qubus amplitudes must be finite")
     beam = phase_map.target_beam
     new_terms = []
     for t in state.terms:
@@ -95,22 +105,24 @@ def apply_xpm(
             units += phase_map.spatial_phase[t.labels[layout.ancilla_slot]]
         rot = cmath.exp(1j * theta * units)
         qubus = list(t.qubus)
-        qubus[beam] = qubus[beam] * rot
-        new_terms.append(Term(t.amp, t.labels, tuple(qubus)))
-    return state.with_terms(new_terms)
+        qubus[beam] = _finite_beam(qubus[beam] * rot)
+        new_terms.append(_term(t.amp, t.labels, tuple(qubus)))
+    return _state(layout, tuple(new_terms))
 
 
 def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
     """Rotate one qubus beam in phase space: alpha -> alpha e^{i phi}."""
     if not 0 <= beam < state.layout.qubus_count:
         raise ValueError(f"beam index {beam} out of range")
+    if not math.isfinite(phi):  # it would make every rotated beam non-finite
+        raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
     new_terms = []
     for t in state.terms:
         qubus = list(t.qubus)
-        qubus[beam] = qubus[beam] * rot
-        new_terms.append(Term(t.amp, t.labels, tuple(qubus)))
-    return state.with_terms(new_terms)
+        qubus[beam] = _finite_beam(qubus[beam] * rot)
+        new_terms.append(_term(t.amp, t.labels, tuple(qubus)))
+    return _state(state.layout, tuple(new_terms))
 
 
 def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
@@ -129,10 +141,10 @@ def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
     for t in state.terms:
         qubus = list(t.qubus)
         a, b = qubus[b1], qubus[b2]
-        qubus[b1] = (a - b) / _SQRT2
-        qubus[b2] = (a + b) / _SQRT2
-        new_terms.append(Term(t.amp, t.labels, tuple(qubus)))
-    return state.with_terms(new_terms)
+        qubus[b1] = _finite_beam((a - b) / _SQRT2)
+        qubus[b2] = _finite_beam((a + b) / _SQRT2)
+        new_terms.append(_term(t.amp, t.labels, tuple(qubus)))
+    return _state(state.layout, tuple(new_terms))
 
 
 def prep_rotation(n: int, j: int) -> np.ndarray:
@@ -168,6 +180,10 @@ def apply_su2(state: HybridState, u) -> HybridState:
     layout = state.layout
     if not layout.has_prep:
         raise ValueError("layout has no preparation register")
+    # NaN passes the unitarity test (NaN > tol is false); an entry that is not
+    # finite would make the amplitudes it multiplies non-finite.
+    if not np.isfinite(u).all():
+        raise ValueError("term amplitude must be finite")
     work = layout.work_mode
     sp_slot = layout.prep_spatial_slot
     pol_slot = layout.prep_pol_slot
@@ -182,8 +198,8 @@ def apply_su2(state: HybridState, u) -> HybridState:
             if amp != 0:
                 labels = list(t.labels)
                 labels[pol_slot] = new_pol
-                new_terms.append(Term(amp, tuple(labels), t.qubus))
-    return canonicalize(state.with_terms(new_terms))
+                new_terms.append(_term(complex(amp), tuple(labels), t.qubus))
+    return canonicalize(_state(layout, tuple(new_terms)))
 
 
 def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
@@ -205,10 +221,10 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
         if t.labels[sp_slot] == from_mode and t.labels[pol_slot] == POL_V:
             labels = list(t.labels)
             labels[sp_slot] = new_mode
-            new_terms.append(Term(t.amp, tuple(labels), t.qubus))
+            new_terms.append(_term(t.amp, tuple(labels), t.qubus))
         else:
             new_terms.append(t)
-    return canonicalize(state.with_terms(new_terms))
+    return canonicalize(_state(layout, tuple(new_terms)))
 
 
 def apply_fourier_lomi(state: HybridState) -> HybridState:
@@ -230,5 +246,5 @@ def apply_fourier_lomi(state: HybridState) -> HybridState:
             amp = t.amp * scale * cmath.exp(2j * math.pi * j * k / n)
             labels = list(t.labels)
             labels[slot] = k
-            new_terms.append(Term(amp, tuple(labels), t.qubus))
-    return canonicalize(state.with_terms(new_terms))
+            new_terms.append(_term(amp, tuple(labels), t.qubus))
+    return canonicalize(_state(layout, tuple(new_terms)))

@@ -20,6 +20,8 @@ from .state import (
     _beam_key,
     _inner,
     _merge_groups,
+    _state,
+    _term,
     canonicalize,
     overlap_sq,
     qubus_close,
@@ -168,15 +170,15 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     new_layout = s.layout.replace(qubus_count=s.layout.qubus_count - 1)
     if success > 0.0:
         scale = 1.0 / math.sqrt(success)
-        heralded = HybridState(
+        heralded = _state(
             new_layout,
             tuple(
-                Term(t.amp * scale, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
+                _term(t.amp * scale, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
                 for t in vacuum_terms
             ),
         )
     else:
-        heralded = HybridState(new_layout, ())
+        heralded = _state(new_layout, ())
     return _BranchClasses(heralded, success, tuple(branches))
 
 
@@ -220,26 +222,29 @@ def feedforward_outcomes(
     if not layout.has_ancilla:
         raise ValueError("layout has no single-photon spatial register")
     layout.party_slot(correction_party)
+    party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
     slot = layout.ancilla_slot
     new_layout = layout.replace(ancilla_modes=0)
+    by_outcome: list[list[Term]] = [[] for _ in range(n)]
+    for t in state.terms:
+        by_outcome[t.labels[slot]].append(t)
     outcomes = []
-    for k0 in range(n):
+    for k0, detected in enumerate(by_outcome):
         picked = []
-        for t in state.terms:
-            if t.labels[slot] != k0:
-                continue
-            j = t.labels[layout.party_slot(correction_party)]
+        for t in detected:
+            j = t.labels[party_slot]
             amp = t.amp * cmath.exp(-2j * math.pi * j * k0 / n)
-            picked.append(Term(amp, t.labels[:slot] + t.labels[slot + 1 :], t.qubus))
-        out = canonicalize(HybridState(new_layout, tuple(picked)))
+            picked.append(_term(amp, t.labels[:slot] + t.labels[slot + 1 :], t.qubus))
+        out = canonicalize(_state(new_layout, tuple(picked)))
         if not out.terms:
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
         scale = 1.0 / math.sqrt(_inner(out.terms, out.terms).real)
-        out = out.with_terms(Term(t.amp * scale, t.labels, t.qubus) for t in out.terms)
-        outcomes.append(out)
+        outcomes.append(_state(new_layout, tuple(
+            _term(t.amp * scale, t.labels, t.qubus) for t in out.terms
+        )))
     return outcomes
 
 

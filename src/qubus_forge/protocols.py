@@ -38,6 +38,8 @@ from .state import (
     HybridState,
     RegisterLayout,
     Term,
+    _state,
+    _term,
     drop_uniform_beam,
     overlap_sq,
     qubus_close,
@@ -220,8 +222,8 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
     for t in state.terms:
         if t.labels[pol_slot] != POL_V or t.labels[sp_slot] >= n:
             raise RuntimeError("preparation cascade left a stray component")
-        terms.append(Term(t.amp, (t.labels[sp_slot],)))
-    return HybridState(RegisterLayout(ancilla_modes=n), tuple(terms))
+        terms.append(_term(t.amp, (t.labels[sp_slot],)))
+    return _state(RegisterLayout(ancilla_modes=n), tuple(terms))
 
 
 def _attach_party(state: HybridState, coeffs) -> HybridState:
@@ -234,18 +236,19 @@ def _attach_party(state: HybridState, coeffs) -> HybridState:
     for t in state.terms:
         for m, c in enumerate(coeffs):
             if c != 0:
-                terms.append(
-                    Term(t.amp * c, t.labels[:cut] + (m,) + t.labels[cut:], t.qubus)
-                )
-    return HybridState(new_layout, tuple(terms))
+                # complex(): a coefficient may be a numpy scalar
+                amp = complex(t.amp * c)
+                terms.append(_term(amp, t.labels[:cut] + (m,) + t.labels[cut:], t.qubus))
+    return _state(new_layout, tuple(terms))
 
 
 def _with_fresh_beams(state: HybridState, alpha: complex) -> HybridState:
     """Append a fresh (|alpha>, |alpha>) qubus pair."""
     layout = state.layout.replace(qubus_count=state.layout.qubus_count + 2)
     alpha = complex(alpha)
-    terms = [Term(t.amp, t.labels, t.qubus + (alpha, alpha)) for t in state.terms]
-    return HybridState(layout, tuple(terms))
+    return _state(layout, tuple(
+        _term(t.amp, t.labels, t.qubus + (alpha, alpha)) for t in state.terms
+    ))
 
 
 def _pre_herald_state(

@@ -200,6 +200,39 @@ class HybridState:
         return dataclasses.replace(self, terms=tuple(terms))
 
 
+# The public constructors above validate every field.  The library's own
+# operations build states from states that were already valid, with labels
+# drawn from range(dim) and layouts derived with the shape they declare, so
+# they go through the two builders below, which skip that work.  The one
+# property that depends on the data, finiteness, is checked where a new
+# number is computed: here for amplitudes, in the elements for beams.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _term(amp: complex, labels: tuple[int, ...], qubus: tuple[complex, ...] = ()) -> Term:
+    """A :class:`Term` from a built-in ``complex`` amplitude, ``int`` labels
+    and ``complex`` beams, without its field checks; a non-finite amplitude
+    is still rejected."""
+    if not cmath.isfinite(amp):
+        raise ValueError("term amplitude must be finite")
+    t = _new(Term)
+    _set(t, "amp", amp)
+    _set(t, "labels", labels)
+    _set(t, "qubus", qubus)
+    return t
+
+
+def _state(layout: RegisterLayout, terms: tuple[Term, ...]) -> HybridState:
+    """A :class:`HybridState` from terms that already fit ``layout``, without
+    the per-term checks."""
+    s = _new(HybridState)
+    _set(s, "layout", layout)
+    _set(s, "terms", terms)
+    return s
+
+
+
 def qubus_close(u: complex, v: complex, tol: float = MERGE_TOL) -> bool:
     """Whether two beam amplitudes are the same value within merge tolerance."""
     return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
@@ -274,8 +307,8 @@ def canonicalize(state: HybridState) -> HybridState:
                 amp += same[i].amp
             if abs(amp) >= DROP_TOL:
                 # a one-member group keeps its term as it is
-                merged.append(first if len(g) == 1 else Term(amp, labels, first.qubus))
-    return state.with_terms(merged)
+                merged.append(first if len(g) == 1 else _term(amp, labels, first.qubus))
+    return _state(state.layout, tuple(merged))
 
 
 def _abs_sq(z: complex) -> float:
@@ -353,11 +386,10 @@ def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
             if not qubus_close(t.qubus[beam], ref):
                 raise ValueError("beam is entangled with the rest of the state")
     new_layout = state.layout.replace(qubus_count=state.layout.qubus_count - 1)
-    new_terms = [
-        Term(t.amp, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
+    return _state(new_layout, tuple(
+        _term(t.amp, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
         for t in state.terms
-    ]
-    return HybridState(new_layout, tuple(new_terms))
+    ))
 
 
 def state_to_dict(state: HybridState) -> dict:
