@@ -232,7 +232,6 @@ def _state(layout: RegisterLayout, terms: tuple[Term, ...]) -> HybridState:
     return s
 
 
-
 def qubus_close(u: complex, v: complex, tol: float = MERGE_TOL) -> bool:
     """Whether two beam amplitudes are the same value within merge tolerance."""
     return abs(u - v) <= tol * max(1.0, abs(u), abs(v))

@@ -301,7 +301,7 @@ _INF = float("inf")
 _BEAM_LIMIT = 1.7e308 + 1.7e308j
 
 # Every element rejects an input that makes a number it computes non-finite,
-# with the message it has always raised for it.
+# with the message of the field check that the number would fail.
 REJECTED_INPUTS = [
     ("xpm theta nan", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, _NAN),
      "qubus amplitudes must be finite"),

@@ -1,15 +1,23 @@
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
 
 from qubus_forge.analysis import SweepGrid, run_sweep
-from qubus_forge.elements import apply_pbs, apply_su2, pol_flip, prep_rotation
-from qubus_forge.heralding import DetectorModel
+from qubus_forge.elements import (
+    apply_fourier_lomi,
+    apply_pbs,
+    apply_su2,
+    pol_flip,
+    prep_rotation,
+)
+from qubus_forge.heralding import DetectorModel, feedforward_outcomes, herald_vacuum
 from qubus_forge.protocols import (
     ProtocolSpec,
+    _pre_herald_state,
     _run_stage,
     balanced_coeffs,
     coeff_phase_index,
@@ -398,3 +406,85 @@ def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
                 "canonicalize": 2 * n + 50,
                 "prepare_single_photon_qudit": 1,
             }, (n, etas, counts)
+
+
+def _count_validations(monkeypatch):
+    """Count the field checks of every public Term and HybridState built."""
+    counts = {"Term": 0, "HybridState": 0}
+    for cls in (Term, HybridState):
+        def counted(self, _name=cls.__name__, _original=cls.__post_init__):
+            counts[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_states_are_validated_once_at_the_public_boundary(monkeypatch):
+    # Public constructors validate; the library's own operations build from
+    # states that are already valid and do not check them again.  A generate
+    # validates only the preparation's input photon (one term, one state) and
+    # the n-term target; a sweep only the input photon of its one preparation.
+    for n in (3, 32, 48):
+        spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
+        with monkeypatch.context() as mp:
+            counts = _count_validations(mp)
+            generate(spec)
+        assert counts["Term"] <= n + 1, (n, counts)
+        assert counts["HybridState"] <= 2, (n, counts)
+    alphas = tuple(50.0 + 45.0 * i for i in range(10))
+    thetas = (0.001, 0.003, 0.01, 0.03, 0.1)
+    for etas in ((0.8,), (0.5, 0.7, 0.9, 1.0)):
+        grid = SweepGrid(alphas, thetas, etas, 3)
+        with monkeypatch.context() as mp:
+            counts = _count_validations(mp)
+            run_sweep(grid)
+        assert counts["Term"] <= 1, (etas, counts)
+        assert counts["HybridState"] <= 1, (etas, counts)
+
+
+def _protocol_layers(spec):
+    """Every state generate builds on the way to its result, in order."""
+    state = prepare_single_photon_qudit(spec.n)
+    yield state
+    for party in range(spec.parties):
+        pre, beam = _pre_herald_state(
+            state, spec.coeffs[party], spec.shifts[party], spec.theta, spec.alpha
+        )
+        yield pre
+        yield herald_vacuum(pre, beam, spec.detector).heralded_state
+        state = entangle_stage(state, spec, party).heralded_state
+        yield state
+    fourier = apply_fourier_lomi(state)
+    yield fourier
+    yield from feedforward_outcomes(fourier, 0)
+    yield generate(spec).final_state
+
+
+def test_internal_states_are_ones_the_public_constructors_accept():
+    # The private builders skip the field checks; every state they make must
+    # still pass them unchanged and hold only built-in numbers, so that no
+    # numpy scalar reaches a repr or a serialized state.
+    rng = random.Random("internal-states")
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        parties = rng.randint(2, 3)
+        spec = ProtocolSpec.balanced(
+            n,
+            parties,
+            shifts=(0,) + tuple(rng.randrange(n) for _ in range(parties - 1)),
+            theta=rng.uniform(0.005, 0.05),
+            alpha=rng.uniform(100.0, 500.0),
+            detector=DetectorModel.on_off(rng.uniform(0.5, 1.0)),
+            phase_indices=tuple(rng.randrange(n) for _ in range(parties)),
+        )
+        for state in _protocol_layers(spec):
+            rebuilt = HybridState(
+                state.layout,
+                tuple(Term(t.amp, t.labels, t.qubus) for t in state.terms),
+            )
+            assert rebuilt == state, spec
+            for t in state.terms:
+                assert type(t.amp) is complex, (spec, t)
+                assert all(type(label) is int for label in t.labels), (spec, t)
+                assert all(type(q) is complex for q in t.qubus), (spec, t)
