@@ -221,7 +221,6 @@ def feedforward_outcomes(
     layout = state.layout
     if not layout.has_ancilla:
         raise ValueError("layout has no single-photon spatial register")
-    layout.party_slot(correction_party)
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
     slot = layout.ancilla_slot
