@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -34,79 +34,42 @@ def _finite_beam(q: complex) -> complex:
     return q
 
 
-@dataclass(frozen=True)
-class PhaseMap:
-    """Phase imprinted on one qubus beam by a single XPM pass.
-
-    Entries are dimensionless multiples of the unit phase ``theta`` passed to
-    :func:`apply_xpm`, so one coupling strength scales the whole map.  A party
-    term with label j holds n-1-j photons in its upper (horizontal) rail and
-    contributes ``(n-1-j) * per_upper_photon``; a term whose single photon
-    occupies spatial mode s contributes ``spatial_phase[s]``.
-    """
-
-    per_upper_photon: float
-    spatial_phase: tuple[float, ...]
-    target_beam: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "spatial_phase", tuple(float(p) for p in self.spatial_phase)
-        )
-        if not math.isfinite(self.per_upper_photon):
-            raise ValueError("per_upper_photon must be finite")
-        if any(not math.isfinite(p) for p in self.spatial_phase):
-            raise ValueError("spatial phases must be finite")
-        if self.target_beam < 0:
-            raise ValueError("target beam must be >= 0")
-
-    @classmethod
-    def stage(cls, n: int, shift: int = 0, target_beam: int = 1) -> "PhaseMap":
-        """Map of one entangling stage: one unit per upper-rail photon and
-        ((s + shift) mod n) units for spatial mode s."""
-        return cls(1.0, tuple(float((s + shift) % n) for s in range(n)), target_beam)
-
-
 def apply_xpm(
-    state: HybridState,
-    party: int | None,
-    phase_map: PhaseMap,
-    theta: float,
+    state: HybridState, party: int, shift: int, beam: int, theta: float
 ) -> HybridState:
-    """Imprint XPM phases on one qubus beam.
+    """Imprint one entangling stage's XPM phases on one qubus beam.
 
-    For every term, the target beam amplitude is rotated by
-    ``exp(i * theta * (upper_photons * per_upper_photon + spatial_phase[s]))``
-    where ``upper_photons = dim - 1 - j`` for the given party's label j.
-    Pass ``party=None`` when only the spatial register couples.  Amplitudes,
-    labels and beam magnitudes are untouched.
+    A term with party label j and spatial mode s rotates ``beam`` by
+    ``exp(i * theta * ((dim - 1 - j) + (s + shift) mod n))``: one unit of
+    ``theta`` per photon in the party's upper (horizontal) rail, plus
+    ``(s + shift) mod n`` units from the photon's mode of the n-mode spatial
+    register.  Amplitudes, labels and beam magnitudes are untouched.
     """
+    shift = operator.index(shift)
     layout = state.layout
-    if not 0 <= phase_map.target_beam < layout.qubus_count:
-        raise ValueError(f"beam index {phase_map.target_beam} out of range")
-    if party is not None:
-        layout.party_slot(party)
-    if layout.has_ancilla and len(phase_map.spatial_phase) != layout.ancilla_modes:
-        raise ValueError(
-            f"phase map has {len(phase_map.spatial_phase)} spatial entries, "
-            f"layout declares {layout.ancilla_modes} modes"
-        )
+    if not 0 <= beam < layout.qubus_count:
+        raise ValueError(f"beam index {beam} out of range")
+    party_slot = layout.party_slot(party)
+    spatial_slot = layout.ancilla_slot
     if not math.isfinite(theta):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
-    beam = phase_map.target_beam
+    n = layout.ancilla_modes
+    top = layout.party_dims[party] - 1
+    # The phase takes top + n integer values; theta * units overflowing at
+    # the largest of them would reach cmath.exp as an infinite phase.
+    if not math.isfinite(theta * (top + n - 1)):
+        raise ValueError(
+            f"theta = {theta!r} is too large: the largest XPM phase, "
+            f"{top + n - 1} theta, overflows"
+        )
+    rot = [cmath.exp(1j * theta * units) for units in range(top + n)]
     new_terms = []
     for t in state.terms:
-        units = 0.0
-        if party is not None:
-            dim = layout.party_dims[party]
-            units += (dim - 1 - t.labels[layout.party_slot(party)]) \
-                * phase_map.per_upper_photon
-        if layout.has_ancilla:
-            units += phase_map.spatial_phase[t.labels[layout.ancilla_slot]]
-        rot = cmath.exp(1j * theta * units)
+        labels = t.labels
+        units = top - labels[party_slot] + (labels[spatial_slot] + shift) % n
         qubus = list(t.qubus)
-        qubus[beam] = _finite_beam(qubus[beam] * rot)
-        new_terms.append(_term(t.amp, t.labels, tuple(qubus)))
+        qubus[beam] = _finite_beam(qubus[beam] * rot[units])
+        new_terms.append(_term(t.amp, labels, tuple(qubus)))
     return _state(layout, tuple(new_terms))
 
 
@@ -178,13 +141,11 @@ def apply_su2(state: HybridState, u) -> HybridState:
     if np.max(np.abs(u.conj().T @ u - np.eye(2))) > _UNITARY_TOL:
         raise ValueError("matrix is not unitary")
     layout = state.layout
-    if not layout.has_prep:
-        raise ValueError("layout has no preparation register")
+    work = layout.work_mode
     # NaN passes the unitarity test (NaN > tol is false); an entry that is not
     # finite would make the amplitudes it multiplies non-finite.
     if not np.isfinite(u).all():
-        raise ValueError("term amplitude must be finite")
-    work = layout.work_mode
+        raise ValueError("su2 matrix entries must be finite")
     sp_slot = layout.prep_spatial_slot
     pol_slot = layout.prep_pol_slot
     new_terms = []
@@ -209,12 +170,10 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
     ``new_mode``; horizontal terms pass through unchanged.
     """
     layout = state.layout
-    if not layout.has_prep:
-        raise ValueError("layout has no preparation register")
+    sp_slot = layout.prep_spatial_slot
     for mode in (from_mode, new_mode):
         if not 0 <= mode < layout.prep_modes:
             raise ValueError(f"spatial mode {mode} out of range")
-    sp_slot = layout.prep_spatial_slot
     pol_slot = layout.prep_pol_slot
     new_terms = []
     for t in state.terms:
@@ -234,10 +193,8 @@ def apply_fourier_lomi(state: HybridState) -> HybridState:
     labels and the qubus beams are untouched.
     """
     layout = state.layout
-    if not layout.has_ancilla:
-        raise ValueError("layout has no single-photon spatial register")
-    n = layout.ancilla_modes
     slot = layout.ancilla_slot
+    n = layout.ancilla_modes
     scale = 1.0 / math.sqrt(n)
     new_terms = []
     for t in state.terms:

@@ -219,11 +219,9 @@ def feedforward_outcomes(
     spatial register is removed.
     """
     layout = state.layout
-    if not layout.has_ancilla:
-        raise ValueError("layout has no single-photon spatial register")
+    slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
-    slot = layout.ancilla_slot
     new_layout = layout.replace(ancilla_modes=0)
     by_outcome: list[list[Term]] = [[] for _ in range(n)]
     for t in state.terms:

@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass
 
 from .elements import (
-    PhaseMap,
     apply_bs_5050,
     apply_fourier_lomi,
     apply_pbs,
@@ -60,14 +59,21 @@ def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
 
 
-def coeff_phase_index(coeffs, tol: float = 1e-9) -> int | None:
+# How far each entry of a given coefficient vector may sit from
+# (global phase) * tau^{j m} / sqrt(n) and still count as that pattern, so
+# that the run gets a fidelity target.  phased_coeffs lands within ~1e-16;
+# 1e-9 also admits a vector entered by hand (--coeffs), off by its rounding.
+PHASE_PATTERN_TOL = 1e-9
+
+
+def coeff_phase_index(coeffs) -> int | None:
     """The integer m when coeffs ~ (global phase) * tau^{j m} / sqrt(n).
 
     Returns None when the vector is not balanced-with-linear-phases.
     """
     n = len(coeffs)
     scale = 1.0 / math.sqrt(n)
-    if any(abs(abs(c) - scale) > tol for c in coeffs):
+    if any(abs(abs(c) - scale) > PHASE_PATTERN_TOL for c in coeffs):
         return None
     if n == 1:
         return 0
@@ -75,7 +81,7 @@ def coeff_phase_index(coeffs, tol: float = 1e-9) -> int | None:
     m = round(cmath.phase(coeffs[1] / coeffs[0]) / step) % n
     for j, c in enumerate(coeffs):
         expected = coeffs[0] * cmath.exp(1j * step * j * m)
-        if abs(c - expected) > tol:
+        if abs(c - expected) > PHASE_PATTERN_TOL:
             return None
     return m
 
@@ -226,36 +232,34 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
     return _state(RegisterLayout(ancilla_modes=n), tuple(terms))
 
 
-def _attach_party(state: HybridState, coeffs) -> HybridState:
-    """Tensor a fresh party register sum_m coeffs[m] |m> onto the state."""
-    dim = len(coeffs)
+def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
+    """Tensor a fresh party register sum_m coeffs[m] |m> and a fresh
+    (|alpha>, |alpha>) qubus pair onto the state."""
     layout = state.layout
-    new_layout = layout.replace(party_dims=layout.party_dims + (dim,))
+    new_layout = layout.replace(
+        party_dims=layout.party_dims + (len(coeffs),),
+        qubus_count=layout.qubus_count + 2,
+    )
     cut = layout.num_parties
+    alpha = complex(alpha)
+    pair = (alpha, alpha)
     terms = []
     for t in state.terms:
+        qubus = t.qubus + pair
         for m, c in enumerate(coeffs):
             if c != 0:
                 # complex(): a coefficient may be a numpy scalar
                 amp = complex(t.amp * c)
-                terms.append(_term(amp, t.labels[:cut] + (m,) + t.labels[cut:], t.qubus))
+                terms.append(_term(amp, t.labels[:cut] + (m,) + t.labels[cut:], qubus))
     return _state(new_layout, tuple(terms))
-
-
-def _with_fresh_beams(state: HybridState, alpha: complex) -> HybridState:
-    """Append a fresh (|alpha>, |alpha>) qubus pair."""
-    layout = state.layout.replace(qubus_count=state.layout.qubus_count + 2)
-    alpha = complex(alpha)
-    return _state(layout, tuple(
-        _term(t.amp, t.labels, t.qubus + (alpha, alpha)) for t in state.terms
-    ))
 
 
 def _pre_herald_state(
     state: HybridState, coeffs, shift: int, theta: float, alpha: complex
 ) -> tuple[HybridState, int]:
-    """Everything of one entangling stage before its herald: attach a party,
-    couple it and the spatial register to a fresh qubus pair, interfere.
+    """Everything of one entangling stage before its herald: attach a party
+    and a fresh qubus pair, couple the party and the spatial register to the
+    pair's second beam, interfere.
 
     Returns the state and the index of the beam the herald detector reads.
     """
@@ -264,15 +268,9 @@ def _pre_herald_state(
         raise ValueError("stage needs a single-photon spatial register")
     if len(coeffs) != n:
         raise ValueError("coefficient vector length must match the register size")
-    st = _attach_party(state, coeffs)
-    base = st.layout.qubus_count
-    st = _with_fresh_beams(st, alpha)
-    st = apply_xpm(
-        st,
-        party=st.layout.num_parties - 1,
-        phase_map=PhaseMap.stage(n, shift, target_beam=base + 1),
-        theta=theta,
-    )
+    base = state.layout.qubus_count
+    st = _attach_party(state, coeffs, alpha)
+    st = apply_xpm(st, st.layout.num_parties - 1, shift, base + 1, theta)
     st = apply_qubus_phase(st, base + 1, -(n - 1) * theta)
     return apply_bs_5050(st, (base, base + 1)), base
 

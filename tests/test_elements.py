@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qubus_forge.elements import (
-    PhaseMap,
     apply_bs_5050,
     apply_fourier_lomi,
     apply_pbs,
@@ -39,8 +39,7 @@ def qutrit_with_ancilla(j, s, beam=500.0):
 def test_xpm_upper_rail_phase():
     # label j = 0 of a qutrit holds two upper-rail photons: phase 2 theta
     state = qutrit_with_ancilla(0, 0)
-    pmap = PhaseMap(1.0, (0.0, 1.0, 2.0), target_beam=0)
-    out = apply_xpm(state, 0, pmap, THETA)
+    out = apply_xpm(state, 0, 0, 0, THETA)
     assert out.terms[0].qubus[0] == pytest.approx(
         500.0 * cmath.exp(2j * THETA), rel=1e-14
     )
@@ -48,28 +47,28 @@ def test_xpm_upper_rail_phase():
 
 def test_xpm_top_label_leaves_beam_unchanged():
     state = qutrit_with_ancilla(2, 0)
-    pmap = PhaseMap(1.0, (0.0, 0.0, 0.0), target_beam=0)
-    out = apply_xpm(state, 0, pmap, THETA)
+    out = apply_xpm(state, 0, 0, 0, THETA)
     assert out.terms[0].qubus[0] == 500.0 + 0j
 
 
 def test_xpm_combined_party_and_spatial_phase():
     state = qutrit_with_ancilla(1, 2, beam=1.0)
-    pmap = PhaseMap(1.0, (0.0, 1.0, 2.0), target_beam=0)
-    out = apply_xpm(state, 0, pmap, THETA)
-    # one upper photon plus spatial entry 2: total phase (1 + 2) * 0.01
+    out = apply_xpm(state, 0, 0, 0, THETA)
+    # one upper photon plus spatial mode 2: total phase (1 + 2) * 0.01
     assert cmath.phase(out.terms[0].qubus[0]) == pytest.approx(0.03, abs=1e-15)
 
 
-def test_xpm_stage_map_phase_classes_for_qutrit():
-    # all nine (j, s) pairs of the first qutrit stage, as multiples of theta
-    pmap = PhaseMap.stage(3, shift=0, target_beam=0)
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_xpm_stage_map_phase_classes_for_qutrit(shift):
+    # all nine (j, s) pairs of a qutrit stage, as multiples of theta
     multiples = []
     for j in range(3):
         for s in range(3):
-            out = apply_xpm(qutrit_with_ancilla(j, s, beam=1.0), 0, pmap, THETA)
+            out = apply_xpm(qutrit_with_ancilla(j, s, beam=1.0), 0, shift, 0, THETA)
             multiples.append(round(cmath.phase(out.terms[0].qubus[0]) / THETA, 9))
     assert sorted(multiples) == [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0]
+    closed_form = [(2 - j) + (s + shift) % 3 for j in range(3) for s in range(3)]
+    assert sorted(multiples) == sorted(map(float, closed_form))
 
 
 def test_xpm_preserves_beam_magnitude_and_norm():
@@ -84,7 +83,7 @@ def test_xpm_preserves_beam_magnitude_and_norm():
         for _ in range(10)
     )
     state = HybridState(layout, terms)
-    out = apply_xpm(state, 0, PhaseMap.stage(4, shift=2, target_beam=1), THETA)
+    out = apply_xpm(state, 0, 2, 1, THETA)
     for before, after in zip(state.terms, out.terms):
         assert abs(after.qubus[1]) == pytest.approx(abs(before.qubus[1]), rel=1e-14)
         assert after.qubus[0] == before.qubus[0]
@@ -94,11 +93,16 @@ def test_xpm_preserves_beam_magnitude_and_norm():
 def test_xpm_validation():
     state = qutrit_with_ancilla(0, 0)
     with pytest.raises(ValueError, match="beam index"):
-        apply_xpm(state, 0, PhaseMap(1.0, (0.0, 0.0, 0.0), target_beam=5), THETA)
+        apply_xpm(state, 0, 0, 5, THETA)
     with pytest.raises(ValueError, match="party index"):
-        apply_xpm(state, 3, PhaseMap(1.0, (0.0, 0.0, 0.0), target_beam=0), THETA)
-    with pytest.raises(ValueError, match="spatial entries"):
-        apply_xpm(state, 0, PhaseMap(1.0, (0.0, 1.0), target_beam=0), THETA)
+        apply_xpm(state, 3, 0, 0, THETA)
+    with pytest.raises(TypeError):
+        apply_xpm(state, 0, 1.0, 0, THETA)
+    no_spatial = HybridState(
+        RegisterLayout(party_dims=(3,), qubus_count=1), (Term(1.0, (0,), (1.0,)),)
+    )
+    with pytest.raises(ValueError, match="^layout has no single-photon spatial register$"):
+        apply_xpm(no_spatial, 0, 0, 0, THETA)
 
 
 def test_qubus_phase_undoes_xpm_rotation():
@@ -267,7 +271,7 @@ def _generic_state(seed=0):
 @pytest.mark.parametrize(
     "op",
     [
-        lambda s: apply_xpm(s, 0, PhaseMap.stage(3, 1, target_beam=1), THETA),
+        lambda s: apply_xpm(s, 0, 1, 1, THETA),
         lambda s: apply_qubus_phase(s, 0, 0.37),
         lambda s: apply_bs_5050(s, (0, 1)),
         lambda s: apply_su2(s, prep_rotation(4, 1)),
@@ -295,26 +299,23 @@ def _h_photon():
     return HybridState(RegisterLayout(prep_modes=2), (Term(1.0, (1, POL_H)),))
 
 
-_STAGE_MAP = PhaseMap.stage(3, 1, target_beam=1)
 _NAN = float("nan")
 _INF = float("inf")
 _BEAM_LIMIT = 1.7e308 + 1.7e308j
 
 # Every element rejects an input that makes a number it computes non-finite,
-# with the message of the field check that the number would fail.
+# with the message of the field check that the number would fail, or one
+# naming the input at fault (an XPM theta, an su2 matrix).
 REJECTED_INPUTS = [
-    ("xpm theta nan", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, _NAN),
+    ("xpm theta nan", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, 1, 1, _NAN),
      "qubus amplitudes must be finite"),
-    ("xpm theta inf", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, _INF),
+    ("xpm theta inf", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, 1, 1, _INF),
      "qubus amplitudes must be finite"),
-    ("xpm theta -inf", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, -_INF),
+    ("xpm theta -inf", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, 1, 1, -_INF),
      "qubus amplitudes must be finite"),
-    ("xpm spatial-only theta nan",
-     lambda: apply_xpm(_coupled((1.0, 2.0)), None, _STAGE_MAP, _NAN),
-     "qubus amplitudes must be finite"),
-    # theta * units overflows inside cmath.exp
-    ("xpm theta 1e308", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, _STAGE_MAP, 1e308),
-     "math domain error"),
+    # theta is finite, but the largest stage phase, 4 theta, overflows
+    ("xpm theta 1e308", lambda: apply_xpm(_coupled((1.0, 2.0)), 0, 1, 1, 1e308),
+     re.escape("theta = 1e+308 is too large: the largest XPM phase, 4 theta, overflows")),
     ("phase nan", lambda: apply_qubus_phase(_coupled((1.0, 2.0)), 1, _NAN),
      "qubus amplitudes must be finite"),
     ("phase inf", lambda: apply_qubus_phase(_coupled((1.0, 2.0)), 1, _INF),
@@ -329,11 +330,11 @@ REJECTED_INPUTS = [
     ("bs overflow difference", lambda: apply_bs_5050(_coupled((1e308, -1e308)), (0, 1)),
      "qubus amplitudes must be finite"),
     ("su2 nan", lambda: apply_su2(_h_photon(), np.array([[_NAN, 0], [0, 1]])),
-     "term amplitude must be finite"),
+     "su2 matrix entries must be finite"),
     ("su2 nan off-diagonal", lambda: apply_su2(_h_photon(), np.array([[0, 1], [_NAN, 0]])),
-     "term amplitude must be finite"),
+     "su2 matrix entries must be finite"),
     ("su2 inf", lambda: apply_su2(_h_photon(), np.array([[_INF, 0], [0, 1]])),
-     "term amplitude must be finite"),
+     "su2 matrix entries must be finite"),
     ("merge overflow", lambda: canonicalize(HybridState(
         RegisterLayout(ancilla_modes=2, qubus_count=1),
         (Term(1.7e308, (0,), (1.0,)), Term(1.7e308, (0,), (1.0,))),

@@ -13,13 +13,12 @@ from qubus_forge.heralding import (
 from qubus_forge.protocols import (
     _attach_party,
     _run_stage,
-    _with_fresh_beams,
     balanced_coeffs,
     phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
 )
-from qubus_forge.elements import PhaseMap, apply_bs_5050, apply_qubus_phase, apply_xpm
+from qubus_forge.elements import apply_bs_5050, apply_qubus_phase, apply_xpm
 from qubus_forge.state import (
     MERGE_TOL,
     HybridState,
@@ -42,9 +41,8 @@ def qutrit_silent_failure_prob(alpha, theta, eta=1.0):
 
 def stage_one_pre_herald(n=3, alpha=ALPHA, theta=THETA):
     """Balanced first-stage state just before the herald detector."""
-    state = _attach_party(prepare_single_photon_qudit(n), balanced_coeffs(n))
-    state = _with_fresh_beams(state, alpha)
-    state = apply_xpm(state, 0, PhaseMap.stage(n, 0, target_beam=1), theta)
+    state = _attach_party(prepare_single_photon_qudit(n), balanced_coeffs(n), alpha)
+    state = apply_xpm(state, 0, 0, 1, theta)
     state = apply_qubus_phase(state, 1, -(n - 1) * theta)
     return apply_bs_5050(state, (0, 1))
 

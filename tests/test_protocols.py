@@ -16,6 +16,7 @@ from qubus_forge.elements import (
 )
 from qubus_forge.heralding import DetectorModel, feedforward_outcomes, herald_vacuum
 from qubus_forge.protocols import (
+    PHASE_PATTERN_TOL,
     ProtocolSpec,
     _pre_herald_state,
     _run_stage,
@@ -269,6 +270,11 @@ def test_phase_pattern_detection():
             assert coeff_phase_index(rotated) == m
     assert coeff_phase_index((0.8, 0.6)) is None
     assert coeff_phase_index(balanced_coeffs(4)) == 0
+    # one entry moved radially just inside and just outside the tolerance
+    for factor, m in ((0.9, 1), (1.1, None)):
+        coeffs = list(phased_coeffs(3, 1))
+        coeffs[2] *= 1.0 + factor * PHASE_PATTERN_TOL / abs(coeffs[2])
+        assert coeff_phase_index(coeffs) == m, factor
 
 
 def test_protocol_spec_validation():
@@ -374,17 +380,27 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
     # The grouping and the norm must stay near-linear in the term count:
     # an O(T K) scan over branch classes, or self-pairs sent through the
     # overlap kernel, shows here as a call count, whatever the machine.
-    # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls)
-    expected = {3: (None, None, 12), 32: (4000, 1100, 99), 48: (9000, 2500, 147)}
-    for n, (close_max, pair_max, canonicalize_calls) in expected.items():
+    # A stage that rebuilds its n^2 terms once more than it needs to shows
+    # in the _term builds.
+    # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls,
+    #     most _term builds)
+    expected = {
+        3: (None, None, 12, None),
+        32: (4000, 1100, 99, 11600),
+        48: (9000, 2500, 147, 25800),
+    }
+    for n, (close_max, pair_max, canonicalize_calls, term_max) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         with monkeypatch.context() as mp:
-            counts = _count_calls(mp, ("qubus_close", "_pair_weight", "canonicalize"))
+            counts = _count_calls(
+                mp, ("qubus_close", "_pair_weight", "canonicalize", "_term")
+            )
             generate(spec)
         assert counts["canonicalize"] == canonicalize_calls, (n, counts)
         if close_max is not None:
             assert counts["qubus_close"] <= close_max, (n, counts)
             assert counts["_pair_weight"] <= pair_max, (n, counts)
+            assert counts["_term"] <= term_max, (n, counts)
 
 
 def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
