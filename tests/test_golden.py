@@ -46,6 +46,19 @@ GOLDEN_RUNS = [
     ("generate_n24_dump_state.json",
      ["generate", "--n", "24", "--shifts", "0,5", "--balanced-phases", "3,7",
       "--eta", "0.9", "--dump-state"]),
+    # --dump-config: the run's canonical file, defaults filled in
+    ("generate_n2_coeffs_dump_config.cfg",
+     ["generate", "--n", "2", "--coeffs", "0.6,0,0.8,0;0,0.6,0.8,0",
+      "--alpha", "3+4j", "--dump-state", "--dump-config"]),
+    # one phase index padded to every party; default shifts
+    ("generate_n4_padded_phases_dump_config.cfg",
+     ["generate", "--n", "4", "--m-parties", "3", "--balanced-phases", "2",
+      "--theta", "0.02", "--eta", "0.9", "--dump-config"]),
+    # csv is chosen by --out; nothing is written
+    ("sweep_n4_out_csv_dump_config.cfg",
+     ["sweep", "--alpha", "1,10", "--theta", "0.01", "--eta", "0.5,1", "--n", "4",
+      "--out", "sweep.csv", "--dump-config"]),
+    ("prepare_n5_dump_config.cfg", ["prepare", "--n", "5", "--dump-config"]),
 ]
 
 
