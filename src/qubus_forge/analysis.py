@@ -138,11 +138,6 @@ class SweepRow:
     p_error_simulated_log10: float
 
 
-#: Fixed CSV schema for sweep output.
-SWEEP_CSV_HEADER = ("alpha", "theta", "eta", "mean_k1", "mean_k2",
-                    "p_err_closed", "p_err_sim")
-
-
 def _stage_classes(ancilla: HybridState, alpha: float, theta: float, n: int):
     """Branch classes of the balanced first entangling stage, before any
     detector scores them."""
@@ -209,19 +204,6 @@ class BasisReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "states": self.states,
-            "pairs_checked": self.pairs_checked,
-            "max_abs_inner": self.max_abs_inner,
-            "max_entropy_error": self.max_entropy_error,
-            "symmetric_count": self.symmetric_count,
-            "asymmetric_count": self.asymmetric_count,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
 
 
 def verify_basis(n: int) -> BasisReport:

@@ -13,77 +13,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .analysis import (
-    SWEEP_CSV_HEADER,
-    SweepGrid,
-    run_sweep,
-    verify_basis,
-)
+from .analysis import SweepGrid, run_sweep, verify_basis
 from .heralding import DetectorModel, FeedforwardError, HeraldOutcome
-from .protocols import (
-    ProtocolSpec,
-    balanced_coeffs,
-    generate,
-    phased_coeffs,
-    prepare_single_photon_qudit,
-)
+from .protocols import ProtocolSpec, generate, prepare_single_photon_qudit
 from .state import GRAM_EXACT, state_to_dict
 
 _LN10 = math.log(10.0)
 COMMANDS = ("prepare", "generate", "sweep", "verify-basis")
 
+#: Fixed CSV schema for sweep output; a JSON sweep row adds the two log10 keys.
+SWEEP_CSV_HEADER = ("alpha", "theta", "eta", "mean_k1", "mean_k2",
+                    "p_err_closed", "p_err_sim")
+
 
 class ConfigError(Exception):
     """Malformed flags or config file; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical, fully-parsed description of one CLI run."""
-
-    command: str
-    n: int = 3
-    parties: int = 2
-    shifts: tuple[int, ...] = ()
-    coeff_mode: str = "balanced"  # balanced | phases | explicit
-    phase_indices: tuple[int, ...] = ()
-    coeffs: tuple[tuple[complex, ...], ...] = ()
-    theta: float = 0.01
-    alpha: complex = 500.0 + 0j
-    eta: float = 1.0
-    alpha_values: tuple[float, ...] = ()
-    theta_values: tuple[float, ...] = ()
-    eta_values: tuple[float, ...] = ()
-    output: str = "json"
-    out: str | None = None
-    dump_state: bool = False
-
-    def protocol_spec(self) -> ProtocolSpec:
-        if self.coeff_mode == "balanced":
-            coeffs = tuple(balanced_coeffs(self.n) for _ in range(self.parties))
-        elif self.coeff_mode == "phases":
-            coeffs = tuple(phased_coeffs(self.n, m) for m in self.phase_indices)
-        else:
-            coeffs = self.coeffs
-        detector = DetectorModel.on_off(self.eta)
-        return ProtocolSpec(
-            n=self.n,
-            parties=self.parties,
-            shifts=self.shifts,
-            coeffs=coeffs,
-            theta=self.theta,
-            alpha=self.alpha,
-            detector=detector,
-        )
-
-    def sweep_grid(self) -> SweepGrid:
-        return SweepGrid(self.alpha_values, self.theta_values, self.eta_values, self.n)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -173,70 +123,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "generate":
+def _normalize(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse the list-valued flags and alpha in place, in the order their
+    errors are reported, and resolve the output format."""
+    if args.command == "generate":
         parties = args.m_parties
-        shifts = _ints(args.shifts) if args.shifts is not None else (0,) * parties
-        chosen = [
-            name
-            for name, value in (
-                ("balanced", args.balanced),
-                ("balanced-phases", args.balanced_phases is not None),
-                ("coeffs", args.coeffs is not None),
-            )
-            if value
-        ]
-        if len(chosen) != 1:
+        args.shifts = _ints(args.shifts) if args.shifts is not None else (0,) * parties
+        modes = (args.balanced, args.balanced_phases is not None, args.coeffs is not None)
+        if sum(modes) != 1:
             raise ConfigError(
                 "exactly one of --balanced, --balanced-phases, --coeffs is required"
             )
-        coeff_mode, phase_indices, coeffs = "balanced", (), ()
         if args.balanced_phases is not None:
-            coeff_mode = "phases"
-            phase_indices = _ints(args.balanced_phases)
-            if len(phase_indices) == 1 and parties > 1:
-                phase_indices = phase_indices + (0,) * (parties - 1)
-            if len(phase_indices) != parties:
+            phases = _ints(args.balanced_phases)
+            if len(phases) == 1 and parties > 1:
+                phases += (0,) * (parties - 1)
+            if len(phases) != parties:
                 raise ConfigError("field balanced-phases: need one index per party")
+            args.balanced_phases = phases
         elif args.coeffs is not None:
-            coeff_mode = "explicit"
-            coeffs = _coeff_vectors(args.coeffs)
-        if args.output == "csv":
-            raise ConfigError("field output: generate only emits json")
-        return RunConfig(
-            command=command,
-            n=args.n,
-            parties=parties,
-            shifts=shifts,
-            coeff_mode=coeff_mode,
-            phase_indices=phase_indices,
-            coeffs=coeffs,
-            theta=args.theta,
-            alpha=_complex_value(args.alpha),
-            eta=args.eta,
-            output=args.output or "json",
-            out=args.out,
-            dump_state=args.dump_state,
-        )
-    if command == "sweep":
-        default_format = "csv" if args.out else "json"
-        return RunConfig(
-            command=command,
-            n=args.n,
-            alpha_values=_floats(args.alpha),
-            theta_values=_floats(args.theta),
-            eta_values=_floats(args.eta),
-            output=args.output or default_format,
-            out=args.out,
-        )
-    # prepare / verify-basis
-    return RunConfig(
-        command=command,
-        n=args.n,
-        output=args.output or "json",
-        out=args.out,
-    )
+            args.coeffs = _coeff_vectors(args.coeffs)
+        args.alpha = _complex_value(args.alpha)
+    elif args.command == "sweep":
+        args.alpha = _floats(args.alpha)
+        args.theta = _floats(args.theta)
+        args.eta = _floats(args.eta)
+    if args.output is None:
+        args.output = "csv" if args.command == "sweep" and args.out else "json"
+    return args
 
 
 # --- config files -----------------------------------------------------------
@@ -244,41 +158,38 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 _BOOL_FLAGS = ("balanced", "dump_state")
 
 
-def config_to_text(cfg: RunConfig) -> str:
-    """Flat key = value rendering; re-parses to an equivalent RunConfig."""
-    lines = [f"command = {cfg.command}", f"n = {cfg.n}"]
-    if cfg.command == "generate":
-        lines.append(f"m_parties = {cfg.parties}")
-        lines.append("shifts = " + ",".join(str(k) for k in cfg.shifts))
-        if cfg.coeff_mode == "balanced":
+def config_to_text(args: argparse.Namespace) -> str:
+    """Flat key = value rendering of parsed flags; re-parses to equal flags."""
+    lines = [f"command = {args.command}", f"n = {args.n}"]
+    if args.command == "generate":
+        lines.append(f"m_parties = {args.m_parties}")
+        lines.append("shifts = " + ",".join(map(str, args.shifts)))
+        if args.balanced:
             lines.append("balanced = true")
-        elif cfg.coeff_mode == "phases":
-            lines.append(
-                "balanced_phases = " + ",".join(str(m) for m in cfg.phase_indices)
-            )
+        elif args.balanced_phases is not None:
+            lines.append("balanced_phases = " + ",".join(map(str, args.balanced_phases)))
         else:
             lines.append(
                 "coeffs = "
                 + ";".join(
                     ",".join(f"{c.real!r},{c.imag!r}" for c in vec)
-                    for vec in cfg.coeffs
+                    for vec in args.coeffs
                 )
             )
-        alpha = cfg.alpha
-        lines.append(f"theta = {cfg.theta!r}")
+        alpha = args.alpha
+        lines.append(f"theta = {args.theta!r}")
         lines.append(
             "alpha = "
             + (repr(alpha.real) if alpha.imag == 0 else repr(alpha).strip("()"))
         )
-        lines.append(f"eta = {cfg.eta!r}")
-        lines.append(f"dump_state = {'true' if cfg.dump_state else 'false'}")
-    elif cfg.command == "sweep":
-        lines.append("alpha = " + ",".join(repr(a) for a in cfg.alpha_values))
-        lines.append("theta = " + ",".join(repr(t) for t in cfg.theta_values))
-        lines.append("eta = " + ",".join(repr(e) for e in cfg.eta_values))
-    lines.append(f"output = {cfg.output}")
-    if cfg.out:
-        lines.append(f"out = {cfg.out}")
+        lines.append(f"eta = {args.eta!r}")
+        lines.append(f"dump_state = {'true' if args.dump_state else 'false'}")
+    elif args.command == "sweep":
+        for key in ("alpha", "theta", "eta"):
+            lines.append(f"{key} = " + ",".join(map(repr, getattr(args, key))))
+    lines.append(f"output = {args.output}")
+    if args.out:
+        lines.append(f"out = {args.out}")
     return "\n".join(lines) + "\n"
 
 
@@ -337,17 +248,27 @@ def _herald_dict(stage: int, outcome: HeraldOutcome) -> dict:
     }
 
 
-def _run_generate(cfg: RunConfig) -> tuple[str, int]:
-    spec = cfg.protocol_spec()
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _run_generate(args: argparse.Namespace) -> tuple[str, int]:
+    detector = DetectorModel.on_off(args.eta)
+    if args.coeffs is not None:
+        spec = ProtocolSpec(args.n, args.m_parties, args.shifts, args.coeffs,
+                            args.theta, args.alpha, detector)
+    else:
+        spec = ProtocolSpec.balanced(args.n, args.m_parties, args.shifts, args.theta,
+                                     args.alpha, detector, args.balanced_phases)
     report = generate(spec)
     doc = {
         "command": "generate",
-        "n": cfg.n,
-        "parties": cfg.parties,
-        "shifts": list(cfg.shifts),
-        "theta": cfg.theta,
+        "n": args.n,
+        "parties": args.m_parties,
+        "shifts": list(args.shifts),
+        "theta": args.theta,
         "alpha": [spec.alpha.real, spec.alpha.imag],
-        "eta": cfg.eta,
+        "eta": args.eta,
         "norm_mode": GRAM_EXACT,
         "success_prob": report.success_prob,
         "success_prob_log10": _log10_or_none(report.success_prob),
@@ -359,85 +280,55 @@ def _run_generate(cfg: RunConfig) -> tuple[str, int]:
             _herald_dict(i, outcome) for i, outcome in enumerate(report.per_stage)
         ],
     }
-    if cfg.dump_state:
+    if args.dump_state:
         doc["final_state"] = state_to_dict(report.final_state)
     code = 3 if report.success_prob <= 0.0 else 0
-    return json.dumps(doc, indent=2) + "\n", code
+    return _json(doc), code
 
 
-def _run_prepare(cfg: RunConfig) -> tuple[str, int]:
-    state = prepare_single_photon_qudit(cfg.n)
-    doc = {"command": "prepare", "n": cfg.n, "state": state_to_dict(state)}
-    return json.dumps(doc, indent=2) + "\n", 0
+def _run_prepare(args: argparse.Namespace) -> tuple[str, int]:
+    state = prepare_single_photon_qudit(args.n)
+    return _json({"command": "prepare", "n": args.n, "state": state_to_dict(state)}), 0
 
 
-def _run_verify_basis(cfg: RunConfig) -> tuple[str, int]:
-    report = verify_basis(cfg.n)
-    doc = {"command": "verify-basis", **report.to_dict()}
-    return json.dumps(doc, indent=2) + "\n", 0
+def _run_verify_basis(args: argparse.Namespace) -> tuple[str, int]:
+    report = verify_basis(args.n)
+    doc = {"command": "verify-basis", **dataclasses.asdict(report),
+           "passed": report.passed}
+    return _json(doc), 0
 
 
-def _run_sweep_json(cfg: RunConfig) -> tuple[str, int]:
-    rows = run_sweep(cfg.sweep_grid())
-    doc = {
-        "command": "sweep",
-        "n": cfg.n,
-        "rows": [
-            {
-                "alpha": r.alpha,
-                "theta": r.theta,
-                "eta": r.eta,
-                "mean_k1": r.mean_photons_k1,
-                "mean_k2": r.mean_photons_k2,
-                "p_err_closed": r.p_error_closed,
-                "p_err_sim": r.p_error_simulated,
-                "p_err_closed_log10": _finite(r.p_error_closed_log10),
-                "p_err_sim_log10": _finite(r.p_error_simulated_log10),
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n", 0
-
-
-def _run_sweep_csv(cfg: RunConfig) -> tuple[str, int]:
-    rows = run_sweep(cfg.sweep_grid())
+def _run_sweep(args: argparse.Namespace) -> tuple[str, int]:
+    rows = []
+    for r in run_sweep(SweepGrid(args.alpha, args.theta, args.eta, args.n)):
+        row = dict(zip(SWEEP_CSV_HEADER, (
+            r.alpha, r.theta, r.eta, r.mean_photons_k1, r.mean_photons_k2,
+            r.p_error_closed, r.p_error_simulated,
+        )))
+        row["p_err_closed_log10"] = _finite(r.p_error_closed_log10)
+        row["p_err_sim_log10"] = _finite(r.p_error_simulated_log10)
+        rows.append(row)
+    if args.output == "json":
+        return _json({"command": "sweep", "n": args.n, "rows": rows}), 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                repr(r.alpha),
-                repr(r.theta),
-                repr(r.eta),
-                repr(r.mean_photons_k1),
-                "" if r.mean_photons_k2 is None else repr(r.mean_photons_k2),
-                repr(r.p_error_closed),
-                repr(r.p_error_simulated),
-            ]
-        )
+    # csv writes a float as its repr and None (mean_k2 at n = 2) as ""
+    writer.writerows([row[key] for key in SWEEP_CSV_HEADER] for row in rows)
     return buf.getvalue(), 0
 
 
-def run_config(cfg: RunConfig) -> tuple[str, int]:
-    """Execute a parsed configuration; returns (rendered output, exit code)."""
-    if cfg.command == "generate":
-        return _run_generate(cfg)
-    if cfg.command == "prepare":
-        return _run_prepare(cfg)
-    if cfg.command == "verify-basis":
-        return _run_verify_basis(cfg)
-    if cfg.command == "sweep":
-        if cfg.output == "csv":
-            return _run_sweep_csv(cfg)
-        return _run_sweep_json(cfg)
-    raise ConfigError(f"unknown command {cfg.command!r}")
+_RUNNERS = {
+    "prepare": _run_prepare,
+    "generate": _run_generate,
+    "sweep": _run_sweep,
+    "verify-basis": _run_verify_basis,
+}
 
 
-def parse_argv(argv: list[str]) -> tuple[RunConfig, bool]:
-    """Resolve --config/--dump-config and parse the rest; returns the config
-    and whether to dump it instead of running."""
+def parse_argv(argv: list[str]) -> tuple[argparse.Namespace, bool]:
+    """Resolve --config/--dump-config and parse the rest; returns the
+    normalized flags and whether to dump them instead of running."""
     argv = list(argv)
     dump_config = False
     if "--dump-config" in argv:
@@ -457,15 +348,14 @@ def parse_argv(argv: list[str]) -> tuple[RunConfig, bool]:
         # the command comes from the file; remaining argv flags override
         argv = config_text_to_argv(text) + rest
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    return _config_from_args(args), dump_config
+    return _normalize(parser.parse_args(argv)), dump_config
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        cfg, dump_config = parse_argv(argv)
+        args, dump_config = parse_argv(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -473,20 +363,20 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     if dump_config:
-        sys.stdout.write(config_to_text(cfg))
+        sys.stdout.write(config_to_text(args))
         return 0
 
     try:
-        rendered, code = run_config(cfg)
-    except (ConfigError, ValueError) as exc:
+        rendered, code = _RUNNERS[args.command](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FeedforwardError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
