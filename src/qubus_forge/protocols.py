@@ -72,6 +72,8 @@ def coeff_phase_index(coeffs) -> int | None:
     Returns None when the vector is not balanced-with-linear-phases.
     """
     n = len(coeffs)
+    if n == 0:
+        return None
     scale = 1.0 / math.sqrt(n)
     if any(abs(abs(c) - scale) > PHASE_PATTERN_TOL for c in coeffs):
         return None

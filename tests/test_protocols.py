@@ -269,6 +269,7 @@ def test_phase_pattern_detection():
             rotated = tuple(c * cmath.exp(0.3j) for c in phased_coeffs(n, m))
             assert coeff_phase_index(rotated) == m
     assert coeff_phase_index((0.8, 0.6)) is None
+    assert coeff_phase_index(()) is None
     assert coeff_phase_index(balanced_coeffs(4)) == 0
     # one entry moved radially just inside and just outside the tolerance
     for factor, m in ((0.9, 1), (1.1, None)):
