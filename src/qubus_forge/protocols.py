@@ -34,6 +34,7 @@ from .state import (
     ALPHA_MAX,
     POL_H,
     POL_V,
+    THETA_MAX,
     HybridState,
     RegisterLayout,
     Term,
@@ -95,11 +96,8 @@ def _check_working_point(n: int, theta: float, alpha: complex) -> None:
         raise ValueError("dimension n must be >= 2")
     if not (math.isfinite(theta) and cmath.isfinite(alpha)):
         raise ValueError("theta and alpha must be finite")
-    # 2 (n - 1) theta is the largest phase a stage's XPM imprints.
-    if not math.isfinite(2 * (n - 1) * abs(theta)):
-        raise ValueError(
-            f"theta = {theta!r} is too large: the XPM phase 2(n-1)|theta| overflows"
-        )
+    if abs(theta) > THETA_MAX:
+        raise ValueError("|theta| must be <= 2 pi")
     if abs(alpha) > ALPHA_MAX:
         raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
     # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the

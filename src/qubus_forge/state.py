@@ -45,6 +45,15 @@ MERGE_TOL = 1e-12
 # success branch no longer heralds as vacuum; 1e3 keeps a factor ~5 margin.
 ALPHA_MAX = 1e3
 
+# Largest |theta| a protocol or sweep accepts.  A stage computes each XPM
+# phase as theta * units before cmath.exp, so the phase's rounding grows with
+# theta: past ~1e3 the simulated silent-failure probability drifts off the
+# closed form by more than 1e-10 relative (worst 5.7e-10 for theta in 1e3-1e6,
+# 5.1e-4 in 1e9-1e12, over 300 random sweep points per decade), where below
+# 2 pi it stays within 3.5e-15.  The phase is 2 pi-periodic, so 2 pi loses
+# nothing physical; the paper's weak nonlinearity has theta << 1.
+THETA_MAX = 2 * math.pi
+
 # Terms with |amp| below this are representational noise and are dropped.
 DROP_TOL = 1e-14
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from qubus_forge.protocols import (
 from qubus_forge.state import (
     ALPHA_MAX,
     MERGE_TOL,
+    THETA_MAX,
     HybridState,
     RegisterLayout,
     Term,
@@ -271,17 +271,21 @@ def test_sweep_and_generate_accept_the_same_working_points(n):
 
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_theta_is_bounded_by_the_largest_xpm_phase(n):
-    # A stage imprints phases up to 2 (n - 1) theta on its beam; a theta at
-    # which that overflows is rejected by name before cmath.exp sees it.
-    edge = sys.float_info.max / (2 * (n - 1))
+    # A stage computes each XPM phase as theta * units, whose rounding grows
+    # with theta and moves p_err_sim off the closed form (2.3e-7 relative at
+    # theta = 4925456799.646863, n = 3).  The phase is 2 pi-periodic, so
+    # THETA_MAX = 2 pi loses nothing; just below it the two still agree.
+    edge = THETA_MAX - 1e-6
     ProtocolSpec.balanced(n, 2, None, edge, 1.0)
     SweepGrid((1.0,), (edge,), (1.0,), n)
-    for theta in (math.nextafter(edge, math.inf), 9e307, 1e308):
-        with pytest.raises(ValueError, match="theta"):
+    row = sweep_point(1.0, edge, 1.0, n)
+    assert row.p_error_simulated == pytest.approx(row.p_error_closed, rel=1e-10)
+    for theta in (math.nextafter(THETA_MAX, math.inf), 4925456799.646863, 6.258e17):
+        with pytest.raises(ValueError, match=r"\|theta\| must be <= 2 pi"):
             ProtocolSpec.balanced(n, 2, None, theta, 1.0)
-        with pytest.raises(ValueError, match="theta"):
+        with pytest.raises(ValueError, match=r"\|theta\| must be <= 2 pi"):
             SweepGrid((1.0,), (theta,), (1.0,), n)
-        with pytest.raises(ValueError, match="theta"):
+        with pytest.raises(ValueError, match=r"\|theta\| must be <= 2 pi"):
             sweep_point(1.0, theta, 1.0, n)
 
 

@@ -130,8 +130,8 @@ def test_out_of_range_parameters_exit_2(capsys):
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, ""), args
         assert "alpha" in err
-    # theta whose largest XPM phase 2(n-1)|theta| overflows used to reach
-    # cmath.exp as a bare "math domain error"
+    # |theta| above 2 pi is rejected by name, up to where the XPM phase
+    # 2(n-1)|theta| would overflow cmath.exp
     for args in (
         ("generate", "--n", "2", "--shifts", "0,1", "--balanced", "--alpha", "1",
          "--theta", "9e307"),
@@ -141,6 +141,10 @@ def test_out_of_range_parameters_exit_2(capsys):
          "--theta", "1e308"),
         ("sweep", "--alpha", "1", "--theta", "1e308", "--eta", "1", "--n", "3"),
         ("sweep", "--alpha", "1", "--theta", "9e307", "--eta", "1", "--n", "2"),
+        ("sweep", "--alpha", "1", "--theta", "4925456799.646863", "--eta", "1",
+         "--n", "3"),
+        ("generate", "--n", "3", "--shifts", "0,1", "--balanced", "--alpha", "1",
+         "--theta", "6.258e17"),
     ):
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, ""), args
