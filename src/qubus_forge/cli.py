@@ -25,7 +25,6 @@ from .protocols import ProtocolSpec, generate, prepare_single_photon_qudit
 from .state import GRAM_EXACT, state_to_dict
 
 _LN10 = math.log(10.0)
-COMMANDS = ("prepare", "generate", "sweep", "verify-basis")
 
 #: Fixed CSV schema for sweep output; a JSON sweep row adds the two log10 keys.
 SWEEP_CSV_HEADER = ("alpha", "theta", "eta", "mean_k1", "mean_k2",
@@ -207,7 +206,7 @@ def config_text_to_argv(text: str) -> list[str]:
         key = key.strip()
         value = value.strip()
         if key == "command":
-            if value not in COMMANDS:
+            if value not in _RUNNERS:
                 raise ConfigError(f"config line {lineno}: unknown command {value!r}")
             command = value
         elif key in _BOOL_FLAGS:
