@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .heralding import DetectorModel, _classify_branches, _score_branches
 from .protocols import (
     _check_working_point,
@@ -23,7 +21,13 @@ from .protocols import (
     prepare_single_photon_qudit,
     target_state,
 )
-from .state import HybridState, inner_product, overlap_sq, state_norm_sq
+from .state import (
+    HybridState,
+    _logaddexp_reduce,
+    inner_product,
+    overlap_sq,
+    state_norm_sq,
+)
 
 _LN10 = math.log(10.0)
 
@@ -39,6 +43,10 @@ def reduced_entropy(state: HybridState, party: int) -> float:
     log2(n) for a maximally entangled pair of n-level qudits, 0 for a
     product state.
     """
+    # The package's one use of numpy, imported here so that importing
+    # qubus_forge (and every other command of the CLI) does not load it.
+    import numpy as np
+
     layout = state.layout
     if layout.num_parties != 2 or layout.has_ancilla or layout.has_prep \
             or layout.qubus_count:
@@ -68,7 +76,7 @@ def _closed_form_log(alpha: float, theta: float, eta: float, n: int) -> float:
         - 2.0 * eta * a_sq * math.sin(d * theta / 2.0) ** 2
         for d in range(1, n)
     ]
-    return float(np.logaddexp.reduce(logs))
+    return _logaddexp_reduce(logs)
 
 
 def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:

@@ -214,6 +214,9 @@ def config_text_to_argv(text: str) -> list[str]:
                 raise ConfigError(f"config line {lineno}: {key} must be true/false")
             if value.lower() == "true":
                 flags.append("--" + key.replace("_", "-"))
+        elif value.startswith("-"):
+            # argparse would read "--theta -1e-05" as a flag after --theta
+            flags.append("--" + key.replace("_", "-") + "=" + value)
         else:
             flags.extend(("--" + key.replace("_", "-"), value))
     if command is None:

@@ -12,8 +12,6 @@ import cmath
 import math
 import operator
 
-import numpy as np
-
 from .state import (
     POL_H,
     POL_V,
@@ -110,7 +108,11 @@ def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
     return _state(state.layout, tuple(new_terms))
 
 
-def prep_rotation(n: int, j: int) -> np.ndarray:
+# A 2x2 matrix as its rows of Python complex entries.
+_Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def prep_rotation(n: int, j: int) -> _Matrix2:
     """Polarization rotation of step j of the preparation cascade.
 
     Sends |H> to sqrt((n-j-1)/(n-j)) |H> + (1/sqrt(n-j)) |V>, i.e. peels a
@@ -119,32 +121,56 @@ def prep_rotation(n: int, j: int) -> np.ndarray:
     remaining = n - j
     if remaining < 1:
         raise ValueError(f"cascade step {j} out of range for dimension {n}")
-    c = math.sqrt((remaining - 1) / remaining)
-    s = math.sqrt(1.0 / remaining)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    c = complex(math.sqrt((remaining - 1) / remaining))
+    s = complex(math.sqrt(1.0 / remaining))
+    return ((c, -s), (s, c))
 
 
-def pol_flip() -> np.ndarray:
+def pol_flip() -> _Matrix2:
     """Polarization flip (sigma_x): swaps H and V."""
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return ((0j, 1 + 0j), (1 + 0j, 0j))
+
+
+def _matrix2(u) -> _Matrix2:
+    """The rows of a 2x2 nested sequence (or ndarray) as Python complex."""
+    try:
+        rows = tuple(tuple(complex(x) for x in row) for row in u)
+    except TypeError:  # not a sequence of sequences of numbers
+        rows = ()
+    if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
+        raise ValueError("expected a 2x2 matrix")
+    return rows
+
+
+def _is_unitary(u: _Matrix2) -> bool:
+    """Whether every entry of u^dagger u - 1 is within :data:`_UNITARY_TOL`.
+
+    For finite ``u`` only: a product that overflows to inf or NaN fails.
+    """
+    (a, b), (c, d) = u
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    entries = (ac * a + cc * c - 1, ac * b + cc * d,
+               bc * a + dc * c, bc * b + dc * d - 1)
+    # hypot, not abs(z): abs raises OverflowError where hypot returns inf
+    return all(math.hypot(z.real, z.imag) <= _UNITARY_TOL for z in entries)
 
 
 def apply_su2(state: HybridState, u) -> HybridState:
     """Apply a 2x2 unitary to the polarization of the photon in the work mode.
 
-    Terms whose preparation photon sits in any other spatial mode are left
-    alone.  Column convention: |H> -> u[0,0] |H> + u[1,0] |V>.
+    ``u`` is a 2x2 nested sequence of numbers (or an ndarray).  Terms whose
+    preparation photon sits in any other spatial mode are left alone.
+    Column convention: |H> -> u[0][0] |H> + u[1][0] |V>.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > _UNITARY_TOL:
+    u = _matrix2(u)
+    finite = all(map(cmath.isfinite, u[0] + u[1]))
+    # A matrix that is not finite is rejected below, once the state is known
+    # to have a work mode.
+    if finite and not _is_unitary(u):
         raise ValueError("matrix is not unitary")
     layout = state.layout
     work = layout.work_mode
-    # NaN passes the unitarity test (NaN > tol is false); an entry that is not
-    # finite would make the amplitudes it multiplies non-finite.
-    if not np.isfinite(u).all():
+    if not finite:  # it would make the amplitudes it multiplies non-finite
         raise ValueError("su2 matrix entries must be finite")
     sp_slot = layout.prep_spatial_slot
     pol_slot = layout.prep_pol_slot
@@ -155,11 +181,11 @@ def apply_su2(state: HybridState, u) -> HybridState:
             continue
         pol = t.labels[pol_slot]
         for new_pol in (POL_H, POL_V):
-            amp = u[new_pol, pol] * t.amp
+            amp = u[new_pol][pol] * t.amp
             if amp != 0:
                 labels = list(t.labels)
                 labels[pol_slot] = new_pol
-                new_terms.append(_term(complex(amp), tuple(labels), t.qubus))
+                new_terms.append(_term(amp, tuple(labels), t.qubus))
     return canonicalize(_state(layout, tuple(new_terms)))
 
 

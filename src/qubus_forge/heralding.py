@@ -11,14 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .state import (
     NORM_TOL,
     HybridState,
     Term,
     _beam_key,
     _inner,
+    _logaddexp_reduce,
     _merge_groups,
     _state,
     _term,
@@ -193,7 +192,7 @@ def _score_branches(classes: _BranchClasses, det: DetectorModel) -> HeraldOutcom
             failure_logs.append(math.log(weight) + no_click_log)
 
     if failure_logs:
-        error_log = float(np.logaddexp.reduce(failure_logs))
+        error_log = _logaddexp_reduce(failure_logs)
         error_prob = math.exp(error_log)
     else:
         error_log = float("-inf")

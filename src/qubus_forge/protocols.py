@@ -32,6 +32,7 @@ from .heralding import (
 )
 from .state import (
     ALPHA_MAX,
+    N_MAX,
     POL_H,
     POL_V,
     THETA_MAX,
@@ -46,6 +47,13 @@ from .state import (
 )
 
 
+def _check_dimension_bound(n: int) -> None:
+    """Reject a dimension above :data:`state.N_MAX`; every public entry that
+    takes n calls this before building anything of size n."""
+    if n > N_MAX:
+        raise ValueError(f"dimension n must be <= {N_MAX}")
+
+
 def balanced_coeffs(n: int) -> tuple[complex, ...]:
     """The flat unit vector (1, ..., 1)/sqrt(n)."""
     return phased_coeffs(n, 0)
@@ -56,6 +64,7 @@ def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     tau = exp(2 pi i / n)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    _check_dimension_bound(n)
     scale = 1.0 / math.sqrt(n)
     return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
 
@@ -94,6 +103,7 @@ def _check_working_point(n: int, theta: float, alpha: complex) -> None:
     herald cannot tell success from failure."""
     if n < 2:
         raise ValueError("dimension n must be >= 2")
+    _check_dimension_bound(n)
     if not (math.isfinite(theta) and cmath.isfinite(alpha)):
         raise ValueError("theta and alpha must be finite")
     if abs(theta) > THETA_MAX:
@@ -213,6 +223,7 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    _check_dimension_bound(n)
     prep_layout = RegisterLayout(prep_modes=n + 1)
     work = prep_layout.work_mode
     state = HybridState(prep_layout, (Term(1.0, (work, POL_H)),))

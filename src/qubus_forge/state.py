@@ -54,6 +54,14 @@ ALPHA_MAX = 1e3
 # nothing physical; the paper's weak nonlinearity has theta << 1.
 THETA_MAX = 2 * math.pi
 
+# Largest dimension n a protocol, sweep or preparation accepts.  A stage holds ~n^2 terms,
+# and each doubling of n costs a stage ~4-5x in time and ~4x in memory: one
+# sweep point takes 0.1 s at n = 64, 0.35 s at n = 128 and 1.8 s (~40 MB) at
+# n = 256, so n = 1024 is about a minute and ~0.7 GB.  Past that a run cannot
+# finish, and the check of every offset d < n would itself run for as long
+# as n is large; the paper's qudits have n <= 5.
+N_MAX = 1024
+
 # Terms with |amp| below this are representational noise and are dropped.
 DROP_TOL = 1e-14
 
@@ -349,6 +357,32 @@ def _inner(a_terms, b_terms) -> complex:
             # finite beam is -0.0 + 0.0j, so its exponential is 1 + 0j.
             total += complex(_abs_sq(t.amp), 0.0) if u is t else _pair_weight(t, u)
     return total
+
+
+_LN2 = math.log(2.0)
+
+
+def _logaddexp_reduce(logs) -> float:
+    """log(sum(exp(x) for x in logs)) without overflow or underflow.
+
+    A left fold of numpy's two-term ``logaddexp`` step (equal arguments give
+    x + ln 2, otherwise max + log1p(exp(-|x - y|))), so it equals
+    ``np.logaddexp.reduce(logs)`` bit for bit.  ``logs`` must be non-empty.
+    """
+    it = iter(logs)
+    acc = next(it)
+    for y in it:
+        if acc == y:  # also an infinity of the same sign, without inf - inf
+            acc = acc + _LN2
+        else:
+            diff = acc - y
+            if diff > 0:
+                acc = acc + math.log1p(math.exp(-diff))
+            elif diff <= 0:
+                acc = y + math.log1p(math.exp(diff))
+            else:  # NaN
+                acc = diff
+    return float(acc)
 
 
 def state_norm_sq(state: HybridState) -> float:

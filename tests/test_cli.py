@@ -13,7 +13,7 @@ from qubus_forge.cli import (
     main,
     parse_argv,
 )
-from qubus_forge.state import ALPHA_MAX
+from qubus_forge.state import ALPHA_MAX, N_MAX
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +149,20 @@ def test_out_of_range_parameters_exit_2(capsys):
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, ""), args
         assert "theta" in err
+    # n above N_MAX: the check of every offset d < n, or the coefficients and
+    # the preparation cascade built before it, would not end
+    huge_n = "1" + "0" * 400
+    for args in (
+        ("sweep", "--alpha", "1", "--theta", "0.01", "--eta", "1", "--n", huge_n),
+        ("generate", "--n", huge_n, "--balanced"),
+        ("generate", "--n", huge_n, "--balanced-phases", "0"),
+        ("prepare", "--n", huge_n),
+        ("sweep", "--alpha", "1", "--theta", "0.01", "--eta", "1",
+         "--n", str(N_MAX + 1)),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert f"dimension n must be <= {N_MAX}" in err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -271,6 +285,26 @@ def test_config_round_trip_sweep_and_coeffs():
     )
     cfg2, _ = parse_argv(config_text_to_argv(config_to_text(cfg)))
     assert cfg2 == cfg
+
+
+@pytest.mark.parametrize("flags, line", [
+    (("--theta=-1e-05", "--alpha", "900"), "theta = -1e-05"),
+    (("--alpha=-300+100j",), "alpha = -300+100j"),
+])
+def test_dump_config_with_a_leading_minus_value_loads(flags, line, tmp_path, capsys):
+    # argparse reads "--theta -1e-05" as --theta followed by a flag, so the
+    # file's value must reach it as "--theta=-1e-05"
+    argv = ("generate", "--n", "3", "--shifts", "0,1", "--balanced") + flags
+    code, text, _ = run_cli(capsys, *argv, "--dump-config")
+    assert code == 0
+    assert line in text.splitlines()
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, from_flags, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, from_file, err = run_cli(capsys, "--config", str(path))
+    assert (code, err) == (0, "")
+    assert from_file == from_flags
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

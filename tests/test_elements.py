@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -16,6 +18,7 @@ from qubus_forge.elements import (
     apply_xpm,
     pol_flip,
     prep_rotation,
+    _UNITARY_TOL,
 )
 from qubus_forge.state import (
     POL_H,
@@ -351,6 +354,91 @@ REJECTED_INPUTS = [
 def test_elements_reject_non_finite_results(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def _numpy_su2_message(u, has_prep):
+    """The message numpy's form of the su2 checks gives, in their order:
+    shape, unitarity (whose NaN passes), the preparation register, then
+    finiteness; None when the matrix is accepted."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        return "expected a 2x2 matrix"
+    with np.errstate(all="ignore"):
+        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12:
+            return "matrix is not unitary"
+    if not has_prep:
+        return "layout has no preparation register"
+    if not np.isfinite(u).all():
+        return "su2 matrix entries must be finite"
+    return None
+
+
+_SU2_ENTRIES = [0, 1, -1j, 0.6, 1e200, -1e200, 1.7e308, _NAN, _INF,
+                complex(-_INF, _INF)]
+
+
+def _su2_corpus(seed, count):
+    """Every 2x2 matrix over _SU2_ENTRIES (finite ones whose u^dagger u
+    overflows among them), then seeded rotations with one entry replaced
+    or scaled."""
+    for entries in itertools.product(_SU2_ENTRIES, repeat=4):
+        yield [list(entries[:2]), list(entries[2:])]
+    rng = random.Random(seed)
+    for _ in range(count):
+        phi = rng.uniform(0, 2 * math.pi)
+        u = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+        i, j = rng.randrange(2), rng.randrange(2)
+        if rng.random() < 0.5:
+            u[i][j] = rng.choice(_SU2_ENTRIES + [complex(_NAN, 1), 1e-300, 1e154])
+        else:
+            u[i][j] *= 1 + rng.choice([1e-13, 1e-11, 1e-3, 1e160])
+        yield u
+
+
+def test_su2_messages_match_numpys_checks():
+    prep = _h_photon()
+    bare = HybridState(RegisterLayout(party_dims=(2,)), (Term(1.0, (0,)),))
+    seen = set()
+    for u in itertools.chain(_su2_corpus(20261018, 1000), (
+        [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]], [1, 0, 0, 1], [],
+        1.0,
+    )):
+        for state, has_prep in ((prep, True), (bare, False)):
+            expected = _numpy_su2_message(u, has_prep)
+            seen.add(expected)
+            if expected is None:
+                apply_su2(state, u)
+                continue
+            with pytest.raises(ValueError) as info:
+                apply_su2(state, u)
+            assert str(info.value) == expected, u
+    assert len(seen) == 5, seen  # every outcome, acceptance included
+    # numpy cannot build an array from ragged rows and raised its own error
+    with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+        apply_su2(prep, [[1, 0], [0]])
+
+
+@pytest.mark.parametrize("deviation, accepted", [(0.9e-12, True), (1.1e-12, False)])
+def test_su2_unitarity_tolerance_edge(deviation, accepted):
+    # |u00|^2 - 1 = deviation, to within an ulp of 1
+    u = [[math.sqrt(1.0 + deviation), 0.0], [0.0, 1.0]]
+    assert _UNITARY_TOL == 1e-12
+    if accepted:
+        out = apply_su2(_prep_photon(), u)
+        assert out.terms[0].amp == math.sqrt(1.0 + deviation)
+    else:
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            apply_su2(_prep_photon(), u)
+
+
+def test_su2_takes_nested_sequences_and_ndarrays_alike():
+    for n, j in ((3, 0), (5, 2), (2, 0)):
+        rotation = prep_rotation(n, j)
+        assert all(type(x) is complex for row in rotation for x in row)
+        by_tuple = apply_su2(_prep_photon(), rotation)
+        by_array = apply_su2(_prep_photon(), np.array(rotation))
+        assert by_tuple == by_array
+    assert pol_flip() == ((0j, 1 + 0j), (1 + 0j, 0j))
 
 
 @pytest.mark.parametrize("label", [0, 1])

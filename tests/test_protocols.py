@@ -1,12 +1,13 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from qubus_forge.analysis import SweepGrid, run_sweep
+from qubus_forge.analysis import SweepGrid, run_sweep, sweep_point
 from qubus_forge.elements import (
     apply_fourier_lomi,
     apply_pbs,
@@ -30,6 +31,7 @@ from qubus_forge.protocols import (
 )
 from qubus_forge.state import (
     ALPHA_MAX,
+    N_MAX,
     POL_V,
     HybridState,
     RegisterLayout,
@@ -339,6 +341,29 @@ def test_generate_heralds_at_alpha_bound():
                     assert report.success_prob == pytest.approx(
                         n ** -parties, rel=1e-12
                     ), (n, parties, theta, alpha)
+
+
+def test_every_entry_that_takes_n_stops_at_n_max():
+    # n = 64 (the largest n the scaling checks run) and N_MAX itself pass;
+    # above N_MAX, and at an n no loop over the offsets d < n could finish,
+    # each entry rejects n before it builds anything of size n
+    for n in (64, N_MAX):
+        assert ProtocolSpec.balanced(n).n == n
+        assert SweepGrid((1.0,), (0.01,), (1.0,), n).n == n
+    assert len(prepare_single_photon_qudit(64).terms) == 64
+    message = f"dimension n must be <= {N_MAX}"
+    for n in (N_MAX + 1, 10**400):
+        for build in (
+            lambda: ProtocolSpec.balanced(n),
+            lambda: ProtocolSpec(n, 2, (0, 0), ((1.0,), (1.0,)), THETA, ALPHA),
+            lambda: SweepGrid((1.0,), (0.01,), (1.0,), n),
+            lambda: sweep_point(1.0, 0.01, 1.0, n),
+            lambda: prepare_single_photon_qudit(n),
+            lambda: phased_coeffs(n, 0),
+            lambda: target_state(n, 0, 0),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
 
 
 def test_per_stage_outcomes_have_no_qubus_residue():

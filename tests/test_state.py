@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from qubus_forge.state import (
     RegisterLayout,
     Term,
     _beam_key,
+    _logaddexp_reduce,
     _merge_groups,
     _tuples_close,
     canonicalize,
@@ -367,3 +370,36 @@ def test_drop_uniform_beam():
         drop_uniform_beam(uniform, 0)
     with pytest.raises(ValueError, match="out of range"):
         drop_uniform_beam(uniform, 2)
+
+
+def _log_lists(seed, count):
+    """Seeded lists of 1-70 logs: ties, -inf, values down to -2e5 and the
+    shape of the closed form's terms, log(2 (n - d) / n^2) - energy."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        logs = []
+        for _ in range(rng.randint(1, 70)):
+            r = rng.random()
+            if r < 0.1 and logs:
+                logs.append(rng.choice(logs))
+            elif r < 0.15:
+                logs.append(-math.inf)
+            elif r < 0.45:
+                logs.append(rng.uniform(-2e5, 0.0))
+            elif r < 0.8:
+                n = rng.randint(2, 64)
+                d = rng.randint(1, n - 1)
+                logs.append(math.log(2.0 * (n - d) / n**2) - rng.uniform(0.0, 1e3))
+            else:
+                logs.append(rng.uniform(-30.0, 3.0))
+        yield logs
+
+
+def test_logaddexp_reduce_equals_numpy_bit_for_bit():
+    for logs in _log_lists(20261018, 4000):
+        got = _logaddexp_reduce(logs)
+        want = float(np.logaddexp.reduce(logs))
+        assert got.hex() == want.hex(), logs
+    for logs in ([-math.inf], [-math.inf] * 3, [0.0, 0.0], [-2e5, -2e5, -2e5],
+                 [-math.inf, -1.0], [-1.0, -math.inf], [7.5]):
+        assert _logaddexp_reduce(logs).hex() == float(np.logaddexp.reduce(logs)).hex()
