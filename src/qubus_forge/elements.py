@@ -121,9 +121,10 @@ def prep_rotation(n: int, j: int) -> _Matrix2:
     remaining = n - j
     if remaining < 1:
         raise ValueError(f"cascade step {j} out of range for dimension {n}")
-    c = complex(math.sqrt((remaining - 1) / remaining))
-    s = complex(math.sqrt(1.0 / remaining))
-    return ((c, -s), (s, c))
+    c = math.sqrt((remaining - 1) / remaining)
+    s = math.sqrt(1.0 / remaining)
+    # complex(-s), not -complex(s): every imaginary part stays +0.0
+    return ((complex(c), complex(-s)), (complex(s), complex(c)))
 
 
 def pol_flip() -> _Matrix2:

@@ -54,12 +54,13 @@ ALPHA_MAX = 1e3
 # nothing physical; the paper's weak nonlinearity has theta << 1.
 THETA_MAX = 2 * math.pi
 
-# Largest dimension n a protocol, sweep or preparation accepts.  A stage holds ~n^2 terms,
-# and each doubling of n costs a stage ~4-5x in time and ~4x in memory: one
-# sweep point takes 0.1 s at n = 64, 0.35 s at n = 128 and 1.8 s (~40 MB) at
-# n = 256, so n = 1024 is about a minute and ~0.7 GB.  Past that a run cannot
-# finish, and the check of every offset d < n would itself run for as long
-# as n is large; the paper's qudits have n <= 5.
+# Largest dimension n a protocol, sweep or preparation accepts.  A stage
+# holds ~n^2 terms, and each doubling of n costs it ~4-5x in time and ~4x in
+# memory: one sweep point takes 0.1 s at n = 64, 0.35 s at n = 128 and 1.8 s
+# (~40 MB) at n = 256 (2-CPU Xeon VM, CPython 3.11), which extrapolates to
+# about a minute and ~0.7 GB at n = 1024.  Past that a run does not finish in
+# useful time, and with no bound the check of every offset d < n runs for as
+# long as n is large.  The paper's qudits have n <= 5.
 N_MAX = 1024
 
 # Terms with |amp| below this are representational noise and are dropped.

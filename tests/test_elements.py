@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qubus_forge.elements import (
+    _UNITARY_TOL,
     apply_bs_5050,
     apply_fourier_lomi,
     apply_pbs,
@@ -18,7 +19,6 @@ from qubus_forge.elements import (
     apply_xpm,
     pol_flip,
     prep_rotation,
-    _UNITARY_TOL,
 )
 from qubus_forge.state import (
     POL_H,
@@ -434,7 +434,9 @@ def test_su2_unitarity_tolerance_edge(deviation, accepted):
 def test_su2_takes_nested_sequences_and_ndarrays_alike():
     for n, j in ((3, 0), (5, 2), (2, 0)):
         rotation = prep_rotation(n, j)
-        assert all(type(x) is complex for row in rotation for x in row)
+        # Python complex with imaginary parts +0.0, as the ndarray had
+        assert all(type(x) is complex and math.copysign(1.0, x.imag) == 1.0
+                   for row in rotation for x in row)
         by_tuple = apply_su2(_prep_photon(), rotation)
         by_array = apply_su2(_prep_photon(), np.array(rotation))
         assert by_tuple == by_array

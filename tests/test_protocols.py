@@ -7,7 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from qubus_forge.analysis import SweepGrid, run_sweep, sweep_point
+from qubus_forge.analysis import (
+    SweepGrid,
+    error_prob_closed_form,
+    run_sweep,
+    sweep_point,
+)
 from qubus_forge.elements import (
     apply_fourier_lomi,
     apply_pbs,
@@ -361,6 +366,7 @@ def test_every_entry_that_takes_n_stops_at_n_max():
             lambda: prepare_single_photon_qudit(n),
             lambda: phased_coeffs(n, 0),
             lambda: target_state(n, 0, 0),
+            lambda: error_prob_closed_form(1.0, 0.01, 1.0, n),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
