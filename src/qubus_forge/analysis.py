@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .heralding import DetectorModel, _classify_branches, _score_branches
 from .protocols import (
-    _check_dimension_bound,
     _check_working_point,
     _pre_herald_state,
     balanced_coeffs,
@@ -90,7 +89,6 @@ def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    _check_dimension_bound(n)
     DetectorModel(eta)  # raises outside [0, 1]
     return math.exp(_closed_form_log(abs(alpha), theta, eta, n))
 

@@ -146,7 +146,8 @@ def _matrix2(u) -> _Matrix2:
 def _is_unitary(u: _Matrix2) -> bool:
     """Whether every entry of u^dagger u - 1 is within :data:`_UNITARY_TOL`.
 
-    For finite ``u`` only: a product that overflows to inf or NaN fails.
+    For finite ``u`` only.  A product that overflows to inf or NaN fails:
+    such a ``u`` has an entry above ~1e153 in size and is not unitary.
     """
     (a, b), (c, d) = u
     ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()

@@ -48,8 +48,9 @@ from .state import (
 
 
 def _check_dimension_bound(n: int) -> None:
-    """Reject a dimension above :data:`state.N_MAX`; every public entry that
-    takes n calls this before building anything of size n."""
+    """Reject a dimension above :data:`state.N_MAX`: the working-point check,
+    the preparation cascade and ProtocolSpec.balanced (before it builds the
+    coefficients) call this before any loop or term list of size n."""
     if n > N_MAX:
         raise ValueError(f"dimension n must be <= {N_MAX}")
 
@@ -64,7 +65,6 @@ def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     tau = exp(2 pi i / n)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    _check_dimension_bound(n)
     scale = 1.0 / math.sqrt(n)
     return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
 
@@ -179,6 +179,7 @@ class ProtocolSpec:
         phase_indices=None,
     ) -> "ProtocolSpec":
         """Spec with balanced coefficients, optionally phased per party."""
+        _check_dimension_bound(n)
         if shifts is None:
             shifts = (0,) * parties
         if phase_indices is None:

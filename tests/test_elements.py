@@ -359,12 +359,20 @@ def test_elements_reject_non_finite_results(build, message):
 def _numpy_su2_message(u, has_prep):
     """The message numpy's form of the su2 checks gives, in their order:
     shape, unitarity (whose NaN passes), the preparation register, then
-    finiteness; None when the matrix is accepted."""
+    finiteness; None when the matrix is accepted.
+
+    One case is not numpy's: a finite u whose u^dagger u overflows is not
+    unitary.  numpy's answer there depends on where its matrix product's
+    kernel turns an overflow into NaN (np.max passes NaN), which varies with
+    the kernel, so the expected message is the rejection."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return "expected a 2x2 matrix"
     with np.errstate(all="ignore"):
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12:
+        deviation = u.conj().T @ u - np.eye(2)
+        if np.isfinite(u).all() and not np.isfinite(deviation).all():
+            return "matrix is not unitary"
+        if np.max(np.abs(deviation)) > 1e-12:
             return "matrix is not unitary"
     if not has_prep:
         return "layout has no preparation register"
@@ -373,8 +381,8 @@ def _numpy_su2_message(u, has_prep):
     return None
 
 
-_SU2_ENTRIES = [0, 1, -1j, 0.6, 1e200, -1e200, 1.7e308, _NAN, _INF,
-                complex(-_INF, _INF)]
+_SU2_ENTRIES = [0, 1, -1j, 0.6, 1e200, -1e200, complex(1e200, 1e200), 1.7e308,
+                _NAN, _INF, complex(-_INF, _INF)]
 
 
 def _su2_corpus(seed, count):
@@ -416,6 +424,18 @@ def test_su2_messages_match_numpys_checks():
     # numpy cannot build an array from ragged rows and raised its own error
     with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
         apply_su2(prep, [[1, 0], [0]])
+
+
+@pytest.mark.parametrize("u", [
+    [[1e200, 1e200], [1e200, -1e200]],  # off-diagonal inf - inf is NaN
+    [[0, 0], [0, complex(1e200, 1e200)]],  # |d|^2 overflows
+    [[1e154, 0], [0, 1]],
+])
+def test_su2_rejects_a_finite_matrix_whose_product_overflows(u):
+    # NaN in u^dagger u - 1 fails the check: it only arises from an overflow
+    for state in (_h_photon(), _prep_photon(POL_V)):
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            apply_su2(state, u)
 
 
 @pytest.mark.parametrize("deviation, accepted", [(0.9e-12, True), (1.1e-12, False)])

@@ -348,10 +348,11 @@ def test_generate_heralds_at_alpha_bound():
                     ), (n, parties, theta, alpha)
 
 
-def test_every_entry_that_takes_n_stops_at_n_max():
+def test_every_protocol_entry_stops_at_n_max():
     # n = 64 (the largest n the scaling checks run) and N_MAX itself pass;
     # above N_MAX, and at an n no loop over the offsets d < n could finish,
-    # each entry rejects n before it builds anything of size n
+    # each protocol, sweep and preparation entry rejects n before it builds
+    # anything of size n
     for n in (64, N_MAX):
         assert ProtocolSpec.balanced(n).n == n
         assert SweepGrid((1.0,), (0.01,), (1.0,), n).n == n
@@ -364,12 +365,14 @@ def test_every_entry_that_takes_n_stops_at_n_max():
             lambda: SweepGrid((1.0,), (0.01,), (1.0,), n),
             lambda: sweep_point(1.0, 0.01, 1.0, n),
             lambda: prepare_single_photon_qudit(n),
-            lambda: phased_coeffs(n, 0),
-            lambda: target_state(n, 0, 0),
-            lambda: error_prob_closed_form(1.0, 0.01, 1.0, n),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
+    # The O(n) builders take any n: the bound is a cost bound on stages
+    n = 4 * N_MAX
+    assert len(phased_coeffs(n, 1)) == n
+    assert len(target_state(n, 0, 1).terms) == n
+    assert 0.0 <= error_prob_closed_form(1.0, 0.01, 1.0, n) <= 1.0
 
 
 def test_per_stage_outcomes_have_no_qubus_residue():
