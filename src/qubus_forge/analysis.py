@@ -54,8 +54,8 @@ def reduced_entropy(state: HybridState, party: int) -> float:
     if party not in (0, 1):
         raise ValueError("party index must be 0 or 1")
     psi = np.zeros(layout.party_dims, dtype=complex)
-    for t in state.terms:
-        psi[t.labels[0], t.labels[1]] += t.amp
+    for (j, k), amp in zip(state.labels, state.amps):
+        psi[j, k] += amp
     psi /= math.sqrt(state_norm_sq(state))
     schmidt = np.linalg.svd(psi, compute_uv=False)
     probs = schmidt**2

@@ -240,6 +240,15 @@ def _log10_or_none(value: float) -> float | None:
     return math.log10(value)
 
 
+def _success_log10(report) -> float | None:
+    """log10 of the success probability.  When every stage heralded but the
+    product of their probabilities underflowed to 0.0, it is the sum of the
+    stage log10s."""
+    if report.success_prob > 0.0 or report.failed_stage is not None:
+        return _log10_or_none(report.success_prob)
+    return math.fsum(math.log10(outcome.success_prob) for outcome in report.per_stage)
+
+
 def _herald_dict(stage: int, outcome: HeraldOutcome) -> dict:
     return {
         "stage": stage,
@@ -273,7 +282,7 @@ def _run_generate(args: argparse.Namespace) -> tuple[str, int]:
         "eta": args.eta,
         "norm_mode": GRAM_EXACT,
         "success_prob": report.success_prob,
-        "success_prob_log10": _log10_or_none(report.success_prob),
+        "success_prob_log10": _success_log10(report),
         "error_prob_total": report.error_prob_total,
         "error_prob_total_log10": _log10_or_none(report.error_prob_total),
         "fidelity_vs_target": report.fidelity_vs_target,
@@ -284,7 +293,7 @@ def _run_generate(args: argparse.Namespace) -> tuple[str, int]:
     }
     if args.dump_state:
         doc["final_state"] = state_to_dict(report.final_state)
-    code = 3 if report.success_prob <= 0.0 else 0
+    code = 3 if report.failed_stage is not None else 0
     return _json(doc), code
 
 

@@ -16,8 +16,10 @@ from .state import (
     POL_H,
     POL_V,
     HybridState,
-    _state,
-    _term,
+    _columns,
+    _finite_amps,
+    _finite_beams,
+    _pick,
     canonicalize,
 )
 
@@ -25,11 +27,10 @@ _SQRT2 = math.sqrt(2.0)
 _UNITARY_TOL = 1e-12
 
 
-def _finite_beam(q: complex) -> complex:
-    """``q``, once it is known to be a finite beam amplitude."""
-    if not cmath.isfinite(q):
-        raise ValueError("qubus amplitudes must be finite")
-    return q
+def _with_beams(state: HybridState, changed: dict[int, tuple]) -> HybridState:
+    """``state`` with the beam columns ``changed`` (index -> new column)."""
+    beams = tuple(changed.get(b, col) for b, col in enumerate(state.beams))
+    return _columns(state.layout, state.amps, state.labels, beams)
 
 
 def apply_xpm(
@@ -61,14 +62,11 @@ def apply_xpm(
             f"{top + n - 1} theta, overflows"
         )
     rot = [cmath.exp(1j * theta * units) for units in range(top + n)]
-    new_terms = []
-    for t in state.terms:
-        labels = t.labels
-        units = top - labels[party_slot] + (labels[spatial_slot] + shift) % n
-        qubus = list(t.qubus)
-        qubus[beam] = _finite_beam(qubus[beam] * rot[units])
-        new_terms.append(_term(t.amp, labels, tuple(qubus)))
-    return _state(layout, tuple(new_terms))
+    col = _finite_beams(tuple([
+        q * rot[top - labels[party_slot] + (labels[spatial_slot] + shift) % n]
+        for q, labels in zip(state.beams[beam], state.labels)
+    ]))
+    return _with_beams(state, {beam: col})
 
 
 def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
@@ -78,12 +76,8 @@ def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
     if not math.isfinite(phi):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
-    new_terms = []
-    for t in state.terms:
-        qubus = list(t.qubus)
-        qubus[beam] = _finite_beam(qubus[beam] * rot)
-        new_terms.append(_term(t.amp, t.labels, tuple(qubus)))
-    return _state(state.layout, tuple(new_terms))
+    col = _finite_beams(tuple([q * rot for q in state.beams[beam]]))
+    return _with_beams(state, {beam: col})
 
 
 def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
@@ -98,14 +92,10 @@ def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
     for b in (b1, b2):
         if not 0 <= b < state.layout.qubus_count:
             raise ValueError(f"beam index {b} out of range")
-    new_terms = []
-    for t in state.terms:
-        qubus = list(t.qubus)
-        a, b = qubus[b1], qubus[b2]
-        qubus[b1] = _finite_beam((a - b) / _SQRT2)
-        qubus[b2] = _finite_beam((a + b) / _SQRT2)
-        new_terms.append(_term(t.amp, t.labels, tuple(qubus)))
-    return _state(state.layout, tuple(new_terms))
+    pairs = tuple(zip(state.beams[b1], state.beams[b2]))
+    col1 = _finite_beams(tuple([(a - b) / _SQRT2 for a, b in pairs]))
+    col2 = _finite_beams(tuple([(a + b) / _SQRT2 for a, b in pairs]))
+    return _with_beams(state, {b1: col1, b2: col2})
 
 
 # A 2x2 matrix as its rows of Python complex entries.
@@ -176,19 +166,26 @@ def apply_su2(state: HybridState, u) -> HybridState:
         raise ValueError("su2 matrix entries must be finite")
     sp_slot = layout.prep_spatial_slot
     pol_slot = layout.prep_pol_slot
-    new_terms = []
-    for t in state.terms:
-        if t.labels[sp_slot] != work:
-            new_terms.append(t)
+    src, amps, labels_out = [], [], []  # source term, amplitude, labels
+    for i, (amp, labels) in enumerate(zip(state.amps, state.labels)):
+        if labels[sp_slot] != work:
+            src.append(i)
+            amps.append(amp)
+            labels_out.append(labels)
             continue
-        pol = t.labels[pol_slot]
+        pol = labels[pol_slot]
         for new_pol in (POL_H, POL_V):
-            amp = u[new_pol][pol] * t.amp
-            if amp != 0:
-                labels = list(t.labels)
-                labels[pol_slot] = new_pol
-                new_terms.append(_term(amp, tuple(labels), t.qubus))
-    return canonicalize(_state(layout, tuple(new_terms)))
+            new_amp = u[new_pol][pol] * amp
+            if new_amp != 0:
+                src.append(i)
+                amps.append(new_amp)
+                labels_out.append(labels[:pol_slot] + (new_pol,) + labels[pol_slot + 1 :])
+    return canonicalize(_columns(
+        layout,
+        _finite_amps(tuple(amps)),
+        tuple(labels_out),
+        tuple([_pick(col, src) for col in state.beams]),
+    ))
 
 
 def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
@@ -203,15 +200,12 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
         if not 0 <= mode < layout.prep_modes:
             raise ValueError(f"spatial mode {mode} out of range")
     pol_slot = layout.prep_pol_slot
-    new_terms = []
-    for t in state.terms:
-        if t.labels[sp_slot] == from_mode and t.labels[pol_slot] == POL_V:
-            labels = list(t.labels)
-            labels[sp_slot] = new_mode
-            new_terms.append(_term(t.amp, tuple(labels), t.qubus))
-        else:
-            new_terms.append(t)
-    return canonicalize(_state(layout, tuple(new_terms)))
+    labels = tuple([
+        labels[:sp_slot] + (new_mode,) + labels[sp_slot + 1 :]
+        if labels[sp_slot] == from_mode and labels[pol_slot] == POL_V else labels
+        for labels in state.labels
+    ])
+    return canonicalize(_columns(layout, state.amps, labels, state.beams))
 
 
 def apply_fourier_lomi(state: HybridState) -> HybridState:
@@ -224,12 +218,13 @@ def apply_fourier_lomi(state: HybridState) -> HybridState:
     slot = layout.ancilla_slot
     n = layout.ancilla_modes
     scale = 1.0 / math.sqrt(n)
-    new_terms = []
-    for t in state.terms:
-        j = t.labels[slot]
-        for k in range(n):
-            amp = t.amp * scale * cmath.exp(2j * math.pi * j * k / n)
-            labels = list(t.labels)
-            labels[slot] = k
-            new_terms.append(_term(amp, tuple(labels), t.qubus))
-    return canonicalize(_state(layout, tuple(new_terms)))
+    amps = _finite_amps(tuple([
+        amp * scale * cmath.exp(2j * math.pi * labels[slot] * k / n)
+        for amp, labels in zip(state.amps, state.labels)
+        for k in range(n)
+    ]))
+    new_labels = tuple([
+        labels[:slot] + (k,) + labels[slot + 1 :] for labels in state.labels for k in range(n)
+    ])
+    beams = tuple(tuple([q for q in col for _ in range(n)]) for col in state.beams)
+    return canonicalize(_columns(layout, amps, new_labels, beams))

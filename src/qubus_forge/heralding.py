@@ -14,13 +14,14 @@ from typing import NamedTuple
 from .state import (
     NORM_TOL,
     HybridState,
-    Term,
     _beam_key,
+    _columns,
+    _finite_amps,
     _inner,
     _logaddexp_reduce,
     _merge_groups,
-    _state,
-    _term,
+    _pick,
+    _take,
     canonicalize,
     overlap_sq,
     qubus_close,
@@ -145,39 +146,35 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     ``beam`` amplitude and herald the vacuum class, for any detector."""
     if not 0 <= beam < state.layout.qubus_count:
         raise ValueError(f"beam index {beam} out of range")
-    if not state.terms:
+    if not state.amps:
         raise ValueError("empty state")
     s = canonicalize(state)
-    if abs(_inner(s.terms, s.terms).real - 1.0) > NORM_TOL:
+    if abs(_inner(s, s).real - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before heralding")
 
-    vacuum_terms: list[Term] = []
+    col = s.beams[beam]
+    vacuum_index: list[int] = []
     success = 0.0
     branches = []
     # A class weight sums its members in canonical order; its representative
     # (the reported beam_amp) is its first member in rounded-beam order.
-    for g in _merge_groups([(t.qubus[beam],) for t in s.terms]):
-        rep = s.terms[g[0]].qubus[beam]
-        members = [s.terms[i] for i in sorted(g)]
-        weight = _inner(members, members).real
+    for g in _merge_groups([(q,) for q in col]):
+        rep = col[g[0]]
+        weight = _inner(s, s, sorted(g)).real
         vacuum = qubus_close(rep, 0.0)
         branches.append((rep, weight, vacuum))
         if vacuum:
-            vacuum_terms = [s.terms[i] for i in g]
+            vacuum_index = g
             success = weight
 
     new_layout = s.layout.replace(qubus_count=s.layout.qubus_count - 1)
     if success > 0.0:
+        vac = _take(s, vacuum_index)
         scale = 1.0 / math.sqrt(success)
-        heralded = _state(
-            new_layout,
-            tuple(
-                _term(t.amp * scale, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
-                for t in vacuum_terms
-            ),
-        )
+        amps = _finite_amps(tuple([amp * scale for amp in vac.amps]))
     else:
-        heralded = _state(new_layout, ())
+        vac, amps = _take(s, ()), ()
+    heralded = _columns(new_layout, amps, vac.labels, vac.beams[:beam] + vac.beams[beam + 1 :])
     return _BranchClasses(heralded, success, tuple(branches))
 
 
@@ -222,25 +219,26 @@ def feedforward_outcomes(
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
     new_layout = layout.replace(ancilla_modes=0)
-    by_outcome: list[list[Term]] = [[] for _ in range(n)]
-    for t in state.terms:
-        by_outcome[t.labels[slot]].append(t)
+    by_outcome: list[list[int]] = [[] for _ in range(n)]
+    for i, labels in enumerate(state.labels):
+        by_outcome[labels[slot]].append(i)
+    all_amps, all_labels = state.amps, state.labels
     outcomes = []
     for k0, detected in enumerate(by_outcome):
-        picked = []
-        for t in detected:
-            j = t.labels[party_slot]
-            amp = t.amp * cmath.exp(-2j * math.pi * j * k0 / n)
-            picked.append(_term(amp, t.labels[:slot] + t.labels[slot + 1 :], t.qubus))
-        out = canonicalize(_state(new_layout, tuple(picked)))
-        if not out.terms:
+        amps = _finite_amps(tuple([
+            all_amps[i] * cmath.exp(-2j * math.pi * all_labels[i][party_slot] * k0 / n)
+            for i in detected
+        ]))
+        labels = tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in detected])
+        beams = tuple([_pick(col, detected) for col in state.beams])
+        out = canonicalize(_columns(new_layout, amps, labels, beams))
+        if not out.amps:
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-        scale = 1.0 / math.sqrt(_inner(out.terms, out.terms).real)
-        outcomes.append(_state(new_layout, tuple(
-            _term(t.amp * scale, t.labels, t.qubus) for t in out.terms
-        )))
+        scale = 1.0 / math.sqrt(_inner(out, out).real)
+        amps = _finite_amps(tuple([amp * scale for amp in out.amps]))
+        outcomes.append(_columns(new_layout, amps, out.labels, out.beams))
     return outcomes
 
 

@@ -39,8 +39,8 @@ from .state import (
     HybridState,
     RegisterLayout,
     Term,
-    _state,
-    _term,
+    _columns,
+    _finite_amps,
     drop_uniform_beam,
     overlap_sq,
     qubus_close,
@@ -204,6 +204,11 @@ class GenerationReport:
     balanced-with-linear-phases, in which case the matching maximally
     entangled target is well defined.  ``failed_stage`` names the first
     stage whose herald had no vacuum branch, if any.
+
+    ``success_prob`` is the product of the stage probabilities and can
+    underflow to 0.0 although every stage heralded (n = 3 with 700 parties
+    gives 3^-700): ``failed_stage`` is None then, and only it tells a
+    failed run from an underflowed one.
     """
 
     final_state: HybridState
@@ -236,12 +241,11 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
 
     pol_slot = prep_layout.prep_pol_slot
     sp_slot = prep_layout.prep_spatial_slot
-    terms = []
-    for t in state.terms:
-        if t.labels[pol_slot] != POL_V or t.labels[sp_slot] >= n:
+    for labels in state.labels:
+        if labels[pol_slot] != POL_V or labels[sp_slot] >= n:
             raise RuntimeError("preparation cascade left a stray component")
-        terms.append(_term(t.amp, (t.labels[sp_slot],)))
-    return _state(RegisterLayout(ancilla_modes=n), tuple(terms))
+    labels = tuple([(labels[sp_slot],) for labels in state.labels])
+    return _columns(RegisterLayout(ancilla_modes=n), state.amps, labels, ())
 
 
 def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
@@ -254,16 +258,14 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     )
     cut = layout.num_parties
     alpha = complex(alpha)
-    pair = (alpha, alpha)
-    terms = []
-    for t in state.terms:
-        qubus = t.qubus + pair
-        for m, c in enumerate(coeffs):
-            if c != 0:
-                # complex(): a coefficient may be a numpy scalar
-                amp = complex(t.amp * c)
-                terms.append(_term(amp, t.labels[:cut] + (m,) + t.labels[cut:], qubus))
-    return _state(new_layout, tuple(terms))
+    picked = [(m, c) for m, c in enumerate(coeffs) if c != 0]
+    # complex(): a coefficient may be a numpy scalar
+    amps = _finite_amps(tuple([complex(amp * c) for amp in state.amps for _, c in picked]))
+    labels = tuple([
+        labels[:cut] + (m,) + labels[cut:] for labels in state.labels for m, _ in picked
+    ])
+    beams = tuple(tuple([q for q in col for _ in picked]) for col in state.beams)
+    return _columns(new_layout, amps, labels, beams + ((alpha,) * len(amps),) * 2)
 
 
 def _pre_herald_state(

@@ -1,9 +1,18 @@
 """Hybrid discrete/continuous states for coherent-bus circuit simulation.
 
-A :class:`HybridState` is a finite superposition of :class:`Term` objects.
-Each term carries a complex amplitude, one integer label per discrete
-register (party qudits, the spatial register of a single photon, an optional
-preparation register) and one complex coherent amplitude per qubus beam.
+A :class:`HybridState` is a finite superposition of terms.  Each term
+carries a complex amplitude, one integer label per discrete register (party
+qudits, the spatial register of a single photon, an optional preparation
+register) and one complex coherent amplitude per qubus beam.
+
+A state stores its terms as parallel columns: ``amps`` (one amplitude per
+term), ``labels`` (one label tuple per term) and ``beams`` (one column per
+qubus beam, each holding that beam's amplitude in every term).  An operation
+rewrites only the columns it changes and passes the others on: a phase
+rotation of one beam builds one new beam column and shares the amplitudes,
+labels and other beams with its input.  :class:`Term` and
+``HybridState(layout, terms)`` are the validating public constructors, and
+``state.terms`` gives the same state back as :class:`Term` objects.
 
 Coherent beams are tracked symbolically by their amplitude, never by
 Fock-space truncation: every optical element supported here maps coherent
@@ -183,22 +192,34 @@ class Term:
             raise ValueError("qubus amplitudes must be finite")
 
 
-@dataclass(frozen=True)
 class HybridState:
     """Finite superposition over discrete labels tensored with coherent beams.
 
     States are immutable values; all operations on them are pure functions
     returning new states.  An empty term list is allowed only as the flagged
     result of a failed herald; norm computations reject it.
+
+    A state is held as parallel columns, index i of each describing term i:
+    ``amps`` (its amplitude), ``labels`` (its label tuple) and ``beams``,
+    one column per qubus beam holding each term's amplitude of that beam.
+    ``terms`` is the same state as :class:`Term` objects, built on first
+    access; ``repr``, ``==``, ``hash`` and pickling are those of the frozen
+    ``(layout, terms)`` pair.
     """
 
-    layout: RegisterLayout
-    terms: tuple[Term, ...]
+    __slots__ = ("_layout", "_amps", "_labels", "_beams", "_terms")
+
+    def __init__(self, layout: RegisterLayout, terms):
+        self._layout = layout
+        self._terms = tuple(terms)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        dims = self.layout.label_dims()
-        for t in self.terms:
+        """Check every term against the layout and fill the columns."""
+        terms = self._terms
+        dims = self._layout.label_dims()
+        amps, labels, rows = [], [], []
+        for t in terms:
             if len(t.labels) != len(dims):
                 raise ValueError(
                     f"term has {len(t.labels)} labels, layout declares {len(dims)}"
@@ -206,48 +227,115 @@ class HybridState:
             for lab, dim in zip(t.labels, dims):
                 if not 0 <= lab < dim:
                     raise ValueError(f"label {lab} out of range for dimension {dim}")
-            if len(t.qubus) != self.layout.qubus_count:
+            if len(t.qubus) != self._layout.qubus_count:
                 raise ValueError(
                     f"term has {len(t.qubus)} qubus amplitudes, layout declares "
-                    f"{self.layout.qubus_count}"
+                    f"{self._layout.qubus_count}"
                 )
             if not (math.isfinite(t.amp.real) and math.isfinite(t.amp.imag)):
                 raise ValueError("term amplitude must be finite")
+            amps.append(t.amp)
+            labels.append(t.labels)
+            rows.append(t.qubus)
+        self._amps = tuple(amps)
+        self._labels = tuple(labels)
+        self._beams = _transpose(rows, self._layout.qubus_count)
+
+    # Read-only: a state is a value, and assigning to any of these raises.
+    layout = property(operator.attrgetter("_layout"))
+    amps = property(operator.attrgetter("_amps"), doc="Amplitude of each term.")
+    labels = property(operator.attrgetter("_labels"), doc="Label tuple of each term.")
+    beams = property(
+        operator.attrgetter("_beams"),
+        doc="One column per qubus beam: that beam's amplitude in each term.",
+    )
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The state as :class:`Term` objects, built on first access."""
+        terms = self._terms
+        if terms is None:
+            # Threads that race here build equal tuples; one is kept.
+            terms = tuple(map(_view_term, self._amps, self._labels, _rows(self)))
+            self._terms = terms
+        return terms
 
     def with_terms(self, terms) -> "HybridState":
-        return dataclasses.replace(self, terms=tuple(terms))
+        return HybridState(self._layout, terms)
+
+    def __repr__(self) -> str:
+        return f"HybridState(layout={self._layout!r}, terms={self.terms!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal terms, compared column by column
+        return (self._layout, self._amps, self._labels, self._beams) == (
+            other._layout, other._amps, other._labels, other._beams
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._layout, self.terms))
+
+    def __reduce__(self):
+        return _columns, (self._layout, self._amps, self._labels, self._beams)
 
 
 # The public constructors above validate every field.  The library's own
 # operations build states from states that were already valid, with labels
 # drawn from range(dim) and layouts derived with the shape they declare, so
-# they go through the two builders below, which skip that work.  The one
-# property that depends on the data, finiteness, is checked where a new
-# number is computed: here for amplitudes, in the elements for beams.
+# they go through _columns, which skips that work.  The one property that
+# depends on the data, finiteness, is checked once per newly computed column,
+# by _finite_amps or _finite_beams.
 _new = object.__new__
-_set = object.__setattr__
+_set_field = object.__setattr__
 
 
-def _term(amp: complex, labels: tuple[int, ...], qubus: tuple[complex, ...] = ()) -> Term:
-    """A :class:`Term` from a built-in ``complex`` amplitude, ``int`` labels
-    and ``complex`` beams, without its field checks; a non-finite amplitude
-    is still rejected."""
-    if not cmath.isfinite(amp):
-        raise ValueError("term amplitude must be finite")
-    t = _new(Term)
-    _set(t, "amp", amp)
-    _set(t, "labels", labels)
-    _set(t, "qubus", qubus)
-    return t
-
-
-def _state(layout: RegisterLayout, terms: tuple[Term, ...]) -> HybridState:
-    """A :class:`HybridState` from terms that already fit ``layout``, without
-    the per-term checks."""
+def _columns(layout: RegisterLayout, amps: tuple, labels: tuple, beams: tuple) -> HybridState:
+    """A :class:`HybridState` from columns that already fit ``layout``,
+    without the per-term checks."""
     s = _new(HybridState)
-    _set(s, "layout", layout)
-    _set(s, "terms", terms)
+    s._layout = layout
+    s._amps = amps
+    s._labels = labels
+    s._beams = beams
+    s._terms = None
     return s
+
+
+def _finite_amps(column: tuple) -> tuple:
+    """``column``, a newly computed amplitude column, once it is finite."""
+    if not all(map(cmath.isfinite, column)):
+        raise ValueError("term amplitude must be finite")
+    return column
+
+
+def _finite_beams(column: tuple) -> tuple:
+    """``column``, a newly computed beam column, once it is finite."""
+    if not all(map(cmath.isfinite, column)):
+        raise ValueError("qubus amplitudes must be finite")
+    return column
+
+
+def _rows(state: HybridState) -> tuple[tuple[complex, ...], ...]:
+    """The beam tuple of each term: the ``beams`` columns transposed."""
+    if state._beams:
+        return tuple(zip(*state._beams))
+    return ((),) * len(state._amps)
+
+
+def _transpose(rows, count: int) -> tuple[tuple[complex, ...], ...]:
+    """The ``count`` beam columns of a list of per-term beam tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * count
+
+
+def _view_term(amp: complex, labels: tuple[int, ...], qubus: tuple[complex, ...]) -> Term:
+    """A :class:`Term` of a valid state's columns, without its field checks."""
+    t = _new(Term)
+    _set_field(t, "amp", amp)
+    _set_field(t, "labels", labels)
+    _set_field(t, "qubus", qubus)
+    return t
 
 
 def qubus_close(u: complex, v: complex) -> bool:
@@ -279,27 +367,40 @@ def _merge_groups(beams) -> list[list[int]]:
     tested: :func:`qubus_close` accepts no pair farther apart, so the first
     match in creation order is the same as over all groups (the bound
     needs finite beams, which every :class:`Term` has).
+
+    A tuple equal to one visited before joins that tuple's group without a
+    search: the groups created before that group's were not close to the
+    earlier tuple, so they are not close to this one, and representatives
+    never change.  Equal tuples also share one sort key.
     """
     if len(beams) <= 1 or not beams[0]:
         return [list(range(len(beams)))] if beams else []
-    order = sorted(range(len(beams)), key=lambda i: tuple(map(_beam_key, beams[i])))
+    keys = dict.fromkeys(beams)
+    for u in keys:
+        keys[u] = tuple(map(_beam_key, u))
+    order = sorted(range(len(beams)), key=list(map(keys.__getitem__, beams)).__getitem__)
     groups: list[list[int]] = []
     reps: list[tuple[float, int]] = []  # (Re first beam, group index), sorted
+    group_of: dict[tuple[complex, ...], int] = {}  # visited tuple -> its group
     for i in order:
         u = beams[i]
-        u0 = u[0]
-        # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
-        # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
-        w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
-        lo = bisect.bisect_left(reps, (u0.real - w, -1))
-        hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
-        for k in sorted(k for _, k in reps[lo:hi]):
-            if _tuples_close(beams[groups[k][0]], u):
-                groups[k].append(i)
-                break
-        else:
-            bisect.insort(reps, (u0.real, len(groups)))
-            groups.append([i])
+        k = group_of.get(u)
+        if k is None:
+            u0 = u[0]
+            # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
+            # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
+            w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
+            lo = bisect.bisect_left(reps, (u0.real - w, -1))
+            hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
+            for k in sorted(k for _, k in reps[lo:hi]):
+                if _tuples_close(beams[groups[k][0]], u):
+                    break
+            else:
+                k = len(groups)
+                bisect.insort(reps, (u0.real, k))
+                groups.append([])
+            group_of[u] = k
+        groups[k].append(i)
     return groups
 
 
@@ -311,52 +412,84 @@ def canonicalize(state: HybridState) -> HybridState:
     are removed.  Idempotent; the output term order is a deterministic sort
     on (labels, rounded qubus).
     """
-    by_labels: dict[tuple[int, ...], list[Term]] = {}
-    for t in state.terms:
-        by_labels.setdefault(t.labels, []).append(t)
-    merged = []
+    amps = state._amps
+    rows = _rows(state)
+    by_labels: dict[tuple[int, ...], list[int]] = {}
+    for i, labels in enumerate(state._labels):
+        by_labels.setdefault(labels, []).append(i)
+    new_amps, new_labels, new_rows = [], [], []
     for labels in sorted(by_labels):
         same = by_labels[labels]
-        for g in _merge_groups([t.qubus for t in same]):
+        for g in _merge_groups([rows[i] for i in same]):
             first = same[g[0]]
-            amp = first.amp
+            amp = amps[first]
             for i in g[1:]:
-                amp += same[i].amp
+                amp += amps[same[i]]
             if abs(amp) >= DROP_TOL:
-                # a one-member group keeps its term as it is
-                merged.append(first if len(g) == 1 else _term(amp, labels, first.qubus))
-    return _state(state.layout, tuple(merged))
+                new_amps.append(amp)
+                new_labels.append(labels)
+                new_rows.append(rows[first])
+    return _columns(
+        state._layout,
+        _finite_amps(tuple(new_amps)),  # a merged sum can overflow
+        tuple(new_labels),
+        _transpose(new_rows, len(state._beams)),
+    )
+
+
+def _pick(column: tuple, index) -> tuple:
+    """The entries ``index`` of ``column``, in that order."""
+    return tuple([column[i] for i in index])
+
+
+def _take(state: HybridState, index) -> HybridState:
+    """The terms ``index`` of ``state``, in that order."""
+    return _columns(
+        state._layout,
+        _pick(state._amps, index),
+        _pick(state._labels, index),
+        tuple([_pick(col, index) for col in state._beams]),
+    )
 
 
 def _abs_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _pair_weight(t: Term, u: Term) -> complex:
-    """conj(amp_t) amp_u times the product of per-beam coherent overlaps."""
+def _pair_weight(a: HybridState, i: int, b: HybridState, j: int) -> complex:
+    """conj(amp_i) amp_j of term i of ``a`` and term j of ``b``, times the
+    product of their per-beam coherent overlaps."""
     log_ov = 0j
-    for qa, qb in zip(t.qubus, u.qubus):
-        log_ov += coherent_overlap(qa, qb)
-    return t.amp.conjugate() * u.amp * cmath.exp(log_ov)
+    for col_a, col_b in zip(a._beams, b._beams):
+        log_ov += coherent_overlap(col_a[i], col_b[j])
+    return a._amps[i].conjugate() * b._amps[j] * cmath.exp(log_ov)
 
 
-def _inner(a_terms, b_terms) -> complex:
-    """<a|b> over two term lists: equal-label terms interfere through the
-    full product of coherent overlaps, distinct labels are orthogonal.
+def _inner(a: HybridState, b: HybridState, index=None) -> complex:
+    """<a|b> over the terms of two states, or over the terms ``index`` of
+    each: equal-label terms interfere through the full product of coherent
+    overlaps, distinct labels are orthogonal.
 
     Needs no canonical form: equal beams overlap with weight exactly 1, so
     a duplicated (labels, beams) pair counts as its merged sum, and beams
     that :func:`canonicalize` would merge are summed with their true overlap.
     """
-    by_labels: dict[tuple[int, ...], list[Term]] = {}
-    for u in b_terms:
-        by_labels.setdefault(u.labels, []).append(u)
+    a_labels, b_labels, amps = a._labels, b._labels, a._amps
+    by_labels: dict[tuple[int, ...], list[int]] = {}
+    for j in range(len(b_labels)) if index is None else index:
+        by_labels.setdefault(b_labels[j], []).append(j)
+    same = a is b
     total = 0j
-    for t in a_terms:
-        for u in by_labels.get(t.labels, ()):
-            # _pair_weight(t, t) is exactly this: every self-overlap of a
-            # finite beam is -0.0 + 0.0j, so its exponential is 1 + 0j.
-            total += complex(_abs_sq(t.amp), 0.0) if u is t else _pair_weight(t, u)
+    for i in range(len(a_labels)) if index is None else index:
+        for j in by_labels.get(a_labels[i], ()):
+            if same and i == j:
+                # _pair_weight(a, i, a, i) is exactly this: every
+                # self-overlap of a finite beam is -0.0 + 0.0j, so its
+                # exponential is 1 + 0j.
+                amp = amps[i]
+                total += amp.real * amp.real + amp.imag * amp.imag
+            else:
+                total += _pair_weight(a, i, b, j)
     return total
 
 
@@ -388,9 +521,9 @@ def _logaddexp_reduce(logs) -> float:
 
 def state_norm_sq(state: HybridState) -> float:
     """Physical squared norm <state|state> of a hybrid state."""
-    if not state.terms:
+    if not state._amps:
         raise ValueError("empty state")
-    return _inner(state.terms, state.terms).real
+    return _inner(state, state).real
 
 
 def inner_product(a: HybridState, b: HybridState) -> complex:
@@ -401,9 +534,9 @@ def inner_product(a: HybridState, b: HybridState) -> complex:
     """
     if a.layout != b.layout:
         raise ValueError("layout mismatch")
-    if not a.terms or not b.terms:
+    if not a._amps or not b._amps:
         raise ValueError("empty state")
-    return _inner(a.terms, b.terms)
+    return _inner(a, b)
 
 
 def overlap_sq(a: HybridState, b: HybridState) -> float:
@@ -423,16 +556,16 @@ def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
     """
     if not 0 <= beam < state.layout.qubus_count:
         raise ValueError(f"beam index {beam} out of range")
-    if state.terms:
-        ref = state.terms[0].qubus[beam]
-        for t in state.terms:
-            if not qubus_close(t.qubus[beam], ref):
+    col = state._beams[beam]
+    if col:
+        ref = col[0]
+        for q in col:
+            if not qubus_close(q, ref):
                 raise ValueError("beam is entangled with the rest of the state")
     new_layout = state.layout.replace(qubus_count=state.layout.qubus_count - 1)
-    return _state(new_layout, tuple(
-        _term(t.amp, t.labels, t.qubus[:beam] + t.qubus[beam + 1 :])
-        for t in state.terms
-    ))
+    return _columns(
+        new_layout, state._amps, state._labels, state._beams[:beam] + state._beams[beam + 1 :]
+    )
 
 
 def state_to_dict(state: HybridState) -> dict:
@@ -447,11 +580,11 @@ def state_to_dict(state: HybridState) -> dict:
         "norm_mode": GRAM_EXACT,
         "terms": [
             {
-                "amp": [t.amp.real, t.amp.imag],
-                "labels": list(t.labels),
-                "qubus": [[q.real, q.imag] for q in t.qubus],
+                "amp": [amp.real, amp.imag],
+                "labels": list(labels),
+                "qubus": [[q.real, q.imag] for q in qubus],
             }
-            for t in state.terms
+            for amp, labels, qubus in zip(state._amps, state._labels, _rows(state))
         ],
     }
 

@@ -71,6 +71,16 @@ def test_generate_explicit_coeffs_failure_exits_3(capsys):
     assert doc["failed_stage"] == 1
 
 
+def test_generate_underflowed_success_probability_exits_0(capsys):
+    # every stage heralds with p = 1/3, but 3^-700 underflows the product
+    code, out, _ = run_cli(capsys, "generate", "--n", "3", "--m-parties", "700", "--balanced")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failed_stage"] is None
+    assert doc["success_prob"] == 0.0
+    assert doc["success_prob_log10"] == pytest.approx(-700 * math.log10(3), abs=1e-9)
+
+
 def test_generate_requires_exactly_one_coefficient_mode(capsys):
     code, _, err = run_cli(capsys, "generate", "--n", "3")
     assert code == 2

@@ -1,13 +1,17 @@
-"""Byte-for-byte CLI output pins.
+"""Byte-for-byte output pins.
 
-Each file under ``tests/data/`` is the exact stdout of one CLI run.  A change
-that alters any digit of these outputs fails here; regenerate a file only
+Each file under ``tests/data/`` is the exact stdout of one CLI run, and
+``REPORT_DIGEST`` is the digest ``tools/report_digest.py`` prints over the
+full ``repr`` of a seeded set of library results.  A change that alters any
+digit of these outputs fails here; regenerate a file or the digest only
 when an output change is intended, and say so in CHANGES.md.
 
 ``verify-basis`` is not pinned: its SVD-based entropies depend on the BLAS
 build.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,12 @@ import pytest
 from qubus_forge.cli import main
 
 DATA = Path(__file__).parent / "data"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+# sha256 over the repr of 220 seeded library results (tools/report_digest.py)
+REPORT_DIGEST = (
+    "b1139f757b329b59f42523722af98b9d50ddb129a80cef34d448a6fbbb6a1ef3  (220 results)"
+)
 
 GOLDEN_RUNS = [
     ("generate_n3_dump_state.json",
@@ -70,3 +80,13 @@ def test_cli_output_matches_golden_file(filename, argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (DATA / filename).read_bytes()
+
+
+def test_report_digest_is_unchanged():
+    # every amplitude, beam, probability and rejection message of 150
+    # random generate specs, the four wide_qudit shapes and 66 sweeps
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "report_digest.py")],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.strip() == REPORT_DIGEST

@@ -258,6 +258,39 @@ def test_merge_window_edges():
     assert _merge_groups([]) == []
 
 
+def test_merge_groups_place_exact_repeats_like_the_greedy_rule():
+    # a tuple equal to one already visited joins that tuple's group without
+    # a search; every case below must still group as the greedy rule does
+    tol = MERGE_TOL * 500.0
+    a, b, near_a = 500.0 + 0j, 500.0 + 1e-3j, 500.0 + 0.9 * tol
+    # the same rounded _beam_key, yet |u - v| = 1.3e-12 > MERGE_TOL: apart
+    u, v = complex(0.1 + 0.45e-12, 0.2 + 0.45e-12), complex(0.1 - 0.45e-12, 0.2 - 0.45e-12)
+    assert _beam_key(u) == _beam_key(v) and not _tuples_close((u,), (v,))
+    # the same rounded key and within MERGE_TOL: one group
+    w = complex(0.1 + 0.3e-12, 0.2)
+    assert _beam_key(u) == _beam_key(w) and _tuples_close((u,), (w,))
+    neg_zero = complex(-0.0, 0.0)
+    cases = [
+        # repeats of one tuple interleaved with others
+        [(a,), (b,), (a,), (near_a,), (a,), (b,), (a,)],
+        [(b,), (a,), (b,), (b,), (near_a,), (a,)],
+        # 0j and -0.0 + 0j are equal tuples with equal keys
+        [(0j,), (neg_zero,), (1.0,), (0j,), (complex(0.0, -0.0),), (neg_zero,)],
+        [(neg_zero,), (0j,), (neg_zero,)],
+        # a repeat after a near-tie with the same rounded key
+        [(u,), (v,), (u,), (v,), (u,)],
+        [(v,), (u,), (w,), (u,), (v,), (w,)],
+        # two-beam tuples
+        [(a, b), (a, near_a), (a, b), (near_a, b), (a, near_a), (a, b)],
+        [(u, 1.0), (v, 1.0), (u, 2.0), (u, 1.0), (v, 1.0), (u, 2.0)],
+        [(0j, neg_zero), (neg_zero, 0j), (0j, 0j), (0j, 1e-3)],
+    ]
+    for beams in cases:
+        assert _merge_groups(beams) == greedy_merge_groups(beams), beams
+    assert _merge_groups(cases[0]) == [[0, 2, 4, 6, 3], [1, 5]]
+    assert _merge_groups(cases[4]) == [[0, 2, 4], [1, 3]]
+
+
 def test_merge_neglects_at_most_the_stated_overlap_phase():
     # MERGE_TOL's comment bounds the norm change of a merge of beams q and
     # q + d by 2 |a| |b| (|q| |d| + |d|^2 / 2); at 0.9 tolerances on |q| = 500
@@ -403,3 +436,110 @@ def test_logaddexp_reduce_equals_numpy_bit_for_bit():
     for logs in ([-math.inf], [-math.inf] * 3, [0.0, 0.0], [-2e5, -2e5, -2e5],
                  [-math.inf, -1.0], [-1.0, -math.inf], [7.5]):
         assert _logaddexp_reduce(logs).hex() == float(np.logaddexp.reduce(logs)).hex()
+
+
+def _library_states():
+    """States the library builds from columns: a herald output with one
+    beam left, a pre-herald state with four, and a report's final state."""
+    from qubus_forge.heralding import DetectorModel, herald_vacuum
+    from qubus_forge.protocols import (
+        ProtocolSpec,
+        _pre_herald_state,
+        generate,
+        prepare_single_photon_qudit,
+    )
+
+    spec = ProtocolSpec.balanced(4, 2, shifts=(0, 1), theta=0.01, alpha=500.0)
+    pre, beam = _pre_herald_state(
+        prepare_single_photon_qudit(4), spec.coeffs[0], 0, 0.01, 500.0 + 3j
+    )
+    heralded = herald_vacuum(pre, beam, DetectorModel.ideal_pnnd()).heralded_state
+    second, _ = _pre_herald_state(heralded, spec.coeffs[1], 1, 0.01, 500.0)
+    return [heralded, second, generate(spec).final_state]
+
+
+def _terms_of_columns(state):
+    """Public Terms rebuilt from a state's columns, without ``.terms``."""
+    rows = zip(*state.beams) if state.beams else [()] * len(state.amps)
+    return tuple(Term(a, lab, q) for a, lab, q in zip(state.amps, state.labels, rows))
+
+
+def test_columnar_state_equals_the_state_built_from_terms():
+    for lib in _library_states():
+        public = HybridState(lib.layout, _terms_of_columns(lib))
+        # .terms of lib is built by repr; compare before and after
+        assert lib == public and public == lib
+        assert hash(lib) == hash(public)
+        assert repr(lib) == repr(public)
+        assert lib.terms == public.terms and lib.terms is lib.terms
+        assert (public.amps, public.labels, public.beams) == (lib.amps, lib.labels, lib.beams)
+        changed = public.with_terms(
+            (Term(public.terms[0].amp * 1j, public.terms[0].labels, public.terms[0].qubus),)
+            + public.terms[1:]
+        )
+        assert changed != lib and lib != changed
+        assert lib != public.with_terms(public.terms[1:])
+        assert (lib == lib.layout) is False
+
+
+def test_columnar_state_round_trips_and_stays_read_only():
+    import pickle
+
+    from qubus_forge.protocols import ProtocolSpec, generate
+
+    for lib in _library_states():
+        assert lib.with_terms(lib.terms) == lib
+        assert state_from_dict(state_to_dict(lib)) == lib
+        assert repr(state_from_dict(state_to_dict(lib))) == repr(lib)
+        copy = pickle.loads(pickle.dumps(lib))
+        assert copy == lib and repr(copy) == repr(lib)
+        for name in ("layout", "amps", "labels", "beams", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(lib, name, ())
+    spec = ProtocolSpec.balanced(3, 3, shifts=(0, 1, 2), theta=0.01, alpha=500.0)
+    report = generate(spec)
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert repr(copy) == repr(report)
+
+
+def test_first_terms_access_from_many_threads_gives_equal_tuples():
+    # the first .terms access builds the tuple; threads racing on it must
+    # all see the same terms
+    import sys
+    import threading
+
+    from qubus_forge.protocols import (
+        ProtocolSpec,
+        _pre_herald_state,
+        prepare_single_photon_qudit,
+    )
+
+    spec = ProtocolSpec.balanced(24, 2, shifts=(0, 1), theta=0.01, alpha=500.0)
+    expected = None
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, _ = _pre_herald_state(
+                prepare_single_photon_qudit(24), spec.coeffs[0], 0, 0.01, 500.0
+            )
+            if expected is None:
+                expected = _terms_of_columns(shared)
+            barrier = threading.Barrier(8, timeout=30)
+            seen = [None] * 8
+
+            def first_access(k):
+                barrier.wait()
+                seen[k] = shared.terms
+
+            threads = [threading.Thread(target=first_access, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert all(terms == expected for terms in seen)
+            assert shared.terms == expected
+    finally:
+        sys.setswitchinterval(old_interval)
