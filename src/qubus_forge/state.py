@@ -353,14 +353,15 @@ def _beam_key(q: complex) -> tuple[float, float]:
     return (round(q.real, 12), round(q.imag, 12))
 
 
-def _merge_groups(beams) -> list[list[int]]:
+def _merge_groups(beams, index=None) -> list[list[int]]:
     """The one rule for "these beam tuples are the same value".
 
-    Indices into ``beams`` are visited in rounded-beam order (ties keep
-    input order).  Each joins the first group whose first member agrees with
-    it within :data:`MERGE_TOL`, else starts a new group.  Groups come in
-    creation order and list their members in visit order, so a group's
-    first index is its representative.
+    The indices ``index`` into ``beams`` (all of them by default) are
+    visited in rounded-beam order (ties keep their order in ``index``).
+    Each joins the first group whose first member agrees with it within
+    :data:`MERGE_TOL`, else starts a new group.  Groups come in creation
+    order and list their members in visit order, so a group's first index
+    is its representative.
 
     Only representatives whose first beam has a real part within
     w = MERGE_TOL max(1, |u0|) / (1 - MERGE_TOL) of the visited u0 are
@@ -373,12 +374,15 @@ def _merge_groups(beams) -> list[list[int]]:
     earlier tuple, so they are not close to this one, and representatives
     never change.  Equal tuples also share one sort key.
     """
-    if len(beams) <= 1 or not beams[0]:
-        return [list(range(len(beams)))] if beams else []
-    keys = dict.fromkeys(beams)
+    if index is None:
+        index = range(len(beams))
+    if len(index) <= 1 or not beams[index[0]]:
+        return [list(index)] if index else []
+    keys = dict.fromkeys([beams[i] for i in index])
     for u in keys:
         keys[u] = tuple(map(_beam_key, u))
-    order = sorted(range(len(beams)), key=list(map(keys.__getitem__, beams)).__getitem__)
+    visit_keys = [keys[beams[i]] for i in index]
+    order = [index[p] for p in sorted(range(len(index)), key=visit_keys.__getitem__)]
     groups: list[list[int]] = []
     reps: list[tuple[float, int]] = []  # (Re first beam, group index), sorted
     group_of: dict[tuple[complex, ...], int] = {}  # visited tuple -> its group
@@ -419,12 +423,11 @@ def canonicalize(state: HybridState) -> HybridState:
         by_labels.setdefault(labels, []).append(i)
     new_amps, new_labels, new_rows = [], [], []
     for labels in sorted(by_labels):
-        same = by_labels[labels]
-        for g in _merge_groups([rows[i] for i in same]):
-            first = same[g[0]]
+        for g in _merge_groups(rows, by_labels[labels]):
+            first = g[0]
             amp = amps[first]
             for i in g[1:]:
-                amp += amps[same[i]]
+                amp += amps[i]
             if abs(amp) >= DROP_TOL:
                 new_amps.append(amp)
                 new_labels.append(labels)
