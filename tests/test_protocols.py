@@ -411,21 +411,24 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-def _count_rows_built(monkeypatch):
-    """Count the terms of every new label column handed to the column
-    builder ``state._columns``, each column once: the rows the library
-    builds.  An element that rewrites only beam columns (or only amplitudes)
-    passes its input's label column on, so it builds no rows."""
+def _count_columns_built(monkeypatch):
+    """Count what the column builder ``state._columns`` is handed that is
+    new, each column once: ``rows``, the terms of every new label column,
+    and ``cells``, the entries of every new amplitude, label and beam
+    column.  A column passed on unchanged from an input state counts once."""
     import qubus_forge.state
 
     original = qubus_forge.state._columns
     seen = {}  # id -> column, kept alive so that no id is reused
-    counts = {"rows": 0}
+    counts = {"rows": 0, "cells": 0}
 
     def counted(layout, amps, labels, beams):
-        if id(labels) not in seen:
-            seen[id(labels)] = labels
-            counts["rows"] += len(labels)
+        for column in (amps, labels, *beams):
+            if id(column) not in seen:
+                seen[id(column)] = column
+                counts["cells"] += len(column)
+                if column is labels:
+                    counts["rows"] += len(labels)
         return original(layout, amps, labels, beams)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -440,25 +443,27 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
     # beam tuple it has already placed, or self-pairs sent through the
     # overlap kernel, shows here as a call count, whatever the machine.
     # A stage that rebuilds its n^2 terms once more than it needs to shows
-    # in the rows built.
+    # in the rows built, and one more pass over a single column of them in
+    # the cells built: each cap is less than one n^2 column above the count.
     # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls,
-    #     most rows built)
+    #     most rows built, most cells built)
     expected = {
-        3: (None, None, 12, None),
-        32: (350, 1100, 99, 11600),
-        48: (500, 2500, 147, 25800),
+        3: (None, None, 12, None, None),
+        32: (350, 1100, 99, 10600, 36500),
+        48: (500, 2500, 147, 23600, 81000),
     }
-    for n, (close_max, pair_max, canonicalize_calls, rows_max) in expected.items():
+    for n, (close_max, pair_max, canonicalize_calls, rows_max, cells_max) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         with monkeypatch.context() as mp:
             counts = _count_calls(mp, ("qubus_close", "_pair_weight", "canonicalize"))
-            built = _count_rows_built(mp)
+            built = _count_columns_built(mp)
             generate(spec)
         assert counts["canonicalize"] == canonicalize_calls, (n, counts)
         if close_max is not None:
             assert counts["qubus_close"] <= close_max, (n, counts)
             assert counts["_pair_weight"] <= pair_max, (n, counts)
             assert built["rows"] <= rows_max, (n, built)
+            assert built["cells"] <= cells_max, (n, built)
 
 
 def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
