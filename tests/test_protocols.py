@@ -412,7 +412,7 @@ def _count_calls(monkeypatch, names):
 
 
 def _count_columns_built(monkeypatch):
-    """Count what the column builder ``state._columns`` is handed that is
+    """Count what the state constructor ``state._columns`` is handed that is
     new, each column once: ``rows``, the terms of every new label column,
     and ``cells``, the entries of every new amplitude, label and beam
     column.  A column passed on unchanged from an input state counts once."""
