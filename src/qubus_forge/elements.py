@@ -12,25 +12,10 @@ import cmath
 import math
 import operator
 
-from .state import (
-    POL_H,
-    POL_V,
-    HybridState,
-    _columns,
-    _finite_amps,
-    _finite_beams,
-    _pick,
-    canonicalize,
-)
+from .state import POL_H, POL_V, HybridState, _check_beam, _derive, canonicalize
 
 _SQRT2 = math.sqrt(2.0)
 _UNITARY_TOL = 1e-12
-
-
-def _with_beams(state: HybridState, changed: dict[int, tuple]) -> HybridState:
-    """``state`` with the beam columns ``changed`` (index -> new column)."""
-    beams = tuple(changed.get(b, col) for b, col in enumerate(state.beams))
-    return _columns(state.layout, state.amps, state.labels, beams)
 
 
 def apply_xpm(
@@ -45,9 +30,8 @@ def apply_xpm(
     register.  Amplitudes, labels and beam magnitudes are untouched.
     """
     shift = operator.index(shift)
+    _check_beam(state, beam)
     layout = state.layout
-    if not 0 <= beam < layout.qubus_count:
-        raise ValueError(f"beam index {beam} out of range")
     party_slot = layout.party_slot(party)
     spatial_slot = layout.ancilla_slot
     if not math.isfinite(theta):  # it would make every rotated beam non-finite
@@ -62,22 +46,23 @@ def apply_xpm(
             f"{top + n - 1} theta, overflows"
         )
     rot = [cmath.exp(1j * theta * units) for units in range(top + n)]
-    col = _finite_beams(tuple([
+    beams = state.beams
+    col = tuple([
         q * rot[top - labels[party_slot] + (labels[spatial_slot] + shift) % n]
-        for q, labels in zip(state.beams[beam], state.labels)
-    ]))
-    return _with_beams(state, {beam: col})
+        for q, labels in zip(beams[beam], state.labels)
+    ])
+    return _derive(state, beams=beams[:beam] + (col,) + beams[beam + 1 :])
 
 
 def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
     """Rotate one qubus beam in phase space: alpha -> alpha e^{i phi}."""
-    if not 0 <= beam < state.layout.qubus_count:
-        raise ValueError(f"beam index {beam} out of range")
+    _check_beam(state, beam)
     if not math.isfinite(phi):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
-    col = _finite_beams(tuple([q * rot for q in state.beams[beam]]))
-    return _with_beams(state, {beam: col})
+    beams = state.beams
+    col = tuple([q * rot for q in beams[beam]])
+    return _derive(state, beams=beams[:beam] + (col,) + beams[beam + 1 :])
 
 
 def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
@@ -90,12 +75,12 @@ def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
     if b1 == b2:
         raise ValueError("beam splitter needs two distinct beams")
     for b in (b1, b2):
-        if not 0 <= b < state.layout.qubus_count:
-            raise ValueError(f"beam index {b} out of range")
+        _check_beam(state, b)
     pairs = tuple(zip(state.beams[b1], state.beams[b2]))
-    col1 = _finite_beams(tuple([(a - b) / _SQRT2 for a, b in pairs]))
-    col2 = _finite_beams(tuple([(a + b) / _SQRT2 for a, b in pairs]))
-    return _with_beams(state, {b1: col1, b2: col2})
+    beams = list(state.beams)
+    beams[b1] = tuple([(a - b) / _SQRT2 for a, b in pairs])
+    beams[b2] = tuple([(a + b) / _SQRT2 for a, b in pairs])
+    return _derive(state, beams=tuple(beams))
 
 
 # A 2x2 matrix as its rows of Python complex entries.
@@ -180,12 +165,7 @@ def apply_su2(state: HybridState, u) -> HybridState:
                 src.append(i)
                 amps.append(new_amp)
                 labels_out.append(labels[:pol_slot] + (new_pol,) + labels[pol_slot + 1 :])
-    return canonicalize(_columns(
-        layout,
-        _finite_amps(tuple(amps)),
-        tuple(labels_out),
-        tuple([_pick(col, src) for col in state.beams]),
-    ))
+    return canonicalize(_derive(state, src, amps=tuple(amps), labels=tuple(labels_out)))
 
 
 def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
@@ -205,7 +185,7 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
         if labels[sp_slot] == from_mode and labels[pol_slot] == POL_V else labels
         for labels in state.labels
     ])
-    return canonicalize(_columns(layout, state.amps, labels, state.beams))
+    return canonicalize(_derive(state, labels=labels))
 
 
 def apply_fourier_lomi(state: HybridState) -> HybridState:
@@ -218,13 +198,13 @@ def apply_fourier_lomi(state: HybridState) -> HybridState:
     slot = layout.ancilla_slot
     n = layout.ancilla_modes
     scale = 1.0 / math.sqrt(n)
-    amps = _finite_amps(tuple([
+    amps = tuple([
         amp * scale * cmath.exp(2j * math.pi * labels[slot] * k / n)
         for amp, labels in zip(state.amps, state.labels)
         for k in range(n)
-    ]))
+    ])
     new_labels = tuple([
         labels[:slot] + (k,) + labels[slot + 1 :] for labels in state.labels for k in range(n)
     ])
     beams = tuple(tuple([q for q in col for _ in range(n)]) for col in state.beams)
-    return canonicalize(_columns(layout, amps, new_labels, beams))
+    return canonicalize(_derive(state, amps=amps, labels=new_labels, beams=beams))

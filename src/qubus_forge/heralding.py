@@ -15,13 +15,13 @@ from .state import (
     NORM_TOL,
     HybridState,
     _beam_key,
-    _columns,
-    _finite_amps,
+    _check_beam,
+    _derive,
     _inner,
     _logaddexp_reduce,
     _merge_groups,
-    _pick,
-    _take,
+    _renormalized,
+    _without_beam,
     canonicalize,
     overlap_sq,
     qubus_close,
@@ -144,8 +144,7 @@ def herald_vacuum(
 def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     """Group the terms of a normalized state into classes of equal
     ``beam`` amplitude and herald the vacuum class, for any detector."""
-    if not 0 <= beam < state.layout.qubus_count:
-        raise ValueError(f"beam index {beam} out of range")
+    _check_beam(state, beam)
     if not state.amps:
         raise ValueError("empty state")
     s = canonicalize(state)
@@ -167,15 +166,11 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
             vacuum_index = g
             success = weight
 
-    new_layout = s.layout.replace(qubus_count=s.layout.qubus_count - 1)
     if success > 0.0:
-        vac = _take(s, vacuum_index)
-        scale = 1.0 / math.sqrt(success)
-        amps = _finite_amps(tuple([amp * scale for amp in vac.amps]))
+        vac = _renormalized(_derive(s, vacuum_index), success)
     else:
-        vac, amps = _take(s, ()), ()
-    heralded = _columns(new_layout, amps, vac.labels, vac.beams[:beam] + vac.beams[beam + 1 :])
-    return _BranchClasses(heralded, success, tuple(branches))
+        vac = _derive(s, ())
+    return _BranchClasses(_without_beam(vac, beam), success, tuple(branches))
 
 
 def _score_branches(classes: _BranchClasses, det: DetectorModel) -> HeraldOutcome:
@@ -225,20 +220,17 @@ def feedforward_outcomes(
     all_amps, all_labels = state.amps, state.labels
     outcomes = []
     for k0, detected in enumerate(by_outcome):
-        amps = _finite_amps(tuple([
+        amps = tuple([
             all_amps[i] * cmath.exp(-2j * math.pi * all_labels[i][party_slot] * k0 / n)
             for i in detected
-        ]))
+        ])
         labels = tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in detected])
-        beams = tuple([_pick(col, detected) for col in state.beams])
-        out = canonicalize(_columns(new_layout, amps, labels, beams))
+        out = canonicalize(_derive(state, detected, new_layout, amps, labels))
         if not out.amps:
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-        scale = 1.0 / math.sqrt(_inner(out, out).real)
-        amps = _finite_amps(tuple([amp * scale for amp in out.amps]))
-        outcomes.append(_columns(new_layout, amps, out.labels, out.beams))
+        outcomes.append(_renormalized(out, _inner(out, out).real))
     return outcomes
 
 

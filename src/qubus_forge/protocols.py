@@ -39,8 +39,7 @@ from .state import (
     HybridState,
     RegisterLayout,
     Term,
-    _columns,
-    _finite_amps,
+    _derive,
     drop_uniform_beam,
     overlap_sq,
     qubus_close,
@@ -245,7 +244,7 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
         if labels[pol_slot] != POL_V or labels[sp_slot] >= n:
             raise RuntimeError("preparation cascade left a stray component")
     labels = tuple([(labels[sp_slot],) for labels in state.labels])
-    return _columns(RegisterLayout(ancilla_modes=n), state.amps, labels, ())
+    return _derive(state, layout=RegisterLayout(ancilla_modes=n), labels=labels)
 
 
 def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
@@ -260,12 +259,13 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     alpha = complex(alpha)
     picked = [(m, c) for m, c in enumerate(coeffs) if c != 0]
     # complex(): a coefficient may be a numpy scalar
-    amps = _finite_amps(tuple([complex(amp * c) for amp in state.amps for _, c in picked]))
+    amps = tuple([complex(amp * c) for amp in state.amps for _, c in picked])
     labels = tuple([
         labels[:cut] + (m,) + labels[cut:] for labels in state.labels for m, _ in picked
     ])
     beams = tuple(tuple([q for q in col for _ in picked]) for col in state.beams)
-    return _columns(new_layout, amps, labels, beams + ((alpha,) * len(amps),) * 2)
+    return _derive(state, layout=new_layout, amps=amps, labels=labels,
+                   beams=beams + ((alpha,) * len(amps),) * 2)
 
 
 def _pre_herald_state(

@@ -14,6 +14,13 @@ labels and other beams with its input.  :class:`Term` and
 ``HybridState(layout, terms)`` are the validating public constructors, and
 ``state.terms`` gives the same state back as :class:`Term` objects.
 
+Every state the library computes is built in this module, by ``_derive``
+from a state that is already valid: the elements, the herald, feedforward
+and the protocol stages hand it the columns they compute, and it checks
+each new amplitude or beam column for finiteness, once.  Columns carried
+over from the source are not checked again.  The renormalisation, the
+removal of a qubus beam and the beam-index check live here too.
+
 Coherent beams are tracked symbolically by their amplitude, never by
 Fock-space truncation: every optical element supported here maps coherent
 states to coherent states, so the representation stays exact and bright
@@ -239,7 +246,7 @@ class HybridState:
             rows.append(t.qubus)
         self._amps = tuple(amps)
         self._labels = tuple(labels)
-        self._beams = _transpose(rows, self._layout.qubus_count)
+        self._beams = tuple(zip(*rows)) if rows else ((),) * self._layout.qubus_count
 
     # Read-only: a state is a value, and assigning to any of these raises.
     layout = property(operator.attrgetter("_layout"))
@@ -282,11 +289,10 @@ class HybridState:
 
 
 # The public constructors above validate every field.  The library's own
-# operations build states from states that were already valid, with labels
+# operations build each state from one that is already valid, with labels
 # drawn from range(dim) and layouts derived with the shape they declare, so
-# they go through _columns, which skips that work.  The one property that
-# depends on the data, finiteness, is checked once per newly computed column,
-# by _finite_amps or _finite_beams.
+# they go through _derive, which skips that work.  The one property that
+# depends on the data, finiteness, is checked there, once per new column.
 _new = object.__new__
 _set_field = object.__setattr__
 
@@ -303,18 +309,68 @@ def _columns(layout: RegisterLayout, amps: tuple, labels: tuple, beams: tuple) -
     return s
 
 
-def _finite_amps(column: tuple) -> tuple:
-    """``column``, a newly computed amplitude column, once it is finite."""
-    if not all(map(cmath.isfinite, column)):
+def _taker(index):
+    """The function that gives the entries ``index`` of a column, in that
+    order, as a tuple."""
+    if len(index) > 1:
+        return operator.itemgetter(*index)
+    return lambda column: tuple([column[i] for i in index])
+
+
+def _derive(
+    state: HybridState, src=None, layout=None, amps=None, labels=None, beams=None
+) -> HybridState:
+    """The one way the library builds a state from another.
+
+    Term r of the result comes from term ``src[r]`` of ``state``, or from
+    term r when ``src`` is None.  ``layout`` (the source's when None) must
+    fit the columns.  ``amps`` and ``labels``, when given, are new columns
+    with one entry per result term; ``beams``, when given, is the result's
+    whole tuple of beam columns.  A column not given is the source's: the
+    same object when ``src`` is None, else its entries ``src``.
+
+    A new amplitude column, and each given beam column that is not one of
+    the source's, is checked for finiteness here; nothing taken from the
+    source is checked again.
+    """
+    take = None if src is None else _taker(src)
+    if amps is None:
+        amps = state._amps if take is None else take(state._amps)
+    elif not all(map(cmath.isfinite, amps)):
         raise ValueError("term amplitude must be finite")
-    return column
+    if labels is None:
+        labels = state._labels if take is None else take(state._labels)
+    if beams is None:
+        beams = state._beams if take is None else tuple(map(take, state._beams))
+    else:
+        for col in beams:
+            # `in` matches the source's own column by identity first; a
+            # column equal to a finite one is finite too
+            if col not in state._beams and not all(map(cmath.isfinite, col)):
+                raise ValueError("qubus amplitudes must be finite")
+    return _columns(state._layout if layout is None else layout, amps, labels, beams)
 
 
-def _finite_beams(column: tuple) -> tuple:
-    """``column``, a newly computed beam column, once it is finite."""
-    if not all(map(cmath.isfinite, column)):
-        raise ValueError("qubus amplitudes must be finite")
-    return column
+def _check_beam(state: HybridState, beam: int) -> None:
+    """Reject a qubus beam index that ``state``'s layout does not declare."""
+    if not 0 <= beam < state._layout.qubus_count:
+        raise ValueError(f"beam index {beam} out of range")
+
+
+def _without_beam(state: HybridState, beam: int) -> HybridState:
+    """``state`` with qubus beam ``beam`` removed from every term."""
+    layout = state._layout
+    return _derive(
+        state,
+        layout=layout.replace(qubus_count=layout.qubus_count - 1),
+        beams=state._beams[:beam] + state._beams[beam + 1 :],
+    )
+
+
+def _renormalized(state: HybridState, norm_sq: float) -> HybridState:
+    """``state`` with every amplitude divided by sqrt(``norm_sq``)."""
+    scale = 1.0 / math.sqrt(norm_sq)
+    return _derive(state, amps=tuple([amp * scale for amp in state._amps]))
 
 
 def _rows(state: HybridState) -> tuple[tuple[complex, ...], ...]:
@@ -322,11 +378,6 @@ def _rows(state: HybridState) -> tuple[tuple[complex, ...], ...]:
     if state._beams:
         return tuple(zip(*state._beams))
     return ((),) * len(state._amps)
-
-
-def _transpose(rows, count: int) -> tuple[tuple[complex, ...], ...]:
-    """The ``count`` beam columns of a list of per-term beam tuples."""
-    return tuple(zip(*rows)) if rows else ((),) * count
 
 
 def _view_term(amp: complex, labels: tuple[int, ...], qubus: tuple[complex, ...]) -> Term:
@@ -421,7 +472,7 @@ def canonicalize(state: HybridState) -> HybridState:
     by_labels: dict[tuple[int, ...], list[int]] = {}
     for i, labels in enumerate(state._labels):
         by_labels.setdefault(labels, []).append(i)
-    new_amps, new_labels, new_rows = [], [], []
+    src, new_amps = [], []  # each kept group's first term, and its sum
     for labels in sorted(by_labels):
         for g in _merge_groups(rows, by_labels[labels]):
             first = g[0]
@@ -429,30 +480,9 @@ def canonicalize(state: HybridState) -> HybridState:
             for i in g[1:]:
                 amp += amps[i]
             if abs(amp) >= DROP_TOL:
+                src.append(first)
                 new_amps.append(amp)
-                new_labels.append(labels)
-                new_rows.append(rows[first])
-    return _columns(
-        state._layout,
-        _finite_amps(tuple(new_amps)),  # a merged sum can overflow
-        tuple(new_labels),
-        _transpose(new_rows, len(state._beams)),
-    )
-
-
-def _pick(column: tuple, index) -> tuple:
-    """The entries ``index`` of ``column``, in that order."""
-    return tuple([column[i] for i in index])
-
-
-def _take(state: HybridState, index) -> HybridState:
-    """The terms ``index`` of ``state``, in that order."""
-    return _columns(
-        state._layout,
-        _pick(state._amps, index),
-        _pick(state._labels, index),
-        tuple([_pick(col, index) for col in state._beams]),
-    )
+    return _derive(state, src, amps=tuple(new_amps))  # a merged sum can overflow
 
 
 def _abs_sq(z: complex) -> float:
@@ -557,18 +587,14 @@ def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
     A uniform beam is an unentangled spectator factor, so removing it leaves
     the physics untouched.  Raises if the beam differs between terms.
     """
-    if not 0 <= beam < state.layout.qubus_count:
-        raise ValueError(f"beam index {beam} out of range")
+    _check_beam(state, beam)
     col = state._beams[beam]
     if col:
         ref = col[0]
         for q in col:
             if not qubus_close(q, ref):
                 raise ValueError("beam is entangled with the rest of the state")
-    new_layout = state.layout.replace(qubus_count=state.layout.qubus_count - 1)
-    return _columns(
-        new_layout, state._amps, state._labels, state._beams[:beam] + state._beams[beam + 1 :]
-    )
+    return _without_beam(state, beam)
 
 
 def state_to_dict(state: HybridState) -> dict:
