@@ -21,7 +21,12 @@ import sys
 
 from .analysis import SweepGrid, run_sweep, verify_basis
 from .heralding import DetectorModel, FeedforwardError, HeraldOutcome
-from .protocols import ProtocolSpec, generate, prepare_single_photon_qudit
+from .protocols import (
+    ProtocolSpec,
+    _check_party_bound,
+    generate,
+    prepare_single_photon_qudit,
+)
 from .state import GRAM_EXACT, state_to_dict
 
 _LN10 = math.log(10.0)
@@ -127,6 +132,10 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
     errors are reported, and resolve the output format."""
     if args.command == "generate":
         parties = args.m_parties
+        try:  # before the default shifts, of length parties, are built
+            _check_party_bound(parties)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         args.shifts = _ints(args.shifts) if args.shifts is not None else (0,) * parties
         modes = (args.balanced, args.balanced_phases is not None, args.coeffs is not None)
         if sum(modes) != 1:

@@ -33,6 +33,7 @@ from .heralding import (
 from .state import (
     ALPHA_MAX,
     N_MAX,
+    PARTIES_MAX,
     POL_H,
     POL_V,
     THETA_MAX,
@@ -52,6 +53,15 @@ def _check_dimension_bound(n: int) -> None:
     coefficients) call this before any loop or term list of size n."""
     if n > N_MAX:
         raise ValueError(f"dimension n must be <= {N_MAX}")
+
+
+def _check_party_bound(parties: int) -> None:
+    """Reject a party count above :data:`state.PARTIES_MAX`: ProtocolSpec,
+    ProtocolSpec.balanced (before it builds the default shifts and the
+    coefficients) and the CLI (before it builds the default shifts) call
+    this."""
+    if parties > PARTIES_MAX:
+        raise ValueError(f"party count must be <= {PARTIES_MAX}")
 
 
 def balanced_coeffs(n: int) -> tuple[complex, ...]:
@@ -156,6 +166,7 @@ class ProtocolSpec:
         _check_working_point(self.n, self.theta, self.alpha)
         if self.parties < 2:
             raise ValueError("party count must be >= 2")
+        _check_party_bound(self.parties)
         _check_shifts(self.shifts, self.n, self.parties)
         if len(self.coeffs) != self.parties:
             raise ValueError("need one coefficient vector per party")
@@ -179,6 +190,7 @@ class ProtocolSpec:
     ) -> "ProtocolSpec":
         """Spec with balanced coefficients, optionally phased per party."""
         _check_dimension_bound(n)
+        _check_party_bound(parties)
         if shifts is None:
             shifts = (0,) * parties
         if phase_indices is None:

@@ -79,6 +79,16 @@ THETA_MAX = 2 * math.pi
 # long as n is large.  The paper's qudits have n <= 5.
 N_MAX = 1024
 
+# Largest party count a protocol or the CLI accepts.  A report keeps every
+# stage's heralded state, and the stage-k state holds n terms of k + 1
+# labels, so a run's time and memory grow as n M^2: at n = 2 one generate
+# takes 28 ms at M = 100, 0.35 s and +13 MB at M = 800, and 0.9 s and +51 MB
+# at M = 1600 (2-CPU Xeon VM, CPython 3.11), which extrapolates to ~40 s and
+# ~2 GB at M = 10^4.  With no bound, --m-parties 10^9 builds a 10^9-entry
+# shifts tuple (~8 GB) before any check.  The paper's schemes use a few
+# parties.
+PARTIES_MAX = 1024
+
 # Terms with |amp| below this are representational noise and are dropped.
 DROP_TOL = 1e-14
 

@@ -13,7 +13,7 @@ from qubus_forge.cli import (
     main,
     parse_argv,
 )
-from qubus_forge.state import ALPHA_MAX, N_MAX
+from qubus_forge.state import ALPHA_MAX, N_MAX, PARTIES_MAX
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +79,20 @@ def test_generate_underflowed_success_probability_exits_0(capsys):
     assert doc["failed_stage"] is None
     assert doc["success_prob"] == 0.0
     assert doc["success_prob_log10"] == pytest.approx(-700 * math.log10(3), abs=1e-9)
+
+
+def test_party_count_above_the_bound_exits_2_before_it_is_built(capsys):
+    # a count past PARTIES_MAX is a configuration error, also when the
+    # config is only dumped; 10**9 default shifts would take ~8 GB
+    base = ("generate", "--n", "3", "--balanced")
+    code, out, _ = run_cli(capsys, *base, "--m-parties", str(PARTIES_MAX), "--dump-config")
+    assert code == 0
+    assert f"m_parties = {PARTIES_MAX}" in out
+    for parties in (PARTIES_MAX + 1, 10**9):
+        for extra in ((), ("--dump-config",)):
+            code, out, err = run_cli(capsys, *base, "--m-parties", str(parties), *extra)
+            assert (code, out) == (2, ""), (parties, extra)
+            assert err == f"error: party count must be <= {PARTIES_MAX}\n"
 
 
 def test_generate_requires_exactly_one_coefficient_mode(capsys):

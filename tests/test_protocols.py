@@ -37,6 +37,7 @@ from qubus_forge.protocols import (
 from qubus_forge.state import (
     ALPHA_MAX,
     N_MAX,
+    PARTIES_MAX,
     POL_V,
     HybridState,
     RegisterLayout,
@@ -373,6 +374,22 @@ def test_every_protocol_entry_stops_at_n_max():
     assert len(phased_coeffs(n, 1)) == n
     assert len(target_state(n, 0, 1).terms) == n
     assert 0.0 <= error_prob_closed_form(1.0, 0.01, 1.0, n) <= 1.0
+
+
+def test_every_protocol_entry_stops_at_parties_max():
+    # PARTIES_MAX itself builds; above it, and at a count whose shifts or
+    # coefficient vectors would not fit in memory, each entry rejects the
+    # count before it builds anything of that size
+    spec = ProtocolSpec.balanced(2, PARTIES_MAX)
+    assert (spec.parties, len(spec.shifts), len(spec.coeffs)) == (PARTIES_MAX,) * 3
+    message = f"party count must be <= {PARTIES_MAX}"
+    for parties in (PARTIES_MAX + 1, 10**9):
+        for build in (
+            lambda: ProtocolSpec.balanced(2, parties),
+            lambda: ProtocolSpec(2, parties, (0, 0), ((1.0, 0.0), (1.0, 0.0)), THETA, ALPHA),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
 
 
 def test_per_stage_outcomes_have_no_qubus_residue():
