@@ -1,10 +1,12 @@
 """Byte-for-byte output pins.
 
-Each file under ``tests/data/`` is the exact stdout of one CLI run, and
+Each file under ``tests/data/`` is the exact stdout of one CLI run.
 ``REPORT_DIGEST`` is the digest ``tools/report_digest.py`` prints over the
-full ``repr`` of a seeded set of library results.  A change that alters any
-digit of these outputs fails here; regenerate a file or the digest only
-when an output change is intended, and say so in CHANGES.md.
+full ``repr`` of a seeded set of library results, and ``CLI_DIGEST`` the one
+``tools/cli_digest.py`` prints over the exit code, stdout and stderr of a
+fixed set of CLI runs.  A change that alters any digit of these outputs
+fails here; regenerate a file or a digest only when an output change is
+intended, and say so in CHANGES.md.
 
 ``verify-basis`` is not pinned: its SVD-based entropies depend on the BLAS
 build.
@@ -24,6 +26,12 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # sha256 over the repr of 220 seeded library results (tools/report_digest.py)
 REPORT_DIGEST = (
     "b1139f757b329b59f42523722af98b9d50ddb129a80cef34d448a6fbbb6a1ef3  (220 results)"
+)
+
+# sha256 over 64 CLI argv lists, each run as written and with --dump-config
+# appended and prepended (tools/cli_digest.py)
+CLI_DIGEST = (
+    "4a6e8b05176fb602a69187977d65a648e2fac9c49ed0812c8f6731a555cc4090  (192 runs)"
 )
 
 GOLDEN_RUNS = [
@@ -90,3 +98,13 @@ def test_report_digest_is_unchanged():
         capture_output=True, text=True, timeout=300, check=True,
     )
     assert done.stdout.strip() == REPORT_DIGEST
+
+
+def test_cli_digest_is_unchanged():
+    # every command, coefficient mode, config file, --out file and
+    # rejection message of the CLI corpus
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "cli_digest.py")],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.strip() == CLI_DIGEST

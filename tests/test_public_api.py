@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import qubus_forge
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The names README documents.  A change to the public surface has to edit
 # this list, so it cannot happen by accident.
@@ -57,3 +62,13 @@ def test_public_surface_is_the_documented_list():
     assert sorted(qubus_forge.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qubus_forge, name) is not None, name
+
+
+def test_readme_lists_every_public_name_and_no_other():
+    # the "Public API" section holds one "- `name...` — ..." line per name
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([A-Za-z_]\w*)", section, flags=re.MULTILINE)
+    assert sorted(listed) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert re.search(rf"\b{name}\b", text), name
