@@ -21,12 +21,7 @@ import sys
 
 from .analysis import SweepGrid, run_sweep, verify_basis
 from .heralding import DetectorModel, FeedforwardError, HeraldOutcome
-from .protocols import (
-    ProtocolSpec,
-    _check_party_bound,
-    generate,
-    prepare_single_photon_qudit,
-)
+from .protocols import ProtocolSpec, _check_party_bound, generate, prepare_single_photon_qudit
 from .state import GRAM_EXACT, state_to_dict
 
 _LN10 = math.log(10.0)

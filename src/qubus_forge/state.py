@@ -79,14 +79,11 @@ THETA_MAX = 2 * math.pi
 # long as n is large.  The paper's qudits have n <= 5.
 N_MAX = 1024
 
-# Largest party count a protocol or the CLI accepts.  A report keeps every
-# stage's heralded state, and the stage-k state holds n terms of k + 1
-# labels, so a run's time and memory grow as n M^2: at n = 2 one generate
-# takes 28 ms at M = 100, 0.35 s and +13 MB at M = 800, and 0.9 s and +51 MB
-# at M = 1600 (2-CPU Xeon VM, CPython 3.11), which extrapolates to ~40 s and
-# ~2 GB at M = 10^4.  With no bound, --m-parties 10^9 builds a 10^9-entry
-# shifts tuple (~8 GB) before any check.  The paper's schemes use a few
-# parties.
+# Largest party count M a protocol or the CLI accepts.  A report keeps every
+# stage's heralded state, n terms of up to M labels each, so time and memory
+# grow as n M^2: at n = 2 a generate takes 0.35 s and +13 MB at M = 800 and
+# 0.9 s and +51 MB at M = 1600 (2-CPU Xeon VM, CPython 3.11), ~40 s and ~2 GB
+# at M = 10^4 by extrapolation.  The paper's schemes use a few parties.
 PARTIES_MAX = 1024
 
 # Terms with |amp| below this are representational noise and are dropped.
@@ -330,18 +327,12 @@ def _taker(index):
 def _derive(
     state: HybridState, src=None, layout=None, amps=None, labels=None, beams=None
 ) -> HybridState:
-    """The one way the library builds a state from another.
+    """The state whose term r comes from term ``src[r]`` of ``state`` (term
+    r when ``src`` is None), with the layout and columns given here.
 
-    Term r of the result comes from term ``src[r]`` of ``state``, or from
-    term r when ``src`` is None.  ``layout`` (the source's when None) must
-    fit the columns.  ``amps`` and ``labels``, when given, are new columns
-    with one entry per result term; ``beams``, when given, is the result's
-    whole tuple of beam columns.  A column not given is the source's: the
-    same object when ``src`` is None, else its entries ``src``.
-
-    A new amplitude column, and each given beam column that is not one of
-    the source's, is checked for finiteness here; nothing taken from the
-    source is checked again.
+    A column not given is the source's, picked by ``src``; ``beams`` is the
+    result's whole beam tuple.  Each given amplitude or beam column that is
+    not one of the source's is checked for finiteness here, once.
     """
     take = None if src is None else _taker(src)
     if amps is None:
