@@ -288,7 +288,7 @@ def _run_generate(args: argparse.Namespace) -> tuple[str, int]:
         "success_prob": report.success_prob,
         "success_prob_log10": _success_log10(report),
         "error_prob_total": report.error_prob_total,
-        "error_prob_total_log10": _log10_or_none(report.error_prob_total),
+        "error_prob_total_log10": _finite(report.error_prob_total_log / _LN10),
         "fidelity_vs_target": report.fidelity_vs_target,
         "failed_stage": report.failed_stage,
         "per_stage": [

@@ -41,6 +41,7 @@ from .state import (
     RegisterLayout,
     Term,
     _derive,
+    _logaddexp_reduce,
     drop_uniform_beam,
     overlap_sq,
     qubus_close,
@@ -220,11 +221,16 @@ class GenerationReport:
     underflow to 0.0 although every stage heralded (n = 3 with 700 parties
     gives 3^-700): ``failed_stage`` is None then, and only it tells a
     failed run from an underflowed one.
+
+    ``error_prob_total`` is 1 - prod(1 - P_E) over the stages run, and
+    ``error_prob_total_log`` its natural log, which stays meaningful when
+    the probability underflows and is -inf only when it is exactly 0.
     """
 
     final_state: HybridState
     success_prob: float
     error_prob_total: float
+    error_prob_total_log: float
     per_stage: tuple[HeraldOutcome, ...]
     fidelity_vs_target: float | None = None
     failed_stage: int | None = None
@@ -371,10 +377,12 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
         outcome = entangle_stage(state, spec, party)
         outcomes.append(outcome)
         if outcome.success_prob <= 0.0:
+            error_log = _total_error_log(outcomes)
             return GenerationReport(
                 final_state=outcome.heralded_state,
                 success_prob=0.0,
-                error_prob_total=_total_error(outcomes),
+                error_prob_total=math.exp(error_log),
+                error_prob_total_log=error_log,
                 per_stage=tuple(outcomes),
                 fidelity_vs_target=None,
                 failed_stage=party,
@@ -395,17 +403,28 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
         target = target_state(spec.n, m_total, spec.shifts, spec.parties)
         fidelity = overlap_sq(final, target)
 
+    error_log = _total_error_log(outcomes)
     return GenerationReport(
         final_state=final,
         success_prob=success,
-        error_prob_total=_total_error(outcomes),
+        error_prob_total=math.exp(error_log),
+        error_prob_total_log=error_log,
         per_stage=tuple(outcomes),
         fidelity_vs_target=fidelity,
     )
 
 
-def _total_error(outcomes) -> float:
-    ok = 1.0
+def _total_error_log(outcomes) -> float:
+    """Natural log of the total error probability 1 - prod(1 - P_E,i).
+
+    Summed in log space as sum_i P_E,i prod_{j<i} (1 - P_E,j), the chance
+    that stage i is the first to fail silently: the direct form cancels,
+    and it reads 0 once the stage probabilities underflow.
+    """
+    logs = []
+    ok_log = 0.0  # log of the chance that no earlier stage failed silently
     for outcome in outcomes:
-        ok *= 1.0 - outcome.error_prob
-    return 1.0 - ok
+        logs.append(outcome.error_prob_log + ok_log)
+        p = outcome.error_prob
+        ok_log += math.log1p(-p) if p < 1.0 else -math.inf
+    return _logaddexp_reduce(logs)

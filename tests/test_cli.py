@@ -95,6 +95,33 @@ def test_party_count_above_the_bound_exits_2_before_it_is_built(capsys):
             assert err == f"error: party count must be <= {PARTIES_MAX}\n"
 
 
+def test_total_error_probability_keeps_its_precision_and_its_log(capsys):
+    argv = ("generate", "--n", "3", "--shifts", "0,1", "--balanced", "--alpha", "500")
+    # theta = 0.03: both stages fail silently with P_E ~ 6.2e-50, which
+    # 1 - (1 - P_E)^2 rounds to 0.0
+    code, out, _ = run_cli(capsys, *argv, "--theta", "0.03")
+    assert code == 0
+    doc = json.loads(out)
+    p_e = doc["per_stage"][0]["error_prob"]
+    assert [stage["error_prob"] for stage in doc["per_stage"]] == [p_e, p_e]
+    assert 0.0 < p_e < 1e-40
+    assert doc["error_prob_total"] == pytest.approx(2 * p_e - p_e * p_e, rel=1e-12)
+    assert doc["error_prob_total_log10"] == pytest.approx(
+        math.log10(doc["error_prob_total"]), rel=1e-12
+    )
+    # theta = 0.1: the stage probabilities underflow; the log of the total
+    # is the stage log plus log 2
+    code, out, _ = run_cli(capsys, *argv, "--theta", "0.1")
+    assert code == 0
+    doc = json.loads(out)
+    stage_log10 = doc["per_stage"][0]["error_prob_log10"]
+    assert doc["per_stage"][1]["error_prob_log10"] == stage_log10
+    assert doc["error_prob_total"] == 0.0
+    assert doc["error_prob_total_log10"] == pytest.approx(
+        math.log10(2.0) + stage_log10, abs=1e-12
+    )
+
+
 def test_generate_requires_exactly_one_coefficient_mode(capsys):
     code, _, err = run_cli(capsys, "generate", "--n", "3")
     assert code == 2

@@ -25,13 +25,13 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 # sha256 over the repr of 220 seeded library results (tools/report_digest.py)
 REPORT_DIGEST = (
-    "b1139f757b329b59f42523722af98b9d50ddb129a80cef34d448a6fbbb6a1ef3  (220 results)"
+    "c6d1b7fb2d0b17f928adc985f3bc17bf5755214180fc0d40be69949b9e3ae970  (220 results)"
 )
 
 # sha256 over 64 CLI argv lists, each run as written and with --dump-config
 # appended and prepended (tools/cli_digest.py)
 CLI_DIGEST = (
-    "4a6e8b05176fb602a69187977d65a648e2fac9c49ed0812c8f6731a555cc4090  (192 runs)"
+    "b687112d534ed02a9b11236db64d99b76264fd99056b3bf5ee4988c241d56b2f  (192 runs)"
 )
 
 GOLDEN_RUNS = [

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import re
@@ -207,6 +208,12 @@ def test_generate_reports_failed_stage():
     assert report.failed_stage == 1
     assert report.final_state.terms == ()
     assert report.fidelity_vs_target is None
+    # a blind detector misses every failure: the failed stage's error
+    # probability is exactly 1, and so is the total
+    blind = generate(dataclasses.replace(spec, detector=DetectorModel(0.0)))
+    assert blind.per_stage[1].error_prob == 1.0
+    assert blind.error_prob_total == pytest.approx(1.0, abs=1e-15)
+    assert blind.error_prob_total_log == pytest.approx(0.0, abs=1e-15)
 
 
 def test_generate_unbalanced_inputs_have_no_target():
@@ -397,10 +404,11 @@ def test_per_stage_outcomes_have_no_qubus_residue():
     report = generate(spec)
     for outcome in report.per_stage:
         assert outcome.heralded_state.layout.qubus_count == 0
-    assert report.error_prob_total == pytest.approx(
-        1.0 - (1.0 - report.per_stage[0].error_prob)
-        * (1.0 - report.per_stage[1].error_prob),
-        rel=1e-12,
+    # 1 - (1 - p0)(1 - p1) without its cancellation
+    p0, p1 = (outcome.error_prob for outcome in report.per_stage)
+    assert report.error_prob_total == pytest.approx(p0 + p1 - p0 * p1, rel=1e-12)
+    assert report.error_prob_total_log == pytest.approx(
+        math.log(p0 + p1 - p0 * p1), rel=1e-12
     )
 
 
