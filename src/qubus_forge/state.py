@@ -318,7 +318,8 @@ def _columns(layout: RegisterLayout, amps: tuple, labels: tuple, beams: tuple) -
 
 def _taker(index):
     """The function that gives the entries ``index`` of a column, in that
-    order, as a tuple."""
+    order, as a tuple.  ``itemgetter`` picks in C: a comprehension per column
+    made ``generate`` about 3% slower at n = 3."""
     if len(index) > 1:
         return operator.itemgetter(*index)
     return lambda column: tuple([column[i] for i in index])
