@@ -156,18 +156,24 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     if not state.amps:
         raise ValueError("empty state")
     s = canonicalize(state)
-    if abs(_inner(s, s).real - 1.0) > NORM_TOL:
+    col = s.beams[beam]
+    groups = _merge_groups([(q,) for q in col])
+    class_of = [0] * len(col)
+    for k, g in enumerate(groups):
+        for i in g:
+            class_of[i] = k
+    norm_sq, weights = _inner(s, s, classes=class_of)
+    if abs(norm_sq.real - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before heralding")
 
-    col = s.beams[beam]
     vacuum_index: list[int] = []
     success = 0.0
     branches = []
     # A class weight sums its members in canonical order; its representative
     # (the reported beam_amp) is its first member in rounded-beam order.
-    for g in _merge_groups([(q,) for q in col]):
+    for g, weight in zip(groups, weights):
         rep = col[g[0]]
-        weight = _inner(s, s, sorted(g)).real
+        weight = weight.real
         vacuum = qubus_close(rep, 0.0)
         branches.append((rep, weight, vacuum))
         if vacuum:

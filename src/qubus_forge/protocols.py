@@ -59,8 +59,8 @@ def _check_dimension_bound(n: int) -> None:
 def _check_party_bound(parties: int) -> None:
     """Reject a party count above :data:`state.PARTIES_MAX`: ProtocolSpec,
     ProtocolSpec.balanced (before it builds the default shifts and the
-    coefficients) and the CLI (before it builds the default shifts) call
-    this."""
+    coefficients), target_state (before it builds its shifts and labels)
+    and the CLI (before it builds the default shifts) call this."""
     if parties > PARTIES_MAX:
         raise ValueError(f"party count must be <= {PARTIES_MAX}")
 
@@ -349,6 +349,7 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     which carries shift 0) or an explicit per-party shift sequence starting
     with 0.  All shifts zero gives the symmetric family; tau = exp(2 pi i/n).
     """
+    _check_party_bound(parties)
     if not 0 <= m < n:
         raise ValueError("phase index m must lie in [0, n)")
     if isinstance(k, (list, tuple)):

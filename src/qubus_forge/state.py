@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import dataclasses
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -409,55 +410,61 @@ def _beam_key(q: complex) -> tuple[float, float]:
 def _merge_groups(beams, index=None) -> list[list[int]]:
     """The one rule for "these beam tuples are the same value".
 
-    The indices ``index`` into ``beams`` (all of them by default) are
-    visited in rounded-beam order (ties keep their order in ``index``).
-    Each joins the first group whose first member agrees with it within
-    :data:`MERGE_TOL`, else starts a new group.  Groups come in creation
-    order and list their members in visit order, so a group's first index
-    is its representative.
+    The ascending indices ``index`` into ``beams`` (all of them by default)
+    are visited in rounded-beam order (ties in index order).  Each joins the
+    first group whose first member agrees with it within :data:`MERGE_TOL`,
+    else starts a new group.  Groups come in creation order and list their
+    members in visit order, so a group's first index is its representative.
+
+    The indices are bucketed by distinct beam tuple, and the search runs
+    once per distinct tuple, in rounded-key order (ties in order of first
+    appearance): a tuple equal to one visited before would join that
+    tuple's group, since the groups created before it were not close to
+    the earlier tuple and representatives never change.  A tuple's members
+    join its group together.  Distinct tuples that share a rounded key and
+    land in one group are visited interleaved, so the part of the group
+    that such a key added is put back in index order.
 
     Only representatives whose first beam has a real part within
     w = MERGE_TOL max(1, |u0|) / (1 - MERGE_TOL) of the visited u0 are
     tested: :func:`qubus_close` accepts no pair farther apart, so the first
     match in creation order is the same as over all groups (the bound
     needs finite beams, which every :class:`Term` has).
-
-    A tuple equal to one visited before joins that tuple's group without a
-    search: the groups created before that group's were not close to the
-    earlier tuple, so they are not close to this one, and representatives
-    never change.  Equal tuples also share one sort key.
     """
     if index is None:
         index = range(len(beams))
     if len(index) <= 1 or not beams[index[0]]:
         return [list(index)] if index else []
-    keys = dict.fromkeys([beams[i] for i in index])
-    for u in keys:
-        keys[u] = tuple(map(_beam_key, u))
-    visit_keys = [keys[beams[i]] for i in index]
-    order = [index[p] for p in sorted(range(len(index)), key=visit_keys.__getitem__)]
+    members: dict[tuple[complex, ...], list[int]] = {}
+    for i in index:
+        members.setdefault(beams[i], []).append(i)
+    keys = {u: tuple(map(_beam_key, u)) for u in members}
     groups: list[list[int]] = []
     reps: list[tuple[float, int]] = []  # (Re first beam, group index), sorted
-    group_of: dict[tuple[complex, ...], int] = {}  # visited tuple -> its group
-    for i in order:
-        u = beams[i]
-        k = group_of.get(u)
-        if k is None:
-            u0 = u[0]
-            # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
-            # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
-            w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
-            lo = bisect.bisect_left(reps, (u0.real - w, -1))
-            hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
-            for k in sorted(k for _, k in reps[lo:hi]):
-                if _tuples_close(beams[groups[k][0]], u):
-                    break
-            else:
-                k = len(groups)
-                bisect.insort(reps, (u0.real, k))
-                groups.append([])
-            group_of[u] = k
-        groups[k].append(i)
+    key = None
+    added: dict[int, int] = {}  # group -> its size before this key's tuples
+    for u in sorted(members, key=keys.__getitem__):
+        if keys[u] != key:
+            key = keys[u]
+            added.clear()
+        u0 = u[0]
+        # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
+        # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
+        w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
+        lo = bisect.bisect_left(reps, (u0.real - w, -1))
+        hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
+        for k in sorted(k for _, k in reps[lo:hi]):
+            if _tuples_close(beams[groups[k][0]], u):
+                break
+        else:
+            k = len(groups)
+            bisect.insort(reps, (u0.real, k))
+            groups.append([])
+        group = groups[k]
+        start = added.setdefault(k, len(group))
+        group += members[u]
+        if start < len(group) - len(members[u]):  # another tuple of this key
+            group[start:] = sorted(group[start:])
     return groups
 
 
@@ -468,19 +475,35 @@ def canonicalize(state: HybridState) -> HybridState:
     :data:`MERGE_TOL` are summed into one.  Terms with |amp| < :data:`DROP_TOL`
     are removed.  Idempotent; the output term order is a deterministic sort
     on (labels, rounded qubus).
+
+    One stable sort orders the terms by label, and a walk over neighbours
+    finds the runs of equal labels.  A label held by one term is its own
+    group; only a run of two or more goes through :func:`_merge_groups`.
+    Each group sums its members in merge-group order.
     """
-    amps = state._amps
-    rows = _rows(state)
-    by_labels: dict[tuple[int, ...], list[int]] = {}
-    for i, labels in enumerate(state._labels):
-        by_labels.setdefault(labels, []).append(i)
+    amps, labels = state._amps, state._labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    ordered = [labels[i] for i in order]
+    # run r is order[starts[r]:starts[r + 1]]; a run starts where the label changes
+    changes = itertools.compress(range(1, len(order)), map(operator.ne, ordered, ordered[1:]))
+    starts = [0, *changes, len(order)] if order else []
+    rows = None  # the beam tuples, transposed only for a run to merge
     src, new_amps = [], []  # each kept group's first term, and its sum
-    for labels in sorted(by_labels):
-        for g in _merge_groups(rows, by_labels[labels]):
-            first = g[0]
+    for start, stop in zip(starts, starts[1:]):
+        if stop - start > 1:
+            if rows is None:
+                rows = _rows(state)
+            for g in _merge_groups(rows, order[start:stop]):
+                first = g[0]
+                amp = amps[first]
+                for i in g[1:]:
+                    amp += amps[i]
+                if abs(amp) >= DROP_TOL:
+                    src.append(first)
+                    new_amps.append(amp)
+        else:  # a label held by one term is its own group
+            first = order[start]
             amp = amps[first]
-            for i in g[1:]:
-                amp += amps[i]
             if abs(amp) >= DROP_TOL:
                 src.append(first)
                 new_amps.append(amp)
@@ -500,32 +523,41 @@ def _pair_weight(a: HybridState, i: int, b: HybridState, j: int) -> complex:
     return a._amps[i].conjugate() * b._amps[j] * cmath.exp(log_ov)
 
 
-def _inner(a: HybridState, b: HybridState, index=None) -> complex:
-    """<a|b> over the terms of two states, or over the terms ``index`` of
-    each: equal-label terms interfere through the full product of coherent
-    overlaps, distinct labels are orthogonal.
+def _inner(a: HybridState, b: HybridState, classes=None):
+    """<a|b> over the terms of two states: equal-label terms interfere
+    through the full product of coherent overlaps, distinct labels are
+    orthogonal.
 
     Needs no canonical form: equal beams overlap with weight exactly 1, so
     a duplicated (labels, beams) pair counts as its merged sum, and beams
     that :func:`canonicalize` would merge are summed with their true overlap.
+
+    ``classes``, when given, holds a class number for each term index of
+    both states.  Then the result is ``(<a|b>, sums)``: ``sums[k]`` adds the
+    pairs whose two terms are both in class k, in the order the total adds
+    them, so it is bit for bit the <a|b> of class k's terms alone.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     by_labels: dict[tuple[int, ...], list[int]] = {}
-    for j in range(len(b_labels)) if index is None else index:
-        by_labels.setdefault(b_labels[j], []).append(j)
+    for j, labels in enumerate(b_labels):
+        by_labels.setdefault(labels, []).append(j)
     same = a is b
     total = 0j
-    for i in range(len(a_labels)) if index is None else index:
-        for j in by_labels.get(a_labels[i], ()):
+    sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
+    for i, labels in enumerate(a_labels):
+        for j in by_labels.get(labels, ()):
             if same and i == j:
                 # _pair_weight(a, i, a, i) is exactly this: every
                 # self-overlap of a finite beam is -0.0 + 0.0j, so its
                 # exponential is 1 + 0j.
                 amp = amps[i]
-                total += amp.real * amp.real + amp.imag * amp.imag
+                pair = amp.real * amp.real + amp.imag * amp.imag
             else:
-                total += _pair_weight(a, i, b, j)
-    return total
+                pair = _pair_weight(a, i, b, j)
+            total += pair
+            if sums is not None and classes[i] == classes[j]:
+                sums[classes[i]] += pair
+    return total if sums is None else (total, sums)
 
 
 _LN2 = math.log(2.0)

@@ -7,6 +7,7 @@ from qubus_forge.heralding import (
     FEEDFORWARD_TOL,
     DetectorModel,
     FeedforwardError,
+    _classify_branches,
     feedforward_outcomes,
     herald_vacuum,
     measure_ancilla_and_feedforward,
@@ -25,6 +26,8 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
+    _inner,
+    _merge_groups,
     canonicalize,
     overlap_sq,
     state_norm_sq,
@@ -213,6 +216,49 @@ def test_herald_requires_normalized_state():
         else:
             with pytest.raises(ValueError, match="normalized"):
                 herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+
+
+def test_class_weights_and_norm_come_from_one_pass():
+    # Terms with equal labels in different herald classes interfere in the
+    # norm through their cross pair, which belongs to neither class weight;
+    # each weight must be bit for bit the <s|s> of its class's terms alone
+    # (summed in canonical order), and the norm that of the whole state.
+    layout = RegisterLayout(party_dims=(2,), qubus_count=2)
+    raw = HybridState(
+        layout,
+        (
+            Term(0.5 + 0.1j, (0,), (0.3, 0j)),
+            Term(0.4 - 0.2j, (0,), (0.3, 0.6)),  # label (0,), another class
+            Term(-0.3 + 0.3j, (0,), (0.7, 0j)),  # label (0,), the vacuum class
+            Term(0.2j, (1,), (0.2j, 0j)),
+            Term(0.35, (1,), (0.1, 0.6 + 1e-13)),  # within MERGE_TOL of 0.6
+            Term(-0.25 + 0.1j, (1,), (0.0, -0.4j)),
+        ),
+    )
+    scale = 1.0 / math.sqrt(state_norm_sq(raw))
+    state = raw.with_terms(Term(t.amp * scale, t.labels, t.qubus) for t in raw.terms)
+    s = canonicalize(state)
+    col = s.beams[1]
+    groups = _merge_groups([(q,) for q in col])
+    assert len(groups) == 3
+    class_of = [0] * len(col)
+    for k, g in enumerate(groups):
+        for i in g:
+            class_of[i] = k
+    norm, sums = _inner(s, s, classes=class_of)
+    assert (norm.real.hex(), norm.imag.hex()) == (_inner(s, s).real.hex(), _inner(s, s).imag.hex())
+    # the cross pairs between classes are a visible part of the norm
+    assert abs(norm.real - sum(w.real for w in sums)) > 0.05
+    outcome = herald_vacuum(state, 1, DetectorModel.ideal_pnnd())
+    table = {r.beam_amp: r for r in outcome.branch_table}
+    classes = _classify_branches(state, 1)
+    for g, total in zip(groups, sums):
+        alone = HybridState(layout, [s.terms[i] for i in sorted(g)])
+        expected = _inner(alone, alone)
+        assert (total.real.hex(), total.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+        assert table[col[g[0]]].weight.hex() == expected.real.hex()
+    assert classes.success_prob.hex() == table[0j].weight.hex()
+    assert [w for _, w, _ in classes.branches] == [w.real for w in sums]
 
 
 def test_branch_table_merge_tolerance_edge():

@@ -389,11 +389,13 @@ def test_every_protocol_entry_stops_at_parties_max():
     # count before it builds anything of that size
     spec = ProtocolSpec.balanced(2, PARTIES_MAX)
     assert (spec.parties, len(spec.shifts), len(spec.coeffs)) == (PARTIES_MAX,) * 3
+    assert target_state(2, 0, 0, PARTIES_MAX).layout.num_parties == PARTIES_MAX
     message = f"party count must be <= {PARTIES_MAX}"
     for parties in (PARTIES_MAX + 1, 10**9):
         for build in (
             lambda: ProtocolSpec.balanced(2, parties),
             lambda: ProtocolSpec(2, parties, (0, 0), ((1.0, 0.0), (1.0, 0.0)), THETA, ALPHA),
+            lambda: target_state(2, 0, 0, parties),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
@@ -426,9 +428,9 @@ def _count_calls(monkeypatch, names):
             home = qubus_forge.protocols
         original = getattr(home, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("qubus_forge") and getattr(mod, name, None) is original:
@@ -470,17 +472,25 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
     # A stage that rebuilds its n^2 terms once more than it needs to shows
     # in the rows built, and one more pass over a single column of them in
     # the cells built: each cap is less than one n^2 column above the count.
+    # canonicalize merges only runs of equal labels, and every state it gets
+    # here has distinct labels, so the merge rule runs once per herald (once
+    # per label it ran 5,216 and 11,664 times); the herald takes its norm and
+    # every class weight from one _inner pass (a pass per class made 194 and
+    # 290 passes).
     # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls,
-    #     most rows built, most cells built)
+    #     most rows built, most cells built, _merge_groups calls, _inner calls)
     expected = {
-        3: (None, None, 12, None, None),
-        32: (350, 1100, 99, 10600, 36500),
-        48: (500, 2500, 147, 23600, 81000),
+        3: (None, None, 12, None, None, None, None),
+        32: (350, 1100, 99, 10600, 36500, 2, 68),
+        48: (500, 2500, 147, 23600, 81000, 2, 100),
     }
-    for n, (close_max, pair_max, canonicalize_calls, rows_max, cells_max) in expected.items():
+    for n, (close_max, pair_max, canonicalize_calls, rows_max, cells_max, merges,
+            inners) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         with monkeypatch.context() as mp:
-            counts = _count_calls(mp, ("qubus_close", "_pair_weight", "canonicalize"))
+            counts = _count_calls(
+                mp, ("qubus_close", "_pair_weight", "canonicalize", "_merge_groups", "_inner")
+            )
             built = _count_columns_built(mp)
             generate(spec)
         assert counts["canonicalize"] == canonicalize_calls, (n, counts)
@@ -489,6 +499,8 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
             assert counts["_pair_weight"] <= pair_max, (n, counts)
             assert built["rows"] <= rows_max, (n, built)
             assert built["cells"] <= cells_max, (n, built)
+            assert counts["_merge_groups"] == merges, (n, counts)
+            assert counts["_inner"] == inners, (n, counts)
 
 
 def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):

@@ -291,6 +291,120 @@ def test_merge_groups_place_exact_repeats_like_the_greedy_rule():
     assert _merge_groups(cases[4]) == [[0, 2, 4], [1, 3]]
 
 
+def canonicalize_by_label_dict(state):
+    """Reference: canonicalize with one merge per distinct label, the labels
+    bucketed in a dict and visited in sorted order."""
+    rows = [t.qubus for t in state.terms]
+    by_labels = {}
+    for i, labels in enumerate(state.labels):
+        by_labels.setdefault(labels, []).append(i)
+    terms = []
+    for labels in sorted(by_labels):
+        for g in _merge_groups(rows, by_labels[labels]):
+            amp = state.amps[g[0]]
+            for i in g[1:]:
+                amp += state.amps[i]
+            if abs(amp) >= DROP_TOL:
+                terms.append(Term(amp, labels, rows[g[0]]))
+    return HybridState(state.layout, terms)
+
+
+# the same rounded _beam_key for all three; u and v are 1.3e-12 apart (two
+# values), w is within MERGE_TOL of u
+NEAR_U = complex(0.1 + 0.45e-12, 0.2 + 0.45e-12)
+NEAR_V = complex(0.1 - 0.45e-12, 0.2 - 0.45e-12)
+NEAR_W = complex(0.1 + 0.3e-12, 0.2)
+REGROUP_BEAMS = (
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1.0, 500.0,
+    500.0 + 0.9 * MERGE_TOL * 500.0, NEAR_U, NEAR_V, NEAR_W,
+)
+REGROUP_AMPS = (
+    0.3 + 0.1j, -0.3 - 0.1j, -0.3 - 0.1j + 4e-15, 0.5 * DROP_TOL, 0j,
+    complex(-0.0, 0.0), -0.7j,
+)
+
+
+def _regroup_state(rng, beams, labels):
+    """A state on ``labels``, its beams and amplitudes drawn from pools of
+    near-ties, signed zeros and amplitudes that cancel below DROP_TOL."""
+    layout = RegisterLayout(party_dims=(3, 2), qubus_count=beams)
+    terms = []
+    for lab in labels:
+        amp = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        if rng.random() < 0.6:
+            amp = rng.choice(REGROUP_AMPS)
+        terms.append(Term(amp, lab, tuple(rng.choice(REGROUP_BEAMS) for _ in range(beams))))
+    return HybridState(layout, terms)
+
+
+def test_canonicalize_by_sorted_runs_equals_the_label_dict():
+    rng = random.Random("regroup")
+    every_label = [(a, b) for a in range(3) for b in range(2)]
+    for beams in (0, 1, 2):
+        # equal-label runs first, in the middle and last in sorted order,
+        # and a state of distinct labels only
+        for labels in (
+            [(0, 0), (2, 1), (0, 0), (1, 0)],
+            [(2, 1), (1, 0), (0, 0), (1, 0), (1, 0)],
+            [(2, 1), (0, 0), (1, 1), (2, 1)],
+            every_label[::-1],
+            [(1, 1)],
+            [],
+        ):
+            for _ in range(20):
+                state = _regroup_state(rng, beams, labels)
+                assert repr(canonicalize(state)) == repr(canonicalize_by_label_dict(state))
+        for _ in range(300):
+            labels = [rng.choice(every_label) for _ in range(rng.randint(0, 14))]
+            state = _regroup_state(rng, beams, labels)
+            assert repr(canonicalize(state)) == repr(canonicalize_by_label_dict(state))
+    # a group that cancels below DROP_TOL is dropped in the middle of a run
+    layout = RegisterLayout(party_dims=(3, 2), qubus_count=1)
+    state = HybridState(
+        layout,
+        (
+            Term(0.3 + 0.1j, (1, 0), (NEAR_U,)),
+            Term(0.5, (1, 0), (1.0,)),
+            Term(-0.3 - 0.1j + 4e-15, (1, 0), (NEAR_W,)),
+            Term(0.2, (0, 0), (0j,)),
+        ),
+    )
+    assert [(t.labels, t.qubus) for t in canonicalize(state).terms] == [
+        ((0, 0), (0j,)), ((1, 0), (1.0,))
+    ]
+
+
+def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
+    # _merge_groups(beams, index) groups the beams at the ascending indices
+    # `index` as the greedy rule groups that sublist
+    rng = random.Random("merge-subset")
+
+    def greedy_of(beams, index):
+        return [[index[p] for p in g] for g in greedy_merge_groups([beams[i] for i in index])]
+
+    # tuples with one rounded key that land in one group are visited by
+    # index, interleaved: x (a smaller key) creates the group, then w and u
+    # (one key) join it, and that key's part is put back in index order
+    x, u, w = 0.1 - 0.55e-12, 0.1 + 0.2e-12, 0.1 + 0.4e-12
+    assert _beam_key(x) < _beam_key(u) == _beam_key(w)
+    beams = [(w,), (x,), (5.0,), (u,), (w,), (u,), (x,)]
+    assert _merge_groups(beams) == greedy_merge_groups(beams) == [[1, 6, 0, 3, 4, 5], [2]]
+    index = [0, 1, 3, 4, 5]
+    assert _merge_groups(beams, index) == greedy_of(beams, index) == [[1, 0, 3, 4, 5]]
+    assert _merge_groups(beams, [0, 3, 4]) == [[0, 3, 4]]
+    cases = [beams, [(NEAR_U,), (NEAR_W,), (NEAR_V,), (NEAR_W,), (NEAR_U,), (NEAR_V,)]]
+    for _ in range(300):
+        width = rng.randint(1, 2)
+        cases.append([
+            tuple(rng.choice(REGROUP_BEAMS) for _ in range(width))
+            for _ in range(rng.randint(0, 12))
+        ])
+    for beams in cases:
+        for _ in range(4):
+            index = sorted(rng.sample(range(len(beams)), rng.randint(0, len(beams))))
+            assert _merge_groups(beams, index) == greedy_of(beams, index), (beams, index)
+
+
 def test_merge_neglects_at_most_the_stated_overlap_phase():
     # MERGE_TOL's comment bounds the norm change of a merge of beams q and
     # q + d by 2 |a| |b| (|q| |d| + |d|^2 / 2); at 0.9 tolerances on |q| = 500
