@@ -9,11 +9,12 @@ All probability assembly happens in log space so that exponents of order
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
-from .heralding import DetectorModel, _classify_branches, _score_branches
+from .heralding import DetectorModel, _classify_branches, _failure_log
 from .protocols import (
     _check_working_point,
     _pre_herald_state,
@@ -63,6 +64,41 @@ def reduced_entropy(state: HybridState, party: int) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
+def _checked_alpha_sq(alpha, theta: float, d_max: int) -> float:
+    """|alpha|^2, after rejecting a non-finite alpha or theta, a theta whose
+    largest phase d_max theta / 2 overflows, and an alpha whose largest beam
+    energy 2 |alpha|^2 overflows."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    if not math.isfinite(d_max * theta / 2.0):
+        raise ValueError(
+            f"theta must be finite, and so must d theta / 2 up to d = {d_max}; got {theta!r}"
+        )
+    try:
+        a_sq = abs(alpha) ** 2
+    except OverflowError:
+        a_sq = math.inf
+    if not math.isfinite(2.0 * a_sq):
+        raise ValueError(f"alpha = {alpha!r} overflows the beam energy 2 |alpha|^2")
+    return a_sq
+
+
+def _closed_form_terms(theta: float, n: int) -> tuple[tuple[float, float], ...]:
+    """The eta-independent terms of the closed form: per phase offset
+    d = 1 .. n-1, the log weight log(2 (n-d) / n^2) and sin^2(d theta / 2)."""
+    return tuple(
+        (math.log(2.0 * (n - d) / n**2), math.sin(d * theta / 2.0) ** 2)
+        for d in range(1, n)
+    )
+
+
+def _closed_form_fold(a_sq: float, terms, eta: float) -> float:
+    """Natural log of the closed form at detector efficiency eta, from
+    |alpha|^2 and :func:`_closed_form_terms`."""
+    scale = 2.0 * eta * a_sq
+    return _logaddexp_reduce([lw - scale * s_sq for lw, s_sq in terms])
+
+
 def _closed_form_log(alpha: float, theta: float, eta: float, n: int) -> float:
     """Natural log of the balanced-stage silent-failure probability.
 
@@ -70,13 +106,7 @@ def _closed_form_log(alpha: float, theta: float, eta: float, n: int) -> float:
     beam energy 2 |alpha|^2 sin^2(d theta / 2); the detector misses it with
     probability exp(-eta * energy).
     """
-    a_sq = abs(alpha) ** 2
-    logs = [
-        math.log(2.0 * (n - d) / n**2)
-        - 2.0 * eta * a_sq * math.sin(d * theta / 2.0) ** 2
-        for d in range(1, n)
-    ]
-    return _logaddexp_reduce(logs)
+    return _closed_form_fold(abs(alpha) ** 2, _closed_form_terms(theta, n), eta)
 
 
 def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
@@ -85,18 +115,23 @@ def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
     At n = 3 and eta = 1 this is
     (4/9) exp(-2 |a|^2 sin^2(t/2)) + (2/9) exp(-2 |a|^2 sin^2 t).
     May underflow to 0.0 for bright beams; use :func:`_closed_form_log`
-    when the log value is needed.
+    when the log value is needed.  Raises ValueError on a non-finite alpha
+    or theta and on an alpha whose beam energy overflows.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     DetectorModel(eta)  # raises outside [0, 1]
-    return math.exp(_closed_form_log(abs(alpha), theta, eta, n))
+    a_sq = _checked_alpha_sq(alpha, theta, n - 1)
+    return math.exp(_closed_form_fold(a_sq, _closed_form_terms(theta, n), eta))
 
 
 def mean_branch_photons(alpha, theta: float, d: int) -> float:
     """Mean photon number |alpha (1 - e^{i d theta}) / sqrt(2)|^2 of the
-    failure branch with phase offset d: 2 |alpha|^2 sin^2(d theta / 2)."""
-    return 2.0 * abs(alpha) ** 2 * math.sin(d * theta / 2.0) ** 2
+    failure branch with phase offset d: 2 |alpha|^2 sin^2(d theta / 2).
+    Raises ValueError on a non-finite alpha or theta and on an alpha whose
+    beam energy overflows."""
+    a_sq = _checked_alpha_sq(alpha, theta, abs(d))
+    return 2.0 * a_sq * math.sin(d * theta / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -146,53 +181,61 @@ class SweepRow:
     p_error_simulated_log10: float
 
 
-def _stage_classes(ancilla: HybridState, alpha: float, theta: float, n: int):
-    """Branch classes of the balanced first entangling stage, before any
-    detector scores them."""
+def _sweep_rows(ancilla: HybridState, alpha: float, theta: float, etas, n: int):
+    """One :class:`SweepRow` per eta for the pair (alpha, theta).
+
+    The balanced first entangling stage, its branch classes, the closed
+    form's eta-independent terms and the mean photon numbers are computed
+    once; each eta costs only the two log-space folds over the failure
+    branches, the simulated one and the closed form.
+    """
     st, beam = _pre_herald_state(ancilla, balanced_coeffs(n), 0, theta, alpha)
-    return _classify_branches(st, beam)
-
-
-def _sweep_row(alpha: float, theta: float, eta: float, n: int, classes) -> SweepRow:
-    """Score the stage's branch classes at detector efficiency eta and set the
-    result beside the closed form."""
-    outcome = _score_branches(classes, DetectorModel.on_off(eta))
-    closed_log = _closed_form_log(alpha, theta, eta, n)
-    return SweepRow(
-        alpha=alpha,
-        theta=theta,
-        eta=eta,
-        mean_photons_k1=mean_branch_photons(alpha, theta, 1),
-        mean_photons_k2=mean_branch_photons(alpha, theta, 2) if n >= 3 else None,
-        p_error_closed=math.exp(closed_log),
-        p_error_simulated=outcome.error_prob,
-        p_error_closed_log10=closed_log / _LN10,
-        p_error_simulated_log10=outcome.error_prob_log / _LN10,
-    )
+    classes = _classify_branches(st, beam)
+    a_sq = abs(alpha) ** 2
+    terms = _closed_form_terms(theta, n)
+    k1 = mean_branch_photons(alpha, theta, 1)
+    k2 = mean_branch_photons(alpha, theta, 2) if n >= 3 else None
+    rows = []
+    for eta in etas:
+        closed_log = _closed_form_fold(a_sq, terms, eta)
+        error_log, error_prob = _failure_log(classes, eta)
+        rows.append(SweepRow(
+            alpha=alpha,
+            theta=theta,
+            eta=eta,
+            mean_photons_k1=k1,
+            mean_photons_k2=k2,
+            p_error_closed=math.exp(closed_log),
+            p_error_simulated=error_prob,
+            p_error_closed_log10=closed_log / _LN10,
+            p_error_simulated_log10=error_log / _LN10,
+        ))
+    return rows
 
 
 def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
     """Evaluate one grid point: run the balanced first entangling stage and
     compare its silent-failure probability against the closed form."""
     _check_working_point(n, theta, alpha)
-    classes = _stage_classes(prepare_single_photon_qudit(n), alpha, theta, n)
-    return _sweep_row(alpha, theta, eta, n, classes)
+    DetectorModel(eta)  # raises outside [0, 1]
+    return _sweep_rows(prepare_single_photon_qudit(n), alpha, theta, (eta,), n)[0]
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """One :class:`SweepRow` per grid point, ordered by grid index
     (alpha outermost, eta innermost).
 
-    The stage state does not depend on eta, so each (alpha, theta) pair is
-    simulated once and its branch classes are scored for every eta.
+    The ancilla is prepared once per grid.  Once per (alpha, theta) pair
+    the stage is simulated, its herald-beam classes are formed, and the
+    closed form's eta-independent terms and the mean photon numbers are
+    computed.  Once per eta only the two log-space folds over the failure
+    branches run: no detector model, branch table or heralded state is
+    built.
     """
     ancilla = prepare_single_photon_qudit(grid.n)
     rows = []
     for alpha, theta in itertools.product(grid.alpha_values, grid.theta_values):
-        classes = _stage_classes(ancilla, alpha, theta, grid.n)
-        rows.extend(
-            _sweep_row(alpha, theta, eta, grid.n, classes) for eta in grid.eta_values
-        )
+        rows.extend(_sweep_rows(ancilla, alpha, theta, grid.eta_values, grid.n))
     return rows
 
 

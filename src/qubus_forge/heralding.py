@@ -124,14 +124,18 @@ class HeraldOutcome:
 class _BranchClasses(NamedTuple):
     """The detector-independent half of a vacuum herald.
 
-    ``branches`` holds one (representative beam, weight, is vacuum) entry
-    per beam-amplitude class, in class order; the herald's success weight
-    and renormalized vacuum state depend on no detector either.
+    ``state`` is the canonical state and ``vacuum`` the indices of its
+    vacuum-class terms, whose weight is ``success_prob``.  ``branches``
+    holds one (representative beam, weight, is vacuum) entry per
+    beam-amplitude class, in class order; ``failures`` holds (log weight,
+    |beam|^2) of each failure class of positive weight, in the same order.
     """
 
-    heralded_state: HybridState
+    state: HybridState
+    vacuum: list[int]
     success_prob: float
     branches: tuple[tuple[complex, float, bool], ...]
+    failures: tuple[tuple[float, float], ...]
 
 
 def herald_vacuum(
@@ -146,12 +150,29 @@ def herald_vacuum(
     dark although the state sits in a non-vacuum branch, summed as
     weight * exp(-eta |beta|^2) over those branches.
     """
-    return _score_branches(_classify_branches(state, beam), det)
+    classes = _classify_branches(state, beam)
+    success = classes.success_prob
+    if success > 0.0:
+        vac = _renormalized(_derive(classes.state, classes.vacuum), success)
+    else:
+        vac = _derive(classes.state, ())
+    error_log, error_prob = _failure_log(classes, det.efficiency)
+    records = sorted(
+        (BranchRecord(rep, weight, det.no_click_log(rep)) for rep, weight, _ in classes.branches),
+        key=lambda r: (-r.weight, _beam_key(r.beam_amp)),
+    )
+    return HeraldOutcome(
+        heralded_state=_without_beam(vac, beam),
+        success_prob=success,
+        error_prob=error_prob,
+        error_prob_log=error_log,
+        branch_table=tuple(records),
+    )
 
 
 def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     """Group the terms of a normalized state into classes of equal
-    ``beam`` amplitude and herald the vacuum class, for any detector."""
+    ``beam`` amplitude and find the vacuum class, for any detector."""
     _check_beam(state, beam)
     if not state.amps:
         raise ValueError("empty state")
@@ -169,6 +190,7 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     vacuum_index: list[int] = []
     success = 0.0
     branches = []
+    failures = []
     # A class weight sums its members in canonical order; its representative
     # (the reported beam_amp) is its first member in rounded-beam order.
     for g, weight in zip(groups, weights):
@@ -179,39 +201,26 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
         if vacuum:
             vacuum_index = g
             success = weight
+        elif weight > 0.0:
+            failures.append((math.log(weight), rep.real * rep.real + rep.imag * rep.imag))
+    # The herald accepts states normalized to NORM_TOL, so a branch weight
+    # may exceed 1 by as much.
+    if not -NORM_TOL <= success <= 1.0 + NORM_TOL:
+        raise ValueError("success probability out of [0, 1]")
+    return _BranchClasses(s, vacuum_index, success, tuple(branches), tuple(failures))
 
-    if success > 0.0:
-        vac = _renormalized(_derive(s, vacuum_index), success)
-    else:
-        vac = _derive(s, ())
-    return _BranchClasses(_without_beam(vac, beam), success, tuple(branches))
 
-
-def _score_branches(classes: _BranchClasses, det: DetectorModel) -> HeraldOutcome:
-    """Weigh each branch class by the chance that ``det`` stays dark on it."""
-    records = []
-    failure_logs = []
-    for rep, weight, vacuum in classes.branches:
-        no_click_log = det.no_click_log(rep)
-        records.append(BranchRecord(rep, weight, no_click_log))
-        if not vacuum and weight > 0.0:
-            failure_logs.append(math.log(weight) + no_click_log)
-
-    if failure_logs:
-        error_log = _logaddexp_reduce(failure_logs)
-        error_prob = math.exp(error_log)
-    else:
-        error_log = float("-inf")
-        error_prob = 0.0
-
-    records.sort(key=lambda r: (-r.weight, _beam_key(r.beam_amp)))
-    return HeraldOutcome(
-        heralded_state=classes.heralded_state,
-        success_prob=classes.success_prob,
-        error_prob=error_prob,
-        error_prob_log=error_log,
-        branch_table=tuple(records),
-    )
+def _failure_log(classes: _BranchClasses, eta: float) -> tuple[float, float]:
+    """Silent-failure probability at detector efficiency eta, as (natural
+    log, value): each failure class's weight times exp(-eta |beam|^2),
+    summed in log space.  The log is -inf when there is no failure class."""
+    if not classes.failures:
+        return float("-inf"), 0.0
+    error_log = _logaddexp_reduce([lw + -eta * e2 for lw, e2 in classes.failures])
+    error_prob = math.exp(error_log)
+    if error_prob > 1.0 - classes.success_prob + NORM_TOL:
+        raise ValueError("error probability exceeds failure weight")
+    return error_log, error_prob
 
 
 def feedforward_outcomes(

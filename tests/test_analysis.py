@@ -15,9 +15,10 @@ from qubus_forge.analysis import (
     sweep_point,
     verify_basis,
 )
-from qubus_forge.heralding import DetectorModel
+from qubus_forge.heralding import DetectorModel, _classify_branches, _failure_log
 from qubus_forge.protocols import (
     ProtocolSpec,
+    _pre_herald_state,
     _run_stage,
     balanced_coeffs,
     generate,
@@ -164,6 +165,51 @@ def test_mean_branch_photons_identity():
                 )
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 0.01, 1.0, 3), "alpha must be finite"),
+        ((complex(1.0, math.inf), 0.01, 1.0, 3), "alpha must be finite"),
+        ((500.0, math.inf, 1.0, 3), "theta must be finite"),
+        ((500.0, math.nan, 1.0, 3), "theta must be finite"),
+        # finite theta whose largest phase (n - 1) theta / 2 overflows
+        ((500.0, 1e308, 1.0, 3), "theta must be finite"),
+        # 2 |alpha|^2 overflows; at theta = 0 it made the exponent NaN
+        ((1e154, 0.0, 1.0, 3), "alpha = 1e\\+154 overflows"),
+        ((1e200, 0.01, 1.0, 3), "alpha = 1e\\+200 overflows"),
+    ],
+)
+def test_closed_form_rejects_non_finite_and_overflowing_inputs(args, message):
+    with pytest.raises(ValueError, match=message):
+        error_prob_closed_form(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan, 0.01, 1), "alpha must be finite"),
+        ((math.inf, 0.01, 1), "alpha must be finite"),
+        ((1.0, math.inf, 1), "theta must be finite"),
+        ((1.0, math.inf, 0), "theta must be finite"),
+        ((1.0, 1e308, 3), "theta must be finite"),
+        ((1e200, 0.01, 1), "alpha = 1e\\+200 overflows"),
+        ((1e154, 0.01, 1), "alpha = 1e\\+154 overflows"),
+    ],
+)
+def test_mean_branch_photons_rejects_non_finite_and_overflowing_inputs(args, message):
+    with pytest.raises(ValueError, match=message):
+        mean_branch_photons(*args)
+
+
+def test_closed_form_and_mean_photons_hold_at_the_largest_finite_inputs():
+    # just inside the overflow edges both stay finite
+    alpha = 1e153
+    assert error_prob_closed_form(alpha, 0.0, 1.0, 3) == pytest.approx(2.0 / 3.0)
+    assert error_prob_closed_form(alpha, 0.01, 1.0, 3) == 0.0
+    assert math.isfinite(mean_branch_photons(alpha, 0.01, 1))
+    assert mean_branch_photons(1.0, 1e307, 1) >= 0.0
+
+
 def test_sweep_point_feasibility_numbers():
     row = sweep_point(500.0, 0.01, 1.0, 3)
     assert row.mean_photons_k1 == pytest.approx(12.49990, abs=1e-3)
@@ -237,6 +283,28 @@ def test_sweep_point_rejects_bad_working_points():
     for args in ((1e6, 0.01, 1.0, 3), (0.0, 0.01, 1.0, 3), (1.0, math.pi, 1.0, 3)):
         with pytest.raises(ValueError):
             sweep_point(*args)
+
+
+@pytest.mark.parametrize("eta", (1.5, -0.1, math.nan))
+def test_sweep_point_rejects_efficiency_outside_unit_interval(eta):
+    with pytest.raises(ValueError, match="efficiency"):
+        sweep_point(500.0, 0.01, eta, 3)
+
+
+def test_sweep_fold_rejects_error_above_failure_weight():
+    # the fold a sweep scores every eta with keeps the herald's invariant
+    # error <= 1 - success: a stage's own classes pass, and the same
+    # failure classes beside a success weight of 1 do not
+    st, beam = _pre_herald_state(
+        prepare_single_photon_qudit(3), balanced_coeffs(3), 0, 0.004, 30.0
+    )
+    classes = _classify_branches(st, beam)
+    error_log, error_prob = _failure_log(classes, 0.0)
+    assert error_prob == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert error_prob == pytest.approx(1.0 - classes.success_prob, rel=1e-12)
+    forged = classes._replace(success_prob=1.0)
+    with pytest.raises(ValueError, match="error probability exceeds failure weight"):
+        _failure_log(forged, 0.0)
 
 
 def _raises(fn, *args) -> bool:

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubus_forge.analysis import (
     SweepGrid,
@@ -21,7 +23,13 @@ from qubus_forge.elements import (
     pol_flip,
     prep_rotation,
 )
-from qubus_forge.heralding import DetectorModel, feedforward_outcomes, herald_vacuum
+from qubus_forge.heralding import (
+    BranchRecord,
+    DetectorModel,
+    HeraldOutcome,
+    feedforward_outcomes,
+    herald_vacuum,
+)
 from qubus_forge.protocols import (
     PHASE_PATTERN_TOL,
     ProtocolSpec,
@@ -226,6 +234,54 @@ def test_generate_unbalanced_inputs_have_no_target():
     assert report.fidelity_vs_target is None
     # stage 1 heralds with 1/3; stage 2 with sum_j |a_j b_{j+1}|^2 = 0.2304
     assert report.success_prob == pytest.approx(0.2304 / 3.0, rel=1e-10)
+
+
+@st.composite
+def _arbitrary_spec_inputs(draw):
+    """(n, coefficient vectors, shifts): n <= 6, 2-4 parties, complex
+    vectors with at most one zero entry each, the first shift 0."""
+    n = draw(st.integers(2, 6))
+    parties = draw(st.integers(2, 4))
+    entry = st.builds(cmath.rect, st.floats(0.05, 1.0), st.floats(-math.pi, math.pi))
+    coeffs = []
+    for _ in range(parties):
+        vec = draw(st.lists(entry, min_size=n, max_size=n))
+        zero = draw(st.none() | st.integers(0, n - 1))
+        if zero is not None:
+            vec[zero] = 0j
+        norm = math.sqrt(sum(abs(c) ** 2 for c in vec))
+        coeffs.append(tuple(c / norm for c in vec))
+    shifts = (0,) + tuple(draw(st.integers(0, n - 1)) for _ in range(parties - 1))
+    return n, tuple(coeffs), shifts
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_arbitrary_spec_inputs())
+def test_generate_matches_the_coefficient_product_oracle(inputs):
+    # Independent of the circuit: the heralded state of any coefficient
+    # vectors c_i and shifts k_i is prop. to sum_j A_j |(j + k_i) mod n>_i
+    # with A_j = prod_i c_i[(j + k_i) mod n], heralded with probability
+    # (1/n) sum_j |A_j|^2.
+    n, coeffs, shifts = inputs
+    amps = [
+        math.prod(c[(j + k) % n] for c, k in zip(coeffs, shifts)) for j in range(n)
+    ]
+    weight = sum(abs(a) ** 2 for a in amps) / n
+    spec = ProtocolSpec(
+        n=n, parties=len(shifts), shifts=shifts, coeffs=coeffs, theta=THETA, alpha=ALPHA
+    )
+    report = generate(spec)
+    assert report.success_prob == pytest.approx(weight, abs=1e-12)
+    if report.failed_stage is not None:
+        assert weight < 1e-12
+        return
+    expected = HybridState(
+        RegisterLayout(party_dims=(n,) * len(shifts)),
+        tuple(
+            Term(a, tuple((j + k) % n for k in shifts)) for j, a in enumerate(amps) if a
+        ),
+    )
+    assert overlap_sq(report.final_state, expected) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_target_state_examples():
@@ -503,25 +559,45 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
             assert counts["_inner"] == inners, (n, counts)
 
 
+def _count_constructions(monkeypatch, classes):
+    """Count the instances of each class built, by name."""
+    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counted(self, *args, _name=cls.__name__, _original=cls.__init__, **kwargs):
+            counts[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
 def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
     # The stage state does not depend on eta: a sweep prepares the ancilla
     # once per grid (its cascade canonicalizes 2n times) and simulates each
-    # of the 50 (alpha, theta) pairs once (one canonicalize, in the herald),
-    # however many etas score it.
+    # of the 50 (alpha, theta) pairs once (one canonicalize and one class
+    # merge, in the herald), however many etas score it.  An eta costs only
+    # the folds over the failure classes: no branch table, no herald
+    # outcome and no renormalized heralded state is built.
     alphas = tuple(50.0 + 45.0 * i for i in range(10))
     thetas = (0.001, 0.003, 0.01, 0.03, 0.1)
     for n in (3, 5):
+        per_eta_count = []
         for etas in ((0.8,), (0.5, 0.7, 0.9, 1.0)):
             grid = SweepGrid(alphas, thetas, etas, n)
             with monkeypatch.context() as mp:
                 counts = _count_calls(
-                    mp, ("canonicalize", "prepare_single_photon_qudit")
+                    mp,
+                    ("canonicalize", "_merge_groups", "prepare_single_photon_qudit",
+                     "_renormalized", "_without_beam"),
                 )
+                built = _count_constructions(mp, (BranchRecord, HeraldOutcome))
                 run_sweep(grid)
-            assert counts == {
-                "canonicalize": 2 * n + 50,
-                "prepare_single_photon_qudit": 1,
-            }, (n, etas, counts)
+            assert counts["canonicalize"] == 2 * n + 50, (n, etas, counts)
+            assert counts["prepare_single_photon_qudit"] == 1, (n, etas, counts)
+            assert counts["_renormalized"] == counts["_without_beam"] == 0, (n, etas, counts)
+            assert built == {"BranchRecord": 0, "HeraldOutcome": 0}, (n, etas, built)
+            per_eta_count.append(counts)
+        assert per_eta_count[0] == per_eta_count[1], (n, per_eta_count)
 
 
 def _count_validations(monkeypatch):

@@ -1,4 +1,5 @@
-"""Time ``generate`` of two source trees against each other in one process.
+"""Time ``generate`` and ``run_sweep`` of two source trees against each
+other in one process.
 
     python3 tools/ab_generate.py PARENT_SRC CHANGE_SRC [--rounds N]
 
@@ -8,14 +9,20 @@ commit.  Each tree is copied into a temporary directory under its own
 package name (``qubus_forge_parent``, ``qubus_forge_change``); the package
 imports itself only relatively, so both load side by side.
 
-For each case (n = 3, 24, 32, 40, 48 with two parties and n = 24 with three;
-shifts (0, 1) or (0, 1, 5), theta 0.01, alpha 500) the tool first asserts
-that both trees return the same ``repr(generate(spec))`` once the package
-name is masked.  Then it runs ``--rounds`` rounds, alternating which side
-runs first, and times each side with ``time.perf_counter`` over a batch of
-calls (about 20 ms of the parent's time, with the garbage collector off).
-It prints, per case, the median of the per-round ratios change / parent
-and each side's median time per call.
+The ``generate`` cases are n = 3, 24, 32, 40, 48 with two parties and
+n = 24 with three (shifts (0, 1) or (0, 1, 5), theta 0.01, alpha 500); the
+spec is built once.  The ``run_sweep`` cases are the three grids of one
+``sweep_grid`` benchmark block: 10 x 5 x 4 grids at n = 3, 3 and 5, alpha
+uniform in [50, 500], theta log-uniform in [0.001, 0.1], eta uniform in
+[0.5, 1], drawn from a fixed seed; each call builds its ``SweepGrid``.
+
+For each case the tool first asserts that both trees return the same
+``repr`` of the result once the package name is masked.  Then it runs
+``--rounds`` rounds, alternating which side runs first, and times each
+side with ``time.perf_counter`` over a batch of calls (about 20 ms of the
+parent's time, with the garbage collector off).  It prints, per case, the
+median of the per-round ratios change / parent and each side's median time
+per call.
 
 Pin the process to one CPU for steadier numbers, e.g. ``taskset -c 1``.
 """
@@ -25,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import random
 import shutil
 import statistics
 import sys
@@ -35,7 +43,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 # (n, shifts): two parties over a range of n, and three at n = 24
-CASES = ((3, (0, 1)), (24, (0, 1)), (32, (0, 1)), (40, (0, 1)), (48, (0, 1)), (24, (0, 1, 5)))
+GENERATE_CASES = ((3, (0, 1)), (24, (0, 1)), (32, (0, 1)), (40, (0, 1)), (48, (0, 1)), (24, (0, 1, 5)))
+
+# the grid dimensions of one sweep_grid block
+SWEEP_NS = (3, 3, 5)
+SWEEP_SEED = 16
 
 
 def load(src: Path, side: str, into: Path):
@@ -48,24 +60,46 @@ def load(src: Path, side: str, into: Path):
     return importlib.import_module(name)
 
 
-def spec_of(module, n: int, shifts: tuple[int, ...]):
-    return module.ProtocolSpec.balanced(n, len(shifts), shifts, 0.01, 500.0)
+def generate_case(n: int, shifts: tuple[int, ...]):
+    """(label, call maker): the maker builds the spec and returns the call."""
+    def make(module):
+        spec = module.ProtocolSpec.balanced(n, len(shifts), shifts, 0.01, 500.0)
+        return lambda: module.generate(spec)
+
+    return f"n={n}, M={len(shifts)}", make
 
 
-def masked_repr(module, n: int, shifts: tuple[int, ...]) -> str:
-    report = module.generate(spec_of(module, n, shifts))
-    return repr(report).replace(module.__name__, "qubus_forge")
+def sweep_case(k: int, n: int, rng: random.Random):
+    """(label, call maker) for one seeded 10 x 5 x 4 grid at dimension n."""
+    alphas = tuple(sorted(rng.uniform(50.0, 500.0) for _ in range(10)))
+    thetas = tuple(sorted(10.0 ** rng.uniform(-3.0, -1.0) for _ in range(5)))
+    etas = tuple(sorted(rng.uniform(0.5, 1.0) for _ in range(4)))
+
+    def make(module):
+        return lambda: module.run_sweep(module.SweepGrid(alphas, thetas, etas, n))
+
+    return f"sweep {k}, n={n}", make
 
 
-def time_calls(module, spec, calls: int) -> float:
-    """Seconds per ``generate(spec)`` call, over ``calls`` calls."""
-    generate = module.generate
+def cases():
+    rng = random.Random(SWEEP_SEED)
+    return [generate_case(n, shifts) for n, shifts in GENERATE_CASES] + [
+        sweep_case(k, n, rng) for k, n in enumerate(SWEEP_NS)
+    ]
+
+
+def masked_repr(module, call) -> str:
+    return repr(call()).replace(module.__name__, "qubus_forge")
+
+
+def time_calls(call, calls: int) -> float:
+    """Seconds per ``call()``, over ``calls`` calls."""
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
         for _ in range(calls):
-            generate(spec)
+            call()
         return (time.perf_counter() - start) / calls
     finally:
         gc.enable()
@@ -86,19 +120,18 @@ def main(argv=None) -> None:
         modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
         header = f"{'case':<16} {'ratio':>7} {'parent ms':>10} {'change ms':>10}"
         print(f"{header}  ({args.rounds} rounds)")
-        for n, shifts in CASES:
-            outputs = {masked_repr(modules[side], n, shifts) for side in SIDES}
+        for label, make in cases():
+            calls = {side: make(modules[side]) for side in SIDES}
+            outputs = {masked_repr(modules[side], calls[side]) for side in SIDES}
             if len(outputs) != 1:
-                raise SystemExit(f"error: outputs differ at n = {n}, shifts = {shifts}")
-            specs = {side: spec_of(modules[side], n, shifts) for side in SIDES}
-            calls = max(1, round(0.02 / time_calls(modules["parent"], specs["parent"], 1)))
+                raise SystemExit(f"error: outputs differ in case {label}")
+            batch = max(1, round(0.02 / time_calls(calls["parent"], 1)))
             times = {side: [] for side in SIDES}
             for r in range(args.rounds):
                 for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    times[side].append(time_calls(modules[side], specs[side], calls))
+                    times[side].append(time_calls(calls[side], batch))
             ratio = statistics.median(c / p for p, c in zip(times["parent"], times["change"]))
             medians = [1e3 * statistics.median(times[side]) for side in SIDES]
-            label = f"n={n}, M={len(shifts)}"
             print(f"{label:<16} {ratio:>7.3f} {medians[0]:>10.3f} {medians[1]:>10.3f}")
 
 
