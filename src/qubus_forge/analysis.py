@@ -64,10 +64,10 @@ def reduced_entropy(state: HybridState, party: int) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
-def _checked_alpha_sq(alpha, theta: float, d_max: int) -> float:
-    """|alpha|^2, after rejecting a non-finite alpha or theta, a theta whose
-    largest phase d_max theta / 2 overflows, and an alpha whose largest beam
-    energy 2 |alpha|^2 overflows."""
+def _check_beam_inputs(alpha, theta: float, d_max: int) -> None:
+    """Reject a non-finite alpha or theta, a theta whose largest phase
+    d_max theta / 2 overflows, and an alpha whose beam energy 2 |alpha|^2
+    overflows."""
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if not math.isfinite(d_max * theta / 2.0):
@@ -75,12 +75,11 @@ def _checked_alpha_sq(alpha, theta: float, d_max: int) -> float:
             f"theta must be finite, and so must d theta / 2 up to d = {d_max}; got {theta!r}"
         )
     try:
-        a_sq = abs(alpha) ** 2
+        energy = 2.0 * abs(alpha) ** 2
     except OverflowError:
-        a_sq = math.inf
-    if not math.isfinite(2.0 * a_sq):
+        energy = math.inf
+    if not math.isfinite(energy):
         raise ValueError(f"alpha = {alpha!r} overflows the beam energy 2 |alpha|^2")
-    return a_sq
 
 
 def _closed_form_terms(theta: float, n: int) -> tuple[tuple[float, float], ...]:
@@ -121,8 +120,8 @@ def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
     if n < 2:
         raise ValueError("dimension must be >= 2")
     DetectorModel(eta)  # raises outside [0, 1]
-    a_sq = _checked_alpha_sq(alpha, theta, n - 1)
-    return math.exp(_closed_form_fold(a_sq, _closed_form_terms(theta, n), eta))
+    _check_beam_inputs(alpha, theta, n - 1)
+    return math.exp(_closed_form_log(alpha, theta, eta, n))
 
 
 def mean_branch_photons(alpha, theta: float, d: int) -> float:
@@ -130,8 +129,8 @@ def mean_branch_photons(alpha, theta: float, d: int) -> float:
     failure branch with phase offset d: 2 |alpha|^2 sin^2(d theta / 2).
     Raises ValueError on a non-finite alpha or theta and on an alpha whose
     beam energy overflows."""
-    a_sq = _checked_alpha_sq(alpha, theta, abs(d))
-    return 2.0 * a_sq * math.sin(d * theta / 2.0) ** 2
+    _check_beam_inputs(alpha, theta, abs(d))
+    return 2.0 * abs(alpha) ** 2 * math.sin(d * theta / 2.0) ** 2
 
 
 @dataclass(frozen=True)

@@ -126,15 +126,15 @@ class _BranchClasses(NamedTuple):
 
     ``state`` is the canonical state and ``vacuum`` the indices of its
     vacuum-class terms, whose weight is ``success_prob``.  ``branches``
-    holds one (representative beam, weight, is vacuum) entry per
-    beam-amplitude class, in class order; ``failures`` holds (log weight,
-    |beam|^2) of each failure class of positive weight, in the same order.
+    holds one (representative beam, weight) pair per beam-amplitude class,
+    in class order; ``failures`` holds (log weight, |beam|^2) of each
+    failure class of positive weight, in the same order.
     """
 
     state: HybridState
     vacuum: list[int]
     success_prob: float
-    branches: tuple[tuple[complex, float, bool], ...]
+    branches: tuple[tuple[complex, float], ...]
     failures: tuple[tuple[float, float], ...]
 
 
@@ -158,7 +158,7 @@ def herald_vacuum(
         vac = _derive(classes.state, ())
     error_log, error_prob = _failure_log(classes, det.efficiency)
     records = sorted(
-        (BranchRecord(rep, weight, det.no_click_log(rep)) for rep, weight, _ in classes.branches),
+        (BranchRecord(rep, weight, det.no_click_log(rep)) for rep, weight in classes.branches),
         key=lambda r: (-r.weight, _beam_key(r.beam_amp)),
     )
     return HeraldOutcome(
@@ -196,9 +196,8 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     for g, weight in zip(groups, weights):
         rep = col[g[0]]
         weight = weight.real
-        vacuum = qubus_close(rep, 0.0)
-        branches.append((rep, weight, vacuum))
-        if vacuum:
+        branches.append((rep, weight))
+        if qubus_close(rep, 0.0):
             vacuum_index = g
             success = weight
         elif weight > 0.0:
