@@ -126,15 +126,15 @@ class _BranchClasses(NamedTuple):
 
     ``state`` is the canonical state and ``vacuum`` the indices of its
     vacuum-class terms, whose weight is ``success_prob``.  ``branches``
-    holds one (representative beam, weight) pair per beam-amplitude class,
-    in class order; ``failures`` holds (log weight, |beam|^2) of each
-    failure class of positive weight, in the same order.
+    holds one (representative beam, weight, |beam|^2) entry per
+    beam-amplitude class, in class order; ``failures`` holds (log weight,
+    |beam|^2) of each failure class of positive weight, in the same order.
     """
 
     state: HybridState
     vacuum: list[int]
     success_prob: float
-    branches: tuple[tuple[complex, float], ...]
+    branches: tuple[tuple[complex, float, float], ...]
     failures: tuple[tuple[float, float], ...]
 
 
@@ -156,11 +156,11 @@ def herald_vacuum(
         vac = _renormalized(_derive(classes.state, classes.vacuum), success)
     else:
         vac = _derive(classes.state, ())
-    error_log, error_prob = _failure_log(classes, det.efficiency)
-    records = sorted(
-        (BranchRecord(rep, weight, det.no_click_log(rep)) for rep, weight in classes.branches),
-        key=lambda r: (-r.weight, _beam_key(r.beam_amp)),
-    )
+    eta = det.efficiency
+    error_log, error_prob = _failure_log(classes, eta)
+    # -eta |beam|^2 is det.no_click_log(beam), from each class's |beam|^2
+    records = [BranchRecord(rep, w, -eta * e2) for rep, w, e2 in classes.branches]
+    records.sort(key=lambda r: (-r.weight, _beam_key(r.beam_amp)))
     return HeraldOutcome(
         heralded_state=_without_beam(vac, beam),
         success_prob=success,
@@ -196,12 +196,13 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     for g, weight in zip(groups, weights):
         rep = col[g[0]]
         weight = weight.real
-        branches.append((rep, weight))
+        e2 = rep.real * rep.real + rep.imag * rep.imag
+        branches.append((rep, weight, e2))
         if qubus_close(rep, 0.0):
             vacuum_index = g
             success = weight
         elif weight > 0.0:
-            failures.append((math.log(weight), rep.real * rep.real + rep.imag * rep.imag))
+            failures.append((math.log(weight), e2))
     # The herald accepts states normalized to NORM_TOL, so a branch weight
     # may exceed 1 by as much.
     if not -NORM_TOL <= success <= 1.0 + NORM_TOL:

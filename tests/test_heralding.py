@@ -258,7 +258,7 @@ def test_class_weights_and_norm_come_from_one_pass():
         assert (total.real.hex(), total.imag.hex()) == (expected.real.hex(), expected.imag.hex())
         assert table[col[g[0]]].weight.hex() == expected.real.hex()
     assert classes.success_prob.hex() == table[0j].weight.hex()
-    assert [w for _, w in classes.branches] == [w.real for w in sums]
+    assert [w for _, w, _ in classes.branches] == [w.real for w in sums]
 
 
 def test_branch_table_merge_tolerance_edge():

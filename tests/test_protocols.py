@@ -255,7 +255,7 @@ def _arbitrary_spec_inputs(draw):
     return n, tuple(coeffs), shifts
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(_arbitrary_spec_inputs())
 def test_generate_matches_the_coefficient_product_oracle(inputs):
     # Independent of the circuit: the heralded state of any coefficient
