@@ -64,12 +64,17 @@ def reduced_entropy(state: HybridState, party: int) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
-def _check_beam_inputs(alpha, theta: float, d_max: int) -> None:
-    """Reject a non-finite alpha or theta, a theta whose largest phase
-    d_max theta / 2 overflows, and an alpha whose beam energy 2 |alpha|^2
-    overflows."""
+def _check_beam_inputs(alpha, theta: float, d_max: int, name: str) -> None:
+    """Reject a non-finite alpha or theta, a largest offset d_max beyond
+    float range (named by ``name``, the argument it comes from), a theta
+    whose largest phase d_max theta / 2 overflows, and an alpha whose beam
+    energy 2 |alpha|^2 overflows."""
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
+    try:
+        float(d_max)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
     if not math.isfinite(d_max * theta / 2.0):
         raise ValueError(
             f"theta must be finite, and so must d theta / 2 up to d = {d_max}; got {theta!r}"
@@ -115,21 +120,22 @@ def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
     (4/9) exp(-2 |a|^2 sin^2(t/2)) + (2/9) exp(-2 |a|^2 sin^2 t).
     May underflow to 0.0 for bright beams; use :func:`_closed_form_log`
     when the log value is needed.  Raises ValueError on a non-finite alpha
-    or theta and on an alpha whose beam energy overflows.
+    or theta, an n beyond float range and an alpha whose beam energy
+    overflows.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     DetectorModel(eta)  # raises outside [0, 1]
-    _check_beam_inputs(alpha, theta, n - 1)
+    _check_beam_inputs(alpha, theta, n - 1, "n")
     return math.exp(_closed_form_log(alpha, theta, eta, n))
 
 
 def mean_branch_photons(alpha, theta: float, d: int) -> float:
     """Mean photon number |alpha (1 - e^{i d theta}) / sqrt(2)|^2 of the
     failure branch with phase offset d: 2 |alpha|^2 sin^2(d theta / 2).
-    Raises ValueError on a non-finite alpha or theta and on an alpha whose
-    beam energy overflows."""
-    _check_beam_inputs(alpha, theta, abs(d))
+    Raises ValueError on a non-finite alpha or theta, a d beyond float range
+    and an alpha whose beam energy overflows."""
+    _check_beam_inputs(alpha, theta, abs(d), "d")
     return 2.0 * abs(alpha) ** 2 * math.sin(d * theta / 2.0) ** 2
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -243,10 +244,19 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
     chain of polarization rotations and polarizing beam splitters that peel
     amplitude 1/sqrt(n) into each spatial mode, with a final polarization
     flip so every mode carries |V>.
+
+    The state depends on n alone: it is built once per n, kept in a bounded
+    memo, and every call with that n returns the same immutable value.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     _check_dimension_bound(n)
+    return _prepared(operator.index(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _prepared(n: int) -> HybridState:
+    """Run the preparation cascade of :func:`prepare_single_photon_qudit`."""
     prep_layout = RegisterLayout(prep_modes=n + 1)
     work = prep_layout.work_mode
     state = HybridState(prep_layout, (Term(1.0, (work, POL_H)),))

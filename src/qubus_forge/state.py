@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -135,6 +136,8 @@ class RegisterLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "party_dims", tuple(map(operator.index, self.party_dims)))
+        for name in ("ancilla_modes", "prep_modes", "qubus_count"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if any(d < 1 for d in self.party_dims):
             raise ValueError("party dimensions must be >= 1")
         if self.ancilla_modes < 0 or self.prep_modes < 0 or self.qubus_count < 0:
@@ -188,7 +191,18 @@ class RegisterLayout:
         return tuple(dims)
 
     def replace(self, **changes) -> "RegisterLayout":
-        return dataclasses.replace(self, **changes)
+        """This layout with ``changes`` applied.  Layouts are values, so
+        equal requests share one result from a bounded memo."""
+        if "party_dims" in changes:
+            # (3.0,) == (3,): an exact key, so that a bad entry still raises
+            changes["party_dims"] = tuple(map(operator.index, changes["party_dims"]))
+        return _replaced(self, **changes)
+
+
+# typed: 1.0 and 1 are equal keys, but a count of 1.0 must raise
+@functools.lru_cache(maxsize=128, typed=True)
+def _replaced(layout: RegisterLayout, **changes) -> RegisterLayout:
+    return dataclasses.replace(layout, **changes)
 
 
 @dataclass(frozen=True)

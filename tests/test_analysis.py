@@ -177,6 +177,8 @@ def test_mean_branch_photons_identity():
         # 2 |alpha|^2 overflows; at theta = 0 it made the exponent NaN
         ((1e154, 0.0, 1.0, 3), "alpha = 1e\\+154 overflows"),
         ((1e200, 0.01, 1.0, 3), "alpha = 1e\\+200 overflows"),
+        # an int n whose d theta could not be formed as a float
+        ((1.0, 0.01, 1.0, 10**400), "n is beyond float range"),
     ],
 )
 def test_closed_form_rejects_non_finite_and_overflowing_inputs(args, message):
@@ -194,6 +196,8 @@ def test_closed_form_rejects_non_finite_and_overflowing_inputs(args, message):
         ((1.0, 1e308, 3), "theta must be finite"),
         ((1e200, 0.01, 1), "alpha = 1e\\+200 overflows"),
         ((1e154, 0.01, 1), "alpha = 1e\\+154 overflows"),
+        ((1.0, 0.01, 10**400), "d is beyond float range"),
+        ((1.0, 0.01, -(10**400)), "d is beyond float range"),
     ],
 )
 def test_mean_branch_photons_rejects_non_finite_and_overflowing_inputs(args, message):

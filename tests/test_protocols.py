@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qubus_forge
 from qubus_forge.analysis import (
     SweepGrid,
     error_prob_closed_form,
@@ -34,6 +35,7 @@ from qubus_forge.protocols import (
     PHASE_PATTERN_TOL,
     ProtocolSpec,
     _pre_herald_state,
+    _prepared,
     _run_stage,
     balanced_coeffs,
     coeff_phase_index,
@@ -51,6 +53,7 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
+    inner_product,
     overlap_sq,
 )
 
@@ -101,6 +104,38 @@ def test_prepare_cascade_peels_equal_weight_each_step():
     state = apply_pbs(state, work, n - 1)
     weights = sorted(abs(t.amp) ** 2 for t in state.terms)
     assert weights == pytest.approx([1.0 / n] * n, rel=1e-12)
+
+
+def test_prepare_shares_one_state_per_n():
+    # the memo hands back one object per n, equal to a cascade built afresh,
+    # behind a public name that stays a plain function
+    for n in (3, 5, 12):
+        _prepared.cache_clear()
+        shared = prepare_single_photon_qudit(n)
+        assert prepare_single_photon_qudit(n) is shared
+        _prepared.cache_clear()
+        fresh = prepare_single_photon_qudit(n)
+        assert fresh is not shared and fresh == shared
+        # <s|s> on the shared object takes the `a is b` shortcut of
+        # state._inner; it must give the bits of two distinct equal states
+        same, apart = inner_product(shared, shared), inner_product(shared, fresh)
+        assert (same.real.hex(), same.imag.hex()) == (apart.real.hex(), apart.imag.hex())
+    assert not hasattr(qubus_forge.prepare_single_photon_qudit, "cache_clear")
+
+
+def test_prepare_rejects_bad_dimensions_after_a_cached_one():
+    prepare_single_photon_qudit(3)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        prepare_single_photon_qudit(0)
+    with pytest.raises(ValueError, match=re.escape(f"dimension n must be <= {N_MAX}")):
+        prepare_single_photon_qudit(N_MAX + 1)
+    for n in (3.0, "3"):
+        with pytest.raises(TypeError):
+            prepare_single_photon_qudit(n)
+    # a bool dimension is its int: the layout holds 1, not True
+    layout = prepare_single_photon_qudit(True).layout
+    assert repr(layout) == repr(RegisterLayout(ancilla_modes=1))
+    assert type(layout.ancilla_modes) is int
 
 
 def test_stage_one_heralds_party_register_correlation():
@@ -533,16 +568,20 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
     # per label it ran 5,216 and 11,664 times); the herald takes its norm and
     # every class weight from one _inner pass (a pass per class made 194 and
     # 290 passes).
+    # The preparation is memoized per n: a cold call runs its cascade (2n
+    # canonicalize calls), every later call of that n gets it for free.
     # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls,
-    #     most rows built, most cells built, _merge_groups calls, _inner calls)
+    #     most rows built, most cells built, _merge_groups calls, _inner calls,
+    #     canonicalize calls with a warm memo)
     expected = {
-        3: (None, None, 12, None, None, None, None),
-        32: (350, 1100, 99, 10600, 36500, 2, 68),
-        48: (500, 2500, 147, 23600, 81000, 2, 100),
+        3: (None, None, 12, None, None, None, None, 6),
+        32: (350, 1100, 99, 10600, 36500, 2, 68, 35),
+        48: (500, 2500, 147, 23600, 81000, 2, 100, 51),
     }
     for n, (close_max, pair_max, canonicalize_calls, rows_max, cells_max, merges,
-            inners) in expected.items():
+            inners, warm_calls) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
+        _prepared.cache_clear()
         with monkeypatch.context() as mp:
             counts = _count_calls(
                 mp, ("qubus_close", "_pair_weight", "canonicalize", "_merge_groups", "_inner")
@@ -557,6 +596,11 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
             assert built["cells"] <= cells_max, (n, built)
             assert counts["_merge_groups"] == merges, (n, counts)
             assert counts["_inner"] == inners, (n, counts)
+        for _ in range(2):
+            with monkeypatch.context() as mp:
+                warm = _count_calls(mp, ("canonicalize",))
+                generate(spec)
+            assert warm["canonicalize"] == warm_calls, (n, warm)
 
 
 def _count_constructions(monkeypatch, classes):
@@ -573,31 +617,34 @@ def _count_constructions(monkeypatch, classes):
 
 def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
     # The stage state does not depend on eta: a sweep prepares the ancilla
-    # once per grid (its cascade canonicalizes 2n times) and simulates each
-    # of the 50 (alpha, theta) pairs once (one canonicalize and one class
-    # merge, in the herald), however many etas score it.  An eta costs only
-    # the folds over the failure classes: no branch table, no herald
-    # outcome and no renormalized heralded state is built.
+    # once per grid (its cascade canonicalizes 2n times while the memo is
+    # cold, and not at all once it is warm) and simulates each of the 50
+    # (alpha, theta) pairs once (one canonicalize and one class merge, in
+    # the herald), however many etas score it.  An eta costs only the folds
+    # over the failure classes: no branch table, no herald outcome and no
+    # renormalized heralded state is built.
     alphas = tuple(50.0 + 45.0 * i for i in range(10))
     thetas = (0.001, 0.003, 0.01, 0.03, 0.1)
     for n in (3, 5):
         per_eta_count = []
         for etas in ((0.8,), (0.5, 0.7, 0.9, 1.0)):
             grid = SweepGrid(alphas, thetas, etas, n)
-            with monkeypatch.context() as mp:
-                counts = _count_calls(
-                    mp,
-                    ("canonicalize", "_merge_groups", "prepare_single_photon_qudit",
-                     "_renormalized", "_without_beam"),
-                )
-                built = _count_constructions(mp, (BranchRecord, HeraldOutcome))
-                run_sweep(grid)
-            assert counts["canonicalize"] == 2 * n + 50, (n, etas, counts)
-            assert counts["prepare_single_photon_qudit"] == 1, (n, etas, counts)
-            assert counts["_renormalized"] == counts["_without_beam"] == 0, (n, etas, counts)
-            assert built == {"BranchRecord": 0, "HeraldOutcome": 0}, (n, etas, built)
-            per_eta_count.append(counts)
-        assert per_eta_count[0] == per_eta_count[1], (n, per_eta_count)
+            _prepared.cache_clear()
+            for canonicalize_calls in (2 * n + 50, 50):  # cold memo, then warm
+                with monkeypatch.context() as mp:
+                    counts = _count_calls(
+                        mp,
+                        ("canonicalize", "_merge_groups", "prepare_single_photon_qudit",
+                         "_renormalized", "_without_beam"),
+                    )
+                    built = _count_constructions(mp, (BranchRecord, HeraldOutcome))
+                    run_sweep(grid)
+                assert counts["canonicalize"] == canonicalize_calls, (n, etas, counts)
+                assert counts["prepare_single_photon_qudit"] == 1, (n, etas, counts)
+                assert counts["_renormalized"] == counts["_without_beam"] == 0, (n, etas, counts)
+                assert built == {"BranchRecord": 0, "HeraldOutcome": 0}, (n, etas, built)
+                per_eta_count.append(counts)
+        assert per_eta_count[:2] == per_eta_count[2:], (n, per_eta_count)
 
 
 def _count_validations(monkeypatch):

@@ -471,6 +471,40 @@ def test_layout_validation_and_slots():
     assert layout.label_dims() == (3, 2, 3, 4, 2)
 
 
+def test_layout_counts_are_indexed():
+    # a count is an int: a float is never truncated, a bool becomes its int
+    for counts in ({"ancilla_modes": 2.5, "qubus_count": 1.5}, {"prep_modes": 2.0},
+                   {"qubus_count": 1.0}):
+        with pytest.raises(TypeError):
+            RegisterLayout(**counts)
+    layout = RegisterLayout(ancilla_modes=True, prep_modes=True, qubus_count=True)
+    assert repr(layout) == (
+        "RegisterLayout(party_dims=(), ancilla_modes=1, prep_modes=1, qubus_count=1)"
+    )
+    assert layout == RegisterLayout(ancilla_modes=1, prep_modes=1, qubus_count=1)
+
+
+def test_layout_replace_shares_results_and_raises_every_time():
+    layout = RegisterLayout(party_dims=(3,), qubus_count=2)
+    fewer = layout.replace(qubus_count=1)
+    assert layout.replace(qubus_count=1) is fewer
+    assert fewer == RegisterLayout(party_dims=(3,), qubus_count=1)
+    # a bool asks for the same layout, and the memo hands back an int count
+    assert repr(layout.replace(qubus_count=True)) == repr(fewer)
+    assert layout.replace(party_dims=(3,)) == layout
+    assert layout.replace(party_dims=[3, 2]) == RegisterLayout(party_dims=(3, 2), qubus_count=2)
+    # a bad change equal to a cached good one still raises, every time
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            layout.replace(qubus_count=1.0)
+        with pytest.raises(TypeError):
+            layout.replace(party_dims=(3.0,))
+        with pytest.raises(ValueError):
+            layout.replace(qubus_count=-1)
+        with pytest.raises(TypeError):
+            layout.replace(beams=1)
+
+
 def test_inner_product_requires_matching_layouts():
     a = _single(1.0)
     b = _single(1.0, layout=RegisterLayout(party_dims=(4,)))
