@@ -245,8 +245,8 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
     amplitude 1/sqrt(n) into each spatial mode, with a final polarization
     flip so every mode carries |V>.
 
-    The state depends on n alone: it is built once per n, kept in a bounded
-    memo, and every call with that n returns the same immutable value.
+    The state depends on n alone, so it is kept in a bounded memo: calls
+    with one n share one immutable state while it stays there.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
