@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .heralding import DetectorModel, _classify_branches, _failure_log
 from .protocols import (
     _check_working_point,
+    _in_float_range,
     _pre_herald_state,
-    balanced_coeffs,
+    phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
 )
@@ -26,20 +27,14 @@ from .state import (
     HybridState,
     _logaddexp_reduce,
     inner_product,
-    overlap_sq,
     state_norm_sq,
 )
 
 _LN10 = math.log(10.0)
 
 
-def fidelity(a: HybridState, b: HybridState) -> float:
-    """|<a|b>|^2 normalized by both norms; insensitive to global phase."""
-    return overlap_sq(a, b)
-
-
-def reduced_entropy(state: HybridState, party: int) -> float:
-    """Von Neumann entropy (bits) of one party of a pure two-party state.
+def reduced_entropy(state: HybridState) -> float:
+    """Von Neumann entropy (bits) of either party of a pure two-party state.
 
     log2(n) for a maximally entangled pair of n-level qudits, 0 for a
     product state.
@@ -52,8 +47,6 @@ def reduced_entropy(state: HybridState, party: int) -> float:
     if layout.num_parties != 2 or layout.has_ancilla or layout.has_prep \
             or layout.qubus_count:
         raise ValueError("state must be a bare two-party pure state")
-    if party not in (0, 1):
-        raise ValueError("party index must be 0 or 1")
     psi = np.zeros(layout.party_dims, dtype=complex)
     for (j, k), amp in zip(state.labels, state.amps):
         psi[j, k] += amp
@@ -65,17 +58,14 @@ def reduced_entropy(state: HybridState, party: int) -> float:
 
 
 def _check_beam_inputs(alpha, theta: float, d_max: int, name: str) -> None:
-    """Reject a non-finite alpha or theta, a largest offset d_max beyond
-    float range (named by ``name``, the argument it comes from), a theta
-    whose largest phase d_max theta / 2 overflows, and an alpha whose beam
-    energy 2 |alpha|^2 overflows."""
-    if not cmath.isfinite(alpha):
+    """Reject a non-finite alpha or theta, an alpha, theta or largest offset
+    d_max beyond float range (d_max named by ``name``, the argument it comes
+    from), a theta whose largest phase d_max theta / 2 overflows, and an
+    alpha whose beam energy 2 |alpha|^2 overflows."""
+    if not _in_float_range(cmath.isfinite, alpha, "alpha"):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    try:
-        float(d_max)
-    except OverflowError:
-        raise ValueError(f"{name} is beyond float range") from None
-    if not math.isfinite(d_max * theta / 2.0):
+    _in_float_range(float, d_max, name)
+    if not math.isfinite(d_max * _in_float_range(float, theta, "theta") / 2.0):
         raise ValueError(
             f"theta must be finite, and so must d theta / 2 up to d = {d_max}; got {theta!r}"
         )
@@ -87,10 +77,10 @@ def _check_beam_inputs(alpha, theta: float, d_max: int, name: str) -> None:
         raise ValueError(f"alpha = {alpha!r} overflows the beam energy 2 |alpha|^2")
 
 
-def _closed_form_terms(theta: float, n: int) -> tuple[tuple[float, float], ...]:
-    """The eta-independent terms of the closed form: per phase offset
+def _closed_form_terms(theta: float, n: int):
+    """The eta-independent terms of the closed form, lazily: per offset
     d = 1 .. n-1, the log weight log(2 (n-d) / n^2) and sin^2(d theta / 2)."""
-    return tuple(
+    return (
         (math.log(2.0 * (n - d) / n**2), math.sin(d * theta / 2.0) ** 2)
         for d in range(1, n)
     )
@@ -98,43 +88,35 @@ def _closed_form_terms(theta: float, n: int) -> tuple[tuple[float, float], ...]:
 
 def _closed_form_fold(a_sq: float, terms, eta: float) -> float:
     """Natural log of the closed form at detector efficiency eta, from
-    |alpha|^2 and :func:`_closed_form_terms`."""
+    |alpha|^2 and :func:`_closed_form_terms`, folded term by term."""
     scale = 2.0 * eta * a_sq
-    return _logaddexp_reduce([lw - scale * s_sq for lw, s_sq in terms])
-
-
-def _closed_form_log(alpha: float, theta: float, eta: float, n: int) -> float:
-    """Natural log of the balanced-stage silent-failure probability.
-
-    Branch with phase offset d (1 <= |d| <= n-1) has weight (n-|d|)/n^2 and
-    beam energy 2 |alpha|^2 sin^2(d theta / 2); the detector misses it with
-    probability exp(-eta * energy).
-    """
-    return _closed_form_fold(abs(alpha) ** 2, _closed_form_terms(theta, n), eta)
+    return _logaddexp_reduce(lw - scale * s_sq for lw, s_sq in terms)
 
 
 def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
     """Closed-form silent-failure probability of one balanced stage.
 
-    At n = 3 and eta = 1 this is
+    Branch with phase offset d (1 <= |d| <= n-1) has weight (n-|d|)/n^2 and
+    beam energy 2 |alpha|^2 sin^2(d theta / 2); the detector misses it with
+    probability exp(-eta * energy).  At n = 3 and eta = 1 this is
     (4/9) exp(-2 |a|^2 sin^2(t/2)) + (2/9) exp(-2 |a|^2 sin^2 t).
-    May underflow to 0.0 for bright beams; use :func:`_closed_form_log`
-    when the log value is needed.  Raises ValueError on a non-finite alpha
-    or theta, an n beyond float range and an alpha whose beam energy
+    May underflow to 0.0 for bright beams; :func:`_closed_form_fold` gives
+    the log value.  Raises ValueError on a non-finite alpha or theta, an
+    alpha, theta or n beyond float range and an alpha whose beam energy
     overflows.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     DetectorModel(eta)  # raises outside [0, 1]
     _check_beam_inputs(alpha, theta, n - 1, "n")
-    return math.exp(_closed_form_log(alpha, theta, eta, n))
+    return math.exp(_closed_form_fold(abs(alpha) ** 2, _closed_form_terms(theta, n), eta))
 
 
 def mean_branch_photons(alpha, theta: float, d: int) -> float:
     """Mean photon number |alpha (1 - e^{i d theta}) / sqrt(2)|^2 of the
     failure branch with phase offset d: 2 |alpha|^2 sin^2(d theta / 2).
-    Raises ValueError on a non-finite alpha or theta, a d beyond float range
-    and an alpha whose beam energy overflows."""
+    Raises ValueError on a non-finite alpha or theta, an alpha, theta or d
+    beyond float range and an alpha whose beam energy overflows."""
     _check_beam_inputs(alpha, theta, abs(d), "d")
     return 2.0 * abs(alpha) ** 2 * math.sin(d * theta / 2.0) ** 2
 
@@ -150,9 +132,10 @@ class SweepGrid:
     n: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
-        object.__setattr__(self, "theta_values", tuple(float(t) for t in self.theta_values))
-        object.__setattr__(self, "eta_values", tuple(float(e) for e in self.eta_values))
+        for name in ("alpha", "theta", "eta"):
+            values = getattr(self, f"{name}_values")
+            object.__setattr__(self, f"{name}_values",
+                               tuple(_in_float_range(float, v, name) for v in values))
         if not (self.alpha_values and self.theta_values and self.eta_values):
             raise ValueError("sweep axes must be non-empty")
         if any(a < 0 for a in self.alpha_values):
@@ -194,12 +177,12 @@ def _sweep_rows(ancilla: HybridState, alpha: float, theta: float, etas, n: int):
     once; each eta costs only the two log-space folds over the failure
     branches, the simulated one and the closed form.
     """
-    st, beam = _pre_herald_state(ancilla, balanced_coeffs(n), 0, theta, alpha)
+    st, beam = _pre_herald_state(ancilla, phased_coeffs(n, 0), 0, theta, alpha)
     classes = _classify_branches(st, beam)
     a_sq = abs(alpha) ** 2
-    terms = _closed_form_terms(theta, n)
-    k1 = mean_branch_photons(alpha, theta, 1)
-    k2 = mean_branch_photons(alpha, theta, 2) if n >= 3 else None
+    terms = tuple(_closed_form_terms(theta, n))
+    k1 = 2.0 * a_sq * terms[0][1]
+    k2 = 2.0 * a_sq * terms[1][1] if n >= 3 else None
     rows = []
     for eta in etas:
         closed_log = _closed_form_fold(a_sq, terms, eta)
@@ -287,7 +270,7 @@ def verify_basis(n: int) -> BasisReport:
     max_ent_err = 0.0
     expected = math.log2(n)
     for key in keys:
-        err = abs(reduced_entropy(states[key], 0) - expected)
+        err = abs(reduced_entropy(states[key]) - expected)
         max_ent_err = max(max_ent_err, err)
         if err > 1e-10:
             violations.append(f"target {key} entropy off by {err:.3e}")

@@ -59,19 +59,8 @@ class DetectorModel:
             raise ValueError("detector efficiency must lie in [0, 1]")
 
     @classmethod
-    def ideal_pnnd(cls) -> "DetectorModel":
-        return cls(1.0)
-
-    @classmethod
     def on_off(cls, efficiency: float) -> "DetectorModel":
         return cls(float(efficiency))
-
-    def no_click_log(self, beam_amp: complex) -> float:
-        """Natural log of the silence probability on amplitude beam_amp."""
-        beam_amp = complex(beam_amp)
-        return -self.efficiency * (
-            beam_amp.real * beam_amp.real + beam_amp.imag * beam_amp.imag
-        )
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,7 @@ def herald_vacuum(
         vac = _derive(classes.state, ())
     eta = det.efficiency
     error_log, error_prob = _failure_log(classes, eta)
-    # -eta |beam|^2 is det.no_click_log(beam), from each class's |beam|^2
+    # log silence probability -eta |beam|^2, from each class's |beam|^2
     records = [BranchRecord(rep, w, -eta * e2) for rep, w, e2 in classes.branches]
     records.sort(key=lambda r: (-r.weight, _beam_key(r.beam_amp)))
     return HeraldOutcome(

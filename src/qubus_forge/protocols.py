@@ -66,11 +66,6 @@ def _check_party_bound(parties: int) -> None:
         raise ValueError(f"party count must be <= {PARTIES_MAX}")
 
 
-def balanced_coeffs(n: int) -> tuple[complex, ...]:
-    """The flat unit vector (1, ..., 1)/sqrt(n)."""
-    return phased_coeffs(n, 0)
-
-
 def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     """Balanced coefficients with the linear phase pattern tau^{j m},
     tau = exp(2 pi i / n)."""
@@ -109,13 +104,23 @@ def coeff_phase_index(coeffs) -> int | None:
     return m
 
 
+def _in_float_range(convert, value, name: str):
+    """convert(value) for convert float, complex or an isfinite; an integer
+    beyond float range raises ValueError naming ``name``, its argument."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+
+
 def _check_working_point(n: int, theta: float, alpha: complex) -> None:
     """Reject a dimension, XPM phase and beam amplitude at which the vacuum
     herald cannot tell success from failure."""
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     _check_dimension_bound(n)
-    if not (math.isfinite(theta) and cmath.isfinite(alpha)):
+    if not (_in_float_range(math.isfinite, theta, "theta")
+            and _in_float_range(cmath.isfinite, alpha, "alpha")):
         raise ValueError("theta and alpha must be finite")
     if abs(theta) > THETA_MAX:
         raise ValueError("|theta| must be <= 2 pi")
@@ -142,6 +147,12 @@ def _check_shifts(shifts: tuple[int, ...], n: int, parties: int) -> None:
         raise ValueError("the first party's shift must be 0")
 
 
+# How far the squared norm of a coefficient vector may sit from 1.
+# phased_coeffs lands within ~1e-16; 1e-12 also admits a vector entered by
+# hand (--coeffs), off by its rounding.
+COEFF_NORM_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Complete description of one generation run.
@@ -157,14 +168,14 @@ class ProtocolSpec:
     coeffs: tuple[tuple[complex, ...], ...]
     theta: float
     alpha: complex
-    detector: DetectorModel = DetectorModel.ideal_pnnd()
+    detector: DetectorModel = DetectorModel()
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(map(operator.index, self.shifts)))
         object.__setattr__(
             self, "coeffs", tuple(tuple(complex(c) for c in v) for v in self.coeffs)
         )
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", _in_float_range(complex, self.alpha, "alpha"))
         _check_working_point(self.n, self.theta, self.alpha)
         if self.parties < 2:
             raise ValueError("party count must be >= 2")
@@ -176,7 +187,7 @@ class ProtocolSpec:
             if len(vec) != self.n:
                 raise ValueError("coefficient vectors must have length n")
             norm = sum(c.real * c.real + c.imag * c.imag for c in vec)
-            if abs(norm - 1.0) > 1e-12:
+            if abs(norm - 1.0) > COEFF_NORM_TOL:
                 raise ValueError("coefficient vectors must have unit norm")
 
     @classmethod
@@ -205,7 +216,7 @@ class ProtocolSpec:
             coeffs=coeffs,
             theta=theta,
             alpha=alpha,
-            detector=detector if detector is not None else DetectorModel.ideal_pnnd(),
+            detector=detector if detector is not None else DetectorModel(),
         )
 
 
@@ -384,44 +395,33 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
     """
     state = prepare_single_photon_qudit(spec.n)
     outcomes: list[HeraldOutcome] = []
+    success, fidelity, failed_stage = 1.0, None, None
     for party in range(spec.parties):
         outcome = entangle_stage(state, spec, party)
         outcomes.append(outcome)
-        if outcome.success_prob <= 0.0:
-            error_log = _total_error_log(outcomes)
-            return GenerationReport(
-                final_state=outcome.heralded_state,
-                success_prob=0.0,
-                error_prob_total=math.exp(error_log),
-                error_prob_total_log=error_log,
-                per_stage=tuple(outcomes),
-                fidelity_vs_target=None,
-                failed_stage=party,
-            )
         state = outcome.heralded_state
-
-    state = apply_fourier_lomi(state)
-    final = measure_ancilla_and_feedforward(state, correction_party=0)
-
-    success = 1.0
-    for outcome in outcomes:
+        if outcome.success_prob <= 0.0:
+            success, failed_stage = 0.0, party
+            break
         success *= outcome.success_prob
-
-    fidelity = None
-    phase_indices = [coeff_phase_index(vec) for vec in spec.coeffs]
-    if all(m is not None for m in phase_indices):
-        m_total = sum(phase_indices) % spec.n
-        target = target_state(spec.n, m_total, spec.shifts, spec.parties)
-        fidelity = overlap_sq(final, target)
+    else:
+        state = apply_fourier_lomi(state)
+        state = measure_ancilla_and_feedforward(state, correction_party=0)
+        phase_indices = [coeff_phase_index(vec) for vec in spec.coeffs]
+        if all(m is not None for m in phase_indices):
+            m_total = sum(phase_indices) % spec.n
+            target = target_state(spec.n, m_total, spec.shifts, spec.parties)
+            fidelity = overlap_sq(state, target)
 
     error_log = _total_error_log(outcomes)
     return GenerationReport(
-        final_state=final,
+        final_state=state,
         success_prob=success,
         error_prob_total=math.exp(error_log),
         error_prob_total_log=error_log,
         per_stage=tuple(outcomes),
         fidelity_vs_target=fidelity,
+        failed_stage=failed_stage,
     )
 
 

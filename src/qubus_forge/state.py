@@ -289,9 +289,6 @@ class HybridState:
             self._terms = terms
         return terms
 
-    def with_terms(self, terms) -> "HybridState":
-        return HybridState(self._layout, terms)
-
     def __repr__(self) -> str:
         return f"HybridState(layout={self._layout!r}, terms={self.terms!r})"
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from qubus_forge.analysis import (
-    _closed_form_log,
-    fidelity,
+    _closed_form_fold,
+    _closed_form_terms,
     mean_branch_photons,
     reduced_entropy,
     verify_basis,
@@ -31,8 +31,8 @@ from qubus_forge.heralding import DetectorModel, feedforward_outcomes
 from qubus_forge.protocols import (
     ProtocolSpec,
     _run_stage,
-    balanced_coeffs,
     generate,
+    phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
 )
@@ -77,8 +77,8 @@ def test_criterion_2_stage_error_probability_closed_form():
     for alpha in (1.0, 10.0, 100.0, 500.0):
         for theta in (0.001, 0.01, 0.1):
             outcome = _run_stage(
-                ancilla, balanced_coeffs(3), 0, theta, alpha,
-                DetectorModel.ideal_pnnd(),
+                ancilla, phased_coeffs(3, 0), 0, theta, alpha,
+                DetectorModel(),
             )
             literal = np.logaddexp(
                 math.log(4.0 / 9.0) - 2.0 * alpha**2 * math.sin(theta / 2.0) ** 2,
@@ -100,14 +100,15 @@ def test_criterion_3_feasibility_numbers():
         assert abs(mean - direct) <= 1e-12 * direct
 
     ancilla = prepare_single_photon_qudit(3)
-    ideal = _run_stage(ancilla, balanced_coeffs(3), 0, THETA, ALPHA,
-                       DetectorModel.ideal_pnnd())
+    ideal = _run_stage(ancilla, phased_coeffs(3, 0), 0, THETA, ALPHA,
+                       DetectorModel())
     assert ideal.error_prob == pytest.approx(1.66e-6, rel=5e-3)
     assert ideal.error_prob < 1e-5  # P_E << 1
     assert abs(math.expm1(ideal.error_prob_log
-                          - _closed_form_log(ALPHA, THETA, 1.0, 3))) <= 1e-10
+                          - _closed_form_fold(ALPHA**2, _closed_form_terms(THETA, 3),
+                                              1.0))) <= 1e-10
 
-    common = _run_stage(ancilla, balanced_coeffs(3), 0, THETA, ALPHA,
+    common = _run_stage(ancilla, phased_coeffs(3, 0), 0, THETA, ALPHA,
                         DetectorModel.on_off(0.7))
     assert common.error_prob < 1e-4
     print(
@@ -127,12 +128,10 @@ def test_criterion_4_output_state_certification():
                 )
                 report = generate(spec)
                 target = target_state(n, m, k)
-                assert fidelity(report.final_state, target) >= 1.0 - 1e-9, (n, m, k)
+                assert overlap_sq(report.final_state, target) >= 1.0 - 1e-9, (n, m, k)
                 assert report.fidelity_vs_target >= 1.0 - 1e-9, (n, m, k)
-                for party in (0, 1):
-                    err = abs(reduced_entropy(report.final_state, party)
-                              - math.log2(n))
-                    assert err <= 1e-9, (n, m, k, party)
+                err = abs(reduced_entropy(report.final_state) - math.log2(n))
+                assert err <= 1e-9, (n, m, k)
     print("ACCEPTANCE 4 (generated states certified against targets): PASS")
 
 
@@ -159,10 +158,10 @@ def test_criterion_6_stage_two_success_formula():
         b /= np.linalg.norm(b)
         first = _run_stage(
             prepare_single_photon_qudit(n), tuple(a), 0, THETA, ALPHA,
-            DetectorModel.ideal_pnnd(),
+            DetectorModel(),
         )
         second = _run_stage(first.heralded_state, tuple(b), k, THETA, ALPHA,
-                            DetectorModel.ideal_pnnd())
+                            DetectorModel())
         expected = sum(abs(a[j] * b[(j + k) % n]) ** 2 for j in range(n))
         assert abs(second.success_prob - expected) <= 1e-10 * max(1.0, expected), (
             trial, n, k,

@@ -6,9 +6,9 @@ import pytest
 
 from qubus_forge.analysis import (
     SweepGrid,
-    _closed_form_log,
+    _closed_form_fold,
+    _closed_form_terms,
     error_prob_closed_form,
-    fidelity,
     mean_branch_photons,
     reduced_entropy,
     run_sweep,
@@ -20,8 +20,8 @@ from qubus_forge.protocols import (
     ProtocolSpec,
     _pre_herald_state,
     _run_stage,
-    balanced_coeffs,
     generate,
+    phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
 )
@@ -32,7 +32,13 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
+    overlap_sq,
 )
+
+
+def closed_form_log(alpha, theta, eta, n):
+    """Natural log of the closed form, as error_prob_closed_form folds it."""
+    return _closed_form_fold(abs(alpha) ** 2, _closed_form_terms(theta, n), eta)
 
 
 def qutrit_failure_log_literal(alpha, theta, eta=1.0):
@@ -45,12 +51,12 @@ def qutrit_failure_log_literal(alpha, theta, eta=1.0):
 
 def test_fidelity_basic_cases():
     psi = target_state(3, 0, 1)
-    assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(target_state(3, 0, 1), target_state(3, 1, 1)) == pytest.approx(
+    assert overlap_sq(psi, psi) == pytest.approx(1.0, abs=1e-12)
+    assert overlap_sq(target_state(3, 0, 1), target_state(3, 1, 1)) == pytest.approx(
         0.0, abs=1e-12
     )
     report = generate(ProtocolSpec.balanced(3, 2, shifts=(0, 1)))
-    assert fidelity(report.final_state, target_state(3, 0, 1)) == pytest.approx(
+    assert overlap_sq(report.final_state, target_state(3, 0, 1)) == pytest.approx(
         1.0, abs=1e-9
     )
 
@@ -67,71 +73,68 @@ def test_fidelity_is_symmetric_and_bounded():
             )
             return HybridState(layout, terms)
         a, b = rand_state(), rand_state()
-        fab = fidelity(a, b)
+        fab = overlap_sq(a, b)
         assert 0.0 <= fab <= 1.0 + 1e-12
-        assert fab == pytest.approx(fidelity(b, a), abs=1e-12)
+        assert fab == pytest.approx(overlap_sq(b, a), abs=1e-12)
 
 
 def test_fidelity_one_only_for_proportional_states():
     psi = target_state(4, 1, 2)
-    scaled = psi.with_terms(Term(0.3j * t.amp, t.labels) for t in psi.terms)
-    assert fidelity(psi, scaled) == pytest.approx(1.0, abs=1e-12)
-    bumped = psi.with_terms(
-        (Term(psi.terms[0].amp * 1.2, psi.terms[0].labels),) + psi.terms[1:]
+    scaled = HybridState(psi.layout, [Term(0.3j * t.amp, t.labels) for t in psi.terms])
+    assert overlap_sq(psi, scaled) == pytest.approx(1.0, abs=1e-12)
+    bumped = HybridState(
+        psi.layout,
+        (Term(psi.terms[0].amp * 1.2, psi.terms[0].labels),) + psi.terms[1:],
     )
-    assert fidelity(psi, bumped) < 1.0 - 1e-4
+    assert overlap_sq(psi, bumped) < 1.0 - 1e-4
 
 
 def test_fidelity_layout_mismatch():
     with pytest.raises(ValueError, match="layout mismatch"):
-        fidelity(target_state(3, 0, 1), target_state(4, 0, 1))
+        overlap_sq(target_state(3, 0, 1), target_state(4, 0, 1))
 
 
 def test_reduced_entropy_product_state():
     layout = RegisterLayout(party_dims=(3, 3))
     product = HybridState(layout, (Term(1.0, (0, 1)),))
-    assert reduced_entropy(product, 0) == pytest.approx(0.0, abs=1e-12)
+    assert reduced_entropy(product) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_entropy_bell_and_targets():
     bell = target_state(2, 0, 0)
-    assert reduced_entropy(bell, 0) == pytest.approx(1.0, abs=1e-12)
+    assert reduced_entropy(bell) == pytest.approx(1.0, abs=1e-12)
     for n in (2, 3, 5):
         for m in range(n):
             for k in range(n):
-                st = target_state(n, m, k)
-                for party in (0, 1):
-                    assert reduced_entropy(st, party) == pytest.approx(
-                        math.log2(n), abs=1e-10
-                    )
+                assert reduced_entropy(target_state(n, m, k)) == pytest.approx(
+                    math.log2(n), abs=1e-10
+                )
 
 
 def test_reduced_entropy_rejects_wrong_shapes():
     three = target_state(3, 0, (0, 1, 1), parties=3)
     with pytest.raises(ValueError, match="two-party"):
-        reduced_entropy(three, 0)
+        reduced_entropy(three)
     with_ancilla = HybridState(
         RegisterLayout(party_dims=(2, 2), ancilla_modes=2), (Term(1.0, (0, 0, 0)),)
     )
     with pytest.raises(ValueError, match="two-party"):
-        reduced_entropy(with_ancilla, 0)
-    with pytest.raises(ValueError, match="party index"):
-        reduced_entropy(target_state(2, 0, 0), 2)
+        reduced_entropy(with_ancilla)
 
 
 def test_closed_form_matches_literal_transcription():
     for alpha in (0.5, 1.0, 10.0, 100.0, 500.0):
         for theta in (0.001, 0.01, 0.1):
             for eta in (0.5, 1.0):
-                ours = _closed_form_log(alpha, theta, eta, 3)
+                ours = closed_form_log(alpha, theta, eta, 3)
                 assert ours == pytest.approx(qutrit_failure_log_literal(alpha, theta, eta), rel=1e-12)
 
 
 def test_closed_form_degenerate_and_scaled_cases():
     assert error_prob_closed_form(0.0, 0.01, 1.0, 3) == pytest.approx(2.0 / 3.0)
     # eta rescales every exponent
-    full = _closed_form_log(500.0, 0.01, 1.0, 3)
-    damped = _closed_form_log(500.0, 0.01, 0.7, 3)
+    full = closed_form_log(500.0, 0.01, 1.0, 3)
+    damped = closed_form_log(500.0, 0.01, 0.7, 3)
     assert damped > full
     assert error_prob_closed_form(500.0, 0.01, 0.7, 3) == pytest.approx(
         7.06e-5, rel=5e-3
@@ -148,10 +151,10 @@ def test_closed_form_general_dimension_matches_simulator():
     for n in (2, 4, 5):
         for alpha, theta in ((2.0, 0.05), (30.0, 0.01)):
             outcome = _run_stage(
-                prepare_single_photon_qudit(n), balanced_coeffs(n), 0,
-                theta, alpha, DetectorModel.ideal_pnnd(),
+                prepare_single_photon_qudit(n), phased_coeffs(n, 0), 0,
+                theta, alpha, DetectorModel(),
             )
-            closed = _closed_form_log(alpha, theta, 1.0, n)
+            closed = closed_form_log(alpha, theta, 1.0, n)
             assert abs(math.expm1(outcome.error_prob_log - closed)) < 1e-10
 
 
@@ -212,6 +215,42 @@ def test_closed_form_and_mean_photons_hold_at_the_largest_finite_inputs():
     assert error_prob_closed_form(alpha, 0.01, 1.0, 3) == 0.0
     assert math.isfinite(mean_branch_photons(alpha, 0.01, 1))
     assert mean_branch_photons(1.0, 1e307, 1) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ProtocolSpec.balanced(3, theta=10**400), "theta"),
+        (lambda: ProtocolSpec.balanced(3, alpha=10**400), "alpha"),
+        (lambda: SweepGrid((1.0,), (10**400,), (1.0,), 3), "theta"),
+        (lambda: SweepGrid((10**400,), (0.01,), (1.0,), 3), "alpha"),
+        (lambda: SweepGrid((1.0,), (0.01,), (10**400,), 3), "eta"),
+        (lambda: sweep_point(1.0, 10**400, 1.0, 3), "theta"),
+        (lambda: mean_branch_photons(1.0, 10**400, 1), "theta"),
+        (lambda: mean_branch_photons(10**400, 0.01, 1), "alpha"),
+        (lambda: error_prob_closed_form(1.0, 10**400, 1.0, 3), "theta"),
+    ],
+    ids=["spec-theta", "spec-alpha", "grid-theta", "grid-alpha", "grid-eta", "sweep_point",
+         "mean_photons-theta", "mean_photons-alpha", "closed_form"],
+)
+def test_integers_beyond_float_range_are_rejected_by_name(call, name):
+    # an int too large for a float raised a bare OverflowError
+    with pytest.raises(ValueError, match=f"^{name} is beyond float range$"):
+        call()
+
+
+def test_closed_form_folds_in_constant_memory():
+    import tracemalloc
+
+    error_prob_closed_form(500.0, 0.01, 1.0, 5000)
+    tracemalloc.start()
+    try:
+        error_prob_closed_form(500.0, 0.01, 1.0, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a tuple of the 4999 (log weight, sin^2) pairs alone takes ~0.5 MiB
+    assert peak < 64 * 1024
 
 
 def test_sweep_point_feasibility_numbers():
@@ -300,7 +339,7 @@ def test_sweep_fold_rejects_error_above_failure_weight():
     # error <= 1 - success: a stage's own classes pass, and the same
     # failure classes beside a success weight of 1 do not
     st, beam = _pre_herald_state(
-        prepare_single_photon_qudit(3), balanced_coeffs(3), 0, 0.004, 30.0
+        prepare_single_photon_qudit(3), phased_coeffs(3, 0), 0, 0.004, 30.0
     )
     classes = _classify_branches(st, beam)
     error_log, error_prob = _failure_log(classes, 0.0)
@@ -389,7 +428,7 @@ def test_verify_basis_bell_family():
             RegisterLayout(party_dims=(2, 2)),
             tuple(Term(sign / math.sqrt(2), labels) for sign, labels in parts),
         )
-        assert fidelity(target_state(2, m, k), expected) == pytest.approx(
+        assert overlap_sq(target_state(2, m, k), expected) == pytest.approx(
             1.0, abs=1e-12
         )
 

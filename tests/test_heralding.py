@@ -15,7 +15,6 @@ from qubus_forge.heralding import (
 from qubus_forge.protocols import (
     _attach_party,
     _run_stage,
-    balanced_coeffs,
     phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
@@ -45,14 +44,14 @@ def qutrit_silent_failure_prob(alpha, theta, eta=1.0):
 
 def stage_one_pre_herald(n=3, alpha=ALPHA, theta=THETA):
     """Balanced first-stage state just before the herald detector."""
-    state = _attach_party(prepare_single_photon_qudit(n), balanced_coeffs(n), alpha)
+    state = _attach_party(prepare_single_photon_qudit(n), phased_coeffs(n, 0), alpha)
     state = apply_xpm(state, 0, 0, 1, theta)
     state = apply_qubus_phase(state, 1, -(n - 1) * theta)
     return apply_bs_5050(state, (0, 1))
 
 
 def test_detector_model_kinds():
-    assert DetectorModel.ideal_pnnd() == DetectorModel.on_off(1.0)
+    assert DetectorModel() == DetectorModel.on_off(1.0)
     with pytest.raises(ValueError):
         DetectorModel.on_off(1.5)
     with pytest.raises(ValueError):
@@ -60,13 +59,16 @@ def test_detector_model_kinds():
 
 
 def test_detector_no_click_probability():
-    det = DetectorModel.on_off(0.7)
-    assert math.exp(det.no_click_log(0.0)) == 1.0
-    assert det.no_click_log(2.0) == pytest.approx(-0.7 * 4.0, rel=1e-15)
+    # each branch record holds the silence log -eta |beta|^2 of its class
+    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel.on_off(0.7))
+    for record in outcome.branch_table:
+        expected = -0.7 * abs(record.beam_amp) ** 2
+        assert record.no_click_log == pytest.approx(expected, rel=1e-15, abs=1e-300)
+    assert outcome.branch_table[0].no_click == 1.0  # the vacuum class
 
 
 def test_herald_balanced_qutrit_stage():
-    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel.ideal_pnnd())
+    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel())
     assert outcome.success_prob == pytest.approx(1.0 / 3.0, abs=1e-12)
     # exact branch structure: vacuum plus the four failure classes
     weights = sorted(round(b.weight, 9) for b in outcome.branch_table)
@@ -81,7 +83,7 @@ def test_herald_balanced_qutrit_stage():
 
 
 def test_herald_error_matches_closed_form():
-    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel.ideal_pnnd())
+    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel())
     expected = qutrit_silent_failure_prob(ALPHA, THETA)
     assert outcome.error_prob == pytest.approx(expected, rel=1e-12)
     assert outcome.error_prob == pytest.approx(1.66e-6, rel=5e-3)
@@ -108,7 +110,7 @@ def test_herald_all_vacuum_beam_succeeds_trivially():
         layout,
         (Term(1 / math.sqrt(2), (0,), (0.0,)), Term(1 / math.sqrt(2), (1,), (0.0,))),
     )
-    outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+    outcome = herald_vacuum(state, 0, DetectorModel())
     assert outcome.success_prob == pytest.approx(1.0, abs=1e-12)
     assert outcome.error_prob == 0.0
     assert outcome.error_prob_log == float("-inf")
@@ -120,7 +122,7 @@ def test_herald_without_vacuum_branch_flags_failure():
         layout,
         (Term(1 / math.sqrt(2), (0,), (3.0,)), Term(1 / math.sqrt(2), (1,), (-3.0,))),
     )
-    outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+    outcome = herald_vacuum(state, 0, DetectorModel())
     assert outcome.success_prob == 0.0
     assert outcome.heralded_state.terms == ()
     assert outcome.error_prob == pytest.approx(math.exp(-9.0), rel=1e-12)
@@ -129,7 +131,7 @@ def test_herald_without_vacuum_branch_flags_failure():
 def test_herald_success_plus_failure_weights_is_one():
     for n in (2, 3, 5):
         outcome = herald_vacuum(
-            stage_one_pre_herald(n), 0, DetectorModel.ideal_pnnd()
+            stage_one_pre_herald(n), 0, DetectorModel()
         )
         total = sum(b.weight for b in outcome.branch_table)
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -172,7 +174,7 @@ def test_herald_degenerate_dark_bus():
     # happens (success 1, nothing flagged as error).  The closed-form stage
     # error (n-1)/n describes this same point as total silent failure.
     outcome = herald_vacuum(
-        stage_one_pre_herald(alpha=0.0), 0, DetectorModel.ideal_pnnd()
+        stage_one_pre_herald(alpha=0.0), 0, DetectorModel()
     )
     assert outcome.success_prob == pytest.approx(1.0, abs=1e-12)
     assert outcome.error_prob == 0.0
@@ -185,11 +187,11 @@ def test_herald_requires_normalized_state():
     layout = RegisterLayout(party_dims=(2,), qubus_count=1)
     state = HybridState(layout, (Term(0.5, (0,), (0.0,)),))
     with pytest.raises(ValueError, match="normalized"):
-        herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+        herald_vacuum(state, 0, DetectorModel())
     with pytest.raises(ValueError, match="beam index"):
-        herald_vacuum(state, 3, DetectorModel.ideal_pnnd())
+        herald_vacuum(state, 3, DetectorModel())
     with pytest.raises(ValueError, match="empty state"):
-        herald_vacuum(HybridState(layout, ()), 0, DetectorModel.ideal_pnnd())
+        herald_vacuum(HybridState(layout, ()), 0, DetectorModel())
     # the check allows |norm - 1| up to 1e-9; the excess sits on a failure
     # branch so the vacuum weight stays a valid probability
     for excess, accepted in ((0.5e-9, True), (2e-9, False)):
@@ -201,21 +203,21 @@ def test_herald_requires_normalized_state():
             ),
         )
         if accepted:
-            outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+            outcome = herald_vacuum(state, 0, DetectorModel())
             assert outcome.success_prob == pytest.approx(0.5, abs=1e-15)
         else:
             with pytest.raises(ValueError, match="normalized"):
-                herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+                herald_vacuum(state, 0, DetectorModel())
     # with the excess on the vacuum branch, the outcome accepts the success
     # probability the norm check let through
     for excess, accepted in ((0.5e-9, True), (2e-9, False)):
         state = HybridState(layout, (Term(math.sqrt(1.0 + excess), (0,), (0.0,)),))
         if accepted:
-            outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+            outcome = herald_vacuum(state, 0, DetectorModel())
             assert outcome.success_prob == state_norm_sq(state)
         else:
             with pytest.raises(ValueError, match="normalized"):
-                herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+                herald_vacuum(state, 0, DetectorModel())
 
 
 def test_class_weights_and_norm_come_from_one_pass():
@@ -236,7 +238,9 @@ def test_class_weights_and_norm_come_from_one_pass():
         ),
     )
     scale = 1.0 / math.sqrt(state_norm_sq(raw))
-    state = raw.with_terms(Term(t.amp * scale, t.labels, t.qubus) for t in raw.terms)
+    state = HybridState(
+        raw.layout, [Term(t.amp * scale, t.labels, t.qubus) for t in raw.terms]
+    )
     s = canonicalize(state)
     col = s.beams[1]
     groups = _merge_groups([(q,) for q in col])
@@ -249,7 +253,7 @@ def test_class_weights_and_norm_come_from_one_pass():
     assert (norm.real.hex(), norm.imag.hex()) == (_inner(s, s).real.hex(), _inner(s, s).imag.hex())
     # the cross pairs between classes are a visible part of the norm
     assert abs(norm.real - sum(w.real for w in sums)) > 0.05
-    outcome = herald_vacuum(state, 1, DetectorModel.ideal_pnnd())
+    outcome = herald_vacuum(state, 1, DetectorModel())
     table = {r.beam_amp: r for r in outcome.branch_table}
     classes = _classify_branches(state, 1)
     for g, total in zip(groups, sums):
@@ -268,21 +272,21 @@ def test_branch_table_merge_tolerance_edge():
     amp = math.sqrt(0.5)
     for beam, records in ((0.9e-12, 1), (1.1e-12, 2)):
         state = HybridState(layout, (Term(amp, (0,), (0.0,)), Term(amp, (1,), (beam,))))
-        outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+        outcome = herald_vacuum(state, 0, DetectorModel())
         assert len(outcome.branch_table) == records
         assert outcome.success_prob == pytest.approx(1.0 / records, abs=1e-15)
     # on a bright herald beam the tolerance is relative: MERGE_TOL * 500
     for factor, records in ((0.9, 1), (1.1, 2)):
         beam = 500.0 + factor * MERGE_TOL * 500.0
         state = HybridState(layout, (Term(amp, (0,), (500.0,)), Term(amp, (1,), (beam,))))
-        outcome = herald_vacuum(state, 0, DetectorModel.ideal_pnnd())
+        outcome = herald_vacuum(state, 0, DetectorModel())
         assert len(outcome.branch_table) == records
         assert [r.beam_amp for r in outcome.branch_table][0] == 500.0
         assert outcome.success_prob == 0.0
 
 
 def test_branch_record_serialization_is_finite():
-    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel.ideal_pnnd())
+    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel())
     for record in outcome.branch_table:
         d = record.to_dict()
         assert all(math.isfinite(v) for v in d["beam_amp"])
@@ -391,7 +395,7 @@ def test_stage_two_error_uses_actual_branch_weights():
     b = (0.2 + 0j, 0.4j, math.sqrt(1 - 0.04 - 0.16) + 0j)
     first = _run_stage(
         prepare_single_photon_qudit(n), a, 0, THETA, ALPHA,
-        DetectorModel.ideal_pnnd(),
+        DetectorModel(),
     )
     second = _run_stage(first.heralded_state, b, k, THETA, ALPHA,
                         DetectorModel.on_off(eta))
@@ -411,7 +415,7 @@ def test_stage_two_error_uses_actual_branch_weights():
 def test_stage_runner_matches_direct_herald():
     ancilla = prepare_single_photon_qudit(3)
     outcome = _run_stage(
-        ancilla, balanced_coeffs(3), 0, THETA, ALPHA, DetectorModel.ideal_pnnd()
+        ancilla, phased_coeffs(3, 0), 0, THETA, ALPHA, DetectorModel()
     )
     assert outcome.success_prob == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert outcome.heralded_state.layout.qubus_count == 0

@@ -1,9 +1,11 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import random
 import re
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,12 +34,12 @@ from qubus_forge.heralding import (
     herald_vacuum,
 )
 from qubus_forge.protocols import (
+    COEFF_NORM_TOL,
     PHASE_PATTERN_TOL,
     ProtocolSpec,
     _pre_herald_state,
     _prepared,
     _run_stage,
-    balanced_coeffs,
     coeff_phase_index,
     entangle_stage,
     generate,
@@ -144,7 +146,7 @@ def test_stage_one_heralds_party_register_correlation():
     a = tuple(raw / np.linalg.norm(raw))
     outcome = _run_stage(
         prepare_single_photon_qudit(3), a, 0, THETA, ALPHA,
-        DetectorModel.ideal_pnnd(),
+        DetectorModel(),
     )
     assert outcome.success_prob == pytest.approx(1.0 / 3.0, abs=1e-12)
     expected = HybridState(
@@ -189,10 +191,10 @@ def test_stage_two_success_matches_coefficient_formula(n, k):
         b /= np.linalg.norm(b)
         state = _run_stage(
             prepare_single_photon_qudit(n), tuple(a), 0, THETA, ALPHA,
-            DetectorModel.ideal_pnnd(),
+            DetectorModel(),
         ).heralded_state
         outcome = _run_stage(
-            state, tuple(b), k, THETA, ALPHA, DetectorModel.ideal_pnnd()
+            state, tuple(b), k, THETA, ALPHA, DetectorModel()
         )
         expected = sum(abs(a[j] * b[(j + k) % n]) ** 2 for j in range(n))
         assert outcome.success_prob == pytest.approx(expected, rel=1e-10)
@@ -257,6 +259,25 @@ def test_generate_reports_failed_stage():
     assert blind.per_stage[1].error_prob == 1.0
     assert blind.error_prob_total == pytest.approx(1.0, abs=1e-15)
     assert blind.error_prob_total_log == pytest.approx(0.0, abs=1e-15)
+
+
+def test_failed_stage_report_is_pinned():
+    # sha256 of the whole repr: the empty state's layout, every stage's
+    # branch table and the error totals of a run that stops at stage 1
+    a = (1.0 + 0j, 0j, 0j)
+    b = (0j, 0j, 1.0 + 0j)
+    two = ProtocolSpec(
+        n=3, parties=2, shifts=(0, 1), coeffs=(a, b), theta=THETA, alpha=ALPHA
+    )
+    three = ProtocolSpec(
+        n=3, parties=3, shifts=(0, 1, 2), coeffs=(a, b, phased_coeffs(3, 1)),
+        theta=THETA, alpha=ALPHA, detector=DetectorModel(0.9),
+    )
+    digests = [hashlib.sha256(repr(generate(s)).encode()).hexdigest() for s in (two, three)]
+    assert digests == [
+        "76f0041ef5a4cd2b1b8ee26d17f806e9ad9a23c4e45252e361d33077bc960c09",
+        "d7960130d6384b28cdb865a3aa2e4e255750de1d5e83bfa1a41fc08834f99724",
+    ]
 
 
 def test_generate_unbalanced_inputs_have_no_target():
@@ -376,7 +397,7 @@ def test_phase_pattern_detection():
             assert coeff_phase_index(rotated) == m
     assert coeff_phase_index((0.8, 0.6)) is None
     assert coeff_phase_index(()) is None
-    assert coeff_phase_index(balanced_coeffs(4)) == 0
+    assert coeff_phase_index(phased_coeffs(4, 0)) == 0
     # one entry moved radially just inside and just outside the tolerance
     for factor, m in ((0.9, 1), (1.1, None)):
         coeffs = list(phased_coeffs(3, 1))
@@ -384,17 +405,29 @@ def test_phase_pattern_detection():
         assert coeff_phase_index(coeffs) == m, factor
 
 
+def test_protocol_spec_unit_norm_tolerance_edge():
+    # a squared norm off by half the tolerance passes, off by twice fails
+    for factor, accepted in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False)):
+        vec = (math.sqrt(1.0 + factor * COEFF_NORM_TOL), 0.0, 0.0)
+        check = nullcontext() if accepted else pytest.raises(ValueError, match="unit norm")
+        with check:
+            ProtocolSpec(
+                n=3, parties=2, shifts=(0, 1), coeffs=(phased_coeffs(3, 0), vec),
+                theta=THETA, alpha=ALPHA,
+            )
+
+
 def test_protocol_spec_validation():
     ok = dict(
         n=3, parties=2, shifts=(0, 1),
-        coeffs=(balanced_coeffs(3), balanced_coeffs(3)),
+        coeffs=(phased_coeffs(3, 0), phased_coeffs(3, 0)),
         theta=THETA, alpha=ALPHA,
     )
     ProtocolSpec(**ok)
     with pytest.raises(ValueError, match="first party"):
         ProtocolSpec(**{**ok, "shifts": (1, 0)})
     with pytest.raises(ValueError, match="unit norm"):
-        ProtocolSpec(**{**ok, "coeffs": ((1.0, 1.0, 0.0), balanced_coeffs(3))})
+        ProtocolSpec(**{**ok, "coeffs": ((1.0, 1.0, 0.0), phased_coeffs(3, 0))})
     with pytest.raises(ValueError, match="theta"):
         ProtocolSpec(**{**ok, "theta": 0.0})
     with pytest.raises(ValueError, match=r"\[0, n\)"):
