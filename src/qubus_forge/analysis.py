@@ -63,18 +63,24 @@ def _check_beam_inputs(alpha, theta: float, d_max: int, name: str) -> None:
     from), a theta whose largest phase d_max theta / 2 overflows, and an
     alpha whose beam energy 2 |alpha|^2 overflows."""
     if not _in_float_range(cmath.isfinite, alpha, "alpha"):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+        raise ValueError(f"alpha must be finite, got {_shown(alpha)}")
     _in_float_range(float, d_max, name)
     if not math.isfinite(d_max * _in_float_range(float, theta, "theta") / 2.0):
         raise ValueError(
-            f"theta must be finite, and so must d theta / 2 up to d = {d_max}; got {theta!r}"
+            f"theta must be finite, and so must d theta / 2 up to d = {_shown(d_max, str)}; "
+            f"got {_shown(theta)}"
         )
     try:
         energy = 2.0 * abs(alpha) ** 2
     except OverflowError:
         energy = math.inf
     if not math.isfinite(energy):
-        raise ValueError(f"alpha = {alpha!r} overflows the beam energy 2 |alpha|^2")
+        raise ValueError(f"alpha = {_shown(alpha)} overflows the beam energy 2 |alpha|^2")
+
+
+def _shown(x, show=repr) -> str:
+    """show(x), but an int of 18 or more digits (inside float range here) as x.xxxe+yy."""
+    return f"{x:.3e}" if isinstance(x, int) and abs(x) >= 10**17 else show(x)
 
 
 def _closed_form_terms(theta: float, n: int):

@@ -40,7 +40,7 @@ from .state import (
     THETA_MAX,
     HybridState,
     RegisterLayout,
-    Term,
+    _columns,
     _derive,
     _logaddexp_reduce,
     drop_uniform_beam,
@@ -270,7 +270,7 @@ def _prepared(n: int) -> HybridState:
     """Run the preparation cascade of :func:`prepare_single_photon_qudit`."""
     prep_layout = RegisterLayout(prep_modes=n + 1)
     work = prep_layout.work_mode
-    state = HybridState(prep_layout, (Term(1.0, (work, POL_H)),))
+    state = _columns(prep_layout, (1 + 0j,), ((work, POL_H),), ())
     for j in range(n - 1):
         state = apply_su2(state, prep_rotation(n, j))
         state = apply_pbs(state, work, j)
@@ -378,12 +378,10 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     else:
         shifts = (0,) + (operator.index(k),) * (parties - 1)
     _check_shifts(shifts, n, parties)
+    n = operator.index(n)  # labels are built-in ints, whatever type n has
     layout = RegisterLayout(party_dims=(n,) * parties)
-    terms = tuple(
-        Term(c, tuple((j + s) % n for s in shifts))
-        for j, c in enumerate(phased_coeffs(n, m))
-    )
-    return HybridState(layout, terms)
+    labels = tuple(tuple((j + s) % n for s in shifts) for j in range(n))
+    return _columns(layout, phased_coeffs(n, m), labels, ())
 
 
 def generate(spec: ProtocolSpec) -> GenerationReport:

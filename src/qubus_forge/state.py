@@ -14,8 +14,8 @@ labels and other beams with its input.  :class:`Term` and
 ``HybridState(layout, terms)`` are the validating public constructors, and
 ``state.terms`` gives the same state back as :class:`Term` objects.
 
-Every state the library computes is built in this module, by ``_derive``
-from a state that is already valid: the elements, the herald, feedforward
+Every state the library derives from another is built by ``_derive``
+from one that is already valid: the elements, the herald, feedforward
 and the protocol stages hand it the columns they compute, and it checks
 each new amplitude or beam column for finiteness, once.  Columns carried
 over from the source are not checked again.  The renormalisation, the
@@ -231,22 +231,16 @@ class HybridState:
     A state is held as parallel columns, index i of each describing term i:
     ``amps`` (its amplitude), ``labels`` (its label tuple) and ``beams``,
     one column per qubus beam holding each term's amplitude of that beam.
-    ``terms`` is the same state as :class:`Term` objects, built on first
-    access; ``repr``, ``==``, ``hash`` and pickling are those of the frozen
-    ``(layout, terms)`` pair.
+    ``terms`` is the same state as :class:`Term` objects, built on each access
+    (``state.terms is state.terms`` is False).  ``==`` and ``hash`` compare
+    the layout and the columns; ``repr`` is that of ``(layout, terms)``.
     """
 
-    __slots__ = ("_layout", "_amps", "_labels", "_beams", "_terms")
+    __slots__ = ("_layout", "_amps", "_labels", "_beams")
 
     def __init__(self, layout: RegisterLayout, terms):
-        self._layout = layout
-        self._terms = tuple(terms)
-        self.__post_init__()
-
-    def __post_init__(self):
         """Check every term against the layout and fill the columns."""
-        terms = self._terms
-        dims = self._layout.label_dims()
+        dims = layout.label_dims()
         amps, labels, rows = [], [], []
         for t in terms:
             if len(t.labels) != len(dims):
@@ -256,19 +250,20 @@ class HybridState:
             for lab, dim in zip(t.labels, dims):
                 if not 0 <= lab < dim:
                     raise ValueError(f"label {lab} out of range for dimension {dim}")
-            if len(t.qubus) != self._layout.qubus_count:
+            if len(t.qubus) != layout.qubus_count:
                 raise ValueError(
                     f"term has {len(t.qubus)} qubus amplitudes, layout declares "
-                    f"{self._layout.qubus_count}"
+                    f"{layout.qubus_count}"
                 )
             if not (math.isfinite(t.amp.real) and math.isfinite(t.amp.imag)):
                 raise ValueError("term amplitude must be finite")
             amps.append(t.amp)
             labels.append(t.labels)
             rows.append(t.qubus)
+        self._layout = layout
         self._amps = tuple(amps)
         self._labels = tuple(labels)
-        self._beams = tuple(zip(*rows)) if rows else ((),) * self._layout.qubus_count
+        self._beams = tuple(zip(*rows)) if rows else ((),) * layout.qubus_count
 
     # Read-only: a state is a value, and assigning to any of these raises.
     layout = property(operator.attrgetter("_layout"))
@@ -281,13 +276,8 @@ class HybridState:
 
     @property
     def terms(self) -> tuple[Term, ...]:
-        """The state as :class:`Term` objects, built on first access."""
-        terms = self._terms
-        if terms is None:
-            # Threads that race here build equal tuples; one is kept.
-            terms = tuple(map(_view_term, self._amps, self._labels, _rows(self)))
-            self._terms = terms
-        return terms
+        """The state as :class:`Term` objects, built on each access."""
+        return tuple(map(_view_term, self._amps, self._labels, _rows(self)))
 
     def __repr__(self) -> str:
         return f"HybridState(layout={self._layout!r}, terms={self.terms!r})"
@@ -301,17 +291,17 @@ class HybridState:
         )
 
     def __hash__(self) -> int:
-        return hash((self._layout, self.terms))
+        return hash((self._layout, self._amps, self._labels, self._beams))
 
     def __reduce__(self):
         return _columns, (self._layout, self._amps, self._labels, self._beams)
 
 
-# The public constructors above validate every field.  The library's own
-# operations build each state from one that is already valid, with labels
-# drawn from range(dim) and layouts derived with the shape they declare, so
-# they go through _derive, which skips that work.  The one property that
-# depends on the data, finiteness, is checked there, once per new column.
+# The public constructors above validate every field.  The library builds
+# its two fresh states, the input photon and a target, from columns valid by
+# construction, and every other state from one that is already valid, with
+# labels drawn from range(dim) and layouts of the shape they declare, through
+# _derive, which checks only finiteness, once per new column.
 _new = object.__new__
 _set_field = object.__setattr__
 
@@ -324,7 +314,6 @@ def _columns(layout: RegisterLayout, amps: tuple, labels: tuple, beams: tuple) -
     s._amps = amps
     s._labels = labels
     s._beams = beams
-    s._terms = None
     return s
 
 

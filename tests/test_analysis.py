@@ -239,6 +239,26 @@ def test_integers_beyond_float_range_are_rejected_by_name(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mean_branch_photons(1.0, 10**200, 10**200),
+         "theta must be finite, and so must d theta / 2 up to d = 1.000e+200; got 1.000e+200"),
+        (lambda: mean_branch_photons(10**200, 0.01, 1),
+         "alpha = 1.000e+200 overflows the beam energy 2 |alpha|^2"),
+        (lambda: error_prob_closed_form(1.0, 10**300, 1.0, 10**300),
+         "theta must be finite, and so must d theta / 2 up to d = 1.000e+300; got 1.000e+300"),
+    ],
+    ids=["mean_photons-theta", "mean_photons-alpha", "closed_form-theta"],
+)
+def test_huge_integers_are_abbreviated_in_rejections(call, message):
+    # each echoed a 200- or 300-digit integer in full (up to 663 characters)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    assert len(message) < 120
+
+
 def test_closed_form_folds_in_constant_memory():
     import tracemalloc
 

@@ -23,9 +23,9 @@ from qubus_forge.cli import main
 DATA = Path(__file__).parent / "data"
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
-# sha256 over the repr of 220 seeded library results (tools/report_digest.py)
+# sha256 over the repr of 943 seeded library results (tools/report_digest.py)
 REPORT_DIGEST = (
-    "c6d1b7fb2d0b17f928adc985f3bc17bf5755214180fc0d40be69949b9e3ae970  (220 results)"
+    "f412db615dec4c633b833041e9ac9983f0d45bda3575347d52d1bf68e7d8f700  (943 results)"
 )
 
 # sha256 over 64 CLI argv lists, each run as written and with --dump-config

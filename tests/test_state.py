@@ -613,13 +613,14 @@ def _terms_of_columns(state):
 
 
 def test_columnar_state_equals_the_state_built_from_terms():
+    # a state is its layout and its columns, with no cached Term tuple
+    assert HybridState.__slots__ == ("_layout", "_amps", "_labels", "_beams")
     for lib in _library_states():
         public = HybridState(lib.layout, _terms_of_columns(lib))
-        # .terms of lib is built by repr; compare before and after
         assert lib == public and public == lib
         assert hash(lib) == hash(public)
         assert repr(lib) == repr(public)
-        assert lib.terms == public.terms and lib.terms is lib.terms
+        assert lib.terms == public.terms
         assert (public.amps, public.labels, public.beams) == (lib.amps, lib.labels, lib.beams)
         changed = HybridState(
             public.layout,
@@ -653,8 +654,8 @@ def test_columnar_state_round_trips_and_stays_read_only():
 
 
 def test_first_terms_access_from_many_threads_gives_equal_tuples():
-    # the first .terms access builds the tuple; threads racing on it must
-    # all see the same terms
+    # .terms builds its tuple from the columns on each access; threads
+    # reading it at once must all see the same terms
     import sys
     import threading
 

@@ -12,6 +12,15 @@ parties and n 24 with three), 6 ``run_sweep`` grids (etas 0, one random and
 1) and 60 ``sweep_point`` calls (n 2..9, theta up to 1).  A rejected input
 contributes its exception type and message, so a change in what is rejected
 moves the digest too.  Only the public API is used.
+
+Every state protocol traffic builds holds each label once, so three more
+sets pin what it does not reach: every
+``target_state(n, m, k)`` for n 2..8 and a few multi-party shift tuples,
+``prepare_single_photon_qudit(n)`` for n 1..16, and ``canonicalize``,
+``state_norm_sq``, ``inner_product``, ``herald_vacuum`` and
+``coherent_overlap`` on 100 seeded hand-built states.  Those states repeat
+labels, put beams within and just beyond ``MERGE_TOL`` of each other, use
+signed zeros and hold amplitude pairs that cancel below ``DROP_TOL``.
 """
 
 from __future__ import annotations
@@ -27,12 +36,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qubus_forge import (  # noqa: E402
     DetectorModel,
+    HybridState,
     ProtocolSpec,
+    RegisterLayout,
     SweepGrid,
+    Term,
+    canonicalize,
+    coherent_overlap,
     generate,
+    herald_vacuum,
+    inner_product,
+    prepare_single_photon_qudit,
     run_sweep,
+    state_norm_sq,
     sweep_point,
+    target_state,
 )
+
+# The library's merge and drop tolerances (state.MERGE_TOL, state.DROP_TOL),
+# restated so that only the public API is imported.
+MERGE_TOL = 1e-12
+DROP_TOL = 1e-14
 
 
 def _outcome(fn, *args, **kwargs) -> str:
@@ -63,6 +87,54 @@ def _random_spec(rng: random.Random) -> ProtocolSpec:
         )
     coeffs = tuple(_random_coeffs(rng, n) for _ in range(parties))
     return ProtocolSpec(n, parties, shifts, coeffs, theta, alpha, detector)
+
+
+def _beam_near(rng: random.Random, q: complex) -> complex:
+    """``q``, or a beam within, at or just beyond MERGE_TOL of it, or ``q``
+    with its zero parts negated."""
+    scale = MERGE_TOL * max(1.0, abs(q))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return q
+    if kind == 4:
+        return complex(-q.real if q.real == 0 else q.real, -q.imag if q.imag == 0 else q.imag)
+    step = (0.3, 0.999, 3.0)[kind - 1] * scale
+    return q + step * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def _hand_built_state(rng: random.Random, layout: RegisterLayout) -> HybridState:
+    """Terms on a few repeated labels whose beams sit near a few base tuples;
+    beam 0 of some base tuples is vacuum, and some amplitude pairs cancel."""
+    dims = layout.label_dims()
+    pool = [tuple(rng.randrange(d) for d in dims) for _ in range(rng.randint(1, 3))]
+    bases = []
+    for _ in range(rng.randint(1, 3)):
+        beams = []
+        for _ in range(layout.qubus_count):
+            size = rng.choice((0.0, 0.0, 1e-13, 0.7, 30.0, 500.0))
+            beams.append(size * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        bases.append(tuple(beams))
+    terms = []
+    for _ in range(rng.randint(1, 7)):
+        amp = complex(rng.gauss(0, 1), rng.choice((rng.gauss(0, 1), 0.0, -0.0)))
+        labels = rng.choice(pool)
+        qubus = tuple(_beam_near(rng, q) for q in rng.choice(bases))
+        terms.append(Term(amp, labels, qubus))
+        if rng.random() < 0.25:  # a partner that cancels it below DROP_TOL
+            nudge = 0.5 * DROP_TOL * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            terms.append(Term(-amp + nudge, labels, qubus))
+    rng.shuffle(terms)
+    return HybridState(layout, terms)
+
+
+def _normalized(state: HybridState) -> HybridState:
+    norm_sq = state_norm_sq(state)
+    if not norm_sq > 0.0:  # every amplitude cancelled
+        raise ValueError(f"squared norm {norm_sq!r}")
+    scale = 1.0 / math.sqrt(norm_sq)
+    return HybridState(
+        state.layout, [Term(t.amp * scale, t.labels, t.qubus) for t in state.terms]
+    )
 
 
 def results():
@@ -96,6 +168,34 @@ def results():
         theta = rng.uniform(0, 1)
         eta = rng.uniform(0, 1)
         yield _outcome(sweep_point, alpha, theta, eta, n)
+
+    for n in range(2, 9):
+        for m in range(n):
+            for k in range(n):
+                yield _outcome(target_state, n, m, k)
+    for n, m, shifts in ((3, 1, (0, 1, 2)), (4, 3, (0, 3, 1)), (5, 2, (0, 0, 4)),
+                         (6, 5, (0, 2, 5, 1))):
+        yield _outcome(target_state, n, m, shifts, len(shifts))
+
+    for n in range(1, 17):
+        yield _outcome(prepare_single_photon_qudit, n)
+
+    rng = random.Random("report_digest:hand_built")
+    for _ in range(100):
+        layout = RegisterLayout(
+            party_dims=(rng.randint(1, 3),) * rng.randint(1, 2),
+            ancilla_modes=rng.choice((0, 2)),
+            qubus_count=rng.randint(1, 2),
+        )
+        state = _hand_built_state(rng, layout)
+        other = _hand_built_state(rng, layout)
+        yield _outcome(canonicalize, state)
+        yield _outcome(state_norm_sq, state)
+        yield _outcome(inner_product, state, other)
+        yield _outcome(lambda: herald_vacuum(
+            _normalized(state), 0, DetectorModel.on_off(rng.uniform(0.5, 1.0))
+        ))
+        yield repr([coherent_overlap(p, q) for p, q in zip(state.beams[0], other.beams[0])])
 
 
 def main() -> None:
