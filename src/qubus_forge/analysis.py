@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from .heralding import DetectorModel, _classify_branches, _failure_log
 from .protocols import (
+    _attach_party,
     _check_working_point,
+    _couple,
     _in_float_range,
-    _pre_herald_state,
     phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
@@ -175,20 +176,21 @@ class SweepRow:
     p_error_simulated_log10: float
 
 
-def _sweep_rows(ancilla: HybridState, alpha: float, theta: float, etas, n: int):
+def _sweep_rows(attached: HybridState, alpha: float, theta: float, terms, etas):
     """One :class:`SweepRow` per eta for the pair (alpha, theta).
 
-    The balanced first entangling stage, its branch classes, the closed
-    form's eta-independent terms and the mean photon numbers are computed
-    once; each eta costs only the two log-space folds over the failure
-    branches, the simulated one and the closed form.
+    ``attached`` is the ancilla with the balanced party and the
+    (alpha, alpha) qubus pair attached, and ``terms`` the closed form's
+    eta-independent terms at theta, as a tuple.  The coupled stage, its
+    branch classes and the mean photon numbers are computed once; each eta
+    costs only the two log-space folds over the failure branches, the
+    simulated one and the closed form.
     """
-    st, beam = _pre_herald_state(ancilla, phased_coeffs(n, 0), 0, theta, alpha)
+    st, beam = _couple(attached, 0, theta)
     classes = _classify_branches(st, beam)
     a_sq = abs(alpha) ** 2
-    terms = tuple(_closed_form_terms(theta, n))
     k1 = 2.0 * a_sq * terms[0][1]
-    k2 = 2.0 * a_sq * terms[1][1] if n >= 3 else None
+    k2 = 2.0 * a_sq * terms[1][1] if len(terms) >= 2 else None
     rows = []
     for eta in etas:
         closed_log = _closed_form_fold(a_sq, terms, eta)
@@ -212,24 +214,33 @@ def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
     compare its silent-failure probability against the closed form."""
     _check_working_point(n, theta, alpha)
     DetectorModel(eta)  # raises outside [0, 1]
-    return _sweep_rows(prepare_single_photon_qudit(n), alpha, theta, (eta,), n)[0]
+    attached = _attach_party(prepare_single_photon_qudit(n), phased_coeffs(n, 0), alpha)
+    return _sweep_rows(attached, alpha, theta, tuple(_closed_form_terms(theta, n)), (eta,))[0]
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """One :class:`SweepRow` per grid point, ordered by grid index
     (alpha outermost, eta innermost).
 
-    The ancilla is prepared once per grid.  Once per (alpha, theta) pair
-    the stage is simulated, its herald-beam classes are formed, and the
-    closed form's eta-independent terms and the mean photon numbers are
-    computed.  Once per eta only the two log-space folds over the failure
-    branches run: no detector model, branch table or heralded state is
-    built.
+    Each piece of work runs once per value of the axes it depends on.  Once
+    per grid the ancilla is prepared and the balanced coefficients built;
+    once per alpha the party and the (alpha, alpha) qubus pair are
+    attached; once per theta the closed form's eta-independent terms are
+    computed.  Once per (alpha, theta) pair the attached state is coupled
+    and interfered, its herald-beam classes are formed and the mean photon
+    numbers computed.  Once per eta only the two log-space folds over the
+    failure branches run: no detector model, branch table or heralded state
+    is built.
     """
-    ancilla = prepare_single_photon_qudit(grid.n)
+    n = grid.n
+    ancilla = prepare_single_photon_qudit(n)
+    coeffs = phased_coeffs(n, 0)
+    terms = [tuple(_closed_form_terms(theta, n)) for theta in grid.theta_values]
     rows = []
-    for alpha, theta in itertools.product(grid.alpha_values, grid.theta_values):
-        rows.extend(_sweep_rows(ancilla, alpha, theta, grid.eta_values, grid.n))
+    for alpha in grid.alpha_values:
+        attached = _attach_party(ancilla, coeffs, alpha)
+        for theta, theta_terms in zip(grid.theta_values, terms):
+            rows.extend(_sweep_rows(attached, alpha, theta, theta_terms, grid.eta_values))
     return rows
 
 

@@ -15,7 +15,6 @@ from .state import (
     NORM_TOL,
     HybridState,
     _abs_sq,
-    _beam_key,
     _check_beam,
     _derive,
     _inner,
@@ -149,7 +148,9 @@ def herald_vacuum(
     error_log, error_prob = _failure_log(classes, eta)
     # log silence probability -eta |beam|^2, from each class's |beam|^2
     records = [BranchRecord(rep, w, -eta * e2) for rep, w, e2 in classes.branches]
-    records.sort(key=lambda r: (-r.weight, _beam_key(r.beam_amp)))
+    # The classes come in rounded-beam order, so a stable sort on the weight
+    # alone orders equal weights by rounded beam.
+    records.sort(key=lambda r: -r.weight)
     return HeraldOutcome(
         heralded_state=_without_beam(vac, beam),
         success_prob=success,

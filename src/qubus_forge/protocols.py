@@ -171,6 +171,8 @@ class ProtocolSpec:
     detector: DetectorModel = DetectorModel()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "parties", operator.index(self.parties))
         object.__setattr__(self, "shifts", tuple(map(operator.index, self.shifts)))
         object.__setattr__(
             self, "coeffs", tuple(tuple(complex(c) for c in v) for v in self.coeffs)
@@ -288,8 +290,13 @@ def _prepared(n: int) -> HybridState:
 
 def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     """Tensor a fresh party register sum_m coeffs[m] |m> and a fresh
-    (|alpha>, |alpha>) qubus pair onto the state."""
+    (|alpha>, |alpha>) qubus pair onto a state that holds a single-photon
+    spatial register of len(coeffs) modes."""
     layout = state.layout
+    if layout.ancilla_modes == 0:
+        raise ValueError("stage needs a single-photon spatial register")
+    if len(coeffs) != layout.ancilla_modes:
+        raise ValueError("coefficient vector length must match the register size")
     new_layout = layout.replace(
         party_dims=layout.party_dims + (len(coeffs),),
         qubus_count=layout.qubus_count + 2,
@@ -307,23 +314,17 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
                    beams=beams + ((alpha,) * len(amps),) * 2)
 
 
-def _pre_herald_state(
-    state: HybridState, coeffs, shift: int, theta: float, alpha: complex
-) -> tuple[HybridState, int]:
-    """Everything of one entangling stage before its herald: attach a party
-    and a fresh qubus pair, couple the party and the spatial register to the
-    pair's second beam, interfere.
+def _couple(state: HybridState, shift: int, theta: float) -> tuple[HybridState, int]:
+    """The rest of one entangling stage before its herald, on a state that
+    :func:`_attach_party` returned: couple the newest party and the spatial
+    register to the second beam of the newest qubus pair, interfere the pair.
 
     Returns the state and the index of the beam the herald detector reads.
     """
-    n = state.layout.ancilla_modes
-    if n == 0:
-        raise ValueError("stage needs a single-photon spatial register")
-    if len(coeffs) != n:
-        raise ValueError("coefficient vector length must match the register size")
-    base = state.layout.qubus_count
-    st = _attach_party(state, coeffs, alpha)
-    st = apply_xpm(st, st.layout.num_parties - 1, shift, base + 1, theta)
+    layout = state.layout
+    n = layout.ancilla_modes
+    base = layout.qubus_count - 2
+    st = apply_xpm(state, layout.num_parties - 1, shift, base + 1, theta)
     st = apply_qubus_phase(st, base + 1, -(n - 1) * theta)
     return apply_bs_5050(st, (base, base + 1)), base
 
@@ -338,7 +339,7 @@ def _run_stage(
 ) -> HeraldOutcome:
     """One entangling stage: attach a party, couple it and the spatial
     register to a fresh qubus pair, interfere, herald on vacuum."""
-    st, beam = _pre_herald_state(state, coeffs, shift, theta, alpha)
+    st, beam = _couple(_attach_party(state, coeffs, alpha), shift, theta)
     outcome = herald_vacuum(st, beam, detector)
     if outcome.success_prob > 0.0:
         # The surviving beam is |sqrt(2) alpha> in every term: a spectator.
@@ -371,6 +372,7 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     with 0.  All shifts zero gives the symmetric family; tau = exp(2 pi i/n).
     """
     _check_party_bound(parties)
+    m = operator.index(m)
     if not 0 <= m < n:
         raise ValueError("phase index m must lie in [0, n)")
     if isinstance(k, (list, tuple)):

@@ -403,7 +403,8 @@ def _tuples_close(p, q) -> bool:
 
 def _beam_key(q: complex) -> tuple[float, float]:
     """Sort key of one beam amplitude: real and imaginary parts rounded to
-    the 12 decimals of :data:`MERGE_TOL`."""
+    the 12 decimals of :data:`MERGE_TOL`.  :func:`_merge_groups` rounds
+    inline to this key, once per beam."""
     return (round(q.real, 12), round(q.imag, 12))
 
 
@@ -438,14 +439,19 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     members: dict[tuple[complex, ...], list[int]] = {}
     for i in index:
         members.setdefault(beams[i], []).append(i)
-    keys = {u: tuple(map(_beam_key, u)) for u in members}
+    # (rounded key, first appearance, tuple): each beam is rounded once, as
+    # _beam_key rounds it, and the unique first appearance breaks key ties
+    visits = sorted([
+        (tuple([(round(q.real, 12), round(q.imag, 12)) for q in u]), first, u)
+        for first, u in enumerate(members)
+    ])
     groups: list[list[int]] = []
     reps: list[tuple[float, int]] = []  # (Re first beam, group index), sorted
     key = None
     added: dict[int, int] = {}  # group -> its size before this key's tuples
-    for u in sorted(members, key=keys.__getitem__):
-        if keys[u] != key:
-            key = keys[u]
+    for u_key, _, u in visits:
+        if u_key != key:
+            key = u_key
             added.clear()
         u0 = u[0]
         # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
@@ -453,7 +459,7 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
         w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
         lo = bisect.bisect_left(reps, (u0.real - w, -1))
         hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
-        for k in sorted(k for _, k in reps[lo:hi]):
+        for k in (sorted(k for _, k in reps[lo:hi]) if lo < hi else ()):
             if _tuples_close(beams[groups[k][0]], u):
                 break
         else:

@@ -18,7 +18,8 @@ from qubus_forge.analysis import (
 from qubus_forge.heralding import DetectorModel, _classify_branches, _failure_log
 from qubus_forge.protocols import (
     ProtocolSpec,
-    _pre_herald_state,
+    _attach_party,
+    _couple,
     _run_stage,
     generate,
     phased_coeffs,
@@ -358,8 +359,8 @@ def test_sweep_fold_rejects_error_above_failure_weight():
     # the fold a sweep scores every eta with keeps the herald's invariant
     # error <= 1 - success: a stage's own classes pass, and the same
     # failure classes beside a success weight of 1 do not
-    st, beam = _pre_herald_state(
-        prepare_single_photon_qudit(3), phased_coeffs(3, 0), 0, 0.004, 30.0
+    st, beam = _couple(
+        _attach_party(prepare_single_photon_qudit(3), phased_coeffs(3, 0), 30.0), 0, 0.004
     )
     classes = _classify_branches(st, beam)
     error_log, error_prob = _failure_log(classes, 0.0)

@@ -25,6 +25,7 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
+    _beam_key,
     _inner,
     _merge_groups,
     canonicalize,
@@ -283,6 +284,23 @@ def test_branch_table_merge_tolerance_edge():
         assert len(outcome.branch_table) == records
         assert [r.beam_amp for r in outcome.branch_table][0] == 500.0
         assert outcome.success_prob == 0.0
+
+
+def test_branch_table_orders_equal_weights_by_rounded_beam():
+    # The terms list their herald beams in reverse rounded-beam order, four
+    # classes of one weight and two of another.  The table is the one the
+    # key (-weight, rounded beam) sorts: equal weights in rounded-beam order.
+    layout = RegisterLayout(party_dims=(6,), qubus_count=1)
+    beams = (3.0 + 1.0j, 3.0 - 1.0j, 2.0, 0.5j, 0.0, -1.0)
+    amps = (0.5, math.sqrt(0.125), 0.5, math.sqrt(0.125), math.sqrt(0.125),
+            math.sqrt(0.125))
+    state = HybridState(
+        layout, [Term(a, (j,), (b,)) for j, (a, b) in enumerate(zip(amps, beams))]
+    )
+    outcome = herald_vacuum(state, 0, DetectorModel.on_off(0.7))
+    table = outcome.branch_table
+    assert table == tuple(sorted(table, key=lambda r: (-r.weight, _beam_key(r.beam_amp))))
+    assert [r.beam_amp for r in table] == [2.0, 3.0 + 1.0j, -1.0, 0.0, 0.5j, 3.0 - 1.0j]
 
 
 def test_branch_record_serialization_is_finite():

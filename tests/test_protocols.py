@@ -40,7 +40,8 @@ from qubus_forge.protocols import (
     COEFF_NORM_TOL,
     PHASE_PATTERN_TOL,
     ProtocolSpec,
-    _pre_herald_state,
+    _attach_party,
+    _couple,
     _prepared,
     _run_stage,
     coeff_phase_index,
@@ -370,6 +371,13 @@ def test_target_state_validation():
         target_state(3, 0, (1, 1))  # first shift must be 0
 
 
+def test_target_state_phase_index_must_be_an_integer():
+    # m = 1.5 would give the pattern e^{i pi j}, none of the n basis states
+    with pytest.raises(TypeError, match="integer"):
+        target_state(3, 1.5, 0)
+    assert target_state(3, np.int64(1), 0) == target_state(3, 1, 0)
+
+
 def test_target_state_multi_party_shifts():
     t = target_state(3, 1, (0, 1, 2), parties=3)
     assert sorted(x.labels for x in t.terms) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -420,6 +428,18 @@ def test_protocol_spec_unit_norm_tolerance_edge():
                 n=3, parties=2, shifts=(0, 1), coeffs=(phased_coeffs(3, 0), vec),
                 theta=THETA, alpha=ALPHA,
             )
+
+
+def test_protocol_spec_counts_must_be_integers():
+    # a float count fails when the spec is built, not as a bare TypeError
+    # from range() inside generate; an integer-like count becomes an int
+    coeffs = (phased_coeffs(3, 0), phased_coeffs(3, 0))
+    for n, parties in ((3.0, 2), (3, 2.0)):
+        with pytest.raises(TypeError, match="integer"):
+            ProtocolSpec(n, parties, (0, 1), coeffs, THETA, ALPHA)
+    spec = ProtocolSpec(np.int64(3), np.int64(2), (0, 1), coeffs, THETA, ALPHA)
+    assert (type(spec.n), type(spec.parties)) == (int, int)
+    assert spec == ProtocolSpec(3, 2, (0, 1), coeffs, THETA, ALPHA)
 
 
 def test_protocol_spec_validation():
@@ -544,17 +564,17 @@ def test_per_stage_outcomes_have_no_qubus_residue():
 
 
 def _count_calls(monkeypatch, names):
-    """Wrap each named function of ``qubus_forge.state`` or
-    ``qubus_forge.protocols`` with a call counter, in every qubus_forge
-    module that binds it."""
+    """Wrap each named function of ``qubus_forge.state``,
+    ``qubus_forge.protocols`` or ``qubus_forge.analysis`` with a call
+    counter, in every qubus_forge module that binds it."""
+    import qubus_forge.analysis
     import qubus_forge.protocols
     import qubus_forge.state
 
     counts = dict.fromkeys(names, 0)
     for name in names:
-        home = qubus_forge.state
-        if not hasattr(home, name):
-            home = qubus_forge.protocols
+        home = next(mod for mod in (qubus_forge.state, qubus_forge.protocols,
+                                    qubus_forge.analysis) if hasattr(mod, name))
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -660,7 +680,9 @@ def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
     # (alpha, theta) pairs once (one canonicalize and one class merge, in
     # the herald), however many etas score it.  An eta costs only the folds
     # over the failure classes: no branch table, no herald outcome and no
-    # renormalized heralded state is built.
+    # renormalized heralded state is built.  The party and the qubus pair
+    # are attached once per alpha, and the closed form's eta-independent
+    # terms computed once per theta.
     alphas = tuple(50.0 + 45.0 * i for i in range(10))
     thetas = (0.001, 0.003, 0.01, 0.03, 0.1)
     for n in (3, 5):
@@ -673,12 +695,15 @@ def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
                     counts = _count_calls(
                         mp,
                         ("canonicalize", "_merge_groups", "prepare_single_photon_qudit",
-                         "_renormalized", "_without_beam"),
+                         "_renormalized", "_without_beam", "_attach_party",
+                         "_closed_form_terms"),
                     )
                     built = _count_constructions(mp, (BranchRecord, HeraldOutcome))
                     run_sweep(grid)
                 assert counts["canonicalize"] == canonicalize_calls, (n, etas, counts)
                 assert counts["prepare_single_photon_qudit"] == 1, (n, etas, counts)
+                assert counts["_attach_party"] == len(alphas), (n, etas, counts)
+                assert counts["_closed_form_terms"] == len(thetas), (n, etas, counts)
                 assert counts["_renormalized"] == counts["_without_beam"] == 0, (n, etas, counts)
                 assert built == {"BranchRecord": 0, "HeraldOutcome": 0}, (n, etas, built)
                 per_eta_count.append(counts)
@@ -729,8 +754,8 @@ def _protocol_layers(spec):
     state = prepare_single_photon_qudit(spec.n)
     yield state
     for party in range(spec.parties):
-        pre, beam = _pre_herald_state(
-            state, spec.coeffs[party], spec.shifts[party], spec.theta, spec.alpha
+        pre, beam = _couple(
+            _attach_party(state, spec.coeffs[party], spec.alpha), spec.shifts[party], spec.theta
         )
         yield pre
         yield herald_vacuum(pre, beam, spec.detector).heralded_state

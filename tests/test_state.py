@@ -592,17 +592,18 @@ def _library_states():
     from qubus_forge.heralding import DetectorModel, herald_vacuum
     from qubus_forge.protocols import (
         ProtocolSpec,
-        _pre_herald_state,
+        _attach_party,
+        _couple,
         generate,
         prepare_single_photon_qudit,
     )
 
     spec = ProtocolSpec.balanced(4, 2, shifts=(0, 1), theta=0.01, alpha=500.0)
-    pre, beam = _pre_herald_state(
-        prepare_single_photon_qudit(4), spec.coeffs[0], 0, 0.01, 500.0 + 3j
+    pre, beam = _couple(
+        _attach_party(prepare_single_photon_qudit(4), spec.coeffs[0], 500.0 + 3j), 0, 0.01
     )
     heralded = herald_vacuum(pre, beam, DetectorModel()).heralded_state
-    second, _ = _pre_herald_state(heralded, spec.coeffs[1], 1, 0.01, 500.0)
+    second, _ = _couple(_attach_party(heralded, spec.coeffs[1], 500.0), 1, 0.01)
     return [heralded, second, generate(spec).final_state]
 
 
@@ -661,7 +662,8 @@ def test_first_terms_access_from_many_threads_gives_equal_tuples():
 
     from qubus_forge.protocols import (
         ProtocolSpec,
-        _pre_herald_state,
+        _attach_party,
+        _couple,
         prepare_single_photon_qudit,
     )
 
@@ -671,8 +673,8 @@ def test_first_terms_access_from_many_threads_gives_equal_tuples():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            shared, _ = _pre_herald_state(
-                prepare_single_photon_qudit(24), spec.coeffs[0], 0, 0.01, 500.0
+            shared, _ = _couple(
+                _attach_party(prepare_single_photon_qudit(24), spec.coeffs[0], 500.0), 0, 0.01
             )
             if expected is None:
                 expected = _terms_of_columns(shared)
