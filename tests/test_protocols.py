@@ -431,8 +431,8 @@ def test_protocol_spec_unit_norm_tolerance_edge():
 
 
 def test_protocol_spec_counts_must_be_integers():
-    # a float count fails when the spec is built, not as a bare TypeError
-    # from range() inside generate; an integer-like count becomes an int
+    # a float count is rejected when the spec is built, before any stage
+    # runs; an integer-like count becomes an int
     coeffs = (phased_coeffs(3, 0), phased_coeffs(3, 0))
     for n, parties in ((3.0, 2), (3, 2.0)):
         with pytest.raises(TypeError, match="integer"):
