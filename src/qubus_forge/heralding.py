@@ -221,29 +221,49 @@ def feedforward_outcomes(
     For detection in spatial mode k0, every term is multiplied by
     exp(-2 pi i j k0 / n) with j the correction party's label, and the
     spatial register is removed.
+
+    All outcomes are built in one pass: every term gets the correction of
+    its own spatial label k0, the corrected state is canonicalized once, one
+    class-weighted :func:`state._inner` pass, classed by k0, gives every
+    outcome's squared norm, and each outcome's rows are cut out, scaled and
+    stripped of the spatial label.  The canonical order sorts the spatial
+    label with the rest, so restricted to one k0 it is that outcome's own
+    canonical order, with the same merge runs; and each class sum is bit for
+    bit that outcome's own norm.  The results equal those of one
+    canonicalize and one norm per outcome.
+
+    Errors come in this order: a corrected amplitude or a merged sum that
+    is not finite (ValueError, for any outcome), then the first unreachable
+    outcome in k0 order (:class:`FeedforwardError`).
     """
     layout = state.layout
     slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
-    new_layout = layout.replace(ancilla_modes=0)
+    amps = tuple([
+        amp * cmath.exp(-2j * math.pi * labels[party_slot] * labels[slot] / n)
+        for amp, labels in zip(state.amps, state.labels)
+    ])
+    corrected = canonicalize(_derive(state, amps=amps))
+    all_amps, all_labels = corrected.amps, corrected.labels
     by_outcome: list[list[int]] = [[] for _ in range(n)]
-    for i, labels in enumerate(state.labels):
+    for i, labels in enumerate(all_labels):
         by_outcome[labels[slot]].append(i)
-    all_amps, all_labels = state.amps, state.labels
-    outcomes = []
-    for k0, detected in enumerate(by_outcome):
-        amps = tuple([
-            all_amps[i] * cmath.exp(-2j * math.pi * all_labels[i][party_slot] * k0 / n)
-            for i in detected
-        ])
-        labels = tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in detected])
-        out = canonicalize(_derive(state, detected, new_layout, amps, labels))
-        if not out.amps:
+    for k0, rows in enumerate(by_outcome):
+        if not rows:
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-        outcomes.append(_renormalized(out, _inner(out, out).real))
+    _, norms = _inner(corrected, corrected, classes=[labels[slot] for labels in all_labels])
+    new_layout = layout.replace(ancilla_modes=0)
+    outcomes = []
+    for rows, norm_sq in zip(by_outcome, norms):
+        scale = 1.0 / math.sqrt(norm_sq.real)
+        outcomes.append(_derive(
+            corrected, rows, new_layout,
+            tuple([all_amps[i] * scale for i in rows]),
+            tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in rows]),
+        ))
     return outcomes
 
 

@@ -71,6 +71,7 @@ def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     tau = exp(2 pi i / n)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    m = operator.index(m)  # a fractional m is no phase pattern tau^{j m}
     scale = 1.0 / math.sqrt(n)
     return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
 
@@ -189,7 +190,7 @@ class ProtocolSpec:
             if len(vec) != self.n:
                 raise ValueError("coefficient vectors must have length n")
             norm = sum(c.real * c.real + c.imag * c.imag for c in vec)
-            if abs(norm - 1.0) > COEFF_NORM_TOL:
+            if not abs(norm - 1.0) <= COEFF_NORM_TOL:  # a NaN norm fails too
                 raise ValueError("coefficient vectors must have unit norm")
 
     @classmethod
@@ -204,6 +205,8 @@ class ProtocolSpec:
         phase_indices=None,
     ) -> "ProtocolSpec":
         """Spec with balanced coefficients, optionally phased per party."""
+        # integers before the defaults (0,) * parties and the bounds use them
+        n, parties = operator.index(n), operator.index(parties)
         _check_dimension_bound(n)
         _check_party_bound(parties)
         if shifts is None:
@@ -371,6 +374,7 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     which carries shift 0) or an explicit per-party shift sequence starting
     with 0.  All shifts zero gives the symmetric family; tau = exp(2 pi i/n).
     """
+    parties = operator.index(parties)
     _check_party_bound(parties)
     m = operator.index(m)
     if not 0 <= m < n:

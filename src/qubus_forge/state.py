@@ -430,7 +430,12 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     w = MERGE_TOL max(1, |u0|) / (1 - MERGE_TOL) of the visited u0 are
     tested: :func:`qubus_close` accepts no pair farther apart, so the first
     match in creation order is the same as over all groups (the bound
-    needs finite beams, which every :class:`Term` has).
+    needs finite beams, which every :class:`Term` has).  The
+    representatives are kept in two flat lists sorted together, the real
+    part of each one's first beam and its group number, so the window is
+    two float bisects and its candidates a slice of group numbers.  The
+    per-key state of the index-order re-sort is built only when a rounded
+    key repeats.
     """
     if index is None:
         index = range(len(beams))
@@ -446,30 +451,40 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
         for first, u in enumerate(members)
     ])
     groups: list[list[int]] = []
-    reps: list[tuple[float, int]] = []  # (Re first beam, group index), sorted
+    # the representatives, sorted by the real part of their first beam
+    # (ties in creation order): that real part, and the group number
+    rep_re: list[float] = []
+    rep_k: list[int] = []
     key = None
-    added: dict[int, int] = {}  # group -> its size before this key's tuples
+    added = None  # group -> its size before this key's tuples, once a key repeats
     for u_key, _, u in visits:
-        if u_key != key:
-            key = u_key
-            added.clear()
         u0 = u[0]
+        u0_re = u0.real
         # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
         # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
         w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
-        lo = bisect.bisect_left(reps, (u0.real - w, -1))
-        hi = bisect.bisect_right(reps, (u0.real + w, len(groups)))
-        for k in (sorted(k for _, k in reps[lo:hi]) if lo < hi else ()):
+        lo = bisect.bisect_left(rep_re, u0_re - w)
+        hi = bisect.bisect_right(rep_re, u0_re + w)
+        for k in (sorted(rep_k[lo:hi]) if lo < hi else ()):
             if _tuples_close(beams[groups[k][0]], u):
                 break
         else:
             k = len(groups)
-            bisect.insort(reps, (u0.real, k))
+            at = bisect.bisect_right(rep_re, u0_re)
+            rep_re.insert(at, u0_re)
+            rep_k.insert(at, k)
             groups.append([])
         group = groups[k]
+        joining = members[u]
+        if u_key != key:  # the first tuple of its rounded key
+            key, key_group, key_start, added = u_key, k, len(group), None
+            group += joining
+            continue
+        if added is None:
+            added = {key_group: key_start}
         start = added.setdefault(k, len(group))
-        group += members[u]
-        if start < len(group) - len(members[u]):  # another tuple of this key
+        group += joining
+        if start < len(group) - len(joining):  # another tuple of this key
             group[start:] = sorted(group[start:])
     return groups
 

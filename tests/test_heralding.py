@@ -1,4 +1,7 @@
+import cmath
+import itertools
 import math
+import random
 
 import pytest
 
@@ -21,6 +24,7 @@ from qubus_forge.protocols import (
 )
 from qubus_forge.elements import apply_bs_5050, apply_qubus_phase, apply_xpm
 from qubus_forge.state import (
+    DROP_TOL,
     MERGE_TOL,
     HybridState,
     RegisterLayout,
@@ -370,6 +374,137 @@ def test_feedforward_rejects_untransformed_state():
     )
     with pytest.raises(FeedforwardError, match="outcome 1 is unreachable"):
         feedforward_outcomes(cancelled, 0)
+
+
+def feedforward_by_outcome(state, correction_party):
+    """Reference: for each detection outcome in turn, the corrected sub-state
+    of its terms, canonicalized, checked for reachability and renormalized
+    by its own norm."""
+    layout = state.layout
+    slot, n = layout.ancilla_slot, layout.ancilla_modes
+    new_layout = layout.replace(ancilla_modes=0)
+    outcomes = []
+    for k0 in range(n):
+        terms = [
+            Term(t.amp * cmath.exp(-2j * math.pi * t.labels[correction_party] * k0 / n),
+                 t.labels[:slot] + t.labels[slot + 1:], t.qubus)
+            for t in state.terms if t.labels[slot] == k0
+        ]
+        out = canonicalize(HybridState(new_layout, terms))
+        if not out.amps:
+            raise FeedforwardError(f"feedforward failed: detection outcome {k0} is unreachable")
+        scale = 1.0 / math.sqrt(state_norm_sq(out))
+        outcomes.append(HybridState(
+            new_layout, [Term(t.amp * scale, t.labels, t.qubus) for t in out.terms]
+        ))
+    return outcomes
+
+
+# beams within MERGE_TOL of 500 and of each other, one just beyond it, signed
+# zeros, and a herald-like pair with one real part
+FEEDFORWARD_BEAMS = (
+    500.0, 500.0 + 0.9 * MERGE_TOL * 500.0, 500.0 + 1.1 * MERGE_TOL * 500.0,
+    0j, complex(-0.0, 0.0), 0.5 * MERGE_TOL, 3.0 + 4.0j, 3.0 - 4.0j,
+)
+# a pair that cancels exactly and one that cancels below DROP_TOL
+FEEDFORWARD_AMPS = (0.3 + 0.1j, -0.3 - 0.1j, -0.3 - 0.1j + 0.4 * DROP_TOL, -0.6j)
+
+
+def _feedforward_state(rng, beams):
+    """A state on parties of dimension 3 and 2 and a 3-mode spatial register,
+    its few labels repeated and its beams and amplitudes drawn from pools of
+    near-ties and cancelling pairs."""
+    layout = RegisterLayout(party_dims=(3, 2), ancilla_modes=3, qubus_count=beams)
+    labels = [(rng.randrange(3), rng.randrange(2), rng.randrange(3)) for _ in range(5)]
+    terms = []
+    for _ in range(rng.randint(1, 14)):
+        amp = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        if rng.random() < 0.6:
+            amp = rng.choice(FEEDFORWARD_AMPS)
+        qubus = tuple(rng.choice(FEEDFORWARD_BEAMS) for _ in range(beams))
+        terms.append(Term(amp, rng.choice(labels), qubus))
+    return HybridState(layout, terms)
+
+
+def _merge_cases(state):
+    """Which merge cases ``state`` holds: distinct beam tuples of one label
+    merged, tuples of one label within two tolerances kept apart, and a
+    merged group that cancels below DROP_TOL."""
+    rows = [t.qubus for t in state.terms]
+    by_labels = {}
+    for i, labels in enumerate(state.labels):
+        by_labels.setdefault(labels, []).append(i)
+    cases = set()
+    for index in by_labels.values():
+        groups = _merge_groups(rows, index)
+        for g in groups:
+            if len({rows[i] for i in g}) > 1:
+                cases.add("merged")
+            amp = state.amps[g[0]]
+            for i in g[1:]:
+                amp += state.amps[i]
+            if abs(amp) < DROP_TOL:
+                cases.add("cancelled")
+        reps = [rows[g[0]] for g in groups]
+        for p, q in itertools.combinations(reps, 2):
+            if all(abs(u - v) <= 2 * MERGE_TOL * max(1.0, abs(u)) for u, v in zip(p, q)):
+                cases.add("apart")
+    return cases
+
+
+def _result_or_error(build, *args):
+    try:
+        return repr(build(*args))
+    except FeedforwardError as exc:
+        return f"FeedforwardError: {exc}"
+
+
+def test_feedforward_outcomes_equal_the_per_outcome_reference():
+    # one corrected, canonicalized state for every outcome gives, bit for
+    # bit, each outcome's own canonical state and norm
+    rng = random.Random("feedforward")
+    seen = dict.fromkeys(("merged", "apart", "cancelled", "unreachable", "reached"), 0)
+    for beams in (0, 1, 2):
+        for party in (0, 1):
+            for _ in range(150):
+                state = _feedforward_state(rng, beams)
+                got = _result_or_error(feedforward_outcomes, state, party)
+                assert got == _result_or_error(feedforward_by_outcome, state, party), state
+                if got.startswith("FeedforwardError"):
+                    seen["unreachable"] += 1
+                    continue
+                seen["reached"] += 1
+                for case in _merge_cases(state):
+                    seen[case] += 1
+    # every case the reference distinguishes came up, the merge cases in
+    # states whose outcomes are all reachable
+    assert min(seen.values()) >= 10, seen
+    # a two-term outcome whose amplitudes cancel is unreachable, and the
+    # error names the first such outcome
+    layout = RegisterLayout(party_dims=(2,), ancilla_modes=3)
+    state = HybridState(layout, (
+        Term(1.0, (0, 0)), Term(0.5, (1, 1)), Term(-0.5 + 0.4 * DROP_TOL, (1, 1)),
+    ))
+    for build in (feedforward_outcomes, feedforward_by_outcome):
+        with pytest.raises(FeedforwardError, match="^feedforward failed: detection outcome 1 is unreachable$"):
+            build(state, 0)
+
+
+def test_feedforward_checks_every_amplitude_before_reachability():
+    # Every outcome is corrected and merged before any is checked for
+    # reachability, so an amplitude that overflows raises ValueError even
+    # when an outcome before it is unreachable.  Outcome 0 is empty here.
+    layout = RegisterLayout(party_dims=(8,), ancilla_modes=8)
+    huge = complex(1.7e308, 1.7e308)
+    # exp(-i pi / 4) takes the real part to 0.707 (1.7e308 + 1.7e308) = inf
+    corrected = HybridState(layout, (Term(huge, (1, 1)),))
+    # a finite correction of 1e308 twice, merged into one label
+    merged = HybridState(layout, (Term(1e308, (0, 1)), Term(1e308, (0, 1))))
+    for state in (corrected, merged):
+        with pytest.raises(ValueError, match="term amplitude must be finite"):
+            feedforward_outcomes(state, 0)
+        with pytest.raises(FeedforwardError, match="outcome 0 is unreachable"):
+            feedforward_by_outcome(state, 0)
 
 
 def _outcomes_off_by_phase(delta):

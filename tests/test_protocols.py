@@ -420,7 +420,9 @@ def test_phase_pattern_detection():
 
 def test_protocol_spec_unit_norm_tolerance_edge():
     # a squared norm off by half the tolerance passes, off by twice fails
-    for factor, accepted in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False)):
+    # a NaN entry makes the squared norm NaN, which no tolerance accepts
+    for factor, accepted in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False),
+                             (math.nan, False)):
         vec = (math.sqrt(1.0 + factor * COEFF_NORM_TOL), 0.0, 0.0)
         check = nullcontext() if accepted else pytest.raises(ValueError, match="unit norm")
         with check:
@@ -440,6 +442,32 @@ def test_protocol_spec_counts_must_be_integers():
     spec = ProtocolSpec(np.int64(3), np.int64(2), (0, 1), coeffs, THETA, ALPHA)
     assert (type(spec.n), type(spec.parties)) == (int, int)
     assert spec == ProtocolSpec(3, 2, (0, 1), coeffs, THETA, ALPHA)
+
+
+def test_balanced_spec_and_target_counts_must_be_integers():
+    # the integer rule of ProtocolSpec, before a count builds a default
+    # tuple such as (0,) * parties
+    for build in (
+        lambda: ProtocolSpec.balanced(3, parties=3.0, shifts=(0, 1, 2)),
+        lambda: ProtocolSpec.balanced(3.0, parties=2, shifts=(0, 1)),
+        lambda: target_state(3, 0, 1, 2.5),
+        lambda: target_state(3, 0, (0, 1, 2), 3.0),
+    ):
+        with pytest.raises(TypeError, match="integer"):
+            build()
+    spec = ProtocolSpec.balanced(np.int64(3), np.int64(3), (0, 1, 2), THETA, ALPHA)
+    assert spec == ProtocolSpec.balanced(3, 3, (0, 1, 2), THETA, ALPHA)
+    assert target_state(3, 0, 1, np.int64(3)) == target_state(3, 0, 1, 3)
+
+
+def test_phased_coeffs_phase_index_must_be_an_integer():
+    # m = 2.5 is no pattern tau^{j m}, and NaN gives NaN coefficients
+    for m in (2.5, math.nan):
+        with pytest.raises(TypeError, match="integer"):
+            phased_coeffs(3, m)
+    with pytest.raises(TypeError, match="integer"):
+        ProtocolSpec.balanced(3, 2, (0, 1), THETA, ALPHA, phase_indices=(0.5, 0))
+    assert phased_coeffs(3, np.int64(2)) == phased_coeffs(3, 2)
 
 
 def test_protocol_spec_validation():
@@ -628,13 +656,16 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
     # 290 passes).
     # The preparation is memoized per n: a cold call runs its cascade (2n
     # canonicalize calls), every later call of that n gets it for free.
+    # The feedforward canonicalizes once and takes every outcome's norm from
+    # one _inner pass, whatever n (one of each per outcome made 12/6, 99/35
+    # and 147/51 canonicalize calls and 10, 68 and 100 _inner calls).
     # n: (most qubus_close calls, most _pair_weight calls, canonicalize calls,
     #     most rows built, most cells built, _merge_groups calls, _inner calls,
     #     canonicalize calls with a warm memo)
     expected = {
-        3: (None, None, 12, None, None, None, None, 6),
-        32: (350, 1100, 99, 10600, 36500, 2, 68, 35),
-        48: (500, 2500, 147, 23600, 81000, 2, 100, 51),
+        3: (None, None, 10, None, None, None, None, 4),
+        32: (350, 1100, 68, 10600, 36500, 2, 37, 4),
+        48: (500, 2500, 100, 23600, 81000, 2, 53, 4),
     }
     for n, (close_max, pair_max, canonicalize_calls, rows_max, cells_max, merges,
             inners, warm_calls) in expected.items():

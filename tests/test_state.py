@@ -219,7 +219,9 @@ def greedy_merge_groups(beams):
     return groups
 
 
-MERGE_CENTRES = (0.0, 1.0, 500.0, -500.0, 500j)
+# the conjugate pairs share a real part, as each +-d pair of herald beams
+# does, so the representatives' real parts tie
+MERGE_CENTRES = (0.0, 1.0, 500.0, -500.0, 500j, 500 + 3j, 500 - 3j, 0.04 + 4.2j, 0.04 - 4.2j)
 MERGE_DIRECTIONS = (1, -1, 1j, -1j) + tuple(
     cmath.exp(1j * math.pi * (k + 0.5) / 2) for k in range(4)
 )

@@ -9,8 +9,9 @@ commit.  Each tree is copied into a temporary directory under its own
 package name (``qubus_forge_parent``, ``qubus_forge_change``); the package
 imports itself only relatively, so both load side by side.
 
-The ``generate`` cases are the ``paper_point`` classes n = 2, 3, 5 with two
-parties and n = 3 with three, then n = 24, 32, 40, 48 with two parties and
+The ``generate`` cases are the ``paper_point`` classes n = 2, 3, 4, 5 with
+two parties (n = 4 is the class that holds that workload's median) and
+n = 3 with three, then n = 24, 32, 40, 48 with two parties and
 n = 24 with three (shifts (0, 1), (0, 1, 2) or (0, 1, 5), theta 0.01,
 alpha 500).  The spec is built once, so every call after the first finds
 its n's prepared state and layouts memoized, as a workload that repeats n
@@ -48,7 +49,7 @@ SIDES = ("parent", "change")
 # (n, shifts): the paper's range (n <= 5, two or three parties), then two
 # parties over a range of n, and three at n = 24
 GENERATE_CASES = (
-    (2, (0, 1)), (3, (0, 1)), (5, (0, 1)), (3, (0, 1, 2)),
+    (2, (0, 1)), (3, (0, 1)), (4, (0, 1)), (5, (0, 1)), (3, (0, 1, 2)),
     (24, (0, 1)), (32, (0, 1)), (40, (0, 1)), (48, (0, 1)), (24, (0, 1, 5)),
 )
 
