@@ -234,7 +234,10 @@ def feedforward_outcomes(
 
     Errors come in this order: a corrected amplitude or a merged sum that
     is not finite (ValueError, for any outcome), then the first unreachable
-    outcome in k0 order (:class:`FeedforwardError`).
+    outcome in k0 order (:class:`FeedforwardError`).  An outcome is
+    unreachable when it holds no term or its squared norm is not positive:
+    terms that cancel on beams just beyond :data:`state.MERGE_TOL` of each
+    other are kept apart and can sum to a norm of 0.0.
     """
     layout = state.layout
     slot = layout.ancilla_slot
@@ -249,12 +252,15 @@ def feedforward_outcomes(
     by_outcome: list[list[int]] = [[] for _ in range(n)]
     for i, labels in enumerate(all_labels):
         by_outcome[labels[slot]].append(i)
-    for k0, rows in enumerate(by_outcome):
-        if not rows:
+    _, norms = _inner(corrected, corrected, classes=[labels[slot] for labels in all_labels])
+    # an outcome past the last reached one has no class sum: its norm is 0
+    norms += [0j] * (n - len(norms))
+    for k0, norm_sq in enumerate(norms):
+        # an empty outcome, or one whose terms cancel to a norm of 0 or less
+        if not norm_sq.real > 0.0:
             raise FeedforwardError(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
-    _, norms = _inner(corrected, corrected, classes=[labels[slot] for labels in all_labels])
     new_layout = layout.replace(ancilla_modes=0)
     outcomes = []
     for rows, norm_sq in zip(by_outcome, norms):

@@ -72,6 +72,9 @@ def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     m = operator.index(m)  # a fractional m is no phase pattern tau^{j m}
+    # both reach float arithmetic below
+    _in_float_range(float, n, "n")
+    _in_float_range(float, m, "m")
     scale = 1.0 / math.sqrt(n)
     return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
 

@@ -391,9 +391,10 @@ def feedforward_by_outcome(state, correction_party):
             for t in state.terms if t.labels[slot] == k0
         ]
         out = canonicalize(HybridState(new_layout, terms))
-        if not out.amps:
+        norm_sq = state_norm_sq(out) if out.amps else 0.0
+        if not norm_sq > 0.0:
             raise FeedforwardError(f"feedforward failed: detection outcome {k0} is unreachable")
-        scale = 1.0 / math.sqrt(state_norm_sq(out))
+        scale = 1.0 / math.sqrt(norm_sq)
         outcomes.append(HybridState(
             new_layout, [Term(t.amp * scale, t.labels, t.qubus) for t in out.terms]
         ))
@@ -505,6 +506,29 @@ def test_feedforward_checks_every_amplitude_before_reachability():
             feedforward_outcomes(state, 0)
         with pytest.raises(FeedforwardError, match="outcome 0 is unreachable"):
             feedforward_by_outcome(state, 0)
+
+
+def test_feedforward_rejects_an_outcome_whose_norm_cancels_to_zero():
+    # Two equal-label terms on beams 1.1 MERGE_TOL apart are kept apart, and
+    # their amplitudes 0.5 and -0.5 cancel in the norm: 0.25 + 0.25 - 2 (0.25
+    # times an overlap that rounds to 1) is 0.0, so outcome 1 is unreachable
+    # although it holds two terms.  Outcome 2 is empty, so the error names
+    # the first unreachable outcome in k0 order.
+    layout = RegisterLayout(party_dims=(2,), ancilla_modes=3, qubus_count=1)
+    apart = 500.0 + 1.1 * MERGE_TOL * 500.0
+    state = HybridState(layout, (
+        Term(1.0, (0, 0), (500.0,)),
+        Term(0.5, (1, 1), (500.0,)),
+        Term(-0.5, (1, 1), (apart,)),
+    ))
+    assert len(canonicalize(state).amps) == 3
+    for build in (feedforward_outcomes, feedforward_by_outcome):
+        with pytest.raises(FeedforwardError, match="^feedforward failed: detection outcome 1 is unreachable$"):
+            build(state, 0)
+    # with outcome 1 reachable, the empty outcome 2 is the one named
+    reached = HybridState(layout, state.terms[:2])
+    with pytest.raises(FeedforwardError, match="outcome 2 is unreachable$"):
+        feedforward_outcomes(reached, 0)
 
 
 def _outcomes_off_by_phase(delta):

@@ -470,6 +470,14 @@ def test_phased_coeffs_phase_index_must_be_an_integer():
     assert phased_coeffs(3, np.int64(2)) == phased_coeffs(3, 2)
 
 
+def test_phased_coeffs_rejects_integers_beyond_float_range():
+    # n and m reach float arithmetic, so an integer float() cannot hold is a
+    # ValueError that names its argument, not a bare OverflowError
+    for args, name in (((10**400, 0), "n"), ((3, 10**400), "m"), ((3, -(10**400)), "m")):
+        with pytest.raises(ValueError, match=f"^{name} is beyond float range$"):
+            phased_coeffs(*args)
+
+
 def test_protocol_spec_validation():
     ok = dict(
         n=3, parties=2, shifts=(0, 1),
