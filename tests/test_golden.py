@@ -23,9 +23,11 @@ from qubus_forge.cli import main
 DATA = Path(__file__).parent / "data"
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
-# sha256 over the repr of 943 seeded library results (tools/report_digest.py)
+# sha256 over the repr of 1360 seeded library results (tools/report_digest.py);
+# the first 943 are the corpus that printed f412db61... before the last set,
+# the elements and the erasure on hand-built states, was added
 REPORT_DIGEST = (
-    "f412db615dec4c633b833041e9ac9983f0d45bda3575347d52d1bf68e7d8f700  (943 results)"
+    "3daa25bfcbbd59b6b17a5dc08cf412ca1b377c87f71701114c4a0a0b361e0d71  (1360 results)"
 )
 
 # sha256 over 64 CLI argv lists, each run as written and with --dump-config
@@ -92,7 +94,8 @@ def test_cli_output_matches_golden_file(filename, argv, capsys):
 
 def test_report_digest_is_unchanged():
     # every amplitude, beam, probability and rejection message of 150
-    # random generate specs, the four wide_qudit shapes and 66 sweeps
+    # random generate specs, the four wide_qudit shapes, 66 sweeps and the
+    # hand-built states
     done = subprocess.run(
         [sys.executable, str(TOOLS / "report_digest.py")],
         capture_output=True, text=True, timeout=300, check=True,

@@ -20,7 +20,13 @@ sets pin what it does not reach: every
 ``state_norm_sq``, ``inner_product``, ``herald_vacuum`` and
 ``coherent_overlap`` on 100 seeded hand-built states.  Those states repeat
 labels, put beams within and just beyond ``MERGE_TOL`` of each other, use
-signed zeros and hold amplitude pairs that cancel below ``DROP_TOL``.
+signed zeros and hold amplitude pairs that cancel below ``DROP_TOL``.  The
+last set runs the elements and the erasure on 60 more such states, each with
+a 2- or 3-mode spatial register, two parties of which at least one has a
+dimension other than the register's, and 0, 2 or 3 beams: ``apply_fourier_lomi``,
+``feedforward_outcomes`` with correction party 0 and 1 (on the state and
+on its Fourier transform), ``apply_bs_5050``, ``apply_qubus_phase`` and
+``apply_xpm``.
 """
 
 from __future__ import annotations
@@ -41,8 +47,13 @@ from qubus_forge import (  # noqa: E402
     RegisterLayout,
     SweepGrid,
     Term,
+    apply_bs_5050,
+    apply_fourier_lomi,
+    apply_qubus_phase,
+    apply_xpm,
     canonicalize,
     coherent_overlap,
+    feedforward_outcomes,
     generate,
     herald_vacuum,
     inner_product,
@@ -196,6 +207,29 @@ def results():
             _normalized(state), 0, DetectorModel.on_off(rng.uniform(0.5, 1.0))
         ))
         yield repr([coherent_overlap(p, q) for p, q in zip(state.beams[0], other.beams[0])])
+
+    rng = random.Random("report_digest:kernels")
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        dims = [rng.randint(1, 5), rng.randint(n + 1, n + 3)]  # a party dim > n
+        rng.shuffle(dims)
+        beams = rng.choice((0, 2, 3))
+        layout = RegisterLayout(party_dims=tuple(dims), ancilla_modes=n, qubus_count=beams)
+        state = _hand_built_state(rng, layout)
+        fourier = apply_fourier_lomi(state)
+        yield repr(fourier)
+        for erased in (state, fourier):
+            for party in (0, 1):
+                yield _outcome(feedforward_outcomes, erased, party)
+        if beams:
+            pair = tuple(rng.sample(range(beams), 2))
+            yield _outcome(apply_bs_5050, state, pair)
+            beam = rng.randrange(beams)
+            yield _outcome(apply_qubus_phase, state, beam, rng.uniform(-math.pi, math.pi))
+            yield _outcome(
+                apply_xpm, state, rng.randrange(2), rng.randrange(n), beam,
+                rng.uniform(-0.5, 0.5),
+            )
 
 
 def main() -> None:
