@@ -9,6 +9,8 @@ operation is pure, returns a new state and preserves the squared norm.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import operator
 
@@ -61,7 +63,7 @@ def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
         raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
     beams = state.beams
-    col = tuple([q * rot for q in beams[beam]])
+    col = tuple(map(operator.mul, beams[beam], itertools.repeat(rot)))
     return _derive(state, beams=beams[:beam] + (col,) + beams[beam + 1 :])
 
 
@@ -76,10 +78,11 @@ def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
         raise ValueError("beam splitter needs two distinct beams")
     for b in (b1, b2):
         _check_beam(state, b)
-    pairs = tuple(zip(state.beams[b1], state.beams[b2]))
+    col1, col2 = state.beams[b1], state.beams[b2]
+    root2 = itertools.repeat(_SQRT2)
     beams = list(state.beams)
-    beams[b1] = tuple([(a - b) / _SQRT2 for a, b in pairs])
-    beams[b2] = tuple([(a + b) / _SQRT2 for a, b in pairs])
+    beams[b1] = tuple(map(operator.truediv, map(operator.sub, col1, col2), root2))
+    beams[b2] = tuple(map(operator.truediv, map(operator.add, col1, col2), root2))
     return _derive(state, beams=tuple(beams))
 
 
@@ -188,23 +191,46 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
     return canonicalize(_derive(state, labels=labels))
 
 
+@functools.lru_cache(maxsize=256)
+def _fourier_row(n: int, j: int) -> tuple[complex, ...]:
+    """The phases exp(2 pi i j k / n) of Fourier mode j, for k < n.
+
+    A row depends on (n, j) alone, so it is kept in a bounded memo.  Its 256
+    rows hold every row of a few dimensions in turn, such as n = 24, 32, 40
+    and 48 (144 rows).  A row of n entries takes 40 n + 56 bytes, so at
+    n <= N_MAX the memo holds under 11 MB; a hand-built register wider than
+    N_MAX keeps up to 256 rows of its own width.
+    """
+    return tuple([cmath.exp(2j * math.pi * j * k / n) for k in range(n)])
+
+
 def apply_fourier_lomi(state: HybridState) -> HybridState:
     """n-mode Fourier transform on the single-photon spatial register.
 
     Mode j maps to (1/sqrt(n)) sum_k exp(2 pi i j k / n) |k>; all other
     labels and the qubus beams are untouched.
+
+    Each source term scales its amplitude by 1/sqrt(n) and slices its
+    labels once (``for x in [...]`` binds a value in a comprehension), and
+    takes mode j's phases as one row of the memo of :func:`_fourier_row`.
     """
     layout = state.layout
     slot = layout.ancilla_slot
     n = layout.ancilla_modes
     scale = 1.0 / math.sqrt(n)
     amps = tuple([
-        amp * scale * cmath.exp(2j * math.pi * labels[slot] * k / n)
+        scaled * phase
         for amp, labels in zip(state.amps, state.labels)
-        for k in range(n)
+        for scaled in [amp * scale]
+        for phase in _fourier_row(n, labels[slot])
     ])
+    modes = [(k,) for k in range(n)]
     new_labels = tuple([
-        labels[:slot] + (k,) + labels[slot + 1 :] for labels in state.labels for k in range(n)
+        head + k + tail
+        for labels in state.labels
+        for head in [labels[:slot]]
+        for tail in [labels[slot + 1 :]]
+        for k in modes
     ])
     beams = tuple(tuple([q for q in col for _ in range(n)]) for col in state.beams)
     return canonicalize(_derive(state, amps=amps, labels=new_labels, beams=beams))

@@ -7,6 +7,7 @@ branches are enumerated exactly and reported with their probabilities.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -213,6 +214,17 @@ def _failure_log(classes: _BranchClasses, eta: float) -> tuple[float, float]:
     return error_log, error_prob
 
 
+@functools.lru_cache(maxsize=256)
+def _correction_row(n: int, j: int) -> tuple[complex, ...]:
+    """The feedforward phases exp(-2 pi i j k0 / n) of party label j, for
+    k0 < n; j reaches past n when the party's dimension does.
+
+    Kept in a bounded memo of 256 rows, under 11 MB at n <= N_MAX, like the
+    Fourier rows of :func:`elements._fourier_row`.
+    """
+    return tuple([cmath.exp(-2j * math.pi * j * k0 / n) for k0 in range(n)])
+
+
 def feedforward_outcomes(
     state: HybridState, correction_party: int
 ) -> list[HybridState]:
@@ -223,7 +235,9 @@ def feedforward_outcomes(
     spatial register is removed.
 
     All outcomes are built in one pass: every term gets the correction of
-    its own spatial label k0, the corrected state is canonicalized once, one
+    its own spatial label k0 (the phases of party label j are one row of
+    the memo of :func:`_correction_row`, looked up once per label value of
+    the correction party), the corrected state is canonicalized once, one
     class-weighted :func:`state._inner` pass, classed by k0, gives every
     outcome's squared norm, and each outcome's rows are cut out, scaled and
     stripped of the spatial label.  The canonical order sorts the spatial
@@ -243,16 +257,18 @@ def feedforward_outcomes(
     slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
+    phases = [_correction_row(n, j) for j in range(layout.party_dims[party_slot])]
     amps = tuple([
-        amp * cmath.exp(-2j * math.pi * labels[party_slot] * labels[slot] / n)
+        amp * phases[labels[party_slot]][labels[slot]]
         for amp, labels in zip(state.amps, state.labels)
     ])
     corrected = canonicalize(_derive(state, amps=amps))
     all_amps, all_labels = corrected.amps, corrected.labels
+    k0s = [labels[slot] for labels in all_labels]
     by_outcome: list[list[int]] = [[] for _ in range(n)]
-    for i, labels in enumerate(all_labels):
-        by_outcome[labels[slot]].append(i)
-    _, norms = _inner(corrected, corrected, classes=[labels[slot] for labels in all_labels])
+    for i, k0 in enumerate(k0s):
+        by_outcome[k0].append(i)
+    _, norms = _inner(corrected, corrected, classes=k0s)
     # an outcome past the last reached one has no class sum: its norm is 0
     norms += [0j] * (n - len(norms))
     for k0, norm_sq in enumerate(norms):

@@ -309,11 +309,16 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     )
     cut = layout.num_parties
     alpha = complex(alpha)
-    picked = [(m, c) for m, c in enumerate(coeffs) if c != 0]
-    # complex(): a coefficient may be a numpy scalar
-    amps = tuple([complex(amp * c) for amp in state.amps for _, c in picked])
+    # complex() once per coefficient: a coefficient may be a numpy scalar
+    picked = [((m,), complex(c)) for m, c in enumerate(coeffs) if c != 0]
+    amps = tuple([amp * c for amp in state.amps for _, c in picked])
+    # each source term's label slices once (for x in [...] binds a value)
     labels = tuple([
-        labels[:cut] + (m,) + labels[cut:] for labels in state.labels for m, _ in picked
+        head + m + tail
+        for labels in state.labels
+        for head in [labels[:cut]]
+        for tail in [labels[cut:]]
+        for m, _ in picked
     ])
     beams = tuple(tuple([q for q in col for _ in picked]) for col in state.beams)
     return _derive(state, layout=new_layout, amps=amps, labels=labels,

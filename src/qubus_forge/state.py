@@ -372,8 +372,8 @@ def _without_beam(state: HybridState, beam: int) -> HybridState:
 
 def _renormalized(state: HybridState, norm_sq: float) -> HybridState:
     """``state`` with every amplitude divided by sqrt(``norm_sq``)."""
-    scale = 1.0 / math.sqrt(norm_sq)
-    return _derive(state, amps=tuple([amp * scale for amp in state._amps]))
+    scale = itertools.repeat(1.0 / math.sqrt(norm_sq))
+    return _derive(state, amps=tuple(map(operator.mul, state._amps, scale)))
 
 
 def _rows(state: HybridState) -> tuple[tuple[complex, ...], ...]:
@@ -535,15 +535,6 @@ def _abs_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _pair_weight(a: HybridState, i: int, b: HybridState, j: int) -> complex:
-    """conj(amp_i) amp_j of term i of ``a`` and term j of ``b``, times the
-    product of their per-beam coherent overlaps."""
-    log_ov = 0j
-    for col_a, col_b in zip(a._beams, b._beams):
-        log_ov += coherent_overlap(col_a[i], col_b[j])
-    return a._amps[i].conjugate() * b._amps[j] * cmath.exp(log_ov)
-
-
 def _inner(a: HybridState, b: HybridState, classes=None):
     """<a|b> over the terms of two states: equal-label terms interfere
     through the full product of coherent overlaps, distinct labels are
@@ -556,9 +547,15 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     ``classes``, when given, holds a class number for each term index of
     both states.  Then the result is ``(<a|b>, sums)``: ``sums[k]`` adds the
     pairs whose two terms are both in class k, in the order the total adds
-    them, so it is bit for bit the <a|b> of class k's terms alone.
+    them, so it is bit for bit the <a|b> of class k's terms alone.  It has
+    ``max(classes) + 1`` entries; a class that holds no term sums to 0j.
+
+    A pair of two terms weighs conj(amp_i) amp_j times exp of the sum of
+    their per-beam :func:`coherent_overlap` logs, computed inline.  A term
+    paired with itself in ``<a|a>`` weighs |amp_i|^2, with no overlap.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
+    a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
     by_labels: dict[tuple[int, ...], list[int]] = {}
     for j, labels in enumerate(b_labels):
         by_labels.setdefault(labels, []).append(j)
@@ -568,13 +565,16 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     for i, labels in enumerate(a_labels):
         for j in by_labels.get(labels, ()):
             if same and i == j:
-                # _pair_weight(a, i, a, i) is exactly this: every
+                # the cross-pair weight below is exactly this: every
                 # self-overlap of a finite beam is -0.0 + 0.0j, so its
                 # exponential is 1 + 0j.
                 amp = amps[i]
                 pair = amp.real * amp.real + amp.imag * amp.imag
             else:
-                pair = _pair_weight(a, i, b, j)
+                log_ov = 0j
+                for col_a, col_b in zip(a_beams, b_beams):
+                    log_ov += coherent_overlap(col_a[i], col_b[j])
+                pair = amps[i].conjugate() * b_amps[j] * cmath.exp(log_ov)
             total += pair
             if sums is not None and classes[i] == classes[j]:
                 sums[classes[i]] += pair

@@ -1,16 +1,19 @@
+import array
 import cmath
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from qubus_forge.elements import apply_fourier_lomi
+from qubus_forge.elements import _fourier_row, apply_fourier_lomi
 from qubus_forge.heralding import (
     FEEDFORWARD_TOL,
     DetectorModel,
     FeedforwardError,
     _classify_branches,
+    _correction_row,
     feedforward_outcomes,
     herald_vacuum,
     measure_ancilla_and_feedforward,
@@ -26,6 +29,7 @@ from qubus_forge.elements import apply_bs_5050, apply_qubus_phase, apply_xpm
 from qubus_forge.state import (
     DROP_TOL,
     MERGE_TOL,
+    N_MAX,
     HybridState,
     RegisterLayout,
     Term,
@@ -529,6 +533,40 @@ def test_feedforward_rejects_an_outcome_whose_norm_cancels_to_zero():
     reached = HybridState(layout, state.terms[:2])
     with pytest.raises(FeedforwardError, match="outcome 2 is unreachable$"):
         feedforward_outcomes(reached, 0)
+
+
+def _bits(row):
+    """The IEEE bytes of a row of complex numbers: equal bytes are equal
+    reprs, signed zeros included (and cost a third of the time of repr)."""
+    return array.array("d", [x for z in row for x in (z.real, z.imag)]).tobytes()
+
+
+def test_phase_rows_equal_their_per_element_expressions():
+    # The Fourier and the feedforward take their phases from memoized rows;
+    # every row is, bit for bit, its layer's own per-element expression.
+    for n in range(1, 65):
+        for j in range(n):
+            fourier = [cmath.exp(2j * math.pi * j * k / n) for k in range(n)]
+            correction = [cmath.exp(-2j * math.pi * j * k0 / n) for k0 in range(n)]
+            assert _bits(_fourier_row(n, j)) == _bits(fourier), (n, j)
+            assert _bits(_correction_row(n, j)) == _bits(correction), (n, j)
+    # a party of dimension 5 on a 3-mode register has correction labels j >= n
+    for j in (3, 4):
+        correction = [cmath.exp(-2j * math.pi * j * k0 / 3) for k0 in range(3)]
+        assert _bits(_correction_row(3, j)) == _bits(correction), j
+    layout = RegisterLayout(party_dims=(5,), ancilla_modes=3)
+    state = apply_fourier_lomi(HybridState(layout, (Term(0.6, (4, 1)), Term(0.8, (3, 2)))))
+    assert repr(feedforward_outcomes(state, 0)) == repr(feedforward_by_outcome(state, 0))
+
+
+def test_phase_row_memos_are_bounded():
+    # 256 rows per memo; a row of N_MAX entries (40 bytes each with its
+    # tuple slot) keeps each memo under the 11 MB its docstring states
+    row = _fourier_row.__wrapped__(N_MAX, 1)
+    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    for memo in (_fourier_row, _correction_row):
+        assert memo.cache_info().maxsize == 256
+        assert memo.cache_info().maxsize * row_bytes < 11e6
 
 
 def _outcomes_off_by_phase(delta):
