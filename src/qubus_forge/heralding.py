@@ -236,8 +236,8 @@ def feedforward_outcomes(
 
     All outcomes are built in one pass: every term gets the correction of
     its own spatial label k0 (the phases of party label j are one row of
-    the memo of :func:`_correction_row`, looked up once per label value of
-    the correction party), the corrected state is canonicalized once, one
+    the memo of :func:`_correction_row`, looked up once per label value the
+    correction party holds), the corrected state is canonicalized once, one
     class-weighted :func:`state._inner` pass, classed by k0, gives every
     outcome's squared norm, and each outcome's rows are cut out, scaled and
     stripped of the spatial label.  The canonical order sorts the spatial
@@ -257,7 +257,9 @@ def feedforward_outcomes(
     slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
-    phases = [_correction_row(n, j) for j in range(layout.party_dims[party_slot])]
+    # one row per label value the state holds, whatever the party's dimension
+    held = {labels[party_slot] for labels in state.labels}
+    phases = {j: _correction_row(n, j) for j in held}
     amps = tuple([
         amp * phases[labels[party_slot]][labels[slot]]
         for amp, labels in zip(state.amps, state.labels)

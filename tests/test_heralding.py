@@ -557,6 +557,13 @@ def test_phase_rows_equal_their_per_element_expressions():
     layout = RegisterLayout(party_dims=(5,), ancilla_modes=3)
     state = apply_fourier_lomi(HybridState(layout, (Term(0.6, (4, 1)), Term(0.8, (3, 2)))))
     assert repr(feedforward_outcomes(state, 0)) == repr(feedforward_by_outcome(state, 0))
+    # the feedforward builds the rows of the labels a state holds, not one
+    # per label value its party could take
+    wide = RegisterLayout(party_dims=(4096,), ancilla_modes=3)
+    state = apply_fourier_lomi(HybridState(wide, (Term(0.6, (4095, 1)), Term(0.8, (3, 2)))))
+    _correction_row.cache_clear()
+    assert repr(feedforward_outcomes(state, 0)) == repr(feedforward_by_outcome(state, 0))
+    assert _correction_row.cache_info().misses == 2
 
 
 def test_phase_row_memos_are_bounded():
