@@ -20,6 +20,7 @@ from .protocols import (
     _check_working_point,
     _couple,
     _in_float_range,
+    _shown,
     phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
@@ -77,11 +78,6 @@ def _check_beam_inputs(alpha, theta: float, d_max: int, name: str) -> None:
         energy = math.inf
     if not math.isfinite(energy):
         raise ValueError(f"alpha = {_shown(alpha)} overflows the beam energy 2 |alpha|^2")
-
-
-def _shown(x, show=repr) -> str:
-    """show(x), but an int of 18 or more digits (inside float range here) as x.xxxe+yy."""
-    return f"{x:.3e}" if isinstance(x, int) and abs(x) >= 10**17 else show(x)
 
 
 def _closed_form_terms(theta: float, n: int):

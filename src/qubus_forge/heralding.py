@@ -21,7 +21,6 @@ from .state import (
     _inner,
     _logaddexp_reduce,
     _merge_groups,
-    _renormalized,
     _without_beam,
     canonicalize,
     qubus_close,
@@ -138,13 +137,21 @@ def herald_vacuum(
     is the total silent-failure probability: the chance the detector stays
     dark although the state sits in a non-vacuum branch, summed as
     weight * exp(-eta |beta|^2) over those branches.
+
+    The heralded state is built in one derivation of the canonical state:
+    its vacuum-class rows, each amplitude scaled by 1/sqrt(success_prob),
+    without the consumed beam.
     """
     classes = _classify_branches(state, beam)
     success = classes.success_prob
+    canonical = classes.state
     if success > 0.0:
-        vac = _renormalized(_derive(classes.state, classes.vacuum), success)
+        rows = classes.vacuum
+        scale = 1.0 / math.sqrt(success)
+        amps = canonical.amps
+        heralded = _without_beam(canonical, beam, rows, tuple([amps[i] * scale for i in rows]))
     else:
-        vac = _derive(classes.state, ())
+        heralded = _without_beam(canonical, beam, ())
     eta = det.efficiency
     error_log, error_prob = _failure_log(classes, eta)
     # log silence probability -eta |beam|^2, from each class's |beam|^2
@@ -153,7 +160,7 @@ def herald_vacuum(
     # alone orders equal weights by rounded beam.
     records.sort(key=lambda r: -r.weight)
     return HeraldOutcome(
-        heralded_state=_without_beam(vac, beam),
+        heralded_state=heralded,
         success_prob=success,
         error_prob=error_prob,
         error_prob_log=error_log,

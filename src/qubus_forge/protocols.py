@@ -9,7 +9,6 @@ target states.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 import operator
@@ -51,8 +50,9 @@ from .state import (
 
 def _check_dimension_bound(n: int) -> None:
     """Reject a dimension above :data:`state.N_MAX`: the working-point check,
-    the preparation cascade and ProtocolSpec.balanced (before it builds the
-    coefficients) call this before any loop or term list of size n."""
+    the preparation cascade, phased_coeffs, target_state and
+    ProtocolSpec.balanced (before it builds the coefficients) call this
+    before any loop or term list of size n."""
     if n > N_MAX:
         raise ValueError(f"dimension n must be <= {N_MAX}")
 
@@ -68,15 +68,37 @@ def _check_party_bound(parties: int) -> None:
 
 def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     """Balanced coefficients with the linear phase pattern tau^{j m},
-    tau = exp(2 pi i / n)."""
+    tau = exp(2 pi i / n).
+
+    n is bounded by :data:`state.N_MAX`, and m by the float range of the
+    largest phase 2 pi (n - 1) m; both are checked before the vector is
+    built.  A vector depends on (n, m) alone, so it is kept in a bounded
+    memo.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     m = operator.index(m)  # a fractional m is no phase pattern tau^{j m}
+    n = operator.index(n)  # and (3.0, m) would be a memo key equal to (3, m)
     # both reach float arithmetic below
     _in_float_range(float, n, "n")
     _in_float_range(float, m, "m")
+    _check_dimension_bound(n)
+    # the phase 2 pi j m is largest at j = n - 1, and past float range it
+    # is inf, whose exp is NaN
+    if not math.isfinite(2 * math.pi * (n - 1) * m):
+        raise ValueError(f"m = {_shown(m)} puts the phase 2 pi j m / n beyond float range")
+    return _phase_pattern(n, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_pattern(n: int, m: int) -> tuple[complex, ...]:
+    """The vector of :func:`phased_coeffs`, for checked integers n and m.
+
+    Kept in a bounded memo of 256 vectors, under 11 MB at n <= N_MAX, like
+    the phase rows of :func:`elements._fourier_row`.
+    """
     scale = 1.0 / math.sqrt(n)
-    return tuple(scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n))
+    return tuple([scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n)])
 
 
 # How far each entry of a given coefficient vector may sit from
@@ -115,6 +137,11 @@ def _in_float_range(convert, value, name: str):
         return convert(value)
     except OverflowError:
         raise ValueError(f"{name} is beyond float range") from None
+
+
+def _shown(x, show=repr) -> str:
+    """show(x), but an int of 18 or more digits (inside float range where it is used) as x.xxxe+yy."""
+    return f"{x:.3e}" if isinstance(x, int) and abs(x) >= 10**17 else show(x)
 
 
 def _check_working_point(n: int, theta: float, alpha: complex) -> None:
@@ -352,11 +379,16 @@ def _run_stage(
     register to a fresh qubus pair, interfere, herald on vacuum."""
     st, beam = _couple(_attach_party(state, coeffs, alpha), shift, theta)
     outcome = herald_vacuum(st, beam, detector)
-    if outcome.success_prob > 0.0:
-        # The surviving beam is |sqrt(2) alpha> in every term: a spectator.
-        survivor = drop_uniform_beam(outcome.heralded_state, beam)
-        outcome = dataclasses.replace(outcome, heralded_state=survivor)
-    return outcome
+    if outcome.success_prob <= 0.0:
+        return outcome
+    # The surviving beam is |sqrt(2) alpha> in every term: a spectator.
+    return HeraldOutcome(
+        drop_uniform_beam(outcome.heralded_state, beam),
+        outcome.success_prob,
+        outcome.error_prob,
+        outcome.error_prob_log,
+        outcome.branch_table,
+    )
 
 
 def entangle_stage(
@@ -375,6 +407,11 @@ def entangle_stage(
     )
 
 
+# The layout with no register, from which target_state derives its own
+# through the layout memo
+_NO_REGISTERS = RegisterLayout()
+
+
 def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     """Maximally entangled target (1/sqrt(n)) sum_j tau^{jm} (x)_i |(j+k_i) mod n>.
 
@@ -384,6 +421,7 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     """
     parties = operator.index(parties)
     _check_party_bound(parties)
+    _check_dimension_bound(n)
     m = operator.index(m)
     if not 0 <= m < n:
         raise ValueError("phase index m must lie in [0, n)")
@@ -393,8 +431,8 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
         shifts = (0,) + (operator.index(k),) * (parties - 1)
     _check_shifts(shifts, n, parties)
     n = operator.index(n)  # labels are built-in ints, whatever type n has
-    layout = RegisterLayout(party_dims=(n,) * parties)
-    labels = tuple(tuple((j + s) % n for s in shifts) for j in range(n))
+    layout = _NO_REGISTERS.replace(party_dims=(n,) * parties)
+    labels = tuple([tuple([(j + s) % n for s in shifts]) for j in range(n)])
     return _columns(layout, phased_coeffs(n, m), labels, ())
 
 

@@ -19,7 +19,8 @@ from one that is already valid: the elements, the herald, feedforward
 and the protocol stages hand it the columns they compute, and it checks
 each new amplitude or beam column for finiteness, once.  Columns carried
 over from the source are not checked again.  The renormalisation, the
-removal of a qubus beam and the beam-index check live here too.
+removal of a qubus beam, which the herald also uses to cut out and rescale
+its surviving terms, and the beam-index check live here too.
 
 Coherent beams are tracked symbolically by their amplitude, never by
 Fock-space truncation: every optical element supported here maps coherent
@@ -332,9 +333,11 @@ def _derive(
     """The state whose term r comes from term ``src[r]`` of ``state`` (term
     r when ``src`` is None), with the layout and columns given here.
 
-    A column not given is the source's, picked by ``src``; ``beams`` is the
-    result's whole beam tuple.  Each given amplitude or beam column that is
-    not one of the source's is checked for finiteness here, once.
+    A given amplitude or label column is the result's; a column not given
+    is the source's, picked by ``src``.  ``beams`` is the whole beam tuple,
+    one column per beam the result keeps, over the source's terms, so it is
+    picked by ``src`` too.  Each given amplitude or beam column that is not
+    one of the source's is checked for finiteness here, once.
     """
     take = None if src is None else _taker(src)
     if amps is None:
@@ -344,13 +347,15 @@ def _derive(
     if labels is None:
         labels = state._labels if take is None else take(state._labels)
     if beams is None:
-        beams = state._beams if take is None else tuple(map(take, state._beams))
+        beams = state._beams
     else:
         for col in beams:
             # `in` matches the source's own column by identity first; a
             # column equal to a finite one is finite too
             if col not in state._beams and not all(map(cmath.isfinite, col)):
                 raise ValueError("qubus amplitudes must be finite")
+    if take is not None:
+        beams = tuple(map(take, beams))
     return _columns(state._layout if layout is None else layout, amps, labels, beams)
 
 
@@ -360,20 +365,18 @@ def _check_beam(state: HybridState, beam: int) -> None:
         raise ValueError(f"beam index {beam} out of range")
 
 
-def _without_beam(state: HybridState, beam: int) -> HybridState:
-    """``state`` with qubus beam ``beam`` removed from every term."""
+def _without_beam(state: HybridState, beam: int, src=None, amps=None) -> HybridState:
+    """``state`` with qubus beam ``beam`` removed from every term, in one
+    :func:`_derive`: its terms ``src`` (all by default) with amplitudes
+    ``amps`` (theirs by default)."""
     layout = state._layout
     return _derive(
         state,
-        layout=layout.replace(qubus_count=layout.qubus_count - 1),
+        src,
+        layout.replace(qubus_count=layout.qubus_count - 1),
+        amps,
         beams=state._beams[:beam] + state._beams[beam + 1 :],
     )
-
-
-def _renormalized(state: HybridState, norm_sq: float) -> HybridState:
-    """``state`` with every amplitude divided by sqrt(``norm_sq``)."""
-    scale = itertools.repeat(1.0 / math.sqrt(norm_sq))
-    return _derive(state, amps=tuple(map(operator.mul, state._amps, scale)))
 
 
 def _rows(state: HybridState) -> tuple[tuple[complex, ...], ...]:
@@ -408,6 +411,12 @@ def _beam_key(q: complex) -> tuple[float, float]:
     return (round(q.real, 12), round(q.imag, 12))
 
 
+# The half-width of _merge_groups' window, per unit of max(1, |u0|):
+# qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
+# (1 - MERGE_TOL), and 1e-3 of that more covers rounding (~1e-16 |u0|).
+_WINDOW = MERGE_TOL / (1.0 - MERGE_TOL) * 1.001
+
+
 def _merge_groups(beams, index=None) -> list[list[int]]:
     """The one rule for "these beam tuples are the same value".
 
@@ -433,9 +442,10 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     needs finite beams, which every :class:`Term` has).  The
     representatives are kept in two flat lists sorted together, the real
     part of each one's first beam and its group number, so the window is
-    two float bisects and its candidates a slice of group numbers.  The
-    per-key state of the index-order re-sort is built only when a rounded
-    key repeats.
+    two float bisects and its candidates a slice of group numbers, sorted
+    into creation order when it holds two or more.  The first tuple finds
+    no representative and runs no bisect.  The per-key state of the
+    index-order re-sort is built only when a rounded key repeats.
     """
     if index is None:
         index = range(len(beams))
@@ -444,11 +454,12 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     members: dict[tuple[complex, ...], list[int]] = {}
     for i in index:
         members.setdefault(beams[i], []).append(i)
-    # (rounded key, first appearance, tuple): each beam is rounded once, as
-    # _beam_key rounds it, and the unique first appearance breaks key ties
+    # (rounded key, first appearance, tuple, its members): each beam is
+    # rounded once, as _beam_key rounds it, and the unique first appearance
+    # breaks key ties, so the tuples and lists are never compared
     visits = sorted([
-        (tuple([(round(q.real, 12), round(q.imag, 12)) for q in u]), first, u)
-        for first, u in enumerate(members)
+        (tuple([(round(q.real, 12), round(q.imag, 12)) for q in u]), first, u, joining)
+        for first, (u, joining) in enumerate(members.items())
     ])
     groups: list[list[int]] = []
     # the representatives, sorted by the real part of their first beam
@@ -457,25 +468,24 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     rep_k: list[int] = []
     key = None
     added = None  # group -> its size before this key's tuples, once a key repeats
-    for u_key, _, u in visits:
+    for u_key, _, u, joining in visits:
         u0 = u[0]
         u0_re = u0.real
-        # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
-        # (1 - MERGE_TOL); 1e-3 of that more covers rounding (~1e-16 |u0|).
-        w = MERGE_TOL * max(1.0, abs(u0)) / (1.0 - MERGE_TOL) * 1.001
-        lo = bisect.bisect_left(rep_re, u0_re - w)
-        hi = bisect.bisect_right(rep_re, u0_re + w)
-        for k in (sorted(rep_k[lo:hi]) if lo < hi else ()):
-            if _tuples_close(beams[groups[k][0]], u):
-                break
-        else:
-            k = len(groups)
-            at = bisect.bisect_right(rep_re, u0_re)
+        k = len(groups)  # a new group, unless a representative accepts u
+        if rep_re:
+            w = _WINDOW * max(1.0, abs(u0))
+            lo = bisect.bisect_left(rep_re, u0_re - w)
+            hi = bisect.bisect_right(rep_re, u0_re + w)
+            for c in (rep_k[lo:hi] if hi - lo < 2 else sorted(rep_k[lo:hi])):
+                if _tuples_close(beams[groups[c][0]], u):
+                    k = c
+                    break
+        if k == len(groups):
+            at = bisect.bisect_right(rep_re, u0_re) if rep_re else 0
             rep_re.insert(at, u0_re)
             rep_k.insert(at, k)
             groups.append([])
         group = groups[k]
-        joining = members[u]
         if u_key != key:  # the first tuple of its rounded key
             key, key_group, key_start, added = u_key, k, len(group), None
             group += joining

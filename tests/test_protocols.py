@@ -42,6 +42,7 @@ from qubus_forge.protocols import (
     ProtocolSpec,
     _attach_party,
     _couple,
+    _phase_pattern,
     _prepared,
     _run_stage,
     coeff_phase_index,
@@ -478,6 +479,49 @@ def test_phased_coeffs_rejects_integers_beyond_float_range():
             phased_coeffs(*args)
 
 
+def test_phased_coeffs_rejects_a_phase_beyond_float_range():
+    # m within float range whose phase 2 pi j m / n is not: the vector would
+    # hold NaN, so m is rejected by name, before the memo is read or filled
+    _phase_pattern.cache_clear()
+    for m in (10**308, -(10**308), 2**1023):
+        with pytest.raises(ValueError, match=r"^m = [-\d.e+]+ puts the phase 2 pi j m / n"):
+            phased_coeffs(3, m)
+    assert _phase_pattern.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="^m = "):
+        ProtocolSpec.balanced(3, 2, (0, 1), THETA, ALPHA, phase_indices=(10**308, 0))
+    # the largest phase is 2 pi (n - 1) m: a finite one gives a finite vector
+    for n, m in ((3, 10**307), (2, 2**1021), (1, 10**308)):
+        coeffs = phased_coeffs(n, m)
+        assert len(coeffs) == n and all(map(cmath.isfinite, coeffs)), (n, m)
+
+
+def test_phased_coeffs_memo_is_read_after_the_checks():
+    # one shared vector per (n, m); (3.0, 0) and (3, 0) are equal keys, so
+    # the checks run before the memo: a cached vector answers no float n
+    _phase_pattern.cache_clear()
+    shared = phased_coeffs(3, 1)
+    assert phased_coeffs(3, 1) is shared
+    assert phased_coeffs(np.int64(3), np.int64(1)) is shared
+    scale = 1.0 / math.sqrt(3)
+    assert shared == tuple(scale * cmath.exp(2j * math.pi * j * 1 / 3) for j in range(3))
+    for n, m in ((3.0, 1), (3, 1.0), (True + 0.5, 1)):
+        with pytest.raises(TypeError, match="integer"):
+            phased_coeffs(n, m)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        phased_coeffs(0, 1)
+    assert _phase_pattern.cache_info().currsize == 1
+    assert not hasattr(qubus_forge.phased_coeffs, "cache_clear")
+
+
+def test_phase_pattern_memo_is_bounded():
+    # 256 vectors; one of N_MAX entries (40 bytes each with its tuple slot)
+    # keeps the memo under the 11 MB its docstring states
+    vec = _phase_pattern.__wrapped__(N_MAX, 1)
+    vec_bytes = sys.getsizeof(vec) + sum(map(sys.getsizeof, vec))
+    assert _phase_pattern.cache_info().maxsize == 256
+    assert _phase_pattern.cache_info().maxsize * vec_bytes < 11e6
+
+
 def test_protocol_spec_validation():
     ok = dict(
         n=3, parties=2, shifts=(0, 1),
@@ -544,11 +588,13 @@ def test_generate_heralds_at_alpha_bound():
 def test_every_protocol_entry_stops_at_n_max():
     # n = 64 (the largest n the scaling checks run) and N_MAX itself pass;
     # above N_MAX, and at an n no loop over the offsets d < n could finish,
-    # each protocol, sweep and preparation entry rejects n before it builds
-    # anything of size n
+    # each protocol, sweep and preparation entry, and each builder of
+    # coefficients or targets, rejects n before it builds anything of size n
     for n in (64, N_MAX):
         assert ProtocolSpec.balanced(n).n == n
         assert SweepGrid((1.0,), (0.01,), (1.0,), n).n == n
+        assert len(phased_coeffs(n, 1)) == n
+        assert len(target_state(n, 0, 1).amps) == n
     assert len(prepare_single_photon_qudit(64).terms) == 64
     message = f"dimension n must be <= {N_MAX}"
     for n in (N_MAX + 1, 10**400):
@@ -558,13 +604,16 @@ def test_every_protocol_entry_stops_at_n_max():
             lambda: SweepGrid((1.0,), (0.01,), (1.0,), n),
             lambda: sweep_point(1.0, 0.01, 1.0, n),
             lambda: prepare_single_photon_qudit(n),
+            lambda: target_state(n, 0, 1),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
-    # The O(n) builders take any n: the bound is a cost bound on stages
+    # phased_coeffs names an n beyond float range first (its own test)
+    for n in (N_MAX + 1, 10**300):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            phased_coeffs(n, 1)
+    # the closed form folds its n - 1 terms in constant memory and takes any n
     n = 4 * N_MAX
-    assert len(phased_coeffs(n, 1)) == n
-    assert len(target_state(n, 0, 1).terms) == n
     assert 0.0 <= error_prob_closed_form(1.0, 0.01, 1.0, n) <= 1.0
 
 
@@ -728,6 +777,45 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
             assert warm["canonicalize"] == warm_calls, (n, warm)
 
 
+def test_generate_derives_each_heralded_state_once(monkeypatch):
+    # A herald builds its state, the vacuum-class rows scaled by
+    # 1/sqrt(P_s) without the consumed beam, in one derivation, and the
+    # stage removes the spectator beam in one more.  Building the rows, the
+    # scaled copy and the beam removal apart took two more per stage: 38
+    # and 25 derivations at n = 3, 183 and 54 at n = 32.
+    # n: (derivations with a cold preparation memo, with a warm one)
+    expected = {3: (34, 21), 32: (179, 50)}
+    for n, (cold, warm) in expected.items():
+        spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
+        _prepared.cache_clear()
+        for derivations in (cold, warm):
+            with monkeypatch.context() as mp:
+                counts = _count_calls(mp, ("_derive",))
+                generate(spec)
+            assert counts["_derive"] == derivations, (n, counts)
+
+
+def test_stage_builds_its_outcome_without_dataclasses_replace(monkeypatch):
+    # _run_stage builds the stage's HeraldOutcome from the herald's, with
+    # the spectator beam removed, and copies no outcome through
+    # dataclasses.replace
+    replaced = []
+    original = dataclasses.replace
+
+    def recorded(obj, /, **changes):
+        replaced.append(type(obj))
+        return original(obj, **changes)
+
+    monkeypatch.setattr(dataclasses, "replace", recorded)
+    spec = ProtocolSpec.balanced(3, 3, shifts=(0, 1, 2), theta=THETA, alpha=ALPHA)
+    report = generate(spec)
+    outcome = _run_stage(prepare_single_photon_qudit(3), spec.coeffs[0], 0, THETA, ALPHA,
+                         spec.detector)
+    assert HeraldOutcome not in replaced
+    assert outcome.heralded_state.layout.qubus_count == 0
+    assert outcome == report.per_stage[0]
+
+
 def _count_constructions(monkeypatch, classes):
     """Count the instances of each class built, by name."""
     counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
@@ -747,7 +835,7 @@ def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
     # (alpha, theta) pairs once (one canonicalize and one class merge, in
     # the herald), however many etas score it.  An eta costs only the folds
     # over the failure classes: no branch table, no herald outcome and no
-    # renormalized heralded state is built.  The party and the qubus pair
+    # heralded state is built.  The party and the qubus pair
     # are attached once per alpha, and the closed form's eta-independent
     # terms computed once per theta.
     alphas = tuple(50.0 + 45.0 * i for i in range(10))
@@ -762,8 +850,7 @@ def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
                     counts = _count_calls(
                         mp,
                         ("canonicalize", "_merge_groups", "prepare_single_photon_qudit",
-                         "_renormalized", "_without_beam", "_attach_party",
-                         "_closed_form_terms"),
+                         "_without_beam", "_attach_party", "_closed_form_terms"),
                     )
                     built = _count_constructions(mp, (BranchRecord, HeraldOutcome))
                     run_sweep(grid)
@@ -771,7 +858,7 @@ def test_run_sweep_work_counts_do_not_grow_with_eta(monkeypatch):
                 assert counts["prepare_single_photon_qudit"] == 1, (n, etas, counts)
                 assert counts["_attach_party"] == len(alphas), (n, etas, counts)
                 assert counts["_closed_form_terms"] == len(thetas), (n, etas, counts)
-                assert counts["_renormalized"] == counts["_without_beam"] == 0, (n, etas, counts)
+                assert counts["_without_beam"] == 0, (n, etas, counts)
                 assert built == {"BranchRecord": 0, "HeraldOutcome": 0}, (n, etas, built)
                 per_eta_count.append(counts)
         assert per_eta_count[:2] == per_eta_count[2:], (n, per_eta_count)
