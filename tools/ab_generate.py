@@ -15,7 +15,13 @@ n = 3 with three, then n = 24, 32, 40, 48 with two parties and
 n = 24 with three (shifts (0, 1), (0, 1, 2) or (0, 1, 5), theta 0.01,
 alpha 500).  The spec is built once, so every call after the first finds
 its n's prepared state and layouts memoized, as a workload that repeats n
-does.  The ``run_sweep`` cases are the three grids of one
+does.  The request-shaped ``req`` cases pay the spec's cost too, as a
+``paper_point`` request does: one per (n, parties) class of that workload
+(n = 2..5, two or three parties), each call builds and generates the same
+eight seeded specs through ``ProtocolSpec.balanced``, with the first shift
+0 and the rest drawn, balanced or drawn phase indices, alpha in
+[100, 500], theta in [0.005, 0.05] and eta 1 or in [0.5, 1], drawn as that
+workload draws them.  The ``run_sweep`` cases are the three grids of one
 ``sweep_grid`` benchmark block: 10 x 5 x 4 grids at n = 3, 3 and 5, alpha
 uniform in [50, 500], theta log-uniform in [0.001, 0.1], eta uniform in
 [0.5, 1], drawn from a fixed seed; each call builds its ``SweepGrid``.
@@ -53,6 +59,12 @@ GENERATE_CASES = (
     (24, (0, 1)), (32, (0, 1)), (40, (0, 1)), (48, (0, 1)), (24, (0, 1, 5)),
 )
 
+# the (n, parties) classes of a paper_point block, and the seeded specs
+# each request-shaped call builds
+REQUEST_CLASSES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3))
+REQUESTS_PER_CALL = 8
+REQUEST_SEED = 23
+
 # the grid dimensions of one sweep_grid block
 SWEEP_NS = (3, 3, 5)
 SWEEP_SEED = 16
@@ -77,6 +89,32 @@ def generate_case(n: int, shifts: tuple[int, ...]):
     return f"n={n}, M={len(shifts)}", make
 
 
+def request_case(n: int, parties: int, rng: random.Random):
+    """(label, call maker): each call builds and generates the same seeded
+    specs of class (n, parties), as ``paper_point`` requests do."""
+    items = []
+    for _ in range(REQUESTS_PER_CALL):
+        shifts = (0,) + tuple(rng.randrange(n) for _ in range(parties - 1))
+        phases = None if rng.random() < 0.5 else tuple(rng.randrange(n) for _ in range(parties))
+        alpha = rng.uniform(100.0, 500.0)
+        theta = rng.uniform(0.005, 0.05)
+        eta = 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.0)
+        items.append((shifts, phases, alpha, theta, eta))
+
+    def make(module):
+        def call():
+            return [
+                module.generate(module.ProtocolSpec.balanced(
+                    n, parties, shifts, theta, alpha, module.DetectorModel(eta), phases
+                ))
+                for shifts, phases, alpha, theta, eta in items
+            ]
+
+        return call
+
+    return f"req n={n}, M={parties}", make
+
+
 def sweep_case(k: int, n: int, rng: random.Random):
     """(label, call maker) for one seeded 10 x 5 x 4 grid at dimension n."""
     alphas = tuple(sorted(rng.uniform(50.0, 500.0) for _ in range(10)))
@@ -90,10 +128,13 @@ def sweep_case(k: int, n: int, rng: random.Random):
 
 
 def cases():
+    requests = random.Random(REQUEST_SEED)
     rng = random.Random(SWEEP_SEED)
-    return [generate_case(n, shifts) for n, shifts in GENERATE_CASES] + [
-        sweep_case(k, n, rng) for k, n in enumerate(SWEEP_NS)
-    ]
+    return (
+        [generate_case(n, shifts) for n, shifts in GENERATE_CASES]
+        + [request_case(n, parties, requests) for n, parties in REQUEST_CLASSES]
+        + [sweep_case(k, n, rng) for k, n in enumerate(SWEEP_NS)]
+    )
 
 
 def masked_repr(module, call) -> str:
