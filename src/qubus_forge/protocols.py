@@ -140,7 +140,8 @@ def _in_float_range(convert, value, name: str):
 
 
 def _shown(x, show=repr) -> str:
-    """show(x), but an int of 18 or more digits (inside float range where it is used) as x.xxxe+yy."""
+    """show(x), but an int of 18 or more digits (inside float range where it
+    is used) as x.xxxe+yy."""
     return f"{x:.3e}" if isinstance(x, int) and abs(x) >= 10**17 else show(x)
 
 

@@ -18,9 +18,9 @@ Every state the library derives from another is built by ``_derive``
 from one that is already valid: the elements, the herald, feedforward
 and the protocol stages hand it the columns they compute, and it checks
 each new amplitude or beam column for finiteness, once.  Columns carried
-over from the source are not checked again.  The renormalisation, the
-removal of a qubus beam, which the herald also uses to cut out and rescale
-its surviving terms, and the beam-index check live here too.
+over from the source are not checked again.  The removal of a qubus beam,
+with which the herald also cuts out and rescales its surviving terms, and
+the beam-index check live here too.
 
 Coherent beams are tracked symbolically by their amplitude, never by
 Fock-space truncation: every optical element supported here maps coherent
