@@ -206,9 +206,7 @@ class ProtocolSpec:
         object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "parties", operator.index(self.parties))
         object.__setattr__(self, "shifts", tuple(map(operator.index, self.shifts)))
-        object.__setattr__(
-            self, "coeffs", tuple(tuple(complex(c) for c in v) for v in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple([tuple(map(complex, v)) for v in self.coeffs]))
         object.__setattr__(self, "alpha", _in_float_range(complex, self.alpha, "alpha"))
         _check_working_point(self.n, self.theta, self.alpha)
         if self.parties < 2:

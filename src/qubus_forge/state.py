@@ -563,12 +563,21 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     A pair of two terms weighs conj(amp_i) amp_j times exp of the sum of
     their per-beam :func:`coherent_overlap` logs, computed inline.  A term
     paired with itself in ``<a|a>`` weighs |amp_i|^2, with no overlap.
+
+    Pairs are added in order of i, then of ascending j.  Each label of b
+    maps to its term indices: a 1-tuple while every label is held once, as
+    in every protocol state, and a list per label only when one repeats.
+    The lists are tracked by the cyclic garbage collector and the small
+    tuples mostly come from CPython's free lists, so at n^2 terms the lists
+    alone started generation-0 collections that walked the young columns.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
-    by_labels: dict[tuple[int, ...], list[int]] = {}
-    for j, labels in enumerate(b_labels):
-        by_labels.setdefault(labels, []).append(j)
+    by_labels = {labels: (j,) for j, labels in enumerate(b_labels)}
+    if len(by_labels) < len(b_labels):  # a label repeats
+        by_labels = {}
+        for j, labels in enumerate(b_labels):
+            by_labels.setdefault(labels, []).append(j)
     same = a is b
     total = 0j
     sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
