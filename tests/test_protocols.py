@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -793,6 +794,46 @@ def test_generate_derives_each_heralded_state_once(monkeypatch):
                 counts = _count_calls(mp, ("_derive",))
                 generate(spec)
             assert counts["_derive"] == derivations, (n, counts)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="counts CPython's cyclic collections"
+)
+def test_wide_generate_starts_almost_no_garbage_collection():
+    # CPython starts a collection once 700 more tracked containers have been
+    # allocated than freed.  The states' columns are tuples, of which those
+    # under 20 items mostly come from free lists and are not counted, so
+    # the n^2-term passes allocate few counted objects.  A list per term in
+    # _inner's label index (one per label of the state) started ~28 and ~56
+    # collections over ten calls at n = 32 and 40, and ~103 at n = 48, where
+    # the 2,304 label and beam-row tuples overflow the free lists and some
+    # collections start whatever _inner does.
+    # n: most collections started over ten warm calls
+    caps = {32: 1, 40: 1, 48: 35}
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        for n, cap in caps.items():
+            spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
+            gc.collect()
+            generate(spec)
+            starts.clear()
+            for _ in range(10):
+                generate(spec)
+            assert len(starts) <= cap, (n, starts)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+        if not enabled:
+            gc.disable()
 
 
 def test_stage_builds_its_outcome_without_dataclasses_replace(monkeypatch):

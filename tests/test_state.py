@@ -14,6 +14,7 @@ from qubus_forge.state import (
     RegisterLayout,
     Term,
     _beam_key,
+    _inner,
     _logaddexp_reduce,
     _merge_groups,
     _tuples_close,
@@ -161,6 +162,63 @@ def test_norm_invariant_under_term_order(rng_states=20):
         assert len(canonicalize(raw).terms) < len(raw.terms)
         canon = state_norm_sq(canonicalize(raw))
         assert state_norm_sq(raw) == pytest.approx(canon, abs=1e-12)
+
+
+def _inner_in_pair_order(a, b, classes=None):
+    """<a|b> adding every equal-label pair in i-major, ascending-j order,
+    with the pair weights of ``state._inner``, and the class sums when
+    ``classes`` is given."""
+    total = 0j
+    sums = None if classes is None else [0j] * (max(classes) + 1)
+    for i, labels in enumerate(a.labels):
+        for j, other in enumerate(b.labels):
+            if labels != other:
+                continue
+            if a is b and i == j:
+                amp = a.amps[i]
+                pair = amp.real * amp.real + amp.imag * amp.imag
+            else:
+                log_ov = 0j
+                for col_a, col_b in zip(a.beams, b.beams):
+                    log_ov += coherent_overlap(col_a[i], col_b[j])
+                pair = a.amps[i].conjugate() * b.amps[j] * cmath.exp(log_ov)
+            total += pair
+            if sums is not None and classes[i] == classes[j]:
+                sums[classes[i]] += pair
+    return total if sums is None else (total, sums)
+
+
+def test_inner_adds_pairs_in_i_major_ascending_j_order():
+    # _inner indexes b's terms by label, with a list per label only when one
+    # repeats; either way its sums must be those of the pair order, bit for
+    # bit, on labels repeated apart (positions 0, 2, 5 and 1, 4) and on
+    # labels held once
+    rng = random.Random(11)
+    layout = RegisterLayout(party_dims=(3,), ancilla_modes=2, qubus_count=2)
+
+    def state(label_list):
+        return HybridState(layout, [
+            Term(complex(rng.gauss(0, 1), rng.gauss(0, 1)), labels,
+                 tuple(complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(2)))
+            for labels in label_list
+        ])
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    repeated = [(0, 1), (2, 0), (0, 1), (1, 1), (2, 0), (0, 1), (1, 0)]
+    distinct = [(0, 1), (2, 0), (1, 1), (0, 0), (1, 0), (2, 1)]
+    for label_list in (repeated, distinct):
+        for _ in range(5):
+            a, b = state(label_list), state(label_list[::-1])
+            classes = [rng.randrange(3) for _ in label_list]
+            assert bits(_inner(a, b)) == bits(_inner_in_pair_order(a, b))
+            assert bits(inner_product(a, b)) == bits(_inner_in_pair_order(a, b))
+            assert state_norm_sq(a).hex() == _inner_in_pair_order(a, a).real.hex()
+            total, sums = _inner(a, a, classes)
+            want_total, want_sums = _inner_in_pair_order(a, a, classes)
+            assert bits(total) == bits(want_total)
+            assert list(map(bits, sums)) == list(map(bits, want_sums))
 
 
 def test_canonicalize_merges_amplitudes():

@@ -30,9 +30,17 @@ For each case the tool first asserts that both trees return the same
 ``repr`` of the result once the package name is masked.  Then it runs
 ``--rounds`` rounds, alternating which side runs first, and times each
 side with ``time.perf_counter`` over a batch of calls (about 20 ms of the
-parent's time, with the garbage collector off).  It prints, per case, the
+parent's time) twice: with the garbage collector off, which shows the work
+each call does, and with it on at the interpreter's thresholds, which adds
+the cyclic collections that the objects a call allocates start.  Each
+batch starts from a full collection and one untimed call: a full
+collection empties CPython's free lists of small tuples, and a call that
+finds them empty allocates its tuples as counted objects.  It prints, per case and per pass, the
 median of the per-round ratios change / parent and each side's median time
-per call.
+per call, and then each side's collections started per call in the pass
+with the collector on (``gc.callbacks`` counts them; a collection starts
+when generation 0 overflows its threshold, whichever generation it then
+collects).
 
 Pin the process to one CPU for steadier numbers, e.g. ``taskset -c 1``.
 """
@@ -141,16 +149,27 @@ def masked_repr(module, call) -> str:
     return repr(call()).replace(module.__name__, "qubus_forge")
 
 
-def time_calls(call, calls: int) -> float:
-    """Seconds per ``call()``, over ``calls`` calls."""
+def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
+    """(seconds per ``call()``, collections started) over ``calls`` calls,
+    with the garbage collector on or off."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
     gc.collect()
-    gc.disable()
+    call()  # fills the free lists again
+    if not collector:
+        gc.disable()
+    gc.callbacks.append(count)
     try:
         start = time.perf_counter()
         for _ in range(calls):
             call()
-        return (time.perf_counter() - start) / calls
+        return (time.perf_counter() - start) / calls, len(started)
     finally:
+        gc.callbacks.remove(count)
         gc.enable()
 
 
@@ -167,21 +186,33 @@ def main(argv=None) -> None:
         sys.path.insert(0, tmp)
         sources = (args.parent_src, args.change_src)
         modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
-        header = f"{'case':<16} {'ratio':>7} {'parent ms':>10} {'change ms':>10}"
-        print(f"{header}  ({args.rounds} rounds)")
+        columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
+        print(f"{'':<16} {'gc off':^29} {'gc on':^29}  collections per call")
+        print(f"{'case':<16} {columns} {columns} {'parent':>8} {'change':>8}"
+              f"  ({args.rounds} rounds)")
         for label, make in cases():
             calls = {side: make(modules[side]) for side in SIDES}
             outputs = {masked_repr(modules[side], calls[side]) for side in SIDES}
             if len(outputs) != 1:
                 raise SystemExit(f"error: outputs differ in case {label}")
-            batch = max(1, round(0.02 / time_calls(calls["parent"], 1)))
-            times = {side: [] for side in SIDES}
+            batch = max(1, round(0.02 / time_calls(calls["parent"], 1)[0]))
+            passes = (False, True)  # the collector off, then on
+            times = {(side, on): [] for side in SIDES for on in passes}
+            started = dict.fromkeys(SIDES, 0)
             for r in range(args.rounds):
                 for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    times[side].append(time_calls(calls[side], batch))
-            ratio = statistics.median(c / p for p, c in zip(times["parent"], times["change"]))
-            medians = [1e3 * statistics.median(times[side]) for side in SIDES]
-            print(f"{label:<16} {ratio:>7.3f} {medians[0]:>10.3f} {medians[1]:>10.3f}")
+                    for on in passes:
+                        seconds, count = time_calls(calls[side], batch, on)
+                        times[side, on].append(seconds)
+                        started[side] += count
+            row = f"{label:<16}"
+            for on in passes:
+                parent, change = times["parent", on], times["change", on]
+                ratio = statistics.median(c / p for p, c in zip(parent, change))
+                medians = [1e3 * statistics.median(times[side, on]) for side in SIDES]
+                row += f" {ratio:>7.3f} {medians[0]:>10.3f} {medians[1]:>10.3f}"
+            per_call = [started[side] / (args.rounds * batch) for side in SIDES]
+            print(f"{row} {per_call[0]:>8.2f} {per_call[1]:>8.2f}")
 
 
 if __name__ == "__main__":

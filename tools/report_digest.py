@@ -11,7 +11,9 @@ wide shapes of the ``wide_qudit`` benchmark workload (n 32, 40, 48 with two
 parties and n 24 with three), 6 ``run_sweep`` grids (etas 0, one random and
 1) and 60 ``sweep_point`` calls (n 2..9, theta up to 1).  A rejected input
 contributes its exception type and message, so a change in what is rejected
-moves the digest too.  Only the public API is used.
+moves the digest too.  Only the public API is used.  ``generate_specs()``
+yields the ``generate`` inputs, so that a test can check those reports
+against another oracle.
 
 Every state protocol traffic builds holds each label once, so three more
 sets pin what it does not reach: every
@@ -32,6 +34,7 @@ on its Fourier transform), ``apply_bs_5050``, ``apply_qubus_phase`` and
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import math
 import random
@@ -83,7 +86,9 @@ def _random_coeffs(rng: random.Random, n: int) -> tuple[complex, ...]:
     return tuple(c / norm for c in vec)
 
 
-def _random_spec(rng: random.Random) -> ProtocolSpec:
+def _random_spec(rng: random.Random):
+    """A builder of one random spec: every draw is made here, and the
+    ``ProtocolSpec`` is built, or rejected, when the builder is called."""
     n = rng.randint(2, 9)
     parties = rng.choice((2, 2, 3))
     shifts = (0,) + tuple(rng.randrange(n) for _ in range(parties - 1))
@@ -93,11 +98,12 @@ def _random_spec(rng: random.Random) -> ProtocolSpec:
     detector = DetectorModel.on_off(eta)
     if rng.random() < 0.8:
         phases = tuple(rng.randrange(n) for _ in range(parties))
-        return ProtocolSpec.balanced(
-            n, parties, shifts, theta, alpha, detector, phase_indices=phases
+        return functools.partial(
+            ProtocolSpec.balanced, n, parties, shifts, theta, alpha, detector,
+            phase_indices=phases,
         )
     coeffs = tuple(_random_coeffs(rng, n) for _ in range(parties))
-    return ProtocolSpec(n, parties, shifts, coeffs, theta, alpha, detector)
+    return functools.partial(ProtocolSpec, n, parties, shifts, coeffs, theta, alpha, detector)
 
 
 def _beam_near(rng: random.Random, q: complex) -> complex:
@@ -148,11 +154,14 @@ def _normalized(state: HybridState) -> HybridState:
     )
 
 
-def results():
-    """Yield the ``repr`` of every result, in a fixed order."""
+def generate_specs():
+    """Yield a builder of each ``generate`` spec of the digest, in order: a
+    function of no arguments that returns the spec, or raises as
+    ``ProtocolSpec`` does for an input it rejects.  The 150 random specs
+    come first, then the four wide shapes."""
     rng = random.Random("report_digest:generate")
     for _ in range(150):
-        yield _outcome(lambda: generate(_random_spec(rng)))
+        yield _random_spec(rng)
 
     for n, shifts, phases in (
         (32, (0, 1), (0, 0)),
@@ -160,10 +169,16 @@ def results():
         (48, (0, 1), (5, 0)),
         (24, (0, 1, 5), (0, 2, 9)),
     ):
-        spec = ProtocolSpec.balanced(
-            n, len(shifts), shifts, 0.01, 500.0, phase_indices=phases
+        yield functools.partial(
+            ProtocolSpec.balanced, n, len(shifts), shifts, 0.01, 500.0,
+            phase_indices=phases,
         )
-        yield _outcome(generate, spec)
+
+
+def results():
+    """Yield the ``repr`` of every result, in a fixed order."""
+    for build in generate_specs():
+        yield _outcome(lambda: generate(build()))
 
     rng = random.Random("report_digest:run_sweep")
     for n in (2, 3, 3, 4, 5, 7):
