@@ -567,9 +567,9 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     Pairs are added in order of i, then of ascending j.  Each label of b
     maps to its term indices: a 1-tuple while every label is held once, as
     in every protocol state, and a list per label only when one repeats.
-    The lists are tracked by the cyclic garbage collector and the small
-    tuples mostly come from CPython's free lists, so at n^2 terms the lists
-    alone started generation-0 collections that walked the young columns.
+    A list per label is tracked by CPython's cyclic garbage collector, and
+    at n^2 terms one per term starts collections that walk the young
+    columns; a small tuple mostly comes from a free list and is not counted.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps

@@ -804,9 +804,9 @@ def test_wide_generate_starts_almost_no_garbage_collection():
     # allocated than freed.  The states' columns are tuples, of which those
     # under 20 items mostly come from free lists and are not counted, so
     # the n^2-term passes allocate few counted objects.  A list per term in
-    # _inner's label index (one per label of the state) started ~28 and ~56
-    # collections over ten calls at n = 32 and 40, and ~103 at n = 48, where
-    # the 2,304 label and beam-row tuples overflow the free lists and some
+    # _inner's label index (one per label of the state) started 30 and 60
+    # collections over ten calls at n = 32 and 40, and 110 at n = 48, where
+    # the 2,304 label and beam-row tuples overflow the free lists and 30
     # collections start whatever _inner does.
     # n: most collections started over ten warm calls
     caps = {32: 1, 40: 1, 48: 35}

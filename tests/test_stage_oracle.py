@@ -65,9 +65,10 @@ ERROR_TOTAL_LOG_ULPS = 48
 # rounded to ~1 ulp of |alpha|.  With a real alpha and small XPM phases the
 # large parts lie on the real axis and the difference keeps their rounding
 # out of |beta|^2; a complex alpha, or phases up to ~n theta at large n,
-# leaves it in, so |beta|^2 is off by ~1 / (d theta) ulps of itself.  Spec 28 of the digest (n = 4, |alpha| 832, theta
-# 2.6e-3) reads 249 ulps off on one stage, and 3.1-4.8 with alpha turned
-# real; the wide n = 32 spec (real alpha 500, theta 0.01) reads 62.2.
+# leaves it in, so |beta|^2 is off by ~1 / (d theta) ulps of itself.  Spec
+# 28 of the digest (n = 4, |alpha| 832, theta 2.6e-3) reads 249 ulps off on
+# one stage, and 3.1-4.8 with alpha turned real; the wide n = 32 spec (real
+# alpha 500, theta 0.01) reads 62.2.
 DIGEST_STAGE_ERROR_LOG_ULPS = 943
 DIGEST_ERROR_TOTAL_LOG_ULPS = 1330
 

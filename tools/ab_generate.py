@@ -35,12 +35,12 @@ each call does, and with it on at the interpreter's thresholds, which adds
 the cyclic collections that the objects a call allocates start.  Each
 batch starts from a full collection and one untimed call: a full
 collection empties CPython's free lists of small tuples, and a call that
-finds them empty allocates its tuples as counted objects.  It prints, per case and per pass, the
-median of the per-round ratios change / parent and each side's median time
-per call, and then each side's collections started per call in the pass
-with the collector on (``gc.callbacks`` counts them; a collection starts
-when generation 0 overflows its threshold, whichever generation it then
-collects).
+finds them empty allocates its tuples as counted objects.  It prints, per
+case and per pass, the median of the per-round ratios change / parent and
+each side's median time per call, and then each side's collections started
+per call in the pass with the collector on (``gc.callbacks`` counts them;
+a collection starts when generation 0 overflows its threshold, whichever
+generation it then collects).
 
 Pin the process to one CPU for steadier numbers, e.g. ``taskset -c 1``.
 """
@@ -152,11 +152,12 @@ def masked_repr(module, call) -> str:
 def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
     """(seconds per ``call()``, collections started) over ``calls`` calls,
     with the garbage collector on or off."""
-    started = []
+    started = 0
 
     def count(phase, info):
+        nonlocal started
         if phase == "start":
-            started.append(info["generation"])
+            started += 1
 
     gc.collect()
     call()  # fills the free lists again
@@ -167,7 +168,7 @@ def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
         start = time.perf_counter()
         for _ in range(calls):
             call()
-        return (time.perf_counter() - start) / calls, len(started)
+        return (time.perf_counter() - start) / calls, started
     finally:
         gc.callbacks.remove(count)
         gc.enable()
