@@ -17,17 +17,19 @@ from dataclasses import dataclass
 from .heralding import DetectorModel, _classify_branches, _failure_log
 from .protocols import (
     _attach_party,
-    _check_working_point,
     _couple,
-    _in_float_range,
-    _shown,
     phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
 )
 from .state import (
     HybridState,
+    _check_working_point,
+    _count,
+    _integer,
     _logaddexp_reduce,
+    _number,
+    _shown,
     inner_product,
     state_norm_sq,
 )
@@ -64,10 +66,10 @@ def _check_beam_inputs(alpha, theta: float, d_max: int, name: str) -> None:
     d_max beyond float range (d_max named by ``name``, the argument it comes
     from), a theta whose largest phase d_max theta / 2 overflows, and an
     alpha whose beam energy 2 |alpha|^2 overflows."""
-    if not _in_float_range(cmath.isfinite, alpha, "alpha"):
+    if not _number(cmath.isfinite, alpha, "alpha"):
         raise ValueError(f"alpha must be finite, got {_shown(alpha)}")
-    _in_float_range(float, d_max, name)
-    if not math.isfinite(d_max * _in_float_range(float, theta, "theta") / 2.0):
+    _number(float, d_max, name)
+    if not math.isfinite(d_max * _number(float, theta, "theta") / 2.0):
         raise ValueError(
             f"theta must be finite, and so must d theta / 2 up to d = {_shown(d_max, str)}; "
             f"got {_shown(theta)}"
@@ -108,6 +110,7 @@ def error_prob_closed_form(alpha, theta: float, eta: float, n: int) -> float:
     alpha, theta or n beyond float range and an alpha whose beam energy
     overflows.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("dimension must be >= 2")
     DetectorModel(eta)  # raises outside [0, 1]
@@ -120,7 +123,7 @@ def mean_branch_photons(alpha, theta: float, d: int) -> float:
     failure branch with phase offset d: 2 |alpha|^2 sin^2(d theta / 2).
     Raises ValueError on a non-finite alpha or theta, an alpha, theta or d
     beyond float range and an alpha whose beam energy overflows."""
-    _check_beam_inputs(alpha, theta, abs(d), "d")
+    _check_beam_inputs(alpha, theta, abs(_integer(d, "d")), "d")
     return 2.0 * abs(alpha) ** 2 * math.sin(d * theta / 2.0) ** 2
 
 
@@ -138,7 +141,7 @@ class SweepGrid:
         for name in ("alpha", "theta", "eta"):
             values = getattr(self, f"{name}_values")
             object.__setattr__(self, f"{name}_values",
-                               tuple(_in_float_range(float, v, name) for v in values))
+                               tuple(_number(float, v, name) for v in values))
         if not (self.alpha_values and self.theta_values and self.eta_values):
             raise ValueError("sweep axes must be non-empty")
         if any(a < 0 for a in self.alpha_values):
@@ -147,6 +150,7 @@ class SweepGrid:
             raise ValueError("theta must be > 0")
         for eta in self.eta_values:
             DetectorModel(eta)  # raises outside [0, 1]
+        object.__setattr__(self, "n", _count(self.n, "n"))
         for alpha, theta in itertools.product(self.alpha_values, self.theta_values):
             _check_working_point(self.n, theta, alpha)
 
@@ -206,12 +210,9 @@ def _sweep_rows(attached: HybridState, alpha: float, theta: float, terms, etas):
 
 
 def sweep_point(alpha: float, theta: float, eta: float, n: int = 3) -> SweepRow:
-    """Evaluate one grid point: run the balanced first entangling stage and
-    compare its silent-failure probability against the closed form."""
-    _check_working_point(n, theta, alpha)
-    DetectorModel(eta)  # raises outside [0, 1]
-    attached = _attach_party(prepare_single_photon_qudit(n), phased_coeffs(n, 0), alpha)
-    return _sweep_rows(attached, alpha, theta, tuple(_closed_form_terms(theta, n)), (eta,))[0]
+    """Evaluate one grid point: the row of :func:`run_sweep` over the grid
+    (alpha,) x (theta,) x (eta,) at n, coerced and checked as every grid."""
+    return run_sweep(SweepGrid((alpha,), (theta,), (eta,), n))[0]
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
@@ -266,7 +267,7 @@ def verify_basis(n: int) -> BasisReport:
     1e-10 of log2(n).  The k = 0 members are the symmetric family, the
     k != 0 members the asymmetric one.
     """
-    if not 2 <= n <= 8:
+    if not 2 <= _integer(n, "n") <= 8:
         raise ValueError("basis verification supports 2 <= n <= 8")
     keys = [(m, k) for m in range(n) for k in range(n)]
     states = {key: target_state(n, key[0], key[1]) for key in keys}

@@ -21,8 +21,8 @@ import sys
 
 from .analysis import SweepGrid, run_sweep, verify_basis
 from .heralding import DetectorModel, FeedforwardError, HeraldOutcome
-from .protocols import ProtocolSpec, _check_party_bound, generate, prepare_single_photon_qudit
-from .state import GRAM_EXACT, state_to_dict
+from .protocols import ProtocolSpec, generate, prepare_single_photon_qudit
+from .state import GRAM_EXACT, _count, state_to_dict
 
 _LN10 = math.log(10.0)
 
@@ -126,11 +126,8 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
     """Parse the list-valued flags and alpha in place, in the order their
     errors are reported, and resolve the output format."""
     if args.command == "generate":
-        parties = args.m_parties
-        try:  # before the default shifts, of length parties, are built
-            _check_party_bound(parties)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # bounded before the default shifts, of length parties, are built
+        parties = _count(args.m_parties, "parties")
         args.shifts = _ints(args.shifts) if args.shifts is not None else (0,) * parties
         modes = (args.balanced, args.balanced_phases is not None, args.coeffs is not None)
         if sum(modes) != 1:
@@ -268,7 +265,7 @@ def _json(doc: dict) -> str:
 
 
 def _run_generate(args: argparse.Namespace) -> tuple[str, int]:
-    detector = DetectorModel.on_off(args.eta)
+    detector = DetectorModel(args.eta)
     if args.coeffs is not None:
         spec = ProtocolSpec(args.n, args.m_parties, args.shifts, args.coeffs,
                             args.theta, args.alpha, detector)
@@ -371,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args, dump_config = parse_argv(argv)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # a ValueError from the flags' bounds
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse reports its own diagnostics

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 
-from .state import POL_H, POL_V, HybridState, _check_beam, _derive, canonicalize
+from .state import POL_H, POL_V, HybridState, _check_beam, _derive, _integer, _number, canonicalize
 
 _SQRT2 = math.sqrt(2.0)
 _UNITARY_TOL = 1e-12
@@ -31,15 +31,16 @@ def apply_xpm(
     ``(s + shift) mod n`` units from the photon's mode of the n-mode spatial
     register.  Amplitudes, labels and beam magnitudes are untouched.
     """
-    shift = operator.index(shift)
+    shift = _integer(shift, "shift")
     _check_beam(state, beam)
     layout = state.layout
     party_slot = layout.party_slot(party)
     spatial_slot = layout.ancilla_slot
+    theta = _number(float, theta, "theta")
     if not math.isfinite(theta):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
     n = layout.ancilla_modes
-    top = layout.party_dims[party] - 1
+    top = layout.party_dims[party_slot] - 1
     # The phase takes top + n integer values; theta * units overflowing at
     # the largest of them would reach cmath.exp as an infinite phase.
     if not math.isfinite(theta * (top + n - 1)):
@@ -59,7 +60,7 @@ def apply_xpm(
 def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
     """Rotate one qubus beam in phase space: alpha -> alpha e^{i phi}."""
     _check_beam(state, beam)
-    if not math.isfinite(phi):  # it would make every rotated beam non-finite
+    if not _number(math.isfinite, phi, "phi"):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
     beams = state.beams
@@ -96,11 +97,11 @@ def prep_rotation(n: int, j: int) -> _Matrix2:
     Sends |H> to sqrt((n-j-1)/(n-j)) |H> + (1/sqrt(n-j)) |V>, i.e. peels a
     1/(n-j) share of the remaining work-mode weight into V.
     """
-    remaining = n - j
-    if remaining < 1:
+    remaining = _integer(n, "n") - _integer(j, "j")
+    if not 1 <= remaining <= n:  # step j in [0, n)
         raise ValueError(f"cascade step {j} out of range for dimension {n}")
     c = math.sqrt((remaining - 1) / remaining)
-    s = math.sqrt(1.0 / remaining)
+    s = math.sqrt(1.0 / _number(float, remaining, "n"))
     # complex(-s), not -complex(s): every imaginary part stays +0.0
     return ((complex(c), complex(-s)), (complex(s), complex(c)))
 
@@ -179,6 +180,7 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
     """
     layout = state.layout
     sp_slot = layout.prep_spatial_slot
+    from_mode, new_mode = _integer(from_mode, "from_mode"), _integer(new_mode, "new_mode")
     for mode in (from_mode, new_mode):
         if not 0 <= mode < layout.prep_modes:
             raise ValueError(f"spatial mode {mode} out of range")

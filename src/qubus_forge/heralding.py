@@ -21,6 +21,7 @@ from .state import (
     _inner,
     _logaddexp_reduce,
     _merge_groups,
+    _number,
     _without_beam,
     canonicalize,
     qubus_close,
@@ -54,12 +55,13 @@ class DetectorModel:
     efficiency: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "efficiency", _number(float, self.efficiency, "efficiency"))
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in [0, 1]")
 
     @classmethod
     def on_off(cls, efficiency: float) -> "DetectorModel":
-        return cls(float(efficiency))
+        return cls(efficiency)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from .elements import (
@@ -31,39 +30,21 @@ from .heralding import (
     measure_ancilla_and_feedforward,
 )
 from .state import (
-    ALPHA_MAX,
-    N_MAX,
-    PARTIES_MAX,
     POL_H,
     POL_V,
-    THETA_MAX,
     HybridState,
     RegisterLayout,
+    _check_working_point,
     _columns,
+    _count,
     _derive,
+    _integer,
     _logaddexp_reduce,
+    _number,
+    _shown,
     drop_uniform_beam,
     overlap_sq,
-    qubus_close,
 )
-
-
-def _check_dimension_bound(n: int) -> None:
-    """Reject a dimension above :data:`state.N_MAX`: the working-point check,
-    the preparation cascade, phased_coeffs, target_state and
-    ProtocolSpec.balanced (before it builds the coefficients) call this
-    before any loop or term list of size n."""
-    if n > N_MAX:
-        raise ValueError(f"dimension n must be <= {N_MAX}")
-
-
-def _check_party_bound(parties: int) -> None:
-    """Reject a party count above :data:`state.PARTIES_MAX`: ProtocolSpec,
-    ProtocolSpec.balanced (before it builds the default shifts and the
-    coefficients), target_state (before it builds its shifts and labels)
-    and the CLI (before it builds the default shifts) call this."""
-    if parties > PARTIES_MAX:
-        raise ValueError(f"party count must be <= {PARTIES_MAX}")
 
 
 def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
@@ -75,14 +56,10 @@ def phased_coeffs(n: int, m: int) -> tuple[complex, ...]:
     built.  A vector depends on (n, m) alone, so it is kept in a bounded
     memo.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    m = operator.index(m)  # a fractional m is no phase pattern tau^{j m}
-    n = operator.index(n)  # and (3.0, m) would be a memo key equal to (3, m)
-    # both reach float arithmetic below
-    _in_float_range(float, n, "n")
-    _in_float_range(float, m, "m")
-    _check_dimension_bound(n)
+    m = _integer(m, "m")  # a fractional m is no phase pattern tau^{j m}
+    _number(float, n, "n")  # n and m reach float arithmetic below
+    n = _count(n, "n")  # and (3.0, m) would be a memo key equal to (3, m)
+    _number(float, m, "m")
     # the phase 2 pi j m is largest at j = n - 1, and past float range it
     # is inf, whose exp is NaN
     if not math.isfinite(2 * math.pi * (n - 1) * m):
@@ -130,45 +107,6 @@ def coeff_phase_index(coeffs) -> int | None:
     return m
 
 
-def _in_float_range(convert, value, name: str):
-    """convert(value) for convert float, complex or an isfinite; an integer
-    beyond float range raises ValueError naming ``name``, its argument."""
-    try:
-        return convert(value)
-    except OverflowError:
-        raise ValueError(f"{name} is beyond float range") from None
-
-
-def _shown(x, show=repr) -> str:
-    """show(x), but an int of 18 or more digits (inside float range where it
-    is used) as x.xxxe+yy."""
-    return f"{x:.3e}" if isinstance(x, int) and abs(x) >= 10**17 else show(x)
-
-
-def _check_working_point(n: int, theta: float, alpha: complex) -> None:
-    """Reject a dimension, XPM phase and beam amplitude at which the vacuum
-    herald cannot tell success from failure."""
-    if n < 2:
-        raise ValueError("dimension n must be >= 2")
-    _check_dimension_bound(n)
-    if not (_in_float_range(math.isfinite, theta, "theta")
-            and _in_float_range(cmath.isfinite, alpha, "alpha")):
-        raise ValueError("theta and alpha must be finite")
-    if abs(theta) > THETA_MAX:
-        raise ValueError("|theta| must be <= 2 pi")
-    if abs(alpha) > ALPHA_MAX:
-        raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
-    # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
-    # herald beam; if that is vacuum, a failure branch is heralded too.
-    for d in range(1, n):
-        beam = alpha * (1 - cmath.exp(1j * d * theta)) / math.sqrt(2)
-        if qubus_close(beam, 0.0):
-            raise ValueError(
-                f"theta = {theta!r} with alpha = {alpha!r} leaves the "
-                f"offset-{d} failure branch at vacuum on the herald beam"
-            )
-
-
 def _check_shifts(shifts: tuple[int, ...], n: int, parties: int) -> None:
     """One shift per party, each in [0, n), the first one 0."""
     if len(shifts) != parties:
@@ -203,15 +141,15 @@ class ProtocolSpec:
     detector: DetectorModel = DetectorModel()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "parties", operator.index(self.parties))
-        object.__setattr__(self, "shifts", tuple(map(operator.index, self.shifts)))
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "parties", _count(self.parties, "parties"))
+        object.__setattr__(self, "shifts", tuple([_integer(k, "shifts") for k in self.shifts]))
         object.__setattr__(self, "coeffs", tuple([tuple(map(complex, v)) for v in self.coeffs]))
-        object.__setattr__(self, "alpha", _in_float_range(complex, self.alpha, "alpha"))
+        object.__setattr__(self, "theta", _number(float, self.theta, "theta"))
+        object.__setattr__(self, "alpha", _number(complex, self.alpha, "alpha"))
         _check_working_point(self.n, self.theta, self.alpha)
         if self.parties < 2:
             raise ValueError("party count must be >= 2")
-        _check_party_bound(self.parties)
         _check_shifts(self.shifts, self.n, self.parties)
         if len(self.coeffs) != self.parties:
             raise ValueError("need one coefficient vector per party")
@@ -234,10 +172,8 @@ class ProtocolSpec:
         phase_indices=None,
     ) -> "ProtocolSpec":
         """Spec with balanced coefficients, optionally phased per party."""
-        # integers before the defaults (0,) * parties and the bounds use them
-        n, parties = operator.index(n), operator.index(parties)
-        _check_dimension_bound(n)
-        _check_party_bound(parties)
+        # bounded integers before the defaults (0,) * parties use them
+        n, parties = _count(n, "n"), _count(parties, "parties")
         if shifts is None:
             shifts = (0,) * parties
         if phase_indices is None:
@@ -293,10 +229,7 @@ def prepare_single_photon_qudit(n: int) -> HybridState:
     The state depends on n alone, so it is kept in a bounded memo: calls
     with one n share one immutable state while it stays there.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    _check_dimension_bound(n)
-    return _prepared(operator.index(n))
+    return _prepared(_count(n, "n"))
 
 
 @functools.lru_cache(maxsize=32)
@@ -335,8 +268,7 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     )
     cut = layout.num_parties
     alpha = complex(alpha)
-    # complex() once per coefficient: a coefficient may be a numpy scalar
-    picked = [((m,), complex(c)) for m, c in enumerate(coeffs) if c != 0]
+    picked = [((m,), c) for m, c in enumerate(coeffs) if c != 0]
     amps = tuple([amp * c for amp in state.amps for _, c in picked])
     # each source term's label slices once (for x in [...] binds a value)
     labels = tuple([
@@ -394,7 +326,7 @@ def entangle_stage(
     state: HybridState, spec: ProtocolSpec, party: int
 ) -> HeraldOutcome:
     """Run the entangling stage of one party of ``spec`` on ``state``."""
-    if not 0 <= party < spec.parties:
+    if not 0 <= _integer(party, "party") < spec.parties:
         raise ValueError(f"party index {party} out of range")
     return _run_stage(
         state,
@@ -418,18 +350,15 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     which carries shift 0) or an explicit per-party shift sequence starting
     with 0.  All shifts zero gives the symmetric family; tau = exp(2 pi i/n).
     """
-    parties = operator.index(parties)
-    _check_party_bound(parties)
-    _check_dimension_bound(n)
-    m = operator.index(m)
-    if not 0 <= m < n:
+    parties = _count(parties, "parties")
+    n = _count(n, "n")  # labels are built-in ints, whatever type n has
+    if not 0 <= _integer(m, "m") < n:
         raise ValueError("phase index m must lie in [0, n)")
     if isinstance(k, (list, tuple)):
-        shifts = tuple(map(operator.index, k))
+        shifts = tuple([_integer(s, "k") for s in k])
     else:
-        shifts = (0,) + (operator.index(k),) * (parties - 1)
+        shifts = (0,) + (_integer(k, "k"),) * (parties - 1)
     _check_shifts(shifts, n, parties)
-    n = operator.index(n)  # labels are built-in ints, whatever type n has
     layout = _NO_REGISTERS.replace(party_dims=(n,) * parties)
     labels = tuple([tuple([(j + s) % n for s in shifts]) for j in range(n)])
     return _columns(layout, phased_coeffs(n, m), labels, ())

@@ -103,6 +103,69 @@ POL_H = 0
 POL_V = 1
 
 
+# The input policy: a public entry passes each number it is given through one
+# of these coercers before it builds anything, so a rejection names its argument.
+def _integer(value, name: str) -> int:
+    """value as an int: a bool is its int, a float is never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
+
+
+def _number(convert, value, name: str):
+    """convert(value) for convert float, complex or an isfinite: an int beyond
+    float range raises ValueError, and a value that is no number TypeError."""
+    try:
+        if isinstance(value, (str, bytes, bytearray)):  # float() and complex() parse them
+            raise TypeError(f"expected a number, got {type(value).__name__}")
+        return convert(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
+
+
+def _count(value, name: str) -> int:
+    """value as an int from 1 to its bound (:data:`N_MAX` for "n", :data:`PARTIES_MAX`
+    for "parties"), before anything of that size, or a tuple of it, is built."""
+    value = _integer(value, name)
+    if value < 1:
+        raise ValueError(f"{'dimension' if name == 'n' else 'party count'} must be >= 1")
+    bound, what = (N_MAX, "dimension n") if name == "n" else (PARTIES_MAX, "party count")
+    if value > bound:
+        raise ValueError(f"{what} must be <= {bound}")
+    return value
+
+
+def _shown(x, show=repr) -> str:
+    """show(x), but an int of 18 or more digits (inside float range where it
+    is used) as x.xxxe+yy."""
+    return f"{x:.3e}" if isinstance(x, int) and abs(x) >= 10**17 else show(x)
+
+
+def _check_working_point(n: int, theta: float, alpha: complex) -> None:
+    """Reject a coerced dimension, XPM phase and beam amplitude at which the
+    vacuum herald cannot tell success from failure."""
+    if n < 2:
+        raise ValueError("dimension n must be >= 2")
+    if not (math.isfinite(theta) and cmath.isfinite(alpha)):
+        raise ValueError("theta and alpha must be finite")
+    if abs(theta) > THETA_MAX:
+        raise ValueError("|theta| must be <= 2 pi")
+    if abs(alpha) > ALPHA_MAX:
+        raise ValueError(f"|alpha| must be <= {ALPHA_MAX:g}")
+    # Offset d puts amplitude alpha (1 - e^{i d theta}) / sqrt(2) on the
+    # herald beam; if that is vacuum, a failure branch is heralded too.
+    for d in range(1, n):
+        beam = alpha * (1 - cmath.exp(1j * d * theta)) / math.sqrt(2)
+        if qubus_close(beam, 0.0):
+            raise ValueError(
+                f"theta = {theta!r} with alpha = {alpha!r} leaves the "
+                f"offset-{d} failure branch at vacuum on the herald beam"
+            )
+
+
 def coherent_overlap(a: complex, b: complex) -> complex:
     """Logarithm of the inner product <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)
     of two coherent states.
@@ -112,10 +175,12 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     bright, nearly parallel amplitudes, and makes |<a|b>|^2 = exp(-|a - b|^2)
     hold exactly.  The imaginary part is Im(conj(a) b).
     """
-    a = complex(a)
-    b = complex(b)
+    a, b = _number(complex, a, "a"), _number(complex, b, "b")
     d = a - b
-    return complex(-0.5 * (d.real * d.real + d.imag * d.imag), (a.conjugate() * b).imag)
+    log = complex(-0.5 * (d.real * d.real + d.imag * d.imag), (a.conjugate() * b).imag)
+    if not cmath.isfinite(log):  # also when a product overflows, as one can past ~1e154
+        raise ValueError("a, b and their log overlap must be finite")
+    return log
 
 
 @dataclass(frozen=True)
@@ -136,13 +201,14 @@ class RegisterLayout:
     qubus_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "party_dims", tuple(map(operator.index, self.party_dims)))
+        dims = tuple([_integer(d, "party_dims") for d in self.party_dims])
+        object.__setattr__(self, "party_dims", dims)
         for name in ("ancilla_modes", "prep_modes", "qubus_count"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if any(d < 1 for d in self.party_dims):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            if getattr(self, name) < 0:
+                raise ValueError(f"register count {name} must be >= 0")
+        if any(d < 1 for d in dims):
             raise ValueError("party dimensions must be >= 1")
-        if self.ancilla_modes < 0 or self.prep_modes < 0 or self.qubus_count < 0:
-            raise ValueError("register counts must be >= 0")
 
     @property
     def num_parties(self) -> int:
@@ -163,6 +229,7 @@ class RegisterLayout:
         return self.prep_modes - 1
 
     def party_slot(self, party: int) -> int:
+        party = _integer(party, "party")
         if not 0 <= party < self.num_parties:
             raise ValueError(f"party index {party} out of range")
         return party
@@ -196,7 +263,8 @@ class RegisterLayout:
         equal requests share one result from a bounded memo."""
         if "party_dims" in changes:
             # (3.0,) == (3,): an exact key, so that a bad entry still raises
-            changes["party_dims"] = tuple(map(operator.index, changes["party_dims"]))
+            dims = changes["party_dims"]
+            changes["party_dims"] = tuple([_integer(d, "party_dims") for d in dims])
         return _replaced(self, **changes)
 
 
@@ -215,9 +283,12 @@ class Term:
     qubus: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "amp", complex(self.amp))
-        object.__setattr__(self, "labels", tuple(map(operator.index, self.labels)))
-        object.__setattr__(self, "qubus", tuple(map(complex, self.qubus)))
+        object.__setattr__(self, "amp", _number(complex, self.amp, "amp"))
+        object.__setattr__(self, "labels", tuple([_integer(x, "labels") for x in self.labels]))
+        qubus = tuple([_number(complex, q, "qubus") for q in self.qubus])
+        object.__setattr__(self, "qubus", qubus)
+        if not cmath.isfinite(self.amp):
+            raise ValueError("term amplitude must be finite")
         if not all(map(cmath.isfinite, self.qubus)):
             raise ValueError("qubus amplitudes must be finite")
 
@@ -256,8 +327,6 @@ class HybridState:
                     f"term has {len(t.qubus)} qubus amplitudes, layout declares "
                     f"{layout.qubus_count}"
                 )
-            if not (math.isfinite(t.amp.real) and math.isfinite(t.amp.imag)):
-                raise ValueError("term amplitude must be finite")
             amps.append(t.amp)
             labels.append(t.labels)
             rows.append(t.qubus)
@@ -361,7 +430,7 @@ def _derive(
 
 def _check_beam(state: HybridState, beam: int) -> None:
     """Reject a qubus beam index that ``state``'s layout does not declare."""
-    if not 0 <= beam < state._layout.qubus_count:
+    if not 0 <= _integer(beam, "beam") < state._layout.qubus_count:
         raise ValueError(f"beam index {beam} out of range")
 
 

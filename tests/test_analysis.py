@@ -15,6 +15,7 @@ from qubus_forge.analysis import (
     sweep_point,
     verify_basis,
 )
+from qubus_forge.elements import apply_qubus_phase, apply_xpm, prep_rotation
 from qubus_forge.heralding import DetectorModel, _classify_branches, _failure_log
 from qubus_forge.protocols import (
     ProtocolSpec,
@@ -218,6 +219,12 @@ def test_closed_form_and_mean_photons_hold_at_the_largest_finite_inputs():
     assert mean_branch_photons(1.0, 1e307, 1) >= 0.0
 
 
+# a spatial qutrit, one party and one beam: a state apply_xpm takes
+_XPM_STATE = HybridState(
+    RegisterLayout(party_dims=(3,), ancilla_modes=3, qubus_count=1), (Term(1.0, (0, 1), (1.0,)),)
+)
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -230,11 +237,17 @@ def test_closed_form_and_mean_photons_hold_at_the_largest_finite_inputs():
         (lambda: mean_branch_photons(1.0, 10**400, 1), "theta"),
         (lambda: mean_branch_photons(10**400, 0.01, 1), "alpha"),
         (lambda: error_prob_closed_form(1.0, 10**400, 1.0, 3), "theta"),
+        (lambda: apply_xpm(_XPM_STATE, 0, 1, 0, 10**400), "theta"),
+        (lambda: apply_qubus_phase(_XPM_STATE, 0, 10**400), "phi"),
+        (lambda: prep_rotation(10**400, 0), "n"),
+        (lambda: DetectorModel.on_off(10**400), "efficiency"),
     ],
     ids=["spec-theta", "spec-alpha", "grid-theta", "grid-alpha", "grid-eta", "sweep_point",
-         "mean_photons-theta", "mean_photons-alpha", "closed_form"],
+         "mean_photons-theta", "mean_photons-alpha", "closed_form", "xpm", "qubus_phase",
+         "prep_rotation", "detector"],
 )
 def test_integers_beyond_float_range_are_rejected_by_name(call, name):
+    # the last four raised a bare OverflowError: they took the int as it came
     # an int too large for a float raised a bare OverflowError
     with pytest.raises(ValueError, match=f"^{name} is beyond float range$"):
         call()
@@ -429,6 +442,16 @@ def test_run_sweep_rows_equal_sweep_point(n):
     points = itertools.product(grid.alpha_values, grid.theta_values, grid.eta_values)
     expected = [repr(sweep_point(*p, n)) for p in points]
     assert [repr(row) for row in run_sweep(grid)] == expected
+    # an int, bool or numpy point is coerced as a grid's is: its row holds
+    # floats, and equals the row of the same point given as floats
+    for point in ((30, np.float64(0.004), True), (np.int64(250), 0.05, False),
+                  (np.float32(30.0), np.float64(0.05), np.float64(0.55))):
+        row = sweep_point(*point, np.int64(n))
+        assert repr(row) == repr(sweep_point(*map(float, point), n))
+        assert all(type(value) is float for value in (row.alpha, row.theta, row.eta))
+    # a complex alpha, which no grid takes, is rejected by name
+    with pytest.raises(TypeError, match="^alpha: "):
+        sweep_point(30 + 0j, 0.004, 1.0, n)
 
 
 def test_verify_basis_bell_family():

@@ -101,6 +101,11 @@ def test_xpm_validation():
         apply_xpm(state, 3, 0, 0, THETA)
     with pytest.raises(TypeError):
         apply_xpm(state, 0, 1.0, 0, THETA)
+    # a fractional party or beam passed the range check and failed as a
+    # tuple index
+    for party, beam in ((0.5, 0), (0, 0.5)):
+        with pytest.raises(TypeError, match="^(party|beam): "):
+            apply_xpm(state, party, 0, beam, THETA)
     no_spatial = HybridState(
         RegisterLayout(party_dims=(3,), qubus_count=1), (Term(1.0, (0,), (1.0,)),)
     )

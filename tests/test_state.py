@@ -524,6 +524,8 @@ def test_layout_validation_and_slots():
         RegisterLayout(qubus_count=-1)
     layout = RegisterLayout(party_dims=(3, 2), ancilla_modes=3, prep_modes=4)
     assert layout.party_slot(1) == 1
+    with pytest.raises(TypeError, match="^party: "):  # it returned 0.5
+        layout.party_slot(0.5)
     assert layout.ancilla_slot == 2
     assert layout.prep_spatial_slot == 3
     assert layout.prep_pol_slot == 4
