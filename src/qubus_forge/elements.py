@@ -60,7 +60,8 @@ def apply_xpm(
 def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
     """Rotate one qubus beam in phase space: alpha -> alpha e^{i phi}."""
     _check_beam(state, beam)
-    if not _number(math.isfinite, phi, "phi"):  # it would make every rotated beam non-finite
+    phi = _number(float, phi, "phi")
+    if not math.isfinite(phi):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
     beams = state.beams

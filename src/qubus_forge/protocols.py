@@ -11,6 +11,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .elements import (
@@ -364,12 +367,92 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     return _columns(layout, phased_coeffs(n, m), labels, ())
 
 
+# Label cells the erasure memo may hold: a cell is one label of one term,
+# counted over each entry's input and output state.  An entry holds its key
+# (the layout, the label column and the bits of the amplitudes; protocol
+# states hold no beam by then) and its output state.  Filled with the
+# smallest entries (n = 2, two parties, 10 cells each) the memo retains 82
+# bytes per cell, and with n = 1024 entries whose labels are all ints past 256
+# (28 bytes each) 49-71 (tracemalloc, CPython 3.11): under 0.7 MB in all,
+# whatever n and the party count.  8192 cells keep ~330 paper_point families
+# (n 2..5, 2-3 parties) or ~45 wide ones (n 24..48).  An entry-count bound
+# would bound no bytes: one entry at N_MAX x PARTIES_MAX holds ~2 million
+# cells.  An entry larger than the budget is not kept.
+_ERASURE_CELLS = 8192
+
+
+def _exact_key(state: HybridState):
+    """The layout, the label column and the bits of every amplitude and
+    beam of ``state``: equal keys are bit-identical states.  A state's own
+    ``==`` counts -0.0 equal to 0.0, so a state cannot be the key."""
+    parts = [x for col in (state.amps, *state.beams) for z in col for x in (z.real, z.imag)]
+    return state.layout, state.labels, array("d", parts).tobytes()
+
+
+def _cells(state: HybridState) -> int:
+    return sum(map(len, state.labels))
+
+
+class _ErasureMemo:
+    """``measure_ancilla_and_feedforward(apply_fourier_lomi(state), 0)``,
+    memoized on :func:`_exact_key` and bounded by ``budget`` label cells,
+    least recently used first out.
+
+    A miss runs those two public functions, looked up in this module when
+    called, and an erasure that raises stores nothing.  ``hits`` and
+    ``misses`` count the calls.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()  # key -> (cells, erased state)
+        self.cells = 0
+        self.hits = self.misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, state: HybridState) -> HybridState:
+        key = _exact_key(state)
+        with self._lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
+            self.misses += 1
+        erased = measure_ancilla_and_feedforward(apply_fourier_lomi(state), correction_party=0)
+        cells = _cells(state) + _cells(erased)
+        with self._lock:
+            if cells <= self.budget and key not in self.entries:
+                self.entries[key] = (cells, erased)
+                self.cells += cells
+                while self.cells > self.budget:
+                    self.cells -= self.entries.popitem(last=False)[1][0]
+        return erased
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.cells = self.hits = self.misses = 0
+
+
+_erased = _ErasureMemo(_ERASURE_CELLS)
+
+
 def generate(spec: ProtocolSpec) -> GenerationReport:
     """Run the full protocol: preparation, one entangling stage per party,
     Fourier erasure of the spatial register, feedforward.
 
     The overall success probability is the product of the per-stage herald
     probabilities; the total error probability is 1 - prod(1 - P_E,stage).
+
+    The erasure's input, the heralded state of the last stage, depends on
+    n, the shifts and the coefficients, not on alpha, theta or eta.  So the
+    erasure (Fourier transform, feedforward and the check that every
+    detection outcome agrees) is kept in a bounded memo, keyed on the exact
+    bits of that state: a repeated family reuses it, and its reports may
+    share one immutable ``final_state``.  The memo holds at most 8192 label
+    cells (one label of one term), under 0.7 MB whatever n and the party
+    count; an erasure that raises is not kept, so it raises on every call.
     """
     state = prepare_single_photon_qudit(spec.n)
     outcomes: list[HeraldOutcome] = []
@@ -383,8 +466,7 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
             break
         success *= outcome.success_prob
     else:
-        state = apply_fourier_lomi(state)
-        state = measure_ancilla_and_feedforward(state, correction_party=0)
+        state = _erased(state)
         phase_indices = [coeff_phase_index(vec) for vec in spec.coeffs]
         if all(m is not None for m in phase_indices):
             m_total = sum(phase_indices) % spec.n

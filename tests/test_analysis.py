@@ -1,10 +1,13 @@
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qubus_forge.analysis import (
+    CLOSED_FORM_N_MAX,
     SweepGrid,
     _closed_form_fold,
     _closed_form_terms,
@@ -271,6 +274,24 @@ def test_huge_integers_are_abbreviated_in_rejections(call, message):
         call()
     assert str(info.value) == message
     assert len(message) < 120
+
+
+def test_closed_form_n_is_bounded_after_the_other_checks():
+    # the fold's time grows with n: the bound is accepted and one more is not,
+    # and 10**12, which would have run for hours, is rejected at once
+    assert 0.0 < error_prob_closed_form(1.0, 0.01, 1.0, CLOSED_FORM_N_MAX) < 1.0
+    for n in (CLOSED_FORM_N_MAX + 1, 10**12):
+        with pytest.raises(ValueError, match=f"^dimension n must be <= {CLOSED_FORM_N_MAX} for"):
+            error_prob_closed_form(1.0, 0.01, 1.0, n)
+
+
+def test_closed_forms_and_qubus_phase_compute_with_the_coerced_values():
+    # a Decimal or Fraction passed the coercer and then failed unnamed
+    for exact in (Decimal("0.01"), Fraction(1, 100)):
+        assert error_prob_closed_form(1.0, exact, 1.0, 3) == error_prob_closed_form(1.0, 0.01, 1.0, 3)
+        assert error_prob_closed_form(1.0, 0.01, exact, 3) == error_prob_closed_form(1.0, 0.01, 0.01, 3)
+        assert mean_branch_photons(exact, 0.01, 1) == mean_branch_photons(0.01, 0.01, 1)
+        assert apply_qubus_phase(_XPM_STATE, 0, exact) == apply_qubus_phase(_XPM_STATE, 0, 0.01)
 
 
 def test_closed_form_folds_in_constant_memory():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import gc
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -33,9 +34,11 @@ from qubus_forge.elements import (
 from qubus_forge.heralding import (
     BranchRecord,
     DetectorModel,
+    FeedforwardError,
     HeraldOutcome,
     feedforward_outcomes,
     herald_vacuum,
+    measure_ancilla_and_feedforward,
 )
 from qubus_forge.protocols import (
     COEFF_NORM_TOL,
@@ -43,6 +46,7 @@ from qubus_forge.protocols import (
     ProtocolSpec,
     _attach_party,
     _couple,
+    _erased,
     _phase_pattern,
     _prepared,
     _run_stage,
@@ -744,18 +748,22 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
     # and 147/51 canonicalize calls and 10, 68 and 100 _inner calls).
     # A cross pair's overlap kernel runs inline in _inner and calls cmath.exp
     # once, so the pairs sent through it are counted by those calls.
+    # The erasure is memoized on its input, so a repeated spec runs only the
+    # two heralds' canonicalize calls (Fourier and feedforward ran one each).
     # n: (most qubus_close calls, most overlap-kernel pairs, canonicalize
     #     calls, most rows built, most cells built, _merge_groups calls,
-    #     _inner calls, canonicalize calls with a warm memo)
+    #     _inner calls, canonicalize calls with a warm preparation memo,
+    #     canonicalize calls with a warm erasure memo too)
     expected = {
-        3: (None, None, 10, None, None, None, None, 4),
-        32: (350, 1100, 68, 10600, 36500, 2, 37, 4),
-        48: (500, 2500, 100, 23600, 81000, 2, 53, 4),
+        3: (None, None, 10, None, None, None, None, 4, 2),
+        32: (350, 1100, 68, 10600, 36500, 2, 37, 4, 2),
+        48: (500, 2500, 100, 23600, 81000, 2, 53, 4, 2),
     }
     for n, (close_max, pair_max, canonicalize_calls, rows_max, cells_max, merges,
-            inners, warm_calls) in expected.items():
+            inners, warm_calls, hit_calls) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         _prepared.cache_clear()
+        _erased.clear()
         with monkeypatch.context() as mp:
             counts = _count_calls(
                 mp, ("qubus_close", "canonicalize", "_merge_groups", "_inner")
@@ -771,11 +779,12 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
             assert built["cells"] <= cells_max, (n, built)
             assert counts["_merge_groups"] == merges, (n, counts)
             assert counts["_inner"] == inners, (n, counts)
-        for _ in range(2):
+        _erased.clear()
+        for calls in (warm_calls, hit_calls, hit_calls):
             with monkeypatch.context() as mp:
                 warm = _count_calls(mp, ("canonicalize",))
                 generate(spec)
-            assert warm["canonicalize"] == warm_calls, (n, warm)
+            assert warm["canonicalize"] == calls, (n, warm)
 
 
 def test_generate_derives_each_heralded_state_once(monkeypatch):
@@ -783,17 +792,101 @@ def test_generate_derives_each_heralded_state_once(monkeypatch):
     # 1/sqrt(P_s) without the consumed beam, in one derivation, and the
     # stage removes the spectator beam in one more.  Building the rows, the
     # scaled copy and the beam removal apart took two more per stage: 38
-    # and 25 derivations at n = 3, 183 and 54 at n = 32.
-    # n: (derivations with a cold preparation memo, with a warm one)
-    expected = {3: (34, 21), 32: (179, 50)}
-    for n, (cold, warm) in expected.items():
+    # and 25 derivations at n = 3, 183 and 54 at n = 32.  A warm erasure
+    # memo skips the erasure's derivations.
+    # n: (derivations with cold memos, with a warm preparation memo, with a
+    #     warm erasure memo too)
+    expected = {3: (34, 21, 14), 32: (179, 50, 14)}
+    for n, (cold, warm, hit) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         _prepared.cache_clear()
-        for derivations in (cold, warm):
+        for clear_erasures, derivations in ((True, cold), (True, warm), (False, hit)):
+            if clear_erasures:
+                _erased.clear()
             with monkeypatch.context() as mp:
                 counts = _count_calls(mp, ("_derive",))
                 generate(spec)
             assert counts["_derive"] == derivations, (n, counts)
+
+
+def _random_unit_vector(rng, n):
+    vec = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)]
+    norm = math.sqrt(sum(abs(c) ** 2 for c in vec))
+    return tuple(c / norm for c in vec)
+
+
+def test_erasure_memo_never_holds_more_label_cells_than_its_budget(monkeypatch):
+    # Distinct families (n 4..8, 2-3 parties, random coefficients) until the
+    # memo has taken in twice its budget.  After each call the memo holds
+    # at most its budget, and its count is the labels its entries hold; a
+    # miss runs the public Fourier and feedforward functions once each.
+    rng = random.Random(26)
+    _erased.clear()
+    taken_in = 0
+    with monkeypatch.context() as mp:
+        runs = _count_calls(mp, ("apply_fourier_lomi", "measure_ancilla_and_feedforward"))
+        while taken_in <= 2 * _erased.budget:
+            n, parties = rng.randint(4, 8), rng.randint(2, 3)
+            coeffs = tuple(_random_unit_vector(rng, n) for _ in range(parties))
+            shifts = (0,) + tuple(rng.randrange(n) for _ in range(parties - 1))
+            generate(ProtocolSpec(n, parties, shifts, coeffs, THETA, ALPHA))
+            taken_in += n * (2 * parties + 1)  # its input and output labels
+            held = sum(
+                sum(map(len, key[1])) + sum(map(len, state.labels))
+                for key, (_, state) in _erased.entries.items()
+            )
+            assert held == _erased.cells == sum(c for c, _ in _erased.entries.values())
+            assert _erased.cells <= _erased.budget
+    assert _erased.hits == 0 and runs["apply_fourier_lomi"] == _erased.misses
+    assert runs["measure_ancilla_and_feedforward"] == _erased.misses
+    assert _erased.cells > _erased.budget - 8 * 7  # full, to within one entry
+    # an entry larger than the whole budget is not kept, and evicts nothing:
+    # at n = 3 two parties take 15 cells and three 21
+    _erased.clear()
+    monkeypatch.setattr(_erased, "budget", 20)
+    for parties in (2, 3):
+        generate(ProtocolSpec.balanced(3, parties, theta=THETA, alpha=ALPHA))
+    assert _erased.cells == 15 and len(_erased.entries) == 1
+    # generate gains no knob for its memo
+    assert not hasattr(generate, "cache_clear")
+    assert list(inspect.signature(generate).parameters) == ["spec"]
+
+
+def test_erasure_memo_keeps_signed_zeros_apart():
+    # -0.0 == 0.0, so these two states are equal; their erasures differ in
+    # the sign of a zero, and each is kept under its own key
+    layout = RegisterLayout(party_dims=(2, 2), ancilla_modes=2)
+    states = [
+        HybridState(layout, (Term(complex(-0.6, zero), (0, 0, 0)), Term(0.8, (1, 1, 1))))
+        for zero in (0.0, -0.0)
+    ]
+    assert states[0] == states[1]
+    cold = [
+        repr(measure_ancilla_and_feedforward(apply_fourier_lomi(s), correction_party=0))
+        for s in states
+    ]
+    assert cold[0] != cold[1]
+    _erased.clear()
+    for _ in range(2):
+        assert [repr(_erased(s)) for s in states] == cold
+    assert len(_erased.entries) == 2
+    assert (_erased.hits, _erased.misses) == (2, 2)
+
+
+def test_a_failed_erasure_is_not_kept(monkeypatch):
+    # correction phases of the wrong sign make the outcomes disagree: the
+    # spec raises on every call, and the memo stores nothing
+    def wrong_row(n, j):
+        return tuple(cmath.exp(2j * math.pi * j * k0 / n) for k0 in range(n))
+
+    monkeypatch.setattr(qubus_forge.heralding, "_correction_row", wrong_row)
+    spec = ProtocolSpec.balanced(3, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
+    _erased.clear()
+    for _ in range(3):
+        with pytest.raises(FeedforwardError, match="outcomes disagree"):
+            generate(spec)
+    assert not _erased.entries and _erased.cells == 0
+    assert (_erased.hits, _erased.misses) == (0, 3)
 
 
 @pytest.mark.skipif(

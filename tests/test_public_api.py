@@ -4,6 +4,8 @@ import functools
 import inspect
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -356,13 +358,15 @@ def _valid_calls():
     return {name: (fns[name], kwargs) for name, kwargs in calls.items()}
 
 
-# Eight bad values given to every parameter, and per kind a number of the
-# wrong kind.
+# Eight bad values given to every parameter, a Decimal and a Fraction (real
+# numbers of other types, which a callable must compute with as its coercer
+# returns them), and per kind a number of the wrong kind.
 _EVERY_KIND = (2.5, 10**400, math.nan, math.inf, -3, "x", None, True)
+_OTHER_REALS = (Decimal("0.5"), Fraction(1, 3))
 FIXED = {
-    "integer": _EVERY_KIND,
-    "real": _EVERY_KIND + (1j,),
-    "complex": _EVERY_KIND + (complex(math.nan, 0.0), complex(0.0, -math.inf)),
+    "integer": _EVERY_KIND + _OTHER_REALS,
+    "real": _EVERY_KIND + _OTHER_REALS + (1j,),
+    "complex": _EVERY_KIND + _OTHER_REALS + (complex(math.nan, 0.0), complex(0.0, -math.inf)),
 }
 # Drawn values: any float (an integral one is a float all the same), an
 # integer beyond float range of either sign, a string or bytes (float()

@@ -23,14 +23,23 @@ its own rounding ~24 digits below a double's, so the difference is the
 simulator's rounding alone.  It is counted in ulps of the exact value for a
 probability, and in ulps of max(1, |log|) for a natural log: a log near
 -0.007 that is 1e-16 off is 114 ulps of itself off, but 0.5 ulp of 1.
+
+The final state has a closed form too.  Heralded, erased and corrected, it
+is sum_j A_j (x)_i |(j + k_i) mod n>_i / ||A|| with A_j = prod_i
+c_i[(j + k_i) mod n], and no other term: the feedforward corrects every
+detection outcome to outcome 0's phase, which is the phase of this form.
+Its amplitudes are counted in ulps of 1, and its global phase, read off the
+largest term, in radians.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import decimal
 import importlib.util
 import math
+import random
 from decimal import Decimal
 from pathlib import Path
 
@@ -39,6 +48,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubus_forge import DetectorModel, ProtocolSpec, generate
+from qubus_forge.protocols import _erased
 
 DIGITS = 40
 
@@ -71,6 +81,17 @@ ERROR_TOTAL_LOG_ULPS = 48
 # alpha 500, theta 0.01) reads 62.2.
 DIGEST_STAGE_ERROR_LOG_ULPS = 943
 DIGEST_ERROR_TOTAL_LOG_ULPS = 1330
+
+
+# Final-state bounds, each twice the worst measured over the final states of
+# 38,895 seeded specs, rounded up: 18,741 drawn as below (the other 1,259 of
+# 20,000 draws have a stage that cannot herald), 20,000 drawn as
+# tools/report_digest.py draws its random ones, and the digest's own 154.
+# The worst amplitude error is 1.715 ulps of 1, the worst global phase
+# 3.88e-16 rad.  Balanced specs at the paper's working point, n 2..32 with
+# two and three parties, read at most 0.964 ulps and no phase error.
+FINAL_AMP_ULPS = 3.5
+FINAL_PHASE_RAD = 8e-16
 
 
 def _sin(x: Decimal) -> Decimal:
@@ -122,6 +143,71 @@ def _closed_form(n, coeffs, shifts, alpha: complex, theta: float, eta: float):
             norm = sum(p)
             p = [x / norm for x in p]
         return stages, success, _log(total)
+
+
+def _final_state(n, coeffs, shifts) -> dict:
+    """{labels: (real, imaginary)} of the closed-form final state, in
+    40-digit decimal: every j with A_j != 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DIGITS
+        amps = {}
+        for j in range(n):
+            re, im = Decimal(1), Decimal(0)
+            for c, k in zip(coeffs, shifts):
+                x = c[(j + k) % n]
+                x_re, x_im = Decimal(x.real), Decimal(x.imag)
+                re, im = re * x_re - im * x_im, re * x_im + im * x_re
+            if re or im:
+                amps[tuple([(j + k) % n for k in shifts])] = (re, im)
+        norm = sum(re * re + im * im for re, im in amps.values()).sqrt()
+        return {labels: (re / norm, im / norm) for labels, (re, im) in amps.items()}
+
+
+def _final_state_errors(state, exact: dict) -> tuple[float, float]:
+    """(worst amplitude error in ulps of 1, global phase in radians) of
+    ``state`` against :func:`_final_state`, after checking its labels."""
+    assert sorted(state.labels) == sorted(exact)
+    got = dict(zip(state.labels, state.amps))
+    ulp = Decimal(math.ulp(1.0))
+    with decimal.localcontext() as ctx:
+        ctx.prec = DIGITS
+        worst = max(
+            ((Decimal(got[labels].real) - re) ** 2 + (Decimal(got[labels].imag) - im) ** 2).sqrt()
+            for labels, (re, im) in exact.items()
+        )
+        # the phase of got / exact at the largest term, as Im(got conj(exact)) / |exact|^2
+        labels = max(exact, key=lambda lab: exact[lab][0] ** 2 + exact[lab][1] ** 2)
+        re, im = exact[labels]
+        g_re, g_im = Decimal(got[labels].real), Decimal(got[labels].imag)
+        phase = (g_im * re - g_re * im) / (re * re + im * im)
+    return float(worst / ulp), abs(float(phase))
+
+
+def _assert_final_state_matches_the_closed_form(spec: ProtocolSpec, rng: random.Random) -> None:
+    """Generate ``spec`` with a cold erasure memo, and again with alpha,
+    theta and eta re-drawn, which reuses the erasure; hold both final
+    states to the closed form, and the reused one to a cold run of the
+    re-drawn spec, repr for repr."""
+    redrawn = dataclasses.replace(
+        spec,
+        alpha=cmath.rect(rng.uniform(0.5, 1000.0), rng.uniform(-math.pi, math.pi)),
+        theta=10.0 ** rng.uniform(-3.0, -1.0),
+        detector=DetectorModel(rng.uniform(0.3, 1.0)),
+    )
+    _erased.clear()
+    cold = generate(spec)
+    if cold.failed_stage is not None:  # no erasure ran
+        assert not cold.final_state.amps and not _erased.entries
+        return
+    reused = generate(redrawn)
+    assert (_erased.hits, _erased.misses) == (1, 1)
+    assert reused.final_state is cold.final_state
+    exact = _final_state(spec.n, spec.coeffs, spec.shifts)
+    amp_ulps, phase = _final_state_errors(reused.final_state, exact)
+    assert amp_ulps <= FINAL_AMP_ULPS, amp_ulps
+    assert phase <= FINAL_PHASE_RAD, phase
+    _erased.clear()
+    assert repr(generate(redrawn).final_state) == repr(reused.final_state)
 
 
 def _ulps(got: float, exact: Decimal, log: bool = False) -> float:
@@ -219,6 +305,23 @@ def test_the_report_digest_specs_match_the_40_digit_closed_form():
         _assert_matches_the_closed_form(
             build(), DIGEST_STAGE_ERROR_LOG_ULPS, DIGEST_ERROR_TOTAL_LOG_ULPS
         )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_specs(), st.randoms(use_true_random=False))
+def test_final_state_matches_the_40_digit_closed_form(spec_inputs, rng):
+    n, coeffs, shifts, alpha, theta, eta = spec_inputs
+    _assert_final_state_matches_the_closed_form(
+        ProtocolSpec(n, len(shifts), shifts, coeffs, theta, alpha, DetectorModel(eta)), rng
+    )
+
+
+def test_the_report_digest_final_states_match_the_40_digit_closed_form():
+    # every one of the digest's 154 generate specs, and each again through
+    # the erasure memo at a re-drawn working point
+    rng = random.Random("final states")
+    for build in _report_digest().generate_specs():
+        _assert_final_state_matches_the_closed_form(build(), rng)
 
 
 def test_the_closed_form_holds_the_paper_qutrit_numbers():

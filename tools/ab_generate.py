@@ -30,17 +30,22 @@ For each case the tool first asserts that both trees return the same
 ``repr`` of the result once the package name is masked.  Then it runs
 ``--rounds`` rounds, alternating which side runs first, and times each
 side with ``time.perf_counter`` over a batch of calls (about 20 ms of the
-parent's time) twice: with the garbage collector off, which shows the work
-each call does, and with it on at the interpreter's thresholds, which adds
-the cyclic collections that the objects a call allocates start.  Each
+parent's time) three times: with the garbage collector off, which shows the
+work each call does; with it on at the interpreter's thresholds, which adds
+the cyclic collections that the objects a call allocates start; and cold,
+with the collector on and ``generate``'s erasure memo
+(``protocols._erased``) cleared before every call, in a tree that has one.
+A repeated spec reuses its erasure in the first two passes, so the cold
+pass is the one to compare with ratios taken before the memo existed.  Each
 batch starts from a full collection and one untimed call: a full
 collection empties CPython's free lists of small tuples, and a call that
 finds them empty allocates its tuples as counted objects.  It prints, per
 case and per pass, the median of the per-round ratios change / parent and
-each side's median time per call, and then each side's collections started
+each side's median time per call, then each side's collections started
 per call in the pass with the collector on (``gc.callbacks`` counts them;
 a collection starts when generation 0 overflows its threshold, whichever
-generation it then collects).
+generation it then collects), and each side's erasure-memo hits per call
+in the two warm passes ("-" for a tree without the memo).
 
 Pin the process to one CPU for steadier numbers, e.g. ``taskset -c 1``.
 """
@@ -149,9 +154,18 @@ def masked_repr(module, call) -> str:
     return repr(call()).replace(module.__name__, "qubus_forge")
 
 
-def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
+def erasure_memo(module):
+    """The tree's erasure memo, or None in a tree without one."""
+    return getattr(module.protocols, "_erased", None)
+
+
+def _no_reset():
+    pass
+
+
+def time_calls(call, calls: int, collector: bool = False, reset=_no_reset) -> tuple[float, int]:
     """(seconds per ``call()``, collections started) over ``calls`` calls,
-    with the garbage collector on or off."""
+    with the garbage collector on or off, and ``reset()`` before each."""
     started = 0
 
     def count(phase, info):
@@ -160,6 +174,7 @@ def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
             started += 1
 
     gc.collect()
+    reset()
     call()  # fills the free lists again
     if not collector:
         gc.disable()
@@ -167,6 +182,7 @@ def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
     try:
         start = time.perf_counter()
         for _ in range(calls):
+            reset()
             call()
         return (time.perf_counter() - start) / calls, started
     finally:
@@ -187,33 +203,49 @@ def main(argv=None) -> None:
         sys.path.insert(0, tmp)
         sources = (args.parent_src, args.change_src)
         modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
+        memos = {side: erasure_memo(modules[side]) for side in SIDES}
+        resets = {side: memos[side].clear if memos[side] else _no_reset for side in SIDES}
         columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
-        print(f"{'':<16} {'gc off':^29} {'gc on':^29}  collections per call")
-        print(f"{'case':<16} {columns} {columns} {'parent':>8} {'change':>8}"
-              f"  ({args.rounds} rounds)")
+        print(f"{'':<16} {'gc off':^29} {'gc on':^29} {'cold, gc on':^29}"
+              f"  collections per call  memo hits per call")
+        print(f"{'case':<16} {columns} {columns} {columns} {'parent':>8} {'change':>8}"
+              f"  {'parent':>8} {'change':>8}  ({args.rounds} rounds)")
         for label, make in cases():
             calls = {side: make(modules[side]) for side in SIDES}
             outputs = {masked_repr(modules[side], calls[side]) for side in SIDES}
             if len(outputs) != 1:
                 raise SystemExit(f"error: outputs differ in case {label}")
             batch = max(1, round(0.02 / time_calls(calls["parent"], 1)[0]))
-            passes = (False, True)  # the collector off, then on
-            times = {(side, on): [] for side in SIDES for on in passes}
+            # (collector on, erasure memo cleared before each call)
+            passes = ((False, False), (True, False), (True, True))
+            times = {(side, p): [] for side in SIDES for p in passes}
             started = dict.fromkeys(SIDES, 0)
+            hits = dict.fromkeys(SIDES, 0)
             for r in range(args.rounds):
                 for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    for on in passes:
-                        seconds, count = time_calls(calls[side], batch, on)
-                        times[side, on].append(seconds)
-                        started[side] += count
+                    for on, cold in passes:
+                        memo = memos[side]
+                        before = memo.hits if memo and not cold else 0
+                        reset = resets[side] if cold else _no_reset
+                        seconds, count = time_calls(calls[side], batch, on, reset)
+                        times[side, (on, cold)].append(seconds)
+                        if on and not cold:
+                            started[side] += count
+                        if memo and not cold:
+                            hits[side] += memo.hits - before
             row = f"{label:<16}"
-            for on in passes:
-                parent, change = times["parent", on], times["change", on]
+            for kind in passes:
+                parent, change = times["parent", kind], times["change", kind]
                 ratio = statistics.median(c / p for p, c in zip(parent, change))
-                medians = [1e3 * statistics.median(times[side, on]) for side in SIDES]
+                medians = [1e3 * statistics.median(times[side, kind]) for side in SIDES]
                 row += f" {ratio:>7.3f} {medians[0]:>10.3f} {medians[1]:>10.3f}"
             per_call = [started[side] / (args.rounds * batch) for side in SIDES]
-            print(f"{row} {per_call[0]:>8.2f} {per_call[1]:>8.2f}")
+            row += f" {per_call[0]:>8.2f} {per_call[1]:>8.2f} "
+            for side in SIDES:
+                # two warm passes, each of a batch of calls and one untimed call
+                warm_calls = 2 * args.rounds * (batch + 1)
+                row += f" {hits[side] / warm_calls:>8.2f}" if memos[side] else f" {'-':>8}"
+            print(row)
 
 
 if __name__ == "__main__":
