@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import threading
 from array import array
@@ -369,11 +370,11 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
 
 # Label cells the erasure memo may hold: a cell is one label of one term,
 # counted over each entry's input and output state.  An entry holds its key
-# (the layout, the label column and the bits of the amplitudes; protocol
-# states hold no beam by then) and its output state.  Filled with the
-# smallest entries (n = 2, two parties, 10 cells each) the memo retains 82
+# (the layout and the bytes of the labels and amplitudes; protocol states
+# hold no beam by then) and its output state.  Filled with the
+# smallest entries (n = 2, two parties, 10 cells each) the memo retains 72
 # bytes per cell, and with n = 1024 entries whose labels are all ints past 256
-# (28 bytes each) 49-71 (tracemalloc, CPython 3.11): under 0.7 MB in all,
+# (28 bytes each) 29-42 (tracemalloc, CPython 3.11): under 0.6 MB in all,
 # whatever n and the party count.  8192 cells keep ~330 paper_point families
 # (n 2..5, 2-3 parties) or ~45 wide ones (n 24..48).  An entry-count bound
 # would bound no bytes: one entry at N_MAX x PARTIES_MAX holds ~2 million
@@ -382,11 +383,15 @@ _ERASURE_CELLS = 8192
 
 
 def _exact_key(state: HybridState):
-    """The layout, the label column and the bits of every amplitude and
-    beam of ``state``: equal keys are bit-identical states.  A state's own
-    ``==`` counts -0.0 equal to 0.0, so a state cannot be the key."""
+    """The layout, and the labels and the bits of every amplitude and beam
+    of ``state`` as bytes: equal keys are bit-identical states.  A state's
+    own ``==`` counts -0.0 equal to 0.0, so a state cannot be the key.  The
+    layout fixes how many labels and beams a term has, so the bytes split
+    one way only; as bytes the labels take 8 bytes each, where the label
+    tuples would take ~24 (n 24..48, two parties)."""
     parts = [x for col in (state.amps, *state.beams) for z in col for x in (z.real, z.imag)]
-    return state.layout, state.labels, array("d", parts).tobytes()
+    labels = array("q", itertools.chain.from_iterable(state.labels))
+    return state.layout, labels.tobytes(), array("d", parts).tobytes()
 
 
 def _cells(state: HybridState) -> int:
@@ -451,7 +456,7 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
     detection outcome agrees) is kept in a bounded memo, keyed on the exact
     bits of that state: a repeated family reuses it, and its reports may
     share one immutable ``final_state``.  The memo holds at most 8192 label
-    cells (one label of one term), under 0.7 MB whatever n and the party
+    cells (one label of one term), under 0.6 MB whatever n and the party
     count; an erasure that raises is not kept, so it raises on every call.
     """
     state = prepare_single_photon_qudit(spec.n)

@@ -831,11 +831,10 @@ def test_erasure_memo_never_holds_more_label_cells_than_its_budget(monkeypatch):
             shifts = (0,) + tuple(rng.randrange(n) for _ in range(parties - 1))
             generate(ProtocolSpec(n, parties, shifts, coeffs, THETA, ALPHA))
             taken_in += n * (2 * parties + 1)  # its input and output labels
-            held = sum(
-                sum(map(len, key[1])) + sum(map(len, state.labels))
-                for key, (_, state) in _erased.entries.items()
-            )
-            assert held == _erased.cells == sum(c for c, _ in _erased.entries.values())
+            # an entry's input has its output's terms and one label more each
+            for cells, state in _erased.entries.values():
+                assert cells == len(state.labels) * (2 * len(state.labels[0]) + 1)
+            assert _erased.cells == sum(cells for cells, _ in _erased.entries.values())
             assert _erased.cells <= _erased.budget
     assert _erased.hits == 0 and runs["apply_fourier_lomi"] == _erased.misses
     assert runs["measure_ancilla_and_feedforward"] == _erased.misses
