@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import gc
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -839,16 +838,21 @@ def test_erasure_memo_never_holds_more_label_cells_than_its_budget(monkeypatch):
     assert _erased.hits == 0 and runs["apply_fourier_lomi"] == _erased.misses
     assert runs["measure_ancilla_and_feedforward"] == _erased.misses
     assert _erased.cells > _erased.budget - 8 * 7  # full, to within one entry
-    # an entry larger than the whole budget is not kept, and evicts nothing:
-    # at n = 3 two parties take 15 cells and three 21
+    # the least recently used entry goes first, and an entry larger than the
+    # whole budget is not kept and evicts nothing: at n = 3 an entry takes
+    # 15 cells with two parties and 33 with five
     _erased.clear()
-    monkeypatch.setattr(_erased, "budget", 20)
-    for parties in (2, 3):
-        generate(ProtocolSpec.balanced(3, parties, theta=THETA, alpha=ALPHA))
-    assert _erased.cells == 15 and len(_erased.entries) == 1
-    # generate gains no knob for its memo
+    monkeypatch.setattr(_erased, "budget", 30)
+    specs = [ProtocolSpec.balanced(3, 2, shifts=(0, k), theta=THETA, alpha=ALPHA) for k in range(3)]
+    reports = [generate(specs[k]) for k in (0, 1, 0, 2)]  # the hit leaves shift 1 oldest
+    kept = [state for _, state in _erased.entries.values()]
+    assert kept == [reports[0].final_state, reports[3].final_state]
+    generate(ProtocolSpec.balanced(3, 5, theta=THETA, alpha=ALPHA))
+    assert [state for _, state in _erased.entries.values()] == kept
+    assert _erased.cells == 30
+    # generate gains no knob for its memo (its parameters are pinned in
+    # test_public_api.py)
     assert not hasattr(generate, "cache_clear")
-    assert list(inspect.signature(generate).parameters) == ["spec"]
 
 
 def test_erasure_memo_keeps_signed_zeros_apart():
