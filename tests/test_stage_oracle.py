@@ -185,8 +185,8 @@ def _final_state_errors(state, exact: dict) -> tuple[float, float]:
 
 def _assert_final_state_matches_the_closed_form(spec: ProtocolSpec, rng: random.Random) -> None:
     """Generate ``spec`` with a cold erasure memo, and again with alpha,
-    theta and eta re-drawn, which reuses the erasure; hold both final
-    states to the closed form, and the reused one to a cold run of the
+    theta and eta re-drawn, which reuses the erasure and so returns the
+    same final state; hold it to the closed form, and to a cold run of the
     re-drawn spec, repr for repr."""
     redrawn = dataclasses.replace(
         spec,
