@@ -895,7 +895,7 @@ def test_a_failed_erasure_is_not_kept(monkeypatch):
 @pytest.mark.skipif(
     sys.implementation.name != "cpython", reason="counts CPython's cyclic collections"
 )
-def test_wide_generate_starts_almost_no_garbage_collection():
+def test_wide_generate_starts_almost_no_garbage_collection(monkeypatch):
     # CPython starts a collection once 700 more tracked containers have been
     # allocated than freed.  The states' columns are tuples, of which those
     # under 20 items mostly come from free lists and are not counted, so
@@ -903,10 +903,13 @@ def test_wide_generate_starts_almost_no_garbage_collection():
     # _inner's label index (one per label of the state) started 30 and 60
     # collections over ten calls at n = 32 and 40, and 110 at n = 48, where
     # the 2,304 label and beam-row tuples overflow the free lists and 30
-    # collections start whatever _inner does.
+    # collections start whatever _inner does.  The erasure memo keeps
+    # nothing here, so every call runs the Fourier and feedforward passes.
     # n: most collections started over ten warm calls
     caps = {32: 1, 40: 1, 48: 35}
     starts = []
+    monkeypatch.setattr(_erased, "budget", 0)
+    _erased.clear()
 
     def count(phase, info):
         if phase == "start":
@@ -925,6 +928,7 @@ def test_wide_generate_starts_almost_no_garbage_collection():
             for _ in range(10):
                 generate(spec)
             assert len(starts) <= cap, (n, starts)
+            assert _erased.hits == 0 and not _erased.entries
     finally:
         gc.callbacks.remove(count)
         gc.set_threshold(*thresholds)
