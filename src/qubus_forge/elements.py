@@ -48,11 +48,13 @@ def apply_xpm(
             f"theta = {theta!r} is too large: the largest XPM phase, "
             f"{top + n - 1} theta, overflows"
         )
-    rot = [cmath.exp(1j * theta * units) for units in range(top + n)]
+    # the phase of each unit count, built when a label first reaches it
+    rot: dict[int, complex] = {}
     beams = state.beams
     col = tuple([
-        q * rot[top - labels[party_slot] + (labels[spatial_slot] + shift) % n]
+        q * (rot[u] if u in rot else rot.setdefault(u, cmath.exp(1j * theta * u)))
         for q, labels in zip(beams[beam], state.labels)
+        for u in [top - labels[party_slot] + (labels[spatial_slot] + shift) % n]
     ])
     return _derive(state, beams=beams[:beam] + (col,) + beams[beam + 1 :])
 

@@ -12,6 +12,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import threading
 from array import array
 from collections import OrderedDict
@@ -260,7 +261,23 @@ def _prepared(n: int) -> HybridState:
 def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     """Tensor a fresh party register sum_m coeffs[m] |m> and a fresh
     (|alpha>, |alpha>) qubus pair onto a state that holds a single-photon
-    spatial register of len(coeffs) modes."""
+    spatial register of len(coeffs) modes.
+
+    The new party's label m goes after the labels of the parties before it
+    (the head of each label tuple).  Each run of source terms with equal
+    heads takes every m in turn, and the run's terms in source order for
+    each m, so a state whose labels are in order gives one whose labels are
+    in order, and :func:`canonicalize` returns it as it is.  Terms with
+    equal labels keep their source order, so any state canonicalizes to the
+    same state as before.
+
+    Each source term first gives its terms in a row, one per m with a
+    nonzero coefficient.  That is the order of a run of one term, and past
+    the first stage of a protocol every head is held by one term.  A run of
+    two or more, such as the first stage's single run of empty heads, is
+    then regrouped m by m: its block is read with a stride of that many
+    terms, once from each m.
+    """
     layout = state.layout
     if layout.ancilla_modes == 0:
         raise ValueError("stage needs a single-photon spatial register")
@@ -273,16 +290,27 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     cut = layout.num_parties
     alpha = complex(alpha)
     picked = [((m,), c) for m, c in enumerate(coeffs) if c != 0]
+    heads = [labels[:cut] for labels in state.labels]
     amps = tuple([amp * c for amp in state.amps for _, c in picked])
-    # each source term's label slices once (for x in [...] binds a value)
+    # each source term's tail slices once (for x in [...] binds a value)
     labels = tuple([
         head + m + tail
-        for labels in state.labels
-        for head in [labels[:cut]]
+        for head, labels in zip(heads, state.labels)
         for tail in [labels[cut:]]
         for m, _ in picked
     ])
     beams = tuple(tuple([q for q in col for _ in picked]) for col in state.beams)
+    # run r is terms starts[r] to starts[r + 1]; a run starts where the head changes
+    changes = itertools.compress(range(1, len(heads)), map(operator.ne, heads, heads[1:]))
+    starts = [0, *changes, len(heads)]
+    if len(starts) <= len(heads):  # a run holds two or more terms
+        p = len(picked)
+        reads = [slice(a * p + k, b * p, p) for a, b in zip(starts, starts[1:]) for k in range(p)]
+
+        def regroup(col):
+            return tuple(itertools.chain.from_iterable(map(col.__getitem__, reads)))
+
+        amps, labels, beams = regroup(amps), regroup(labels), tuple(map(regroup, beams))
     return _derive(state, layout=new_layout, amps=amps, labels=labels,
                    beams=beams + ((alpha,) * len(amps),) * 2)
 
@@ -395,7 +423,8 @@ def _exact_key(state: HybridState):
 
 
 def _cells(state: HybridState) -> int:
-    return sum(map(len, state.labels))
+    """The label cells of ``state``: its layout fixes every label's length."""
+    return len(state.labels) * len(state.layout.label_dims())
 
 
 class _ErasureMemo:

@@ -576,12 +576,22 @@ def canonicalize(state: HybridState) -> HybridState:
     are removed.  Idempotent; the output term order is a deterministic sort
     on (labels, rounded qubus).
 
-    One stable sort orders the terms by label, and a walk over neighbours
-    finds the runs of equal labels.  A label held by one term is its own
-    group; only a run of two or more goes through :func:`_merge_groups`.
-    Each group sums its members in merge-group order.
+    A state already in canonical form is returned as it is: its labels
+    strictly increase and every |amp| is at least :data:`DROP_TOL`, so the
+    walk below would keep every term in place and return an equal state,
+    column for column.  Two passes in C decide this.
+
+    Any other state takes the walk.  One stable sort orders the terms by
+    label, and a walk over neighbours finds the runs of equal labels.  A
+    label held by one term is its own group; only a run of two or more goes
+    through :func:`_merge_groups`.  Each group sums its members in
+    merge-group order.
     """
     amps, labels = state._amps, state._labels
+    if all(map(operator.lt, labels, labels[1:])) and (
+        min(map(abs, amps), default=DROP_TOL) >= DROP_TOL
+    ):
+        return state
     order = sorted(range(len(labels)), key=labels.__getitem__)
     ordered = [labels[i] for i in order]
     # run r is order[starts[r]:starts[r + 1]]; a run starts where the label changes
@@ -630,26 +640,43 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     ``max(classes) + 1`` entries; a class that holds no term sums to 0j.
 
     A pair of two terms weighs conj(amp_i) amp_j times exp of the sum of
-    their per-beam :func:`coherent_overlap` logs, computed inline.  A term
-    paired with itself in ``<a|a>`` weighs |amp_i|^2, with no overlap.
+    their per-beam :func:`coherent_overlap` logs, computed inline; a pair of
+    two beamless states weighs conj(amp_i) amp_j alone.  Times exp(0j) =
+    1 + 0j the product differs at most in the sign of a zero part, and a
+    sum that starts at 0j never takes that sign.  A term paired with itself
+    in ``<a|a>`` weighs |amp_i|^2, with no overlap.
 
-    Pairs are added in order of i, then of ascending j.  Each label of b
-    maps to its term indices: a 1-tuple while every label is held once, as
-    in every protocol state, and a list per label only when one repeats.
-    A list per label is tracked by CPython's cyclic garbage collector, and
-    at n^2 terms one per term starts collections that walk the young
-    columns; a small tuple mostly comes from a free list and is not counted.
+    Pairs are added in order of i, then of ascending j.  In ``<a|a>`` with
+    no repeated label, as in every protocol state, each term pairs with
+    itself alone, so the sum walks the amplitudes in index order and looks
+    up no label.  Each weight is taken in C as amp_i conj(amp_i), whose
+    real part is amp.real^2 + amp.imag^2 to the bit and whose imaginary
+    part is (-x) + x = +0.0; only past |amp| ~ 1e154, where the real part
+    is inf, does an overflowing x make it NaN.  Otherwise each label of b
+    maps to its term indices: a
+    1-tuple while every label is held once, and a list per label only when
+    one repeats.  A list per label is tracked by CPython's cyclic garbage
+    collector, and at n^2 terms one per term starts collections that walk
+    the young columns; a small tuple mostly comes from a free list and is
+    not counted.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
+    total = 0j
+    sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
+    same = a is b
+    if same and len(set(a_labels)) == len(a_labels):
+        pairs = list(map(operator.mul, amps, map(complex.conjugate, amps)))
+        if sums is not None:
+            for k, pair in zip(classes, pairs):
+                sums[k] += pair
+        total = functools.reduce(operator.add, pairs, total)
+        return total if sums is None else (total, sums)
     by_labels = {labels: (j,) for j, labels in enumerate(b_labels)}
     if len(by_labels) < len(b_labels):  # a label repeats
         by_labels = {}
         for j, labels in enumerate(b_labels):
             by_labels.setdefault(labels, []).append(j)
-    same = a is b
-    total = 0j
-    sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
     for i, labels in enumerate(a_labels):
         for j in by_labels.get(labels, ()):
             if same and i == j:
@@ -658,11 +685,13 @@ def _inner(a: HybridState, b: HybridState, classes=None):
                 # exponential is 1 + 0j.
                 amp = amps[i]
                 pair = amp.real * amp.real + amp.imag * amp.imag
-            else:
+            elif a_beams:
                 log_ov = 0j
                 for col_a, col_b in zip(a_beams, b_beams):
                     log_ov += coherent_overlap(col_a[i], col_b[j])
                 pair = amps[i].conjugate() * b_amps[j] * cmath.exp(log_ov)
+            else:
+                pair = amps[i].conjugate() * b_amps[j]
             total += pair
             if sums is not None and classes[i] == classes[j]:
                 sums[classes[i]] += pair

@@ -93,6 +93,32 @@ def test_xpm_preserves_beam_magnitude_and_norm():
     assert state_norm_sq(out) == pytest.approx(state_norm_sq(state), abs=1e-12)
 
 
+def test_xpm_builds_a_phase_only_for_the_units_the_labels_reach(monkeypatch):
+    # A party of dimension 200,000 could reach 200,002 unit counts; these two
+    # terms reach two, and each phase is exp(i theta units) as before.
+    import qubus_forge.elements as elements
+
+    calls = []
+
+    class CountingCmath:
+        def __getattr__(self, name):
+            return getattr(cmath, name)
+
+        def exp(self, z):
+            calls.append(z)
+            return cmath.exp(z)
+
+    layout = RegisterLayout(party_dims=(200_000,), ancilla_modes=3, qubus_count=1)
+    state = HybridState(layout, (Term(0.6, (0, 1), (2.0,)), Term(0.8, (199_998, 2), (3j,))))
+    monkeypatch.setattr(elements, "cmath", CountingCmath())
+    out = apply_xpm(state, 0, 1, 0, THETA)
+    assert len(calls) <= 2
+    units = (199_999 + 2 % 3, 1 + 0 % 3)  # top - j + (s + shift) mod n
+    assert out.beams[0] == (2.0 * cmath.exp(1j * THETA * units[0]),
+                            3j * cmath.exp(1j * THETA * units[1]))
+    assert out.amps == state.amps and out.labels == state.labels
+
+
 def test_xpm_validation():
     state = qutrit_with_ancilla(0, 0)
     with pytest.raises(ValueError, match="beam index"):

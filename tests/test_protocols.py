@@ -2,13 +2,16 @@ import cmath
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import io
+import itertools
 import json
 import math
 import random
 import re
 import sys
 from contextlib import nullcontext, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,7 @@ from qubus_forge.state import (
     RegisterLayout,
     Term,
     _logaddexp_reduce,
+    canonicalize,
     inner_product,
     overlap_sq,
     state_norm_sq,
@@ -786,16 +790,137 @@ def test_generate_work_counts_are_near_linear(monkeypatch):
             assert warm["canonicalize"] == calls, (n, warm)
 
 
+def _attach_in_term_order(state, coeffs, alpha):
+    """Reference for _attach_party: every term of ``state`` in turn, and
+    for each every m with a nonzero coefficient, each giving label m after
+    the parties' labels and the beam pair (alpha, alpha)."""
+    layout = state.layout
+    cut = layout.num_parties
+    new_layout = RegisterLayout(
+        layout.party_dims + (len(coeffs),), layout.ancilla_modes, layout.prep_modes,
+        layout.qubus_count + 2,
+    )
+    return HybridState(new_layout, [
+        Term(t.amp * c, t.labels[:cut] + (m,) + t.labels[cut:], t.qubus + (alpha, alpha))
+        for t in state.terms
+        for m, c in enumerate(coeffs)
+        if c != 0
+    ])
+
+
+def test_attached_stage_states_are_canonical_as_built():
+    # Every stage of 2- and 3-party specs attaches its party to a state in
+    # label order and couples it in label order, so canonicalize returns
+    # both as they are.  The attached state has the reference's terms.
+    rng = random.Random("attach order")
+    for _ in range(30):
+        n, parties = rng.randint(2, 8), rng.randint(2, 3)
+        coeffs = tuple(
+            phased_coeffs(n, rng.randrange(n)) if rng.random() < 0.5
+            else _random_unit_vector(rng, n)
+            for _ in range(parties)
+        )
+        shifts = (0,) + tuple(rng.randrange(n) for _ in range(parties - 1))
+        spec = ProtocolSpec(n, parties, shifts, coeffs, THETA, complex(ALPHA, rng.uniform(-9, 9)))
+        state = prepare_single_photon_qudit(n)
+        for party in range(parties):
+            attached = _attach_party(state, spec.coeffs[party], spec.alpha)
+            coupled, _ = _couple(attached, spec.shifts[party], spec.theta)
+            assert canonicalize(attached) is attached
+            assert canonicalize(coupled) is coupled
+            assert repr(canonicalize(_attach_in_term_order(state, spec.coeffs[party], spec.alpha))) \
+                == repr(attached)
+            state = entangle_stage(state, spec, party).heralded_state
+
+
+def test_attach_keeps_the_canonical_state_of_any_input():
+    # Hand-built inputs whose runs of equal leading labels hold several
+    # terms, in and out of label order, with repeated labels whose beams the
+    # merge rule groups by their order, and a zero coefficient: the attached
+    # state canonicalizes to the reference's canonical state, and an input
+    # in label order gives a state in label order.
+    rng = random.Random("attach runs")
+    near = (0.3 + 0.1j, 0.3 + 0.1j + 0.5e-12, 0.3 + 0.1j + 1.5e-12, -0.2j)
+    for layout in (
+        RegisterLayout(ancilla_modes=3),  # the first stage: every head is empty
+        RegisterLayout(party_dims=(3,), ancilla_modes=3, qubus_count=1),
+        RegisterLayout(party_dims=(2, 3), ancilla_modes=3, qubus_count=1),
+    ):
+        dims = layout.label_dims()
+        every_label = sorted(itertools.product(*map(range, dims)))
+        for trial in range(60):
+            if trial % 3 == 0:  # in label order, heads repeated
+                labels = sorted(rng.sample(every_label, rng.randint(1, len(every_label))))
+            else:  # any order, labels repeated
+                labels = [rng.choice(every_label) for _ in range(rng.randint(1, 9))]
+            state = HybridState(layout, [
+                Term(complex(rng.gauss(0, 1), rng.gauss(0, 1)), lab,
+                     tuple(rng.choice(near) for _ in range(layout.qubus_count)))
+                for lab in labels
+            ])
+            coeffs = list(_random_unit_vector(rng, 3))
+            if rng.random() < 0.3:
+                coeffs[rng.randrange(3)] = 0j
+            attached = _attach_party(state, coeffs, 2.0 - 1j)
+            reference = _attach_in_term_order(state, coeffs, 2.0 - 1j)
+            assert repr(canonicalize(attached)) == repr(canonicalize(reference))
+            assert sorted(zip(attached.labels, attached.amps), key=repr) == \
+                sorted(zip(reference.labels, reference.amps), key=repr)
+            if trial % 3 == 0:
+                assert canonicalize(attached) is attached
+
+
+def test_protocol_states_reach_canonicalize_in_canonical_form(monkeypatch):
+    # Over the report digest's generate specs, with the erasure memo cleared
+    # and the preparation warm, every state generate canonicalizes is
+    # canonical already, so canonicalize returns it as it is: each stage's
+    # coupled state (in its herald), the Fourier output and the corrected
+    # feedforward state.  A change that loses the label order fails here
+    # rather than only costing the full walk.
+    import qubus_forge.elements
+    import qubus_forge.heralding
+
+    seen = []
+
+    def recording(state):
+        out = canonicalize(state)
+        seen.append((sys._getframe(1).f_code.co_name, out is state))
+        return out
+
+    monkeypatch.setattr(qubus_forge.elements, "canonicalize", recording)
+    monkeypatch.setattr(qubus_forge.heralding, "canonicalize", recording)
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+    loader = importlib.util.spec_from_file_location("report_digest", path)
+    report_digest = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(report_digest)
+    builds = list(report_digest.generate_specs())
+    assert len(builds) == 154
+    for build in builds:
+        spec = build()
+        prepare_single_photon_qudit(spec.n)
+        _erased.clear()
+        seen.clear()
+        report = generate(spec)
+        assert report.failed_stage is None
+        assert seen == [("_classify_branches", True)] * spec.parties + [
+            ("apply_fourier_lomi", True), ("feedforward_outcomes", True)
+        ], spec
+
+
 def test_generate_derives_each_heralded_state_once(monkeypatch):
     # A herald builds its state, the vacuum-class rows scaled by
     # 1/sqrt(P_s) without the consumed beam, in one derivation, and the
     # stage removes the spectator beam in one more.  Building the rows, the
     # scaled copy and the beam removal apart took two more per stage: 38
     # and 25 derivations at n = 3, 183 and 54 at n = 32.  A warm erasure
-    # memo skips the erasure's derivations.
+    # memo skips the erasure's derivations.  Every state that the heralds,
+    # the Fourier step and the feedforward canonicalize is canonical
+    # already, as are most states of the preparation cascade, and
+    # canonicalize returns such a state with no derivation: without that
+    # the counts were (34, 21, 14) at n = 3 and (179, 50, 14) at n = 32.
     # n: (derivations with cold memos, with a warm preparation memo, with a
     #     warm erasure memo too)
-    expected = {3: (34, 21, 14), 32: (179, 50, 14)}
+    expected = {3: (26, 17, 12), 32: (142, 46, 12)}
     for n, (cold, warm, hit) in expected.items():
         spec = ProtocolSpec.balanced(n, 2, shifts=(0, 1), theta=THETA, alpha=ALPHA)
         _prepared.cache_clear()
@@ -853,6 +978,33 @@ def test_erasure_memo_never_holds_more_label_cells_than_its_budget(monkeypatch):
     # generate gains no knob for its memo (its parameters are pinned in
     # test_public_api.py)
     assert not hasattr(generate, "cache_clear")
+
+
+def test_erasure_memo_counts_label_cells_from_the_layout():
+    # the layout fixes every label's length, so the cells of a state are
+    # its term count times the layout's label count
+    from qubus_forge.protocols import _cells
+
+    states = [HybridState(RegisterLayout(party_dims=(2, 3), prep_modes=2), ())]
+    for n, shifts in ((2, (0, 1)), (3, (0, 2, 1)), (5, (0, 3))):
+        spec = ProtocolSpec.balanced(n, len(shifts), shifts=shifts, theta=THETA, alpha=ALPHA)
+        states += _protocol_layers(spec)
+    rng = random.Random("cells")
+    for _ in range(30):
+        layout = RegisterLayout(
+            party_dims=tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
+            ancilla_modes=rng.randint(0, 3), prep_modes=rng.randint(0, 3),
+            qubus_count=rng.randint(0, 2),
+        )
+        dims = layout.label_dims()
+        states.append(HybridState(layout, [
+            Term(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                 tuple(rng.randrange(d) for d in dims),
+                 tuple(complex(rng.gauss(0, 1), 0) for _ in range(layout.qubus_count)))
+            for _ in range(rng.randint(0, 6))
+        ]))
+    for state in states:
+        assert _cells(state) == sum(map(len, state.labels))
 
 
 def test_erasure_memo_keeps_signed_zeros_apart():

@@ -434,6 +434,117 @@ def test_canonicalize_by_sorted_runs_equals_the_label_dict():
     ]
 
 
+def test_canonicalize_returns_a_canonical_state_as_it_is():
+    # A state whose labels strictly increase and whose every |amp| is at
+    # least DROP_TOL comes back as the same object: its columns are those
+    # the label-dict reference gives, bit for bit.  A state that breaks one
+    # condition takes the walk, and gets the reference's result.
+    rng = random.Random("as it is")
+
+    def state(beams, labels, amps=None):
+        layout = RegisterLayout(party_dims=(3, 2), qubus_count=beams)
+        if amps is None:
+            amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in labels]
+        return HybridState(layout, [
+            Term(amp, lab, tuple(rng.choice(REGROUP_BEAMS) for _ in range(beams)))
+            for amp, lab in zip(amps, labels)
+        ])
+
+    every_label = [(a, b) for a in range(3) for b in range(2)]
+    below = math.nextafter(DROP_TOL, 0.0)
+    for beams in (0, 1, 2):
+        canonical = [
+            state(beams, []),
+            state(beams, [(2, 1)]),
+            state(beams, [(0, 1), (1, 0), (2, 1)]),
+            state(beams, every_label),
+            # signed zeros and an amplitude exactly at DROP_TOL are kept as they are
+            state(beams, [(0, 0), (1, 1), (2, 0)],
+                  [complex(-0.0, 0.5), DROP_TOL, complex(0.25, -0.0)]),
+        ]
+        for s in canonical:
+            assert canonicalize(s) is s
+            assert repr(s) == repr(canonicalize_by_label_dict(s))
+        walked = [
+            state(beams, [(0, 0), (1, 1), (1, 1), (2, 0)]),  # a repeated label
+            state(beams, [(0, 0), (1, 1), (1, 0), (2, 0)]),  # one descending pair
+            state(beams, [(0, 0), (1, 1), (2, 0)], [0.5, below, 0.5j]),
+            state(beams, [(1, 1)], [below]),
+        ]
+        for s in walked:
+            out = canonicalize(s)
+            assert out is not s
+            assert repr(out) == repr(canonicalize_by_label_dict(s))
+        for _ in range(100):
+            labels = sorted(rng.sample(every_label, rng.randint(0, len(every_label))))
+            s = _regroup_state(rng, beams, labels)
+            out = canonicalize(s)
+            assert repr(out) == repr(canonicalize_by_label_dict(s))
+            if all(abs(amp) >= DROP_TOL for amp in s.amps):
+                assert out is s
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_inner_of_a_state_with_itself_equals_the_general_loop_bit_for_bit():
+    # <s|s> with no repeated label sums amp conj(amp) in index order and
+    # looks up no label.  A copy of s is another object, so _inner(s, copy)
+    # pairs each term with its twin through the general loop's beam
+    # overlaps: the total and every class sum must agree to the bit, with
+    # 0 to 3 beams, signed zeros and amplitudes below DROP_TOL.
+    rng = random.Random("self pairs")
+    every_label = [(a, b, c) for a in range(4) for b in range(3) for c in range(2)]
+    pool = (0j, complex(-0.0, 0.5), complex(0.25, -0.0), 0.5 * DROP_TOL, -0.7j)
+    for beams in range(4):
+        layout = RegisterLayout(party_dims=(4, 3), ancilla_modes=2, qubus_count=beams)
+        for _ in range(40):
+            labels = rng.sample(every_label, rng.randint(1, len(every_label)))
+            s = HybridState(layout, [
+                Term(
+                    rng.choice(pool) if rng.random() < 0.3
+                    else complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                    lab,
+                    tuple(complex(rng.gauss(0, 30), rng.gauss(0, 30)) for _ in range(beams)),
+                )
+                for lab in labels
+            ])
+            copy = HybridState(layout, s.terms)
+            classes = [rng.randrange(5) for _ in labels]
+            total, sums = _inner(s, s, classes=classes)
+            want_total, want_sums = _inner(s, copy, classes=classes)
+            assert _bits(total) == _bits(want_total)
+            assert list(map(_bits, sums)) == list(map(_bits, want_sums))
+            assert _bits(_inner(s, s)) == _bits(_inner(s, copy))
+            assert state_norm_sq(s).hex() == want_total.real.hex()
+
+
+def test_beamless_pairs_sum_as_if_times_exp_0j():
+    # Two beamless states pair as conj(a_i) b_j, where the general weight
+    # also multiplies by exp(0j) = 1 + 0j.  That product can turn a zero
+    # part's sign, but a sum that starts at 0j never holds -0.0, so the
+    # total and the class sums keep every bit of the pair-order reference.
+    assert math.copysign(1.0, (complex(-0.0, -1.0) * cmath.exp(0j)).real) == 1.0
+    rng = random.Random("beamless")
+    layout = RegisterLayout(party_dims=(3,), ancilla_modes=2)
+    pool = (complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 0.0), -1j, 0.5)
+    every_label = [(a, b) for a in range(3) for b in range(2)]
+    for _ in range(200):
+
+        def state():
+            labels = [rng.choice(every_label) for _ in range(rng.randint(1, 8))]
+            return HybridState(layout, [Term(rng.choice(pool), lab) for lab in labels])
+
+        a, b = state(), state()
+        classes = [rng.randrange(3) for _ in range(max(len(a.amps), len(b.amps)))]
+        assert _bits(_inner(a, b)) == _bits(_inner_in_pair_order(a, b))
+        total, sums = _inner(a, b, classes)
+        want_total, want_sums = _inner_in_pair_order(a, b, classes)
+        assert _bits(total) == _bits(want_total)
+        assert list(map(_bits, sums)) == list(map(_bits, want_sums))
+
+
 def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
     # _merge_groups(beams, index) groups the beams at the ascending indices
     # `index` as the greedy rule groups that sublist
