@@ -49,7 +49,7 @@ def apply_xpm(
             f"{top + n - 1} theta, overflows"
         )
     # the phase of each unit count, built when a label first reaches it
-    rot: dict[int, complex] = {}
+    rot = {}
     beams = state.beams
     col = tuple([
         q * (rot[u] if u in rot else rot.setdefault(u, cmath.exp(1j * theta * u)))
