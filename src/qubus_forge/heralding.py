@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .state import (
+    MERGE_TOL,
     NORM_TOL,
     HybridState,
     _abs_sq,
@@ -24,7 +26,6 @@ from .state import (
     _number,
     _without_beam,
     canonicalize,
-    qubus_close,
 )
 
 _LN10 = math.log(10.0)
@@ -172,34 +173,48 @@ def herald_vacuum(
 
 def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     """Group the terms of a normalized state into classes of equal
-    ``beam`` amplitude and find the vacuum class, for any detector."""
+    ``beam`` amplitude and find the vacuum class, for any detector.
+
+    A protocol state's herald column holds at most 2n - 1 distinct values
+    among its n^2 terms, so the merge rule runs over the column's distinct
+    values, in order of first appearance, which is the order in which
+    :func:`state._merge_groups` buckets equal tuples; 0j and -0j are one
+    value, the first its representative.  Each term takes its value's
+    class through one dict lookup in C.  The vacuum class's rows come in
+    index order; when the class holds two or more distinct values, the
+    merge rule over those rows alone puts them back in its member order,
+    which restricted to one group's members is the same.
+    """
     _check_beam(state, beam)
     if not state.amps:
         raise ValueError("empty state")
     s = canonicalize(state)
     col = s.beams[beam]
-    groups = _merge_groups([(q,) for q in col])
-    class_of = [0] * len(col)
+    class_of_value = dict.fromkeys(col)
+    values = list(class_of_value)
+    groups = _merge_groups(list(zip(values)))  # each value as a 1-tuple
     for k, g in enumerate(groups):
-        for i in g:
-            class_of[i] = k
+        for p in g:
+            class_of_value[values[p]] = k
+    class_of = list(map(class_of_value.__getitem__, col))
     norm_sq, weights = _inner(s, s, classes=class_of)
     if abs(norm_sq.real - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before heralding")
 
-    vacuum_index: list[int] = []
+    vacuum = None
     success = 0.0
     branches = []
     failures = []
     # A class weight sums its members in canonical order; its representative
     # (the reported beam_amp) is its first member in rounded-beam order.
-    for g, weight in zip(groups, weights):
-        rep = col[g[0]]
+    for k, (g, weight) in enumerate(zip(groups, weights)):
+        rep = values[g[0]]
         weight = weight.real
         e2 = rep.real * rep.real + rep.imag * rep.imag
         branches.append((rep, weight, e2))
-        if qubus_close(rep, 0.0):
-            vacuum_index = g
+        size = abs(rep)
+        if size <= MERGE_TOL * max(1.0, size):  # qubus_close(rep, 0.0)
+            vacuum = k
             success = weight
         elif weight > 0.0:
             failures.append((math.log(weight), e2))
@@ -207,7 +222,13 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     # may exceed 1 by as much.
     if not -NORM_TOL <= success <= 1.0 + NORM_TOL:
         raise ValueError("success probability out of [0, 1]")
-    return _BranchClasses(s, vacuum_index, success, tuple(branches), tuple(failures))
+    vacuum_rows: list[int] = []
+    if vacuum is not None:
+        vacuum_rows = list(itertools.compress(range(len(col)), map(vacuum.__eq__, class_of)))
+        if len(groups[vacuum]) > 1:
+            order = _merge_groups([(col[i],) for i in vacuum_rows])[0]
+            vacuum_rows = [vacuum_rows[p] for p in order]
+    return _BranchClasses(s, vacuum_rows, success, tuple(branches), tuple(failures))
 
 
 def _failure_log(classes: _BranchClasses, eta: float) -> tuple[float, float]:
@@ -253,7 +274,10 @@ def feedforward_outcomes(
     label with the rest, so restricted to one k0 it is that outcome's own
     canonical order, with the same merge runs; and each class sum is bit for
     bit that outcome's own norm.  The results equal those of one
-    canonicalize and one norm per outcome.
+    canonicalize and one norm per outcome.  An outcome whose stripped label
+    column equals the first outcome's (one comparison in C) shares that
+    column object, as every outcome of a protocol state does, so the
+    :func:`state._inner` of two outcomes pairs their terms index by index.
 
     Errors come in this order: a corrected amplitude or a merged sum that
     is not finite (ValueError, for any outcome), then the first unreachable
@@ -290,12 +314,16 @@ def feedforward_outcomes(
             )
     new_layout = layout.replace(ancilla_modes=0)
     outcomes = []
+    first = None
     for rows, norm_sq in zip(by_outcome, norms):
         scale = 1.0 / math.sqrt(norm_sq.real)
+        labels = tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in rows])
+        if first is None:
+            first = labels
+        elif labels == first:
+            labels = first
         outcomes.append(_derive(
-            corrected, rows, new_layout,
-            tuple([all_amps[i] * scale for i in rows]),
-            tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in rows]),
+            corrected, rows, new_layout, tuple([all_amps[i] * scale for i in rows]), labels
         ))
     return outcomes
 

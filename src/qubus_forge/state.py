@@ -504,17 +504,23 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     land in one group are visited interleaved, so the part of the group
     that such a key added is put back in index order.
 
+    The per-tuple bookkeeping is flat.  Every real and imaginary part is
+    rounded in one ``map``, to the :func:`_beam_key` of each beam, and a
+    tuple's key is its beams' rounded parts in a row, which sorts and
+    compares as its list of :func:`_beam_key` pairs.  A stable sort of the
+    tuple numbers on those keys gives the visit order.
+
     Only representatives whose first beam has a real part within
     w = MERGE_TOL max(1, |u0|) / (1 - MERGE_TOL) of the visited u0 are
     tested: :func:`qubus_close` accepts no pair farther apart, so the first
     match in creation order is the same as over all groups (the bound
-    needs finite beams, which every :class:`Term` has).  The
-    representatives are kept in two flat lists sorted together, the real
-    part of each one's first beam and its group number, so the window is
-    two float bisects and its candidates a slice of group numbers, sorted
-    into creation order when it holds two or more.  The first tuple finds
-    no representative and runs no bisect.  The per-key state of the
-    index-order re-sort is built only when a rounded key repeats.
+    needs finite beams, which every :class:`Term` has).  Each group's
+    representative tuple is kept by group number, and two flat lists sorted
+    together hold the real part of each one's first beam and its group
+    number, so the window is two float bisects and its candidates a slice
+    of group numbers, sorted into creation order when it holds two or more.
+    An empty window takes no slice.  The per-key state of the index-order
+    re-sort is built only when a rounded key repeats.
     """
     if index is None:
         index = range(len(beams))
@@ -523,21 +529,20 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     members: dict[tuple[complex, ...], list[int]] = {}
     for i in index:
         members.setdefault(beams[i], []).append(i)
-    # (rounded key, first appearance, tuple, its members): each beam is
-    # rounded once, as _beam_key rounds it, and the unique first appearance
-    # breaks key ties, so the tuples and lists are never compared
-    visits = sorted([
-        (tuple([(round(q.real, 12), round(q.imag, 12)) for q in u]), first, u, joining)
-        for first, (u, joining) in enumerate(members.items())
-    ])
+    tuples, joinings = list(members), list(members.values())
+    parts = [x for u in tuples for q in u for x in (q.real, q.imag)]
+    rounded = map(round, parts, itertools.repeat(12))
+    keys = list(zip(*[rounded] * (len(parts) // len(tuples))))
     groups: list[list[int]] = []
+    reps: list[tuple[complex, ...]] = []  # each group's representative tuple
     # the representatives, sorted by the real part of their first beam
     # (ties in creation order): that real part, and the group number
     rep_re: list[float] = []
     rep_k: list[int] = []
     key = None
     added = None  # group -> its size before this key's tuples, once a key repeats
-    for u_key, _, u, joining in visits:
+    for t in sorted(range(len(tuples)), key=keys.__getitem__):
+        u = tuples[t]
         u0 = u[0]
         u0_re = u0.real
         k = len(groups)  # a new group, unless a representative accepts u
@@ -545,18 +550,21 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
             w = _WINDOW * max(1.0, abs(u0))
             lo = bisect.bisect_left(rep_re, u0_re - w)
             hi = bisect.bisect_right(rep_re, u0_re + w)
-            for c in (rep_k[lo:hi] if hi - lo < 2 else sorted(rep_k[lo:hi])):
-                if _tuples_close(beams[groups[c][0]], u):
-                    k = c
-                    break
+            if lo < hi:
+                for c in (rep_k[lo:hi] if hi - lo < 2 else sorted(rep_k[lo:hi])):
+                    if _tuples_close(reps[c], u):
+                        k = c
+                        break
         if k == len(groups):
-            at = bisect.bisect_right(rep_re, u0_re) if rep_re else 0
+            at = bisect.bisect_right(rep_re, u0_re)
             rep_re.insert(at, u0_re)
             rep_k.insert(at, k)
+            reps.append(u)
             groups.append([])
         group = groups[k]
-        if u_key != key:  # the first tuple of its rounded key
-            key, key_group, key_start, added = u_key, k, len(group), None
+        joining = joinings[t]
+        if keys[t] != key:  # the first tuple of its rounded key
+            key, key_group, key_start, added = keys[t], k, len(group), None
             group += joining
             continue
         if added is None:
@@ -646,27 +654,32 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     sum that starts at 0j never takes that sign.  A term paired with itself
     in ``<a|a>`` weighs |amp_i|^2, with no overlap.
 
-    Pairs are added in order of i, then of ascending j.  In ``<a|a>`` with
-    no repeated label, as in every protocol state, each term pairs with
-    itself alone, so the sum walks the amplitudes in index order and looks
-    up no label.  Each weight is taken in C as amp_i conj(amp_i), whose
-    real part is amp.real^2 + amp.imag^2 to the bit and whose imaginary
-    part is (-x) + x = +0.0; only past |amp| ~ 1e154, where the real part
-    is inf, does an overflowing x make it NaN.  Otherwise each label of b
-    maps to its term indices: a
-    1-tuple while every label is held once, and a list per label only when
-    one repeats.  A list per label is tracked by CPython's cyclic garbage
-    collector, and at n^2 terms one per term starts collections that walk
-    the young columns; a small tuple mostly comes from a free list and is
-    not counted.
+    Pairs are added in order of i, then of ascending j.  Two states that
+    share one label column object with no repeated label pair term i with
+    term i alone.  When ``a is b`` or neither state has a beam, as in
+    ``<s|s>`` of every protocol state and the feedforward's outcome checks,
+    the sum walks the amplitudes in index order and looks up no label: each
+    weight is conj(a_i) b_i, taken in C.  In ``<a|a>`` its real
+    part is amp.real^2 + amp.imag^2 to the bit and its imaginary part is
+    (-x) + x = +0.0; only past |amp| ~ 1e154, where the real part is inf,
+    does an overflowing x make it NaN.  Otherwise each label of b maps to
+    its term indices: a 1-tuple while every label is held once, and a list
+    per label only when one repeats.  A list per label is tracked by
+    CPython's cyclic garbage collector, and at n^2 terms one per term starts
+    collections that walk the young columns; a small tuple mostly comes from
+    a free list and is not counted.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
     total = 0j
     sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
     same = a is b
-    if same and len(set(a_labels)) == len(a_labels):
-        pairs = list(map(operator.mul, amps, map(complex.conjugate, amps)))
+    if (
+        a_labels is b_labels
+        and (same or not (a_beams or b_beams))
+        and len(set(a_labels)) == len(a_labels)
+    ):
+        pairs = list(map(operator.mul, map(complex.conjugate, amps), b_amps))
         if sums is not None:
             for k, pair in zip(classes, pairs):
                 sums[k] += pair

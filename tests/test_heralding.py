@@ -1,9 +1,11 @@
 import array
 import cmath
+import functools
 import itertools
 import math
 import random
 import sys
+import types
 
 import pytest
 
@@ -18,9 +20,12 @@ from qubus_forge.heralding import (
     herald_vacuum,
     measure_ancilla_and_feedforward,
 )
+from qubus_forge import state as state_module
 from qubus_forge.protocols import (
+    ProtocolSpec,
     _attach_party,
     _run_stage,
+    generate,
     phased_coeffs,
     prepare_single_photon_qudit,
     target_state,
@@ -38,6 +43,7 @@ from qubus_forge.state import (
     _merge_groups,
     canonicalize,
     overlap_sq,
+    qubus_close,
     state_norm_sq,
 )
 
@@ -309,6 +315,90 @@ def test_branch_table_orders_equal_weights_by_rounded_beam():
     table = outcome.branch_table
     assert table == tuple(sorted(table, key=lambda r: (-r.weight, _beam_key(r.beam_amp))))
     assert [r.beam_amp for r in table] == [2.0, 3.0 + 1.0j, -1.0, 0.0, 0.5j, 3.0 - 1.0j]
+
+
+def classify_per_term(state, beam):
+    """Reference: the merge rule over one 1-tuple per term of the canonical
+    herald column, each term's class set from its group in a loop, and the
+    last class within MERGE_TOL of vacuum as the vacuum class, its rows in
+    the group's member order.  Returns (canonical state, vacuum rows,
+    success, branches, failures) as ``_classify_branches`` holds them."""
+    s = canonicalize(state)
+    col = s.beams[beam]
+    groups = _merge_groups([(q,) for q in col])
+    class_of = [0] * len(col)
+    for k, g in enumerate(groups):
+        for i in g:
+            class_of[i] = k
+    _, weights = _inner(s, s, classes=class_of)
+    vacuum, success, branches, failures = [], 0.0, [], []
+    for g, weight in zip(groups, weights):
+        rep = col[g[0]]
+        e2 = rep.real * rep.real + rep.imag * rep.imag
+        branches.append((rep, weight.real, e2))
+        if qubus_close(rep, 0.0):
+            vacuum, success = g, weight.real
+        elif weight.real > 0.0:
+            failures.append((math.log(weight.real), e2))
+    return s, vacuum, success, tuple(branches), tuple(failures)
+
+
+# herald beams: signed zeros; vacuum-class values with the rounded key of 0
+# (0.3e-12, -0.2e-12) and with another (-0.9e-12); 0.6e-12 and 0.9e-12, a
+# second class within MERGE_TOL of 0 once -0.9e-12 holds the first; and
+# failure beams 0.9 and 1.1 tolerances from 500
+HERALD_BEAMS = (
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.3e-12, -0.2e-12, -0.9e-12, 0.6e-12,
+    0.9e-12, 1.0, 500.0, 500.0 + 0.9 * MERGE_TOL * 500.0, 500.0 + 1.1 * MERGE_TOL * 500.0,
+    3.0 + 4.0j, 3.0 - 4.0j,
+)
+
+
+def test_herald_over_distinct_values_equals_the_per_term_rule():
+    # The herald runs the merge rule over its column's distinct values and
+    # gives each term its value's class.  On hand-built states with one or
+    # two beams, drawn from a few herald beams each, the classes, branches,
+    # failures and vacuum rows (order included) and the heralded state
+    # must be exactly those of the per-term rule.  The labels are distinct,
+    # in shuffled order, so no cross pair moves a class weight past the
+    # herald's checks.
+    rng = random.Random("distinct herald")
+    layouts = [RegisterLayout(party_dims=(4, 4), qubus_count=beams) for beams in (1, 2)]
+    every_label = [(a, b) for a in range(4) for b in range(4)]
+    seen = set()
+    for _ in range(1500):
+        layout = rng.choice(layouts)
+        beams = layout.qubus_count
+        pool = rng.sample(HERALD_BEAMS, rng.randint(1, 5))
+        terms = [
+            Term(complex(rng.gauss(0, 1), rng.gauss(0, 1)), lab,
+                 tuple(rng.choice(pool) for _ in range(beams)))
+            for lab in rng.sample(every_label, rng.randint(1, len(every_label)))
+        ]
+        scale = 1.0 / math.sqrt(state_norm_sq(HybridState(layout, terms)))
+        state = HybridState(layout, [Term(t.amp * scale, t.labels, t.qubus) for t in terms])
+        beam = rng.randrange(beams)
+        s, vacuum, success, branches, failures = classify_per_term(state, beam)
+        classes = _classify_branches(state, beam)
+        assert repr(tuple(classes)) == repr((s, vacuum, success, branches, failures))
+        if success > 0.0:
+            kept = [Term(s.amps[i] * (1.0 / math.sqrt(success)), s.labels[i],
+                         s.terms[i].qubus[:beam] + s.terms[i].qubus[beam + 1:]) for i in vacuum]
+        else:
+            kept = []
+        heralded = HybridState(layout.replace(qubus_count=beams - 1), kept)
+        outcome = herald_vacuum(state, beam, DetectorModel(0.7))
+        assert repr(outcome.heralded_state) == repr(heralded)
+        col = s.beams[beam]
+        values = {(q.real.hex(), q.imag.hex()) for q in (col[i] for i in vacuum)}
+        keys = {_beam_key(col[i]) for i in vacuum}
+        if len(values) > 1:
+            seen.add("same key" if len(keys) == 1 else "keys")
+        if any(math.copysign(1.0, q.real) < 0 and q == 0 for q in col):
+            seen.add("signed zero")
+        if sum(qubus_close(rep, 0.0) for rep, _, _ in branches) > 1:
+            seen.add("two vacuum classes")
+    assert seen == {"same key", "keys", "signed zero", "two vacuum classes"}
 
 
 def test_branch_record_serialization_is_finite():
@@ -599,6 +689,35 @@ def test_feedforward_tolerance_edge():
         else:
             with pytest.raises(FeedforwardError, match="outcomes disagree"):
                 measure_ancilla_and_feedforward(state, 0)
+
+
+def test_feedforward_outcomes_share_one_label_column(monkeypatch):
+    # Every outcome of a protocol state holds the same stripped labels, so
+    # all n outcomes share the first one's label column object, and the
+    # n - 1 agreement checks pair their terms index by index: with the
+    # class-weighted norm, n sums through the shared-column path of _inner.
+    for n, shifts in ((3, (0, 1)), (8, (0, 1, 5))):
+        report = generate(ProtocolSpec.balanced(n, len(shifts), shifts, THETA, ALPHA))
+        state = apply_fourier_lomi(report.per_stage[-1].heralded_state)
+        outcomes = feedforward_outcomes(state, 0)
+        assert len(outcomes) == n
+        assert all(out.labels is outcomes[0].labels for out in outcomes)
+        reduced = []
+
+        def reduce(*args):
+            reduced.append(args)
+            return functools.reduce(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(state_module, "functools", types.SimpleNamespace(reduce=reduce))
+            assert measure_ancilla_and_feedforward(state, 0) == outcomes[0]
+        assert len(reduced) == n
+    # outcomes whose labels agree but whose amplitudes do not still raise
+    state = _outcomes_off_by_phase(0.1)
+    first, second = feedforward_outcomes(state, 0)
+    assert first.labels is second.labels
+    with pytest.raises(FeedforwardError, match="outcomes disagree"):
+        measure_ancilla_and_feedforward(state, 0)
 
 
 def test_feedforward_rejects_missing_register():

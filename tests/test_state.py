@@ -1,12 +1,16 @@
 import cmath
+import functools
+import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubus_forge import state as state_module
 from qubus_forge.state import (
     DROP_TOL,
     MERGE_TOL,
@@ -14,6 +18,7 @@ from qubus_forge.state import (
     RegisterLayout,
     Term,
     _beam_key,
+    _derive,
     _inner,
     _logaddexp_reduce,
     _merge_groups,
@@ -545,6 +550,71 @@ def test_beamless_pairs_sum_as_if_times_exp_0j():
         assert list(map(_bits, sums)) == list(map(_bits, want_sums))
 
 
+def test_inner_pairs_a_shared_label_column_index_by_index(monkeypatch):
+    # Two states that share one label column object with no repeated label
+    # pair term i with term i in C when a is b or neither has a beam.  The
+    # total and the class sums must keep every bit of the pair-order
+    # reference, with signed zeros.  Equal but distinct label columns, a
+    # beam, and a repeated label take the general loop, with the same bits.
+    paths = []
+
+    def reduce(*args):
+        paths.append("shared")
+        return functools.reduce(*args)
+
+    # the shared-column path is the one that sums with functools.reduce
+    monkeypatch.setattr(state_module, "functools", types.SimpleNamespace(reduce=reduce))
+    rng = random.Random("shared column")
+    pool = (0j, complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0),
+            complex(-0.0, -1.0), complex(1.0, -0.0), -0.7j)
+    every_label = [(a, b, c) for a in range(4) for b in range(3) for c in range(2)]
+
+    def amps(count):
+        return tuple(
+            rng.choice(pool) if rng.random() < 0.4
+            else complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            for _ in range(count)
+        )
+
+    def check(a, b, shared):
+        classes = [rng.randrange(4) for _ in a.amps]
+        del paths[:]
+        assert _bits(_inner(a, b)) == _bits(_inner_in_pair_order(a, b))
+        total, sums = _inner(a, b, classes)
+        want_total, want_sums = _inner_in_pair_order(a, b, classes)
+        assert _bits(total) == _bits(want_total)
+        assert list(map(_bits, sums)) == list(map(_bits, want_sums))
+        assert paths == ["shared"] * 2 * shared
+
+    for beams in (0, 2):
+        layout = RegisterLayout(party_dims=(4, 3), ancilla_modes=2, qubus_count=beams)
+        for _ in range(60):
+            labels = rng.sample(every_label, rng.randint(1, len(every_label)))
+            a = HybridState(layout, [
+                Term(amp, lab, tuple(complex(rng.gauss(0, 2), rng.gauss(0, 2))
+                                     for _ in range(beams)))
+                for amp, lab in zip(amps(len(labels)), labels)
+            ])
+            b = _derive(a, amps=amps(len(labels)))
+            twin = _derive(HybridState(layout, a.terms), amps=b.amps)
+            assert b.labels is a.labels and twin.labels == a.labels
+            assert twin.labels is not a.labels
+            check(a, b, shared=not beams)
+            check(a, twin, shared=False)
+            del paths[:]
+            assert _bits(_inner(a, a)) == _bits(_inner(a, HybridState(layout, a.terms)))
+            assert paths == ["shared"]
+        for _ in range(60):  # a repeated label
+            labels = [rng.choice(every_label[:4]) for _ in range(rng.randint(2, 8))]
+            a = HybridState(layout, [
+                Term(amp, lab, tuple(rng.choice(pool) for _ in range(beams)))
+                for amp, lab in zip(amps(len(labels)), labels)
+            ])
+            if len(set(labels)) < len(labels):
+                check(a, _derive(a, amps=amps(len(labels))), shared=False)
+                check(a, a, shared=False)
+
+
 def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
     # _merge_groups(beams, index) groups the beams at the ascending indices
     # `index` as the greedy rule groups that sublist
@@ -574,6 +644,34 @@ def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
         for _ in range(4):
             index = sorted(rng.sample(range(len(beams)), rng.randint(0, len(beams))))
             assert _merge_groups(beams, index) == greedy_of(beams, index), (beams, index)
+
+
+# a herald column holds a few distinct values, each many times: exact
+# repeats, 0j beside -0j, values within MERGE_TOL of 0 with one rounded key
+# and with two, same-rounded-key near-ties, and beams 0.9 and 1.1
+# tolerances from 500
+HERALD_VALUES = (
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.3e-12, -0.2e-12,
+    0.6e-12, -0.9e-12, 0.9e-12, 1.0, 500.0, 500.0 + 0.9 * MERGE_TOL * 500.0,
+    500.0 + 1.1 * MERGE_TOL * 500.0, NEAR_U, NEAR_V, NEAR_W, 0.04 + 4.2j, 0.04 - 4.2j,
+)
+herald_pools = st.integers(1, 2).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[st.sampled_from(HERALD_VALUES)] * width), min_size=1, max_size=5,
+        unique_by=lambda u: tuple((q.real.hex(), q.imag.hex()) for q in u),
+    )
+)
+herald_columns = herald_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(herald_columns, st.data())
+def test_merge_groups_of_herald_shaped_columns_equal_the_greedy_rule(beams, data):
+    assert _merge_groups(beams) == greedy_merge_groups(beams)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(beams), max_size=len(beams)))
+    index = list(itertools.compress(range(len(beams)), keep))
+    greedy = greedy_merge_groups([beams[i] for i in index])
+    assert _merge_groups(beams, index) == [[index[p] for p in g] for g in greedy]
 
 
 def test_merge_neglects_at_most_the_stated_overlap_phase():

@@ -11,9 +11,13 @@ imports itself only relatively, so both load side by side.
 
 The ``generate`` cases are the ``paper_point`` classes n = 2, 3, 4, 5 with
 two parties (n = 4 is the class that holds that workload's median) and
-n = 3 with three, then n = 24, 32, 40, 48 with two parties and
-n = 24 with three (shifts (0, 1), (0, 1, 2) or (0, 1, 5), theta 0.01,
-alpha 500).  The spec is built once, so every call after the first finds
+n = 3 with three, then the five ``wide_qudit`` classes: n = 24, 32, 40, 48
+with two parties and n = 24 with three (shifts (0, 1), (0, 1, 2) or
+(0, 1, 5), theta 0.01, alpha 500).  A ``wide_qudit`` block runs each of
+the five once, so its p50 is the third of them by time (n = 32) and its
+p75 the fourth (n = 40), and its ``requests_per_s`` follows their summed
+time: the last row, ``wide block``, gives the median of the per-round
+ratios of that sum, and each side's median sum, in each pass.  The spec is built once, so every call after the first finds
 its n's prepared state and layouts memoized, as a workload that repeats n
 does.  The request-shaped ``req`` cases pay the spec's cost too, as a
 ``paper_point`` request does: one per (n, parties) class of that workload
@@ -65,12 +69,14 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
-# (n, shifts): the paper's range (n <= 5, two or three parties), then two
-# parties over a range of n, and three at n = 24
+# (n, shifts): the five classes of a wide_qudit block, two parties over a
+# range of n and three at n = 24
+WIDE_CASES = ((24, (0, 1)), (32, (0, 1)), (40, (0, 1)), (48, (0, 1)), (24, (0, 1, 5)))
+
+# the paper's range (n <= 5, two or three parties), then the wide classes
 GENERATE_CASES = (
     (2, (0, 1)), (3, (0, 1)), (4, (0, 1)), (5, (0, 1)), (3, (0, 1, 2)),
-    (24, (0, 1)), (32, (0, 1)), (40, (0, 1)), (48, (0, 1)), (24, (0, 1, 5)),
-)
+) + WIDE_CASES
 
 # the (n, parties) classes of a paper_point block, and the seeded specs
 # each request-shaped call builds
@@ -190,6 +196,18 @@ def time_calls(call, calls: int, collector: bool = False, reset=_no_reset) -> tu
         gc.enable()
 
 
+def timing_columns(times, passes) -> str:
+    """Per pass: the median of the per-round ratios change / parent, then
+    each side's median time per call in ms."""
+    row = ""
+    for kind in passes:
+        parent, change = times["parent", kind], times["change", kind]
+        ratio = statistics.median(c / p for p, c in zip(parent, change))
+        medians = [1e3 * statistics.median(times[side, kind]) for side in SIDES]
+        row += f" {ratio:>7.3f} {medians[0]:>10.3f} {medians[1]:>10.3f}"
+    return row
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -205,6 +223,8 @@ def main(argv=None) -> None:
         modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
         memos = {side: erasure_memo(modules[side]) for side in SIDES}
         resets = {side: memos[side].clear if memos[side] else _no_reset for side in SIDES}
+        wide_labels = {generate_case(n, shifts)[0] for n, shifts in WIDE_CASES}
+        wide = {}  # (side, pass) -> per wide class, its time per call in each round
         columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
         print(f"{'':<16} {'gc off':^29} {'gc on':^29} {'cold, gc on':^29}"
               f"  collections per call  memo hits per call")
@@ -233,12 +253,10 @@ def main(argv=None) -> None:
                             started[side] += count
                         if memo and not cold:
                             hits[side] += memo.hits - before
-            row = f"{label:<16}"
-            for kind in passes:
-                parent, change = times["parent", kind], times["change", kind]
-                ratio = statistics.median(c / p for p, c in zip(parent, change))
-                medians = [1e3 * statistics.median(times[side, kind]) for side in SIDES]
-                row += f" {ratio:>7.3f} {medians[0]:>10.3f} {medians[1]:>10.3f}"
+            if label in wide_labels:
+                for key, seconds in times.items():
+                    wide.setdefault(key, []).append(seconds)
+            row = f"{label:<16}" + timing_columns(times, passes)
             per_call = [started[side] / (args.rounds * batch) for side in SIDES]
             row += f" {per_call[0]:>8.2f} {per_call[1]:>8.2f} "
             for side in SIDES:
@@ -246,6 +264,9 @@ def main(argv=None) -> None:
                 warm_calls = 2 * args.rounds * (batch + 1)
                 row += f" {hits[side] / warm_calls:>8.2f}" if memos[side] else f" {'-':>8}"
             print(row)
+        # each round's times summed over the wide classes, per side and pass
+        block = {key: [sum(r) for r in zip(*per_case)] for key, per_case in wide.items()}
+        print(f"{'wide block':<16}" + timing_columns(block, passes))
 
 
 if __name__ == "__main__":
