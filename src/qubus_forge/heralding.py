@@ -177,9 +177,10 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
 
     A protocol state's herald column holds at most 2n - 1 distinct values
     among its n^2 terms, so the merge rule runs over the column's distinct
-    values, in order of first appearance, which is the order in which
-    :func:`state._merge_groups` buckets equal tuples; 0j and -0j are one
-    value, the first its representative.  Each term takes its value's
+    values, in order of first appearance; 0j and -0j are one value, the
+    first its representative.  Over the whole column the rule would visit
+    equal values in index order, and a repeat would join the group of the
+    first, so the classes are the same.  Each term takes its value's
     class through one dict lookup in C.  The vacuum class's rows come in
     index order; when the class holds two or more distinct values, the
     merge rule over those rows alone puts them back in its member order,
@@ -274,10 +275,7 @@ def feedforward_outcomes(
     label with the rest, so restricted to one k0 it is that outcome's own
     canonical order, with the same merge runs; and each class sum is bit for
     bit that outcome's own norm.  The results equal those of one
-    canonicalize and one norm per outcome.  An outcome whose stripped label
-    column equals the first outcome's (one comparison in C) shares that
-    column object, as every outcome of a protocol state does, so the
-    :func:`state._inner` of two outcomes pairs their terms index by index.
+    canonicalize and one norm per outcome.
 
     Errors come in this order: a corrected amplitude or a merged sum that
     is not finite (ValueError, for any outcome), then the first unreachable
@@ -314,14 +312,9 @@ def feedforward_outcomes(
             )
     new_layout = layout.replace(ancilla_modes=0)
     outcomes = []
-    first = None
     for rows, norm_sq in zip(by_outcome, norms):
         scale = 1.0 / math.sqrt(norm_sq.real)
         labels = tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in rows])
-        if first is None:
-            first = labels
-        elif labels == first:
-            labels = first
         outcomes.append(_derive(
             corrected, rows, new_layout, tuple([all_amps[i] * scale for i in rows]), labels
         ))

@@ -482,8 +482,11 @@ def _beam_key(q: complex) -> tuple[float, float]:
 
 # The half-width of _merge_groups' window, per unit of max(1, |u0|):
 # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
-# (1 - MERGE_TOL), and 1e-3 of that more covers rounding (~1e-16 |u0|).
-_WINDOW = MERGE_TOL / (1.0 - MERGE_TOL) * 1.001
+# (1 - MERGE_TOL).  The window is taken on real parts rounded to 12
+# decimals, each within 0.5e-12 + 1/2 ulp of its value, so 1e-12 more
+# (max(1, |u0|) is at least 1) covers the rounding of both keys, and 1e-3
+# of the whole more covers their ulps (~1e-16 |u0|).
+_WINDOW = (MERGE_TOL / (1.0 - MERGE_TOL) + 1e-12) * 1.001
 
 
 def _merge_groups(beams, index=None) -> list[list[int]]:
@@ -495,84 +498,46 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     else starts a new group.  Groups come in creation order and list their
     members in visit order, so a group's first index is its representative.
 
-    The indices are bucketed by distinct beam tuple, and the search runs
-    once per distinct tuple, in rounded-key order (ties in order of first
-    appearance): a tuple equal to one visited before would join that
-    tuple's group, since the groups created before it were not close to
-    the earlier tuple and representatives never change.  A tuple's members
-    join its group together.  Distinct tuples that share a rounded key and
-    land in one group are visited interleaved, so the part of the group
-    that such a key added is put back in index order.
+    Every real and imaginary part is rounded in one ``map``, to the
+    :func:`_beam_key` of each beam, and a tuple's key is its beams' rounded
+    parts in a row, which sorts and compares as its list of
+    :func:`_beam_key` pairs.  A stable sort of the positions in ``index`` on
+    those keys gives the visit order.
 
-    The per-tuple bookkeeping is flat.  Every real and imaginary part is
-    rounded in one ``map``, to the :func:`_beam_key` of each beam, and a
-    tuple's key is its beams' rounded parts in a row, which sorts and
-    compares as its list of :func:`_beam_key` pairs.  A stable sort of the
-    tuple numbers on those keys gives the visit order.
-
-    Only representatives whose first beam has a real part within
-    w = MERGE_TOL max(1, |u0|) / (1 - MERGE_TOL) of the visited u0 are
-    tested: :func:`qubus_close` accepts no pair farther apart, so the first
-    match in creation order is the same as over all groups (the bound
-    needs finite beams, which every :class:`Term` has).  Each group's
-    representative tuple is kept by group number, and two flat lists sorted
-    together hold the real part of each one's first beam and its group
-    number, so the window is two float bisects and its candidates a slice
-    of group numbers, sorted into creation order when it holds two or more.
-    An empty window takes no slice.  The per-key state of the index-order
-    re-sort is built only when a rounded key repeats.
+    Only representatives whose first beam's rounded real part lies within
+    :data:`_WINDOW` max(1, |u0|) of the visited u0's are tested:
+    :func:`qubus_close` accepts no pair farther apart, so the first match
+    in creation order is the same as over all groups (the bound needs
+    finite beams, which every :class:`Term` has).  Groups are created in
+    visit order, which sorts first on that rounded real part, so the
+    representatives' rounded real parts never decrease: the window is two
+    bisects of an append-only list, and its slice is in creation order.
     """
     if index is None:
         index = range(len(beams))
     if len(index) <= 1 or not beams[index[0]]:
         return [list(index)] if index else []
-    members: dict[tuple[complex, ...], list[int]] = {}
-    for i in index:
-        members.setdefault(beams[i], []).append(i)
-    tuples, joinings = list(members), list(members.values())
-    parts = [x for u in tuples for q in u for x in (q.real, q.imag)]
+    parts = [x for i in index for q in beams[i] for x in (q.real, q.imag)]
     rounded = map(round, parts, itertools.repeat(12))
-    keys = list(zip(*[rounded] * (len(parts) // len(tuples))))
+    keys = list(zip(*[rounded] * (len(parts) // len(index))))
     groups: list[list[int]] = []
     reps: list[tuple[complex, ...]] = []  # each group's representative tuple
-    # the representatives, sorted by the real part of their first beam
-    # (ties in creation order): that real part, and the group number
-    rep_re: list[float] = []
-    rep_k: list[int] = []
-    key = None
-    added = None  # group -> its size before this key's tuples, once a key repeats
-    for t in sorted(range(len(tuples)), key=keys.__getitem__):
-        u = tuples[t]
-        u0 = u[0]
-        u0_re = u0.real
-        k = len(groups)  # a new group, unless a representative accepts u
-        if rep_re:
-            w = _WINDOW * max(1.0, abs(u0))
-            lo = bisect.bisect_left(rep_re, u0_re - w)
-            hi = bisect.bisect_right(rep_re, u0_re + w)
-            if lo < hi:
-                for c in (rep_k[lo:hi] if hi - lo < 2 else sorted(rep_k[lo:hi])):
-                    if _tuples_close(reps[c], u):
-                        k = c
-                        break
-        if k == len(groups):
-            at = bisect.bisect_right(rep_re, u0_re)
-            rep_re.insert(at, u0_re)
-            rep_k.insert(at, k)
+    rep_re: list[float] = []  # the rounded real part of its first beam
+    for p in sorted(range(len(index)), key=keys.__getitem__):
+        i = index[p]
+        u = beams[i]
+        u0_re = keys[p][0]
+        w = _WINDOW * max(1.0, abs(u[0]))
+        lo = bisect.bisect_left(rep_re, u0_re - w)
+        hi = bisect.bisect_right(rep_re, u0_re + w)
+        for k in range(lo, hi):
+            if _tuples_close(reps[k], u):
+                groups[k].append(i)
+                break
+        else:
+            groups.append([i])
             reps.append(u)
-            groups.append([])
-        group = groups[k]
-        joining = joinings[t]
-        if keys[t] != key:  # the first tuple of its rounded key
-            key, key_group, key_start, added = keys[t], k, len(group), None
-            group += joining
-            continue
-        if added is None:
-            added = {key_group: key_start}
-        start = added.setdefault(k, len(group))
-        group += joining
-        if start < len(group) - len(joining):  # another tuple of this key
-            group[start:] = sorted(group[start:])
+            rep_re.append(u0_re)
     return groups
 
 
@@ -654,20 +619,16 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     sum that starts at 0j never takes that sign.  A term paired with itself
     in ``<a|a>`` weighs |amp_i|^2, with no overlap.
 
-    Pairs are added in order of i, then of ascending j.  Two states that
-    share one label column object with no repeated label pair term i with
-    term i alone.  When ``a is b`` or neither state has a beam, as in
-    ``<s|s>`` of every protocol state and the feedforward's outcome checks,
-    the sum walks the amplitudes in index order and looks up no label: each
-    weight is conj(a_i) b_i, taken in C.  In ``<a|a>`` its real
+    Pairs are added in order of i, then of ascending j.  Two states with
+    equal label columns and no repeated label pair term i with term i
+    alone.  When ``a is b`` or neither state has a beam, as in ``<s|s>`` of
+    every protocol state, the feedforward's outcome checks and the target
+    overlap, the sum walks the amplitudes in index order and looks up no
+    label: each weight is conj(a_i) b_i, taken in C.  In ``<a|a>`` its real
     part is amp.real^2 + amp.imag^2 to the bit and its imaginary part is
     (-x) + x = +0.0; only past |amp| ~ 1e154, where the real part is inf,
     does an overflowing x make it NaN.  Otherwise each label of b maps to
-    its term indices: a 1-tuple while every label is held once, and a list
-    per label only when one repeats.  A list per label is tracked by
-    CPython's cyclic garbage collector, and at n^2 terms one per term starts
-    collections that walk the young columns; a small tuple mostly comes from
-    a free list and is not counted.
+    the list of its term indices.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
@@ -675,8 +636,8 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
     same = a is b
     if (
-        a_labels is b_labels
-        and (same or not (a_beams or b_beams))
+        (same or not (a_beams or b_beams))
+        and (a_labels is b_labels or a_labels == b_labels)
         and len(set(a_labels)) == len(a_labels)
     ):
         pairs = list(map(operator.mul, map(complex.conjugate, amps), b_amps))
@@ -685,11 +646,9 @@ def _inner(a: HybridState, b: HybridState, classes=None):
                 sums[k] += pair
         total = functools.reduce(operator.add, pairs, total)
         return total if sums is None else (total, sums)
-    by_labels = {labels: (j,) for j, labels in enumerate(b_labels)}
-    if len(by_labels) < len(b_labels):  # a label repeats
-        by_labels = {}
-        for j, labels in enumerate(b_labels):
-            by_labels.setdefault(labels, []).append(j)
+    by_labels: dict[tuple[int, ...], list[int]] = {}
+    for j, labels in enumerate(b_labels):
+        by_labels.setdefault(labels, []).append(j)
     for i, labels in enumerate(a_labels):
         for j in by_labels.get(labels, ()):
             if same and i == j:

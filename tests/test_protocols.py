@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -10,6 +11,7 @@ import math
 import random
 import re
 import sys
+import types
 from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
 
@@ -905,6 +907,62 @@ def test_protocol_states_reach_canonicalize_in_canonical_form(monkeypatch):
         assert seen == [("_classify_branches", True)] * spec.parties + [
             ("apply_fourier_lomi", True), ("feedforward_outcomes", True)
         ], spec
+
+
+def test_protocol_traffic_merges_distinct_tuples_and_pairs_inner_by_index(monkeypatch):
+    # Over the report digest's generate specs, with both memos cleared, and
+    # a 10 x 5 x 4 sweep grid at n = 3 and at n = 5, every _merge_groups
+    # call is handed pairwise-distinct beam tuples, and every _inner call
+    # pairs its terms index by index.  _merge_groups and _inner keep their
+    # general rules for hand-built states; this pins the protocol traffic
+    # that the herald's distinct values and the equal label columns shape.
+    import qubus_forge.state as state_module
+
+    merges, inners, reduced = [], [], []
+
+    def merge_groups(beams, index=None):
+        given = [beams[i] for i in (range(len(beams)) if index is None else index)]
+        merges.append(len(set(given)) == len(given))
+        return original_merge(beams, index)
+
+    def inner(*args, **kwargs):
+        inners.append(None)
+        return original_inner(*args, **kwargs)
+
+    def reduce(*args):
+        reduced.append(None)
+        return functools.reduce(*args)
+
+    original_merge, original_inner = state_module._merge_groups, state_module._inner
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qubus_forge"):
+            for attr, original, wrapper in (
+                ("_merge_groups", original_merge, merge_groups), ("_inner", original_inner, inner)
+            ):
+                if getattr(mod, attr, None) is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    # the index-pairing path is the one that sums with functools.reduce
+    monkeypatch.setattr(state_module, "functools", types.SimpleNamespace(reduce=reduce))
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+    loader = importlib.util.spec_from_file_location("report_digest", path)
+    report_digest = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(report_digest)
+    builds = list(report_digest.generate_specs())
+    assert len(builds) == 154
+    for build in builds:
+        spec = build()
+        _prepared.cache_clear()
+        _erased.clear()
+        assert generate(spec).failed_stage is None
+    rng = random.Random("traffic grids")
+    for n in (3, 5):
+        alphas = tuple(sorted(rng.uniform(50.0, 500.0) for _ in range(10)))
+        thetas = tuple(sorted(10.0 ** rng.uniform(-3.0, -1.0) for _ in range(5)))
+        etas = tuple(sorted(rng.uniform(0.5, 1.0) for _ in range(4)))
+        _prepared.cache_clear()
+        assert len(run_sweep(SweepGrid(alphas, thetas, etas, n))) == 200
+    assert merges and all(merges), merges.count(False)
+    assert inners and len(reduced) == len(inners), (len(reduced), len(inners))
 
 
 def test_generate_derives_each_heralded_state_once(monkeypatch):

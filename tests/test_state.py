@@ -283,8 +283,13 @@ def greedy_merge_groups(beams):
 
 
 # the conjugate pairs share a real part, as each +-d pair of herald beams
-# does, so the representatives' real parts tie
-MERGE_CENTRES = (0.0, 1.0, 500.0, -500.0, 500j, 500 + 3j, 500 - 3j, 0.04 + 4.2j, 0.04 - 4.2j)
+# does, so the representatives' real parts tie; 0.5e-12 + 500j puts real
+# parts a window's width apart on a rounding boundary of their 12-decimal
+# keys
+MERGE_CENTRES = (
+    0.0, 1.0, 500.0, -500.0, 500j, 500 + 3j, 500 - 3j, 0.04 + 4.2j, 0.04 - 4.2j,
+    0.5e-12 + 500j,
+)
 MERGE_DIRECTIONS = (1, -1, 1j, -1j) + tuple(
     cmath.exp(1j * math.pi * (k + 0.5) / 2) for k in range(4)
 )
@@ -318,14 +323,22 @@ def test_merge_window_edges():
     # although the newer one has the smaller first-beam real part
     beams = [(0.3e-12, -0.2e-12), (-0.3e-12, 1.4e-12), (0.0, 0.6e-12)]
     assert _merge_groups(beams) == greedy_merge_groups(beams) == [[0, 2], [1]]
+    # close pairs whose first real parts round 1e-12 farther apart than they
+    # are: the window must cover the rounding of both keys
+    for beams in (
+        [(5.005000000000006e-10 + 500.0000000000005j,), (5e-13 + 500.0000000000005j,)],
+        [(1.0000000000028284 + 1j,), (1.0000000000014284 + 1j,)],
+    ):
+        assert _merge_groups(beams) == greedy_merge_groups(beams) == [[1, 0]], beams
     assert _merge_groups([(), (), ()]) == [[0, 1, 2]]
     assert _merge_groups([(5.0,)]) == [[0]]
     assert _merge_groups([]) == []
 
 
 def test_merge_groups_place_exact_repeats_like_the_greedy_rule():
-    # a tuple equal to one already visited joins that tuple's group without
-    # a search; every case below must still group as the greedy rule does
+    # exact repeats of a tuple, among near-ties and tuples of the same
+    # rounded key, join the group of its first copy; every case below must
+    # group as the greedy rule does
     tol = MERGE_TOL * 500.0
     a, b, near_a = 500.0 + 0j, 500.0 + 1e-3j, 500.0 + 0.9 * tol
     # the same rounded _beam_key, yet |u - v| = 1.3e-12 > MERGE_TOL: apart
@@ -551,11 +564,11 @@ def test_beamless_pairs_sum_as_if_times_exp_0j():
 
 
 def test_inner_pairs_a_shared_label_column_index_by_index(monkeypatch):
-    # Two states that share one label column object with no repeated label
-    # pair term i with term i in C when a is b or neither has a beam.  The
-    # total and the class sums must keep every bit of the pair-order
-    # reference, with signed zeros.  Equal but distinct label columns, a
-    # beam, and a repeated label take the general loop, with the same bits.
+    # Two states with equal label columns, one object or two, and no
+    # repeated label pair term i with term i in C when a is b or neither has
+    # a beam.  The total and the class sums must keep every bit of the
+    # pair-order reference, with signed zeros.  A beam and a repeated label
+    # take the general loop, with the same bits.
     paths = []
 
     def reduce(*args):
@@ -600,10 +613,11 @@ def test_inner_pairs_a_shared_label_column_index_by_index(monkeypatch):
             assert b.labels is a.labels and twin.labels == a.labels
             assert twin.labels is not a.labels
             check(a, b, shared=not beams)
-            check(a, twin, shared=False)
+            check(a, twin, shared=not beams)
             del paths[:]
             assert _bits(_inner(a, a)) == _bits(_inner(a, HybridState(layout, a.terms)))
-            assert paths == ["shared"]
+            # the copy pairs by index too when neither state has a beam
+            assert paths == ["shared"] * (1 + (not beams))
         for _ in range(60):  # a repeated label
             labels = [rng.choice(every_label[:4]) for _ in range(rng.randint(2, 8))]
             a = HybridState(layout, [
