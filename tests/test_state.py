@@ -323,8 +323,8 @@ def test_merge_window_edges():
     # although the newer one has the smaller first-beam real part
     beams = [(0.3e-12, -0.2e-12), (-0.3e-12, 1.4e-12), (0.0, 0.6e-12)]
     assert _merge_groups(beams) == greedy_merge_groups(beams) == [[0, 2], [1]]
-    # close pairs whose first real parts round 1e-12 farther apart than they
-    # are: the window must cover the rounding of both keys
+    # close pairs whose first real parts, once rounded to their keys, lie
+    # farther apart than the window would without its rounding slack
     for beams in (
         [(5.005000000000006e-10 + 500.0000000000005j,), (5e-13 + 500.0000000000005j,)],
         [(1.0000000000028284 + 1j,), (1.0000000000014284 + 1j,)],
