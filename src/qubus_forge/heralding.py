@@ -10,6 +10,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +25,7 @@ from .state import (
     _logaddexp_reduce,
     _merge_groups,
     _number,
+    _taker,
     _without_beam,
     canonicalize,
 )
@@ -115,15 +117,17 @@ class HeraldOutcome:
 class _BranchClasses(NamedTuple):
     """The detector-independent half of a vacuum herald.
 
-    ``state`` is the canonical state and ``vacuum`` the indices of its
-    vacuum-class terms, whose weight is ``success_prob``.  ``branches``
+    ``state`` is the canonical state, ``class_of`` the class number of each
+    of its terms and ``vacuum`` the number of the vacuum class (None when
+    no class is vacuum), whose weight is ``success_prob``.  ``branches``
     holds one (representative beam, weight, |beam|^2) entry per
     beam-amplitude class, in class order; ``failures`` holds (log weight,
     |beam|^2) of each failure class of positive weight, in the same order.
     """
 
     state: HybridState
-    vacuum: list[int]
+    class_of: list[int]
+    vacuum: int | None
     success_prob: float
     branches: tuple[tuple[complex, float, float], ...]
     failures: tuple[tuple[float, float], ...]
@@ -143,13 +147,21 @@ def herald_vacuum(
 
     The heralded state is built in one derivation of the canonical state:
     its vacuum-class rows, each amplitude scaled by 1/sqrt(success_prob),
-    without the consumed beam.
+    without the consumed beam.  The rows come in index order; when the
+    vacuum class holds two or more distinct beam values, the merge rule
+    over those rows alone puts them back in its member order, which
+    restricted to one group's members is the same.
     """
     classes = _classify_branches(state, beam)
     success = classes.success_prob
     canonical = classes.state
     if success > 0.0:
-        rows = classes.vacuum
+        col = canonical.beams[beam]
+        in_vacuum = map(classes.vacuum.__eq__, classes.class_of)
+        rows = list(itertools.compress(range(len(col)), in_vacuum))
+        if len(set(map(col.__getitem__, rows))) > 1:
+            order = _merge_groups([(col[i],) for i in rows])[0]
+            rows = [rows[p] for p in order]
         scale = 1.0 / math.sqrt(success)
         amps = canonical.amps
         heralded = _without_beam(canonical, beam, rows, tuple([amps[i] * scale for i in rows]))
@@ -181,10 +193,11 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     first its representative.  Over the whole column the rule would visit
     equal values in index order, and a repeat would join the group of the
     first, so the classes are the same.  Each term takes its value's
-    class through one dict lookup in C.  The vacuum class's rows come in
-    index order; when the class holds two or more distinct values, the
-    merge rule over those rows alone puts them back in its member order,
-    which restricted to one group's members is the same.
+    class through one dict lookup in C.  The class weights come from one
+    class-weighted :func:`state._inner` pass, which skips its
+    repeated-label check when :func:`canonicalize` returned the state as it
+    is.  Only :func:`herald_vacuum` reads the vacuum class's rows, so it
+    picks them itself.
     """
     _check_beam(state, beam)
     if not state.amps:
@@ -198,7 +211,7 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
         for p in g:
             class_of_value[values[p]] = k
     class_of = list(map(class_of_value.__getitem__, col))
-    norm_sq, weights = _inner(s, s, classes=class_of)
+    norm_sq, weights = _inner(s, s, classes=class_of, distinct=s is state)
     if abs(norm_sq.real - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before heralding")
 
@@ -223,13 +236,7 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     # may exceed 1 by as much.
     if not -NORM_TOL <= success <= 1.0 + NORM_TOL:
         raise ValueError("success probability out of [0, 1]")
-    vacuum_rows: list[int] = []
-    if vacuum is not None:
-        vacuum_rows = list(itertools.compress(range(len(col)), map(vacuum.__eq__, class_of)))
-        if len(groups[vacuum]) > 1:
-            order = _merge_groups([(col[i],) for i in vacuum_rows])[0]
-            vacuum_rows = [vacuum_rows[p] for p in order]
-    return _BranchClasses(s, vacuum_rows, success, tuple(branches), tuple(failures))
+    return _BranchClasses(s, class_of, vacuum, success, tuple(branches), tuple(failures))
 
 
 def _failure_log(classes: _BranchClasses, eta: float) -> tuple[float, float]:
@@ -277,6 +284,13 @@ def feedforward_outcomes(
     bit that outcome's own norm.  The results equal those of one
     canonicalize and one norm per outcome.
 
+    The passes over every term run in C: the party and spatial label
+    columns through ``itemgetter``, each term's phase and corrected
+    amplitude through ``map``, and one strip of the spatial label over the
+    whole column, from which each outcome takes its rows.  When
+    :func:`canonicalize` returns the corrected state as it is, its labels
+    strictly increase, so the norm pass skips its repeated-label check.
+
     Errors come in this order: a corrected amplitude or a merged sum that
     is not finite (ValueError, for any outcome), then the first unreachable
     outcome in k0 order (:class:`FeedforwardError`).  An outcome is
@@ -284,24 +298,32 @@ def feedforward_outcomes(
     terms that cancel on beams just beyond :data:`state.MERGE_TOL` of each
     other are kept apart and can sum to a norm of 0.0.
     """
+    return _feedforward(state, correction_party)[0]
+
+
+def _feedforward(state: HybridState, correction_party: int) -> tuple[list[HybridState], bool]:
+    """(:func:`feedforward_outcomes`, whether canonicalize returned the
+    corrected state as it is): then no outcome's labels repeat, the proof
+    that :func:`measure_ancilla_and_feedforward` hands its checks."""
     layout = state.layout
     slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
+    js = list(map(operator.itemgetter(party_slot), state.labels))
+    k0s = list(map(operator.itemgetter(slot), state.labels))
     # one row per label value the state holds, whatever the party's dimension
-    held = {labels[party_slot] for labels in state.labels}
-    phases = {j: _correction_row(n, j) for j in held}
-    amps = tuple([
-        amp * phases[labels[party_slot]][labels[slot]]
-        for amp, labels in zip(state.amps, state.labels)
-    ])
-    corrected = canonicalize(_derive(state, amps=amps))
+    phases = {j: _correction_row(n, j) for j in set(js)}
+    corrections = map(operator.getitem, map(phases.__getitem__, js), k0s)
+    derived = _derive(state, amps=tuple(map(operator.mul, state.amps, corrections)))
+    corrected = canonicalize(derived)
+    proven = corrected is derived
     all_amps, all_labels = corrected.amps, corrected.labels
-    k0s = [labels[slot] for labels in all_labels]
+    if not proven:
+        k0s = list(map(operator.itemgetter(slot), all_labels))
     by_outcome: list[list[int]] = [[] for _ in range(n)]
     for i, k0 in enumerate(k0s):
         by_outcome[k0].append(i)
-    _, norms = _inner(corrected, corrected, classes=k0s)
+    _, norms = _inner(corrected, corrected, classes=k0s, distinct=proven)
     # an outcome past the last reached one has no class sum: its norm is 0
     norms += [0j] * (n - len(norms))
     for k0, norm_sq in enumerate(norms):
@@ -311,14 +333,15 @@ def feedforward_outcomes(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
     new_layout = layout.replace(ancilla_modes=0)
+    # every term's labels without the spatial one, in one pass
+    keep = [k for k in range(len(layout.label_dims())) if k != slot]
+    stripped = tuple(map(_taker(keep), all_labels))
     outcomes = []
     for rows, norm_sq in zip(by_outcome, norms):
         scale = 1.0 / math.sqrt(norm_sq.real)
-        labels = tuple([all_labels[i][:slot] + all_labels[i][slot + 1 :] for i in rows])
-        outcomes.append(_derive(
-            corrected, rows, new_layout, tuple([all_amps[i] * scale for i in rows]), labels
-        ))
-    return outcomes
+        amps = tuple([all_amps[i] * scale for i in rows])
+        outcomes.append(_derive(corrected, rows, new_layout, amps, _taker(rows)(stripped)))
+    return outcomes, proven
 
 
 def measure_ancilla_and_feedforward(
@@ -332,10 +355,10 @@ def measure_ancilla_and_feedforward(
     :class:`FeedforwardError` when the outcomes disagree beyond fidelity
     1 - :data:`FEEDFORWARD_TOL`, which signals a mis-built circuit.
     """
-    outcomes = feedforward_outcomes(state, correction_party)
+    outcomes, distinct = _feedforward(state, correction_party)
     ref = outcomes[0]
     for other in outcomes[1:]:
         # both are normalized, so this is their fidelity
-        if abs(_abs_sq(_inner(ref, other)) - 1.0) > FEEDFORWARD_TOL:
+        if abs(_abs_sq(_inner(ref, other, distinct=distinct)) - 1.0) > FEEDFORWARD_TOL:
             raise FeedforwardError("feedforward failed: outcomes disagree")
     return ref

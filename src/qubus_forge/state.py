@@ -406,7 +406,9 @@ def _derive(
     is the source's, picked by ``src``.  ``beams`` is the whole beam tuple,
     one column per beam the result keeps, over the source's terms, so it is
     picked by ``src`` too.  Each given amplitude or beam column that is not
-    one of the source's is checked for finiteness here, once.
+    one of the source's is checked for finiteness here, once per column
+    object: a column given twice, as :func:`protocols._attach_party` gives
+    its fresh (alpha, alpha) pair, is checked the first time only.
     """
     take = None if src is None else _taker(src)
     if amps is None:
@@ -418,11 +420,14 @@ def _derive(
     if beams is None:
         beams = state._beams
     else:
+        checked = state._beams
         for col in beams:
-            # `in` matches the source's own column by identity first; a
-            # column equal to a finite one is finite too
-            if col not in state._beams and not all(map(cmath.isfinite, col)):
-                raise ValueError("qubus amplitudes must be finite")
+            # `in` matches the source's own column, or one checked already, by
+            # identity first; a column equal to a finite one is finite too
+            if col not in checked:
+                if not all(map(cmath.isfinite, col)):
+                    raise ValueError("qubus amplitudes must be finite")
+                checked += (col,)
     if take is not None:
         beams = tuple(map(take, beams))
     return _columns(state._layout if layout is None else layout, amps, labels, beams)
@@ -473,13 +478,6 @@ def _tuples_close(p, q) -> bool:
     return all(map(qubus_close, p, q))
 
 
-def _beam_key(q: complex) -> tuple[float, float]:
-    """Sort key of one beam amplitude: real and imaginary parts rounded to
-    the 12 decimals of :data:`MERGE_TOL`.  :func:`_merge_groups` rounds
-    inline to this key, once per beam."""
-    return (round(q.real, 12), round(q.imag, 12))
-
-
 # The half-width of _merge_groups' window, per unit of max(1, |u0|):
 # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
 # (1 - MERGE_TOL).  The window is taken on real parts rounded to 12
@@ -498,11 +496,12 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     else starts a new group.  Groups come in creation order and list their
     members in visit order, so a group's first index is its representative.
 
-    Every real and imaginary part is rounded in one ``map``, to the
-    :func:`_beam_key` of each beam, and a tuple's key is its beams' rounded
-    parts in a row, which sorts and compares as its list of
-    :func:`_beam_key` pairs.  A stable sort of the positions in ``index`` on
-    those keys gives the visit order.
+    A beam's rounded key is its real and imaginary parts rounded to the 12
+    decimals of :data:`MERGE_TOL`, ``(round(q.real, 12), round(q.imag,
+    12))``.  Every part is rounded in one ``map``, and a tuple's key is its
+    beams' rounded parts in a row, which sorts and compares as its list of
+    per-beam keys.  A stable sort of the positions in ``index`` on those
+    keys gives the visit order.
 
     Only representatives whose first beam's rounded real part lies within
     :data:`_WINDOW` max(1, |u0|) of the visited u0's are tested:
@@ -597,7 +596,7 @@ def _abs_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def _inner(a: HybridState, b: HybridState, classes=None):
+def _inner(a: HybridState, b: HybridState, classes=None, distinct=False):
     """<a|b> over the terms of two states: equal-label terms interfere
     through the full product of coherent overlaps, distinct labels are
     orthogonal.
@@ -629,6 +628,15 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     (-x) + x = +0.0; only past |amp| ~ 1e154, where the real part is inf,
     does an overflowing x make it NaN.  Otherwise each label of b maps to
     the list of its term indices.
+
+    Whether a label repeats takes a ``set`` of ``a``'s labels, a pass over
+    every term.  ``distinct=True`` is the caller's proof that none does,
+    and skips that pass.  It may be passed only for a state that
+    :func:`canonicalize` returned as it is, whose labels strictly increase,
+    or for states whose label columns are such a column restricted to terms
+    that agree on one slot, with that slot removed: the herald's
+    class-weighted call, the feedforward's outcome norms and its outcome
+    checks.  Every other caller leaves it False and gets the check.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
@@ -638,7 +646,7 @@ def _inner(a: HybridState, b: HybridState, classes=None):
     if (
         (same or not (a_beams or b_beams))
         and (a_labels is b_labels or a_labels == b_labels)
-        and len(set(a_labels)) == len(a_labels)
+        and (distinct or len(set(a_labels)) == len(a_labels))
     ):
         pairs = list(map(operator.mul, map(complex.conjugate, amps), b_amps))
         if sums is not None:

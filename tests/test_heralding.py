@@ -38,7 +38,6 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
-    _beam_key,
     _inner,
     _merge_groups,
     canonicalize,
@@ -49,6 +48,12 @@ from qubus_forge.state import (
 
 ALPHA = 500.0
 THETA = 0.01
+
+
+def _beam_key(q: complex) -> tuple[float, float]:
+    """The merge rule's rounded key of one beam: its real and imaginary
+    parts rounded to the 12 decimals of MERGE_TOL."""
+    return (round(q.real, 12), round(q.imag, 12))
 
 
 def qutrit_silent_failure_prob(alpha, theta, eta=1.0):
@@ -321,8 +326,9 @@ def classify_per_term(state, beam):
     """Reference: the merge rule over one 1-tuple per term of the canonical
     herald column, each term's class set from its group in a loop, and the
     last class within MERGE_TOL of vacuum as the vacuum class, its rows in
-    the group's member order.  Returns (canonical state, vacuum rows,
-    success, branches, failures) as ``_classify_branches`` holds them."""
+    the group's member order.  Returns (canonical state, class of each term,
+    vacuum class, success, branches, failures) as ``_classify_branches``
+    holds them, and the vacuum rows that ``herald_vacuum`` keeps."""
     s = canonicalize(state)
     col = s.beams[beam]
     groups = _merge_groups([(q,) for q in col])
@@ -331,16 +337,16 @@ def classify_per_term(state, beam):
         for i in g:
             class_of[i] = k
     _, weights = _inner(s, s, classes=class_of)
-    vacuum, success, branches, failures = [], 0.0, [], []
-    for g, weight in zip(groups, weights):
+    vacuum, rows, success, branches, failures = None, [], 0.0, [], []
+    for k, (g, weight) in enumerate(zip(groups, weights)):
         rep = col[g[0]]
         e2 = rep.real * rep.real + rep.imag * rep.imag
         branches.append((rep, weight.real, e2))
         if qubus_close(rep, 0.0):
-            vacuum, success = g, weight.real
+            vacuum, rows, success = k, g, weight.real
         elif weight.real > 0.0:
             failures.append((math.log(weight.real), e2))
-    return s, vacuum, success, tuple(branches), tuple(failures)
+    return (s, class_of, vacuum, success, tuple(branches), tuple(failures)), rows
 
 
 # herald beams: signed zeros; vacuum-class values with the rounded key of 0
@@ -357,9 +363,9 @@ HERALD_BEAMS = (
 def test_herald_over_distinct_values_equals_the_per_term_rule():
     # The herald runs the merge rule over its column's distinct values and
     # gives each term its value's class.  On hand-built states with one or
-    # two beams, drawn from a few herald beams each, the classes, branches,
-    # failures and vacuum rows (order included) and the heralded state
-    # must be exactly those of the per-term rule.  The labels are distinct,
+    # two beams, drawn from a few herald beams each, the classes, branches
+    # and failures, and the vacuum rows (order included) that the heralded
+    # state keeps, must be exactly those of the per-term rule.  The labels are distinct,
     # in shuffled order, so no cross pair moves a class weight past the
     # herald's checks.
     rng = random.Random("distinct herald")
@@ -378,9 +384,10 @@ def test_herald_over_distinct_values_equals_the_per_term_rule():
         scale = 1.0 / math.sqrt(state_norm_sq(HybridState(layout, terms)))
         state = HybridState(layout, [Term(t.amp * scale, t.labels, t.qubus) for t in terms])
         beam = rng.randrange(beams)
-        s, vacuum, success, branches, failures = classify_per_term(state, beam)
+        expected, vacuum = classify_per_term(state, beam)
+        s, _, _, success, branches, _ = expected
         classes = _classify_branches(state, beam)
-        assert repr(tuple(classes)) == repr((s, vacuum, success, branches, failures))
+        assert repr(tuple(classes)) == repr(expected)
         if success > 0.0:
             kept = [Term(s.amps[i] * (1.0 / math.sqrt(success)), s.labels[i],
                          s.terms[i].qubus[:beam] + s.terms[i].qubus[beam + 1:]) for i in vacuum]
@@ -714,6 +721,108 @@ def test_feedforward_outcome_checks_pair_terms_index_by_index(monkeypatch):
     state = _outcomes_off_by_phase(0.1)
     with pytest.raises(FeedforwardError, match="outcomes disagree"):
         measure_ancilla_and_feedforward(state, 0)
+
+
+def _run_or_error(build, *args) -> str:
+    try:
+        return repr(build(*args))
+    except (ValueError, FeedforwardError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _proof_state(rng, layout, pool):
+    """A normalized state on ``layout`` whose beams come from ``pool``: its
+    labels are either distinct and in order, so that canonicalize returns
+    it as it is, or drawn with repeats in any order; a few amplitudes are
+    set just below or above DROP_TOL after normalizing."""
+    every_label = sorted(itertools.product(*map(range, layout.label_dims())))
+    if rng.random() < 0.5:
+        labels = sorted(rng.sample(every_label, rng.randint(1, min(12, len(every_label)))))
+    else:
+        labels = [rng.choice(every_label[:6]) for _ in range(rng.randint(1, 12))]
+    terms = [
+        Term(complex(rng.gauss(0, 1), rng.gauss(0, 1)), lab,
+             tuple(rng.choice(pool) for _ in range(layout.qubus_count)))
+        for lab in labels
+    ]
+    scale = 1.0 / math.sqrt(state_norm_sq(HybridState(layout, terms)))
+    amps = [t.amp * scale for t in terms]
+    for i in range(len(amps)):
+        if rng.random() < 0.1:
+            amps[i] = rng.choice((0.9, 1.1, -1.1j)) * DROP_TOL
+    return HybridState(layout, [Term(a, t.labels, t.qubus) for a, t in zip(amps, terms)])
+
+
+def test_distinct_label_proof_changes_no_result(monkeypatch):
+    # When canonicalize returns a state as it is, its labels strictly
+    # increase, and the herald's class-weighted _inner call, the
+    # feedforward's norm pass and its n - 1 outcome checks pass that proof
+    # on instead of building set(labels).  On hand-built states (repeated
+    # labels with beams apart, amplitudes near DROP_TOL, signed zeros, 2-3
+    # beams for the herald and 0, 2 or 3 for the feedforward) every result or
+    # error is repr-identical with and without the proof, and the proof is
+    # passed exactly when canonicalize returned its input.
+    import qubus_forge.heralding as heralding_module
+
+    calls = []  # (caller, proof) per _inner call, ("canonicalize", as is)
+    keep_proof = True
+
+    def inner(a, b, classes=None, distinct=False):
+        calls.append((sys._getframe(1).f_code.co_name, distinct))
+        return _inner(a, b, classes, distinct and keep_proof)
+
+    def recording(state):
+        out = canonicalize(state)
+        calls.append(("canonicalize", out is state))
+        return out
+
+    monkeypatch.setattr(heralding_module, "_inner", inner)
+    monkeypatch.setattr(heralding_module, "canonicalize", recording)
+
+    def both_ways(build, *args):
+        nonlocal keep_proof
+        results = []
+        for keep_proof in (True, False):
+            calls.clear()
+            results.append(_run_or_error(build, *args))
+        assert results[0] == results[1], args
+        walked = [as_is for caller, as_is in calls if caller == "canonicalize"]
+        assert len(walked) == 1
+        proofs = [proof for caller, proof in calls if caller != "canonicalize"]
+        assert all(proof == walked[0] for proof in proofs), (calls, args)
+        return walked[0], [caller for caller, _ in calls], results[0]
+
+    rng = random.Random("distinct-label proof")
+    seen = set()
+    for beams in (2, 3):
+        layout = RegisterLayout(party_dims=(3, 3), qubus_count=beams)
+        for _ in range(300):
+            state = _proof_state(rng, layout, HERALD_BEAMS)
+            as_is, callers, _ = both_ways(
+                herald_vacuum, state, rng.randrange(beams), DetectorModel(0.7)
+            )
+            if "_classify_branches" in callers:
+                seen.add(("herald", as_is))
+    pool = FEEDFORWARD_BEAMS + HERALD_BEAMS
+    sources = [apply_fourier_lomi(asym_qutrit_with_ancilla(m)) for m in range(3)]
+    for beams in (0, 2, 3):
+        layout = RegisterLayout(party_dims=(3, 2), ancilla_modes=3, qubus_count=beams)
+        for trial in range(300):
+            if beams == 0 and trial % 4 == 0:  # outcomes that agree
+                state = sources[trial % 3]
+            else:
+                state = _proof_state(rng, layout, pool)
+            party = rng.randrange(2)
+            as_is, _, _ = both_ways(feedforward_outcomes, state, party)
+            as_is, callers, result = both_ways(measure_ancilla_and_feedforward, state, party)
+            if "_feedforward" in callers:
+                seen.add(("feedforward", as_is))
+            if "measure_ancilla_and_feedforward" in callers:
+                seen.add(("checks", as_is))
+            if not result.startswith(("ValueError", "FeedforwardError")):
+                seen.add(("agree", as_is))
+    assert seen == {(what, as_is) for what in ("herald", "feedforward", "checks", "agree")
+                    for as_is in (True, False)}, seen
 
 
 def test_feedforward_rejects_missing_register():

@@ -905,7 +905,7 @@ def test_protocol_states_reach_canonicalize_in_canonical_form(monkeypatch):
         report = generate(spec)
         assert report.failed_stage is None
         assert seen == [("_classify_branches", True)] * spec.parties + [
-            ("apply_fourier_lomi", True), ("feedforward_outcomes", True)
+            ("apply_fourier_lomi", True), ("_feedforward", True)
         ], spec
 
 
@@ -943,6 +943,14 @@ def test_protocol_traffic_merges_distinct_tuples_and_pairs_inner_by_index(monkey
                     monkeypatch.setattr(mod, attr, wrapper)
     # the index-pairing path is the one that sums with functools.reduce
     monkeypatch.setattr(state_module, "functools", types.SimpleNamespace(reduce=reduce))
+    _run_protocol_traffic()
+    assert merges and all(merges), merges.count(False)
+    assert inners and len(reduced) == len(inners), (len(reduced), len(inners))
+
+
+def _run_protocol_traffic():
+    """The report digest's 154 generate specs, with both memos cleared, and
+    a seeded 10 x 5 x 4 sweep grid at n = 3 and at n = 5."""
     path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
     loader = importlib.util.spec_from_file_location("report_digest", path)
     report_digest = importlib.util.module_from_spec(loader)
@@ -961,8 +969,32 @@ def test_protocol_traffic_merges_distinct_tuples_and_pairs_inner_by_index(monkey
         etas = tuple(sorted(rng.uniform(0.5, 1.0) for _ in range(4)))
         _prepared.cache_clear()
         assert len(run_sweep(SweepGrid(alphas, thetas, etas, n))) == 200
-    assert merges and all(merges), merges.count(False)
-    assert inners and len(reduced) == len(inners), (len(reduced), len(inners))
+
+
+def test_protocol_traffic_passes_the_distinct_label_proof(monkeypatch):
+    # On the same traffic, every state a herald or the feedforward
+    # canonicalizes is returned as it is, so every herald, feedforward-norm
+    # and outcome-check _inner call carries the proof that no label repeats
+    # and no n^2 set(labels) pass runs.  Only the target overlap, over n
+    # terms, keeps the check.
+    import qubus_forge.heralding
+
+    original = qubus_forge.heralding._inner
+    calls = []
+
+    def inner(a, b, classes=None, distinct=False):
+        calls.append((sys._getframe(1).f_code.co_name, distinct))
+        return original(a, b, classes, distinct)
+
+    monkeypatch.setattr(qubus_forge.heralding, "_inner", inner)
+    _run_protocol_traffic()
+    callers = {caller for caller, _ in calls}
+    assert callers == {"_classify_branches", "_feedforward", "measure_ancilla_and_feedforward"}
+    assert all(distinct for _, distinct in calls), calls.count(("_classify_branches", False))
+    # a herald per stage and per sweep pair, a norm and n - 1 checks per erasure
+    heralds = sum(caller == "_classify_branches" for caller, _ in calls)
+    norms = sum(caller == "_feedforward" for caller, _ in calls)
+    assert norms == 154 and heralds > 154 * 2 + 2 * 50
 
 
 def test_generate_derives_each_heralded_state_once(monkeypatch):

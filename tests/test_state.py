@@ -17,7 +17,6 @@ from qubus_forge.state import (
     HybridState,
     RegisterLayout,
     Term,
-    _beam_key,
     _derive,
     _inner,
     _logaddexp_reduce,
@@ -265,6 +264,12 @@ def test_canonicalize_merges_nearby_qubus_amplitudes():
                 layout, (Term(0.5, (0,), (base,)), Term(0.5, (0,), (shifted,)))
             )
             assert len(canonicalize(state).terms) == count
+
+
+def _beam_key(q: complex) -> tuple[float, float]:
+    """The merge rule's rounded key of one beam: its real and imaginary
+    parts rounded to the 12 decimals of MERGE_TOL."""
+    return (round(q.real, 12), round(q.imag, 12))
 
 
 def greedy_merge_groups(beams):
@@ -980,3 +985,41 @@ def test_first_terms_access_from_many_threads_gives_equal_tuples():
             assert shared.terms == expected
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_derive_checks_each_new_beam_column_object_once(monkeypatch):
+    # A stage's fresh (alpha, alpha) pair is one column object given twice:
+    # _derive checks it for finiteness once.  A non-finite column given
+    # twice raises with the message a single one gets.
+    checked = []
+
+    def isfinite(z):
+        checked.append(z)
+        return cmath.isfinite(z)
+
+    monkeypatch.setattr(state_module, "cmath", types.SimpleNamespace(isfinite=isfinite))
+    layout = RegisterLayout(party_dims=(3,), qubus_count=2)
+    source = _derive(HybridState(RegisterLayout(party_dims=(3,)), [
+        Term(0.6, (0,)), Term(0.8, (2,))
+    ]), layout=layout, beams=((1j, 2.0),) * 2)
+    checked.clear()
+    column = (3.0 + 0j, -4.0 + 0j)
+    derived = _derive(source, beams=(column, column))
+    assert derived.beams == (column, column) and derived.beams[1] is column
+    assert len(checked) == 2
+    # an equal column of its own is equal to a checked one, so finite too
+    checked.clear()
+    _derive(source, beams=(column, tuple(list(column))))
+    assert len(checked) == 2
+    checked.clear()
+    _derive(source, beams=(column, (5.0 + 0j, 6.0 + 0j)))
+    assert len(checked) == 4
+    for bad in ((complex("nan"), 1.0), (1.0, complex("inf"))):
+        checked.clear()
+        with pytest.raises(ValueError, match="^qubus amplitudes must be finite$"):
+            _derive(source, beams=(bad, bad))
+        assert len(checked) == 1 + (bad[0] == 1.0)
+    # a column carried over from the source is not checked again
+    checked.clear()
+    _derive(source, beams=source.beams)
+    assert checked == []

@@ -1,7 +1,8 @@
 """Time ``generate`` and ``run_sweep`` of two source trees against each
 other in one process.
 
-    python3 tools/ab_generate.py PARENT_SRC CHANGE_SRC [--rounds N]
+    python3 tools/ab_generate.py PARENT_SRC CHANGE_SRC [--rounds N] [--only CASE]
+                                 [--layers] [--layer-runs K]
 
 Each argument is a ``src`` directory that holds a ``qubus_forge`` package,
 for instance ``src`` of this checkout and ``src`` of an exported parent
@@ -51,6 +52,25 @@ a collection starts when generation 0 overflows its threshold, whichever
 generation it then collects), and each side's erasure-memo hits per call
 in the two warm passes ("-" for a tree without the memo).
 
+``--only CASE`` runs only the case of that label (as printed, e.g.
+``--only "n=48, M=2"``); give it more than once for more cases.
+
+``--layers`` prints, after the end-to-end cases, each tree's cold split of
+``generate`` into its layers for every ``generate`` class run (by default
+the paper's range and the five wide classes): attaching each party,
+coupling it, heralding with the spectator beam dropped (each summed over
+the stages), the Fourier step, the feedforward outcomes, the outcome checks
+and the target overlap (building the target included).  It walks the same
+path as ``generate`` through the tree's own functions, with no memo of a
+whole erasure, and checks that it reaches ``generate``'s final state.
+Each layer is the fastest of ``--layer-runs`` runs on the same input with
+the collector off.  The outcome checks are the feedforward with its checks
+(``measure_ancilla_and_feedforward``) less the outcomes alone
+(``feedforward_outcomes``), the two timed in turns, each the fastest of
+its runs.  The rows give
+milliseconds per call and, per class, the ratio change / parent of each
+layer.
+
 Pin the process to one CPU for steadier numbers, e.g. ``taskset -c 1``.
 """
 
@@ -59,6 +79,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import math
 import random
 import shutil
 import statistics
@@ -208,65 +229,168 @@ def timing_columns(times, passes) -> str:
     return row
 
 
+LAYERS = ("attach", "couple", "herald", "fourier", "outcomes", "checks", "overlap")
+
+
+def layer_split(module, n: int, shifts: tuple[int, ...], runs: int) -> dict[str, float]:
+    """Seconds per call of each layer of a cold ``generate`` of class
+    (n, shifts), each the fastest of ``runs`` runs, the collector off."""
+    protocols, heralding = module.protocols, module.heralding
+    spec = module.ProtocolSpec.balanced(n, len(shifts), shifts, 0.01, 500.0)
+    split = dict.fromkeys(LAYERS, 0.0)
+
+    def fastest(layer, fn, *args):
+        best = math.inf
+        for _ in range(runs):
+            start = time.perf_counter()
+            out = fn(*args)
+            best = min(best, time.perf_counter() - start)
+        split[layer] += best
+        return out
+
+    def herald(state, beam):
+        outcome = heralding.herald_vacuum(state, beam, spec.detector)
+        return module.state.drop_uniform_beam(outcome.heralded_state, beam)
+
+    def overlap(state):
+        m = sum(map(protocols.coeff_phase_index, spec.coeffs)) % n
+        return protocols.overlap_sq(state, protocols.target_state(n, m, shifts, len(shifts)))
+
+    state = module.prepare_single_photon_qudit(n)
+    gc.collect()
+    gc.disable()
+    try:
+        for party in range(spec.parties):
+            attached = fastest(
+                "attach", protocols._attach_party, state, spec.coeffs[party], spec.alpha
+            )
+            coupled, beam = fastest(
+                "couple", protocols._couple, attached, shifts[party], spec.theta
+            )
+            state = fastest("herald", herald, coupled, beam)
+        fourier = fastest("fourier", module.apply_fourier_lomi, state)
+        # the outcomes alone and with their checks, in turns, so that a slow
+        # stretch of the machine hits both
+        alone = checked = math.inf
+        for _ in range(runs):
+            start = time.perf_counter()
+            heralding.feedforward_outcomes(fourier, 0)
+            middle = time.perf_counter()
+            final = heralding.measure_ancilla_and_feedforward(fourier, 0)
+            alone = min(alone, middle - start)
+            checked = min(checked, time.perf_counter() - middle)
+        split["outcomes"], split["checks"] = alone, checked - alone
+        fastest("overlap", overlap, final)
+    finally:
+        gc.enable()
+    if repr(final) != repr(module.generate(spec).final_state):
+        raise SystemExit(f"error: the layer split of n={n}, M={len(shifts)} misses generate's state")
+    return split
+
+
+def print_layers(modules, classes, runs: int) -> None:
+    """The per-layer split of each class in ``classes``, per tree."""
+    print(f"\ncold layer split, ms per call (fastest of {runs} runs, collector off)")
+    print(f"{'case':<16} {'side':<7}" + "".join(f" {layer:>9}" for layer in LAYERS)
+          + f" {'total':>9}")
+    for n, shifts in classes:
+        label = generate_case(n, shifts)[0]
+        splits = {side: layer_split(modules[side], n, shifts, runs) for side in SIDES}
+        for side in SIDES:
+            values = [splits[side][layer] for layer in LAYERS]
+            print(f"{label:<16} {side:<7}" + "".join(f" {1e3 * v:>9.3f}" for v in values)
+                  + f" {1e3 * sum(values):>9.3f}")
+        ratios = [splits["change"][layer] / splits["parent"][layer] for layer in LAYERS]
+        total = sum(splits["change"].values()) / sum(splits["parent"].values())
+        print(f"{label:<16} {'ratio':<7}" + "".join(f" {r:>9.3f}" for r in ratios)
+              + f" {total:>9.3f}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--only", action="append", metavar="CASE",
+                        help="run only the case of this label; repeatable")
+    parser.add_argument("--layers", action="store_true",
+                        help="print each tree's cold per-layer split of the generate classes run")
+    parser.add_argument("--layer-runs", type=int, default=21, metavar="K")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
+    if args.rounds < 1 or args.layer_runs < 1:
+        parser.error("--rounds and --layer-runs must be >= 1")
+    selected = [(label, make) for label, make in cases() if not args.only or label in args.only]
+    unknown = set(args.only or ()) - {label for label, _ in selected}
+    if unknown:
+        parser.error(f"no case is labelled {', '.join(sorted(unknown))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sources = (args.parent_src, args.change_src)
-        modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
-        memos = {side: erasure_memo(modules[side]) for side in SIDES}
-        resets = {side: memos[side].clear if memos[side] else _no_reset for side in SIDES}
-        wide_labels = {generate_case(n, shifts)[0] for n, shifts in WIDE_CASES}
-        wide = {}  # (side, pass) -> per wide class, its time per call in each round
-        columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
-        print(f"{'':<16} {'gc off':^29} {'gc on':^29} {'cold, gc on':^29}"
-              f"  collections per call  memo hits per call")
-        print(f"{'case':<16} {columns} {columns} {columns} {'parent':>8} {'change':>8}"
-              f"  {'parent':>8} {'change':>8}  ({args.rounds} rounds)")
-        for label, make in cases():
-            calls = {side: make(modules[side]) for side in SIDES}
-            outputs = {masked_repr(modules[side], calls[side]) for side in SIDES}
-            if len(outputs) != 1:
-                raise SystemExit(f"error: outputs differ in case {label}")
-            batch = max(1, round(0.02 / time_calls(calls["parent"], 1)[0]))
-            # (collector on, erasure memo cleared before each call)
-            passes = ((False, False), (True, False), (True, True))
-            times = {(side, p): [] for side in SIDES for p in passes}
-            started = dict.fromkeys(SIDES, 0)
-            hits = dict.fromkeys(SIDES, 0)
-            for r in range(args.rounds):
-                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    for on, cold in passes:
-                        memo = memos[side]
-                        before = memo.hits if memo and not cold else 0
-                        reset = resets[side] if cold else _no_reset
-                        seconds, count = time_calls(calls[side], batch, on, reset)
-                        times[side, (on, cold)].append(seconds)
-                        if on and not cold:
-                            started[side] += count
-                        if memo and not cold:
-                            hits[side] += memo.hits - before
-            if label in wide_labels:
-                for key, seconds in times.items():
-                    wide.setdefault(key, []).append(seconds)
-            row = f"{label:<16}" + timing_columns(times, passes)
-            per_call = [started[side] / (args.rounds * batch) for side in SIDES]
-            row += f" {per_call[0]:>8.2f} {per_call[1]:>8.2f} "
-            for side in SIDES:
-                # two warm passes, each of a batch of calls and one untimed call
-                warm_calls = 2 * args.rounds * (batch + 1)
-                row += f" {hits[side] / warm_calls:>8.2f}" if memos[side] else f" {'-':>8}"
-            print(row)
-        # each round's times summed over the wide classes, per side and pass
+        try:
+            compare(args, selected, tmp)
+        finally:
+            sys.path.remove(tmp)
+            for side in SIDES:  # the copies go with the directory
+                for name in [m for m in sys.modules if m.split(".")[0] == f"qubus_forge_{side}"]:
+                    del sys.modules[name]
+
+
+def compare(args, selected, tmp: str) -> None:
+    """Time the ``selected`` cases of the trees loaded into ``tmp``, then
+    print the layer split when ``args.layers`` asks for it."""
+    sources = (args.parent_src, args.change_src)
+    modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
+    memos = {side: erasure_memo(modules[side]) for side in SIDES}
+    resets = {side: memos[side].clear if memos[side] else _no_reset for side in SIDES}
+    wide_labels = {generate_case(n, shifts)[0] for n, shifts in WIDE_CASES}
+    wide = {}  # (side, pass) -> per wide class, its time per call in each round
+    # (collector on, erasure memo cleared before each call)
+    passes = ((False, False), (True, False), (True, True))
+    columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
+    print(f"{'':<16} {'gc off':^29} {'gc on':^29} {'cold, gc on':^29}"
+          f"  collections per call  memo hits per call")
+    print(f"{'case':<16} {columns} {columns} {columns} {'parent':>8} {'change':>8}"
+          f"  {'parent':>8} {'change':>8}  ({args.rounds} rounds)")
+    for label, make in selected:
+        calls = {side: make(modules[side]) for side in SIDES}
+        outputs = {masked_repr(modules[side], calls[side]) for side in SIDES}
+        if len(outputs) != 1:
+            raise SystemExit(f"error: outputs differ in case {label}")
+        batch = max(1, round(0.02 / time_calls(calls["parent"], 1)[0]))
+        times = {(side, p): [] for side in SIDES for p in passes}
+        started = dict.fromkeys(SIDES, 0)
+        hits = dict.fromkeys(SIDES, 0)
+        for r in range(args.rounds):
+            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                for on, cold in passes:
+                    memo = memos[side]
+                    before = memo.hits if memo and not cold else 0
+                    reset = resets[side] if cold else _no_reset
+                    seconds, count = time_calls(calls[side], batch, on, reset)
+                    times[side, (on, cold)].append(seconds)
+                    if on and not cold:
+                        started[side] += count
+                    if memo and not cold:
+                        hits[side] += memo.hits - before
+        if label in wide_labels:
+            for key, seconds in times.items():
+                wide.setdefault(key, []).append(seconds)
+        row = f"{label:<16}" + timing_columns(times, passes)
+        per_call = [started[side] / (args.rounds * batch) for side in SIDES]
+        row += f" {per_call[0]:>8.2f} {per_call[1]:>8.2f} "
+        for side in SIDES:
+            # two warm passes, each of a batch of calls and one untimed call
+            warm_calls = 2 * args.rounds * (batch + 1)
+            row += f" {hits[side] / warm_calls:>8.2f}" if memos[side] else f" {'-':>8}"
+        print(row)
+    # each round's times summed over the wide classes, per side and pass
+    labels = {label for label, _ in selected}
+    if wide_labels <= labels:
         block = {key: [sum(r) for r in zip(*per_case)] for key, per_case in wide.items()}
         print(f"{'wide block':<16}" + timing_columns(block, passes))
+    if args.layers:
+        classes = [c for c in GENERATE_CASES if generate_case(*c)[0] in labels]
+        print_layers(modules, classes, args.layer_runs)
 
 
 if __name__ == "__main__":
