@@ -119,8 +119,9 @@ class _BranchClasses(NamedTuple):
 
     ``state`` is the canonical state, ``class_of`` the class number of each
     of its terms and ``vacuum`` the number of the vacuum class (None when
-    no class is vacuum), whose weight is ``success_prob``.  ``branches``
-    holds one (representative beam, weight, |beam|^2) entry per
+    no class is vacuum), whose weight is ``success_prob``; ``vacuum_split``
+    says whether that class holds two or more distinct beam values.
+    ``branches`` holds one (representative beam, weight, |beam|^2) entry per
     beam-amplitude class, in class order; ``failures`` holds (log weight,
     |beam|^2) of each failure class of positive weight, in the same order.
     """
@@ -128,6 +129,7 @@ class _BranchClasses(NamedTuple):
     state: HybridState
     class_of: list[int]
     vacuum: int | None
+    vacuum_split: bool
     success_prob: float
     branches: tuple[tuple[complex, float, float], ...]
     failures: tuple[tuple[float, float], ...]
@@ -159,7 +161,7 @@ def herald_vacuum(
         col = canonical.beams[beam]
         in_vacuum = map(classes.vacuum.__eq__, classes.class_of)
         rows = list(itertools.compress(range(len(col)), in_vacuum))
-        if len(set(map(col.__getitem__, rows))) > 1:
+        if classes.vacuum_split:
             order = _merge_groups([(col[i],) for i in rows])[0]
             rows = [rows[p] for p in order]
         scale = 1.0 / math.sqrt(success)
@@ -236,7 +238,8 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     # may exceed 1 by as much.
     if not -NORM_TOL <= success <= 1.0 + NORM_TOL:
         raise ValueError("success probability out of [0, 1]")
-    return _BranchClasses(s, class_of, vacuum, success, tuple(branches), tuple(failures))
+    split = vacuum is not None and len(groups[vacuum]) > 1
+    return _BranchClasses(s, class_of, vacuum, split, success, tuple(branches), tuple(failures))
 
 
 def _failure_log(classes: _BranchClasses, eta: float) -> tuple[float, float]:
@@ -298,13 +301,6 @@ def feedforward_outcomes(
     terms that cancel on beams just beyond :data:`state.MERGE_TOL` of each
     other are kept apart and can sum to a norm of 0.0.
     """
-    return _feedforward(state, correction_party)[0]
-
-
-def _feedforward(state: HybridState, correction_party: int) -> tuple[list[HybridState], bool]:
-    """(:func:`feedforward_outcomes`, whether canonicalize returned the
-    corrected state as it is): then no outcome's labels repeat, the proof
-    that :func:`measure_ancilla_and_feedforward` hands its checks."""
     layout = state.layout
     slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
@@ -341,7 +337,7 @@ def _feedforward(state: HybridState, correction_party: int) -> tuple[list[Hybrid
         scale = 1.0 / math.sqrt(norm_sq.real)
         amps = tuple([all_amps[i] * scale for i in rows])
         outcomes.append(_derive(corrected, rows, new_layout, amps, _taker(rows)(stripped)))
-    return outcomes, proven
+    return outcomes
 
 
 def measure_ancilla_and_feedforward(
@@ -355,10 +351,13 @@ def measure_ancilla_and_feedforward(
     :class:`FeedforwardError` when the outcomes disagree beyond fidelity
     1 - :data:`FEEDFORWARD_TOL`, which signals a mis-built circuit.
     """
-    outcomes, distinct = _feedforward(state, correction_party)
+    outcomes = feedforward_outcomes(state, correction_party)
     ref = outcomes[0]
     for other in outcomes[1:]:
-        # both are normalized, so this is their fidelity
-        if abs(_abs_sq(_inner(ref, other, distinct=distinct)) - 1.0) > FEEDFORWARD_TOL:
+        # Two outcomes pair their terms by index only when neither holds a
+        # beam, and canonicalize merges the equal labels of a beamless
+        # state, so no outcome's labels repeat.  Both are normalized, so
+        # this is their fidelity.
+        if abs(_abs_sq(_inner(ref, other, distinct=True)) - 1.0) > FEEDFORWARD_TOL:
             raise FeedforwardError("feedforward failed: outcomes disagree")
     return ref

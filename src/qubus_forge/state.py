@@ -406,9 +406,9 @@ def _derive(
     is the source's, picked by ``src``.  ``beams`` is the whole beam tuple,
     one column per beam the result keeps, over the source's terms, so it is
     picked by ``src`` too.  Each given amplitude or beam column that is not
-    one of the source's is checked for finiteness here, once per column
-    object: a column given twice, as :func:`protocols._attach_party` gives
-    its fresh (alpha, alpha) pair, is checked the first time only.
+    one of the source's is checked for finiteness here, once: a column
+    given twice in a row, as :func:`protocols._attach_party` gives its fresh
+    (alpha, alpha) pair, is checked the first time only.
     """
     take = None if src is None else _taker(src)
     if amps is None:
@@ -420,14 +420,18 @@ def _derive(
     if beams is None:
         beams = state._beams
     else:
-        checked = state._beams
+        last = None
         for col in beams:
-            # `in` matches the source's own column, or one checked already, by
-            # identity first; a column equal to a finite one is finite too
-            if col not in checked:
-                if not all(map(cmath.isfinite, col)):
-                    raise ValueError("qubus amplitudes must be finite")
-                checked += (col,)
+            # `in` matches the source's own column by identity first; a
+            # column equal to a finite one is finite too, and so is one that
+            # passed just before
+            if (
+                col is not last
+                and col not in state._beams
+                and not all(map(cmath.isfinite, col))
+            ):
+                raise ValueError("qubus amplitudes must be finite")
+            last = col
     if take is not None:
         beams = tuple(map(take, beams))
     return _columns(state._layout if layout is None else layout, amps, labels, beams)
@@ -631,12 +635,13 @@ def _inner(a: HybridState, b: HybridState, classes=None, distinct=False):
 
     Whether a label repeats takes a ``set`` of ``a``'s labels, a pass over
     every term.  ``distinct=True`` is the caller's proof that none does,
-    and skips that pass.  It may be passed only for a state that
-    :func:`canonicalize` returned as it is, whose labels strictly increase,
-    or for states whose label columns are such a column restricted to terms
-    that agree on one slot, with that slot removed: the herald's
-    class-weighted call, the feedforward's outcome norms and its outcome
-    checks.  Every other caller leaves it False and gets the check.
+    and skips that pass.  The herald's class-weighted call and the
+    feedforward's outcome norms pass it when :func:`canonicalize` returned
+    their state as it is, so that its labels strictly increase.  The
+    feedforward's outcome checks always pass it: two outcomes reach the
+    index pairing only when neither holds a beam, and each is cut from one
+    canonical beamless state, whose equal labels have merged.  Every other
+    caller leaves it False and gets the check.
     """
     a_labels, b_labels, amps = a._labels, b._labels, a._amps
     a_beams, b_beams, b_amps = a._beams, b._beams, b._amps

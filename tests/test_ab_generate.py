@@ -21,7 +21,7 @@ def test_ab_generate_prints_the_layer_split_of_one_small_class(capsys):
     tool = _tool()
     path = list(sys.path)
     src = str(ROOT / "src")
-    tool.main([src, src, "--rounds", "1", "--only", "n=2, M=2", "--layers", "--layer-runs", "2"])
+    tool.main([src, src, "--rounds", "1", "--only", "n=2, M=2", "--layers"])
     out = capsys.readouterr().out.splitlines()
     assert sys.path == path
     assert not [m for m in sys.modules if m.startswith(("qubus_forge_parent", "qubus_forge_change"))]

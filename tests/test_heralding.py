@@ -327,8 +327,9 @@ def classify_per_term(state, beam):
     herald column, each term's class set from its group in a loop, and the
     last class within MERGE_TOL of vacuum as the vacuum class, its rows in
     the group's member order.  Returns (canonical state, class of each term,
-    vacuum class, success, branches, failures) as ``_classify_branches``
-    holds them, and the vacuum rows that ``herald_vacuum`` keeps."""
+    vacuum class, whether it holds two or more distinct beam values,
+    success, branches, failures) as ``_classify_branches`` holds them, and
+    the vacuum rows that ``herald_vacuum`` keeps."""
     s = canonicalize(state)
     col = s.beams[beam]
     groups = _merge_groups([(q,) for q in col])
@@ -346,7 +347,8 @@ def classify_per_term(state, beam):
             vacuum, rows, success = k, g, weight.real
         elif weight.real > 0.0:
             failures.append((math.log(weight.real), e2))
-    return (s, class_of, vacuum, success, tuple(branches), tuple(failures)), rows
+    split = len({col[i] for i in rows}) > 1  # 0j and -0j are one value
+    return (s, class_of, vacuum, split, success, tuple(branches), tuple(failures)), rows
 
 
 # herald beams: signed zeros; vacuum-class values with the rounded key of 0
@@ -385,7 +387,7 @@ def test_herald_over_distinct_values_equals_the_per_term_rule():
         state = HybridState(layout, [Term(t.amp * scale, t.labels, t.qubus) for t in terms])
         beam = rng.randrange(beams)
         expected, vacuum = classify_per_term(state, beam)
-        s, _, _, success, branches, _ = expected
+        s, _, _, _, success, branches, _ = expected
         classes = _classify_branches(state, beam)
         assert repr(tuple(classes)) == repr(expected)
         if success > 0.0:
@@ -755,20 +757,28 @@ def _proof_state(rng, layout, pool):
 
 def test_distinct_label_proof_changes_no_result(monkeypatch):
     # When canonicalize returns a state as it is, its labels strictly
-    # increase, and the herald's class-weighted _inner call, the
-    # feedforward's norm pass and its n - 1 outcome checks pass that proof
-    # on instead of building set(labels).  On hand-built states (repeated
-    # labels with beams apart, amplitudes near DROP_TOL, signed zeros, 2-3
-    # beams for the herald and 0, 2 or 3 for the feedforward) every result or
-    # error is repr-identical with and without the proof, and the proof is
-    # passed exactly when canonicalize returned its input.
+    # increase, and the herald's class-weighted _inner call and the
+    # feedforward's norm pass hand that proof on instead of building
+    # set(labels).  The n - 1 outcome checks always pass it: they pair by
+    # index only when no outcome holds a beam, and a beamless state's equal
+    # labels merge.  On hand-built states (repeated labels with beams apart,
+    # amplitudes near DROP_TOL, signed zeros, 2-3 beams for the herald and
+    # 0, 2 or 3 for the feedforward) every result or error is repr-identical
+    # with and without the proof; the herald and the norms pass it exactly
+    # when canonicalize returned its input, and wherever a proof decides
+    # the index pairing, no label of the state repeats.
     import qubus_forge.heralding as heralding_module
 
     calls = []  # (caller, proof) per _inner call, ("canonicalize", as is)
+    paired = []  # the caller of each _inner call that pairs by index on a proof
     keep_proof = True
 
     def inner(a, b, classes=None, distinct=False):
-        calls.append((sys._getframe(1).f_code.co_name, distinct))
+        caller = sys._getframe(1).f_code.co_name
+        calls.append((caller, distinct))
+        if distinct and (a is b or not (a.beams or b.beams)) and a.labels == b.labels:
+            assert len(set(a.labels)) == len(a.labels)
+            paired.append(caller)
         return _inner(a, b, classes, distinct and keep_proof)
 
     def recording(state):
@@ -784,12 +794,16 @@ def test_distinct_label_proof_changes_no_result(monkeypatch):
         results = []
         for keep_proof in (True, False):
             calls.clear()
+            paired.clear()
             results.append(_run_or_error(build, *args))
         assert results[0] == results[1], args
         walked = [as_is for caller, as_is in calls if caller == "canonicalize"]
         assert len(walked) == 1
-        proofs = [proof for caller, proof in calls if caller != "canonicalize"]
-        assert all(proof == walked[0] for proof in proofs), (calls, args)
+        for caller, proof in calls:
+            if caller == "measure_ancilla_and_feedforward":
+                assert proof is True
+            elif caller != "canonicalize":
+                assert proof == walked[0], (calls, args)
         return walked[0], [caller for caller, _ in calls], results[0]
 
     rng = random.Random("distinct-label proof")
@@ -815,13 +829,16 @@ def test_distinct_label_proof_changes_no_result(monkeypatch):
             party = rng.randrange(2)
             as_is, _, _ = both_ways(feedforward_outcomes, state, party)
             as_is, callers, result = both_ways(measure_ancilla_and_feedforward, state, party)
-            if "_feedforward" in callers:
+            if "feedforward_outcomes" in callers:
                 seen.add(("feedforward", as_is))
             if "measure_ancilla_and_feedforward" in callers:
                 seen.add(("checks", as_is))
+            if "measure_ancilla_and_feedforward" in paired:
+                seen.add(("paired", as_is))
             if not result.startswith(("ValueError", "FeedforwardError")):
                 seen.add(("agree", as_is))
-    assert seen == {(what, as_is) for what in ("herald", "feedforward", "checks", "agree")
+    assert seen == {(what, as_is)
+                    for what in ("herald", "feedforward", "checks", "paired", "agree")
                     for as_is in (True, False)}, seen
 
 

@@ -905,7 +905,7 @@ def test_protocol_states_reach_canonicalize_in_canonical_form(monkeypatch):
         report = generate(spec)
         assert report.failed_stage is None
         assert seen == [("_classify_branches", True)] * spec.parties + [
-            ("apply_fourier_lomi", True), ("_feedforward", True)
+            ("apply_fourier_lomi", True), ("feedforward_outcomes", True)
         ], spec
 
 
@@ -989,11 +989,13 @@ def test_protocol_traffic_passes_the_distinct_label_proof(monkeypatch):
     monkeypatch.setattr(qubus_forge.heralding, "_inner", inner)
     _run_protocol_traffic()
     callers = {caller for caller, _ in calls}
-    assert callers == {"_classify_branches", "_feedforward", "measure_ancilla_and_feedforward"}
+    assert callers == {
+        "_classify_branches", "feedforward_outcomes", "measure_ancilla_and_feedforward"
+    }
     assert all(distinct for _, distinct in calls), calls.count(("_classify_branches", False))
     # a herald per stage and per sweep pair, a norm and n - 1 checks per erasure
     heralds = sum(caller == "_classify_branches" for caller, _ in calls)
-    norms = sum(caller == "_feedforward" for caller, _ in calls)
+    norms = sum(caller == "feedforward_outcomes" for caller, _ in calls)
     assert norms == 154 and heralds > 154 * 2 + 2 * 50
 
 

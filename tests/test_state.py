@@ -987,10 +987,10 @@ def test_first_terms_access_from_many_threads_gives_equal_tuples():
         sys.setswitchinterval(old_interval)
 
 
-def test_derive_checks_each_new_beam_column_object_once(monkeypatch):
-    # A stage's fresh (alpha, alpha) pair is one column object given twice:
-    # _derive checks it for finiteness once.  A non-finite column given
-    # twice raises with the message a single one gets.
+def test_derive_checks_a_repeated_beam_column_object_once(monkeypatch):
+    # A stage's fresh (alpha, alpha) pair is one column object given twice
+    # in a row: _derive checks it for finiteness once.  A non-finite column
+    # given twice raises with the message a single one gets.
     checked = []
 
     def isfinite(z):
@@ -1007,10 +1007,10 @@ def test_derive_checks_each_new_beam_column_object_once(monkeypatch):
     derived = _derive(source, beams=(column, column))
     assert derived.beams == (column, column) and derived.beams[1] is column
     assert len(checked) == 2
-    # an equal column of its own is equal to a checked one, so finite too
+    # only the same object is skipped: an equal copy is checked again
     checked.clear()
     _derive(source, beams=(column, tuple(list(column))))
-    assert len(checked) == 2
+    assert len(checked) == 4
     checked.clear()
     _derive(source, beams=(column, (5.0 + 0j, 6.0 + 0j)))
     assert len(checked) == 4

@@ -2,7 +2,7 @@
 other in one process.
 
     python3 tools/ab_generate.py PARENT_SRC CHANGE_SRC [--rounds N] [--only CASE]
-                                 [--layers] [--layer-runs K]
+                                 [--layers]
 
 Each argument is a ``src`` directory that holds a ``qubus_forge`` package,
 for instance ``src`` of this checkout and ``src`` of an exported parent
@@ -63,7 +63,7 @@ the stages), the Fourier step, the feedforward outcomes, the outcome checks
 and the target overlap (building the target included).  It walks the same
 path as ``generate`` through the tree's own functions, with no memo of a
 whole erasure, and checks that it reaches ``generate``'s final state.
-Each layer is the fastest of ``--layer-runs`` runs on the same input with
+Each layer is the fastest of 21 runs (``LAYER_RUNS``) on the same input with
 the collector off.  The outcome checks are the feedforward with its checks
 (``measure_ancilla_and_feedforward``) less the outcomes alone
 (``feedforward_outcomes``), the two timed in turns, each the fastest of
@@ -231,17 +231,21 @@ def timing_columns(times, passes) -> str:
 
 LAYERS = ("attach", "couple", "herald", "fourier", "outcomes", "checks", "overlap")
 
+# runs per layer in the split, of which each layer takes the fastest
+LAYER_RUNS = 21
 
-def layer_split(module, n: int, shifts: tuple[int, ...], runs: int) -> dict[str, float]:
+
+def layer_split(module, n: int, shifts: tuple[int, ...]) -> dict[str, float]:
     """Seconds per call of each layer of a cold ``generate`` of class
-    (n, shifts), each the fastest of ``runs`` runs, the collector off."""
+    (n, shifts), each the fastest of :data:`LAYER_RUNS` runs, the collector
+    off."""
     protocols, heralding = module.protocols, module.heralding
     spec = module.ProtocolSpec.balanced(n, len(shifts), shifts, 0.01, 500.0)
     split = dict.fromkeys(LAYERS, 0.0)
 
     def fastest(layer, fn, *args):
         best = math.inf
-        for _ in range(runs):
+        for _ in range(LAYER_RUNS):
             start = time.perf_counter()
             out = fn(*args)
             best = min(best, time.perf_counter() - start)
@@ -272,7 +276,7 @@ def layer_split(module, n: int, shifts: tuple[int, ...], runs: int) -> dict[str,
         # the outcomes alone and with their checks, in turns, so that a slow
         # stretch of the machine hits both
         alone = checked = math.inf
-        for _ in range(runs):
+        for _ in range(LAYER_RUNS):
             start = time.perf_counter()
             heralding.feedforward_outcomes(fourier, 0)
             middle = time.perf_counter()
@@ -288,14 +292,14 @@ def layer_split(module, n: int, shifts: tuple[int, ...], runs: int) -> dict[str,
     return split
 
 
-def print_layers(modules, classes, runs: int) -> None:
+def print_layers(modules, classes) -> None:
     """The per-layer split of each class in ``classes``, per tree."""
-    print(f"\ncold layer split, ms per call (fastest of {runs} runs, collector off)")
+    print(f"\ncold layer split, ms per call (fastest of {LAYER_RUNS} runs, collector off)")
     print(f"{'case':<16} {'side':<7}" + "".join(f" {layer:>9}" for layer in LAYERS)
           + f" {'total':>9}")
     for n, shifts in classes:
         label = generate_case(n, shifts)[0]
-        splits = {side: layer_split(modules[side], n, shifts, runs) for side in SIDES}
+        splits = {side: layer_split(modules[side], n, shifts) for side in SIDES}
         for side in SIDES:
             values = [splits[side][layer] for layer in LAYERS]
             print(f"{label:<16} {side:<7}" + "".join(f" {1e3 * v:>9.3f}" for v in values)
@@ -315,10 +319,9 @@ def main(argv=None) -> None:
                         help="run only the case of this label; repeatable")
     parser.add_argument("--layers", action="store_true",
                         help="print each tree's cold per-layer split of the generate classes run")
-    parser.add_argument("--layer-runs", type=int, default=21, metavar="K")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.layer_runs < 1:
-        parser.error("--rounds and --layer-runs must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     selected = [(label, make) for label, make in cases() if not args.only or label in args.only]
     unknown = set(args.only or ()) - {label for label, _ in selected}
     if unknown:
@@ -390,7 +393,7 @@ def compare(args, selected, tmp: str) -> None:
         print(f"{'wide block':<16}" + timing_columns(block, passes))
     if args.layers:
         classes = [c for c in GENERATE_CASES if generate_case(*c)[0] in labels]
-        print_layers(modules, classes, args.layer_runs)
+        print_layers(modules, classes)
 
 
 if __name__ == "__main__":
