@@ -388,8 +388,12 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return code

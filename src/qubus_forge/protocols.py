@@ -83,35 +83,6 @@ def _phase_pattern(n: int, m: int) -> tuple[complex, ...]:
     return tuple([scale * cmath.exp(2j * math.pi * j * m / n) for j in range(n)])
 
 
-# How far each entry of a given coefficient vector may sit from
-# (global phase) * tau^{j m} / sqrt(n) and still count as that pattern, so
-# that the run gets a fidelity target.  phased_coeffs lands within ~1e-16;
-# 1e-9 also admits a vector entered by hand (--coeffs), off by its rounding.
-PHASE_PATTERN_TOL = 1e-9
-
-
-def coeff_phase_index(coeffs) -> int | None:
-    """The integer m when coeffs ~ (global phase) * tau^{j m} / sqrt(n).
-
-    Returns None when the vector is not balanced-with-linear-phases.
-    """
-    n = len(coeffs)
-    if n == 0:
-        return None
-    scale = 1.0 / math.sqrt(n)
-    if any(abs(abs(c) - scale) > PHASE_PATTERN_TOL for c in coeffs):
-        return None
-    if n == 1:
-        return 0
-    step = 2.0 * math.pi / n
-    m = round(cmath.phase(coeffs[1] / coeffs[0]) / step) % n
-    for j, c in enumerate(coeffs):
-        expected = coeffs[0] * cmath.exp(1j * step * j * m)
-        if abs(c - expected) > PHASE_PATTERN_TOL:
-            return None
-    return m
-
-
 def _check_shifts(shifts: tuple[int, ...], n: int, parties: int) -> None:
     """One shift per party, each in [0, n), the first one 0."""
     if len(shifts) != parties:
@@ -199,10 +170,11 @@ class ProtocolSpec:
 class GenerationReport:
     """Outcome of a full generation run.
 
-    ``fidelity_vs_target`` is filled only when every coefficient vector is
-    balanced-with-linear-phases, in which case the matching maximally
-    entangled target is well defined.  ``failed_stage`` names the first
-    stage whose herald had no vacuum branch, if any.
+    ``fidelity_vs_target`` is the overlap of the final state with the
+    spec's closed form sum_j A_j (x)_i |(j + k_i) mod n>_i,
+    A_j = prod_i c_i[(j + k_i) mod n], for any coefficient vectors; it is
+    None only when a stage failed.  ``failed_stage`` names the first stage
+    whose herald had no vacuum branch, if any.
 
     ``success_prob`` is the product of the stage probabilities and can
     underflow to 0.0 although every stage heralded (n = 3 with 700 parties
@@ -396,6 +368,26 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
     return _columns(layout, phased_coeffs(n, m), labels, ())
 
 
+def _spec_target(spec: ProtocolSpec) -> HybridState:
+    """The state a heralded run of ``spec`` ends in, up to norm and phase:
+    sum_j A_j (x)_i |(j + k_i) mod n>_i with A_j = prod_i c_i[(j + k_i) mod n],
+    on the layout and labels of ``target_state(n, 0, shifts, parties)``.
+
+    The running product is divided by its largest |A_j| after each party,
+    since a plain one underflows (3^-350 at n = 3 with 700 parties, whose
+    square is past float range).  A run that reaches its target heralded
+    every stage, so no partial product is all zero; a zero A_j stays as a
+    zero-amplitude term.
+    """
+    amps = (1.0,) * spec.n
+    for vec, k in zip(spec.coeffs, spec.shifts):
+        amps = list(map(operator.mul, amps, vec[k:] + vec[:k]))
+        top = max(map(abs, amps))
+        amps = [a / top for a in amps]
+    balanced = target_state(spec.n, 0, spec.shifts, spec.parties)
+    return _columns(balanced.layout, tuple(amps), balanced.labels, ())
+
+
 # Label cells the erasure memo may hold: a cell is one label of one term,
 # counted over each entry's input and output state.  An entry holds its key
 # (the layout and the bytes of the labels and amplitudes; protocol states
@@ -501,11 +493,7 @@ def generate(spec: ProtocolSpec) -> GenerationReport:
         success *= outcome.success_prob
     else:
         state = _erased(state)
-        phase_indices = [coeff_phase_index(vec) for vec in spec.coeffs]
-        if all(m is not None for m in phase_indices):
-            m_total = sum(phase_indices) % spec.n
-            target = target_state(spec.n, m_total, spec.shifts, spec.parties)
-            fidelity = overlap_sq(state, target)
+        fidelity = overlap_sq(state, _spec_target(spec))
 
     error_log = _total_error_log(outcomes)
     return GenerationReport(

@@ -74,12 +74,13 @@ ALPHA_MAX = 1e3
 THETA_MAX = 2 * math.pi
 
 # Largest dimension n a protocol, sweep or preparation accepts.  A stage
-# holds ~n^2 terms, and each doubling of n costs it ~4-5x in time and ~4x in
-# memory: one sweep point takes 0.1 s at n = 64, 0.35 s at n = 128 and 1.8 s
-# (~40 MB) at n = 256 (2-CPU Xeon VM, CPython 3.11), which extrapolates to
-# about a minute and ~0.7 GB at n = 1024.  Past that a run does not finish in
-# useful time, and with no bound the check of every offset d < n runs for as
-# long as n is large.  The paper's qudits have n <= 5.
+# holds ~n^2 terms, and each doubling of n costs it ~4x in time and up to
+# ~3.5x in memory: at n = 1024 sweep_point(500.0, 0.01, 1.0, 1024) takes
+# 2.1-2.7 s and a peak of 266 MB, and a two-party generate 6.3 s and 397 MB
+# (one cold call in a fresh process pinned to one CPU, 2-CPU Xeon VM,
+# CPython 3.11).  Past that a run does not finish in useful time, and with
+# no bound the check of every offset d < n runs for as long as n is large.
+# The paper's qudits have n <= 5.
 N_MAX = 1024
 
 # Largest party count M a protocol or the CLI accepts.  A report keeps every

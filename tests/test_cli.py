@@ -79,6 +79,9 @@ def test_generate_underflowed_success_probability_exits_0(capsys):
     assert doc["failed_stage"] is None
     assert doc["success_prob"] == 0.0
     assert doc["success_prob_log10"] == pytest.approx(-700 * math.log10(3), abs=1e-9)
+    # the target's running product is rescaled per party: a plain one,
+    # 3^-350 per amplitude, has a squared norm below float range
+    assert abs(doc["fidelity_vs_target"] - 1.0) <= 2e-14  # test_protocols.FIDELITY_TOL
 
 
 def test_party_count_above_the_bound_exits_2_before_it_is_built(capsys):
@@ -262,6 +265,22 @@ def test_sweep_csv_output(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "alpha,theta,eta,mean_k1,mean_k2,p_err_closed,p_err_sim"
     assert lines[1].split(",")[4] == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--n", "3", "--balanced"),
+    ("sweep", "--alpha", "100", "--theta", "0.01", "--eta", "1", "--output", "csv"),
+], ids=["generate", "sweep-csv"])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    # a missing directory and a directory: the run's result cannot be
+    # written, which is a configuration error with nothing on stdout
+    for out, reason in ((tmp_path / "no" / "such.json", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, ""), out
+        assert err.startswith("error: cannot write output file: ") and reason in err, err
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_json_to_stdout(capsys):

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "apply_su2",
     "apply_xpm",
     "canonicalize",
-    "coeff_phase_index",
     "coherent_overlap",
     "drop_uniform_beam",
     "entangle_stage",
@@ -102,7 +101,6 @@ SIGNATURES = {
     "apply_su2": ("state", "u"),
     "apply_xpm": ("state", "party", "shift", "beam", "theta"),
     "canonicalize": ("state",),
-    "coeff_phase_index": ("coeffs",),
     "coherent_overlap": ("a", "b"),
     "drop_uniform_beam": ("state", "beam"),
     "entangle_stage": ("state", "spec", "party"),
@@ -257,7 +255,6 @@ NOT_NUMBERS = {
     ("RegisterLayout.replace", "changes"): "layout fields",
     **{(name, "state"): "state" for name in SIGNATURES if "state" in SIGNATURES[name]},
     ("apply_su2", "u"): "matrix",
-    ("coeff_phase_index", "coeffs"): "vector",
     ("entangle_stage", "spec"): "spec",
     ("generate", "spec"): "spec",
     ("herald_vacuum", "det"): "detector",

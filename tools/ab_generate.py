@@ -60,9 +60,10 @@ in the two warm passes ("-" for a tree without the memo).
 the paper's range and the five wide classes): attaching each party,
 coupling it, heralding with the spectator beam dropped (each summed over
 the stages), the Fourier step, the feedforward outcomes, the outcome checks
-and the target overlap (building the target included).  It walks the same
-path as ``generate`` through the tree's own functions, with no memo of a
-whole erasure, and checks that it reaches ``generate``'s final state.
+and the target overlap (building the target with ``generate``'s own
+``protocols._spec_target`` included, so both trees need it).  It walks the
+same path as ``generate`` through the tree's own functions, with no memo of
+a whole erasure, and checks that it reaches ``generate``'s final state.
 Each layer is the fastest of 21 runs (``LAYER_RUNS``) on the same input with
 the collector off.  The outcome checks are the feedforward with its checks
 (``measure_ancilla_and_feedforward``) less the outcomes alone
@@ -257,8 +258,7 @@ def layer_split(module, n: int, shifts: tuple[int, ...]) -> dict[str, float]:
         return module.state.drop_uniform_beam(outcome.heralded_state, beam)
 
     def overlap(state):
-        m = sum(map(protocols.coeff_phase_index, spec.coeffs)) % n
-        return protocols.overlap_sq(state, protocols.target_state(n, m, shifts, len(shifts)))
+        return protocols.overlap_sq(state, protocols._spec_target(spec))
 
     state = module.prepare_single_photon_qudit(n)
     gc.collect()
