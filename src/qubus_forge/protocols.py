@@ -375,7 +375,7 @@ def _spec_target(spec: ProtocolSpec) -> HybridState:
 
     The running product is divided by its largest |A_j| after each party,
     since a plain one underflows (3^-350 at n = 3 with 700 parties, whose
-    square is past float range).  A run that reaches its target heralded
+    square rounds to 0.0).  A run that reaches its target heralded
     every stage, so no partial product is all zero; a zero A_j stays as a
     zero-amplitude term.
     """

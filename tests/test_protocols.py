@@ -82,8 +82,8 @@ ALPHA = 500.0
 # errors of the final state and of the target move the fidelity only at
 # second order (~1e-31 for the final state's 3.5 ulps); what is left is the
 # rounding of the overlap's three sums of n terms and their quotient,
-# within 3 (n + 2) ulps of 1/2 by the recursive-summation bound: 1.7e-14 at
-# n = 48, the widest spec checked.  The worst measured is 2.0e-15, over the
+# within 3 (n + 2) u, u = 2^-53, by the recursive-summation bound: 1.7e-14
+# at n = 48, the widest spec checked.  The worst measured is 2.0e-15, over the
 # report digest's 154 specs.
 FIDELITY_TOL = 2e-14
 
@@ -374,8 +374,8 @@ def test_generate_matches_the_coefficient_product_oracle(inputs):
 def test_fidelity_holds_at_the_party_bound_with_unbalanced_coefficients():
     # n = 2 with PARTIES_MAX parties in pairs whose entry sizes are (s, t)
     # and (t, s), s from 0.3 to 0.95 and t = sqrt(1 - s^2), at random
-    # phases: both A_j have size prod (s t), below 1e-150, whose square a
-    # plain product takes past float range
+    # phases: both A_j have size prod (s t), 4e-191 here, whose square a
+    # plain product rounds to 0.0
     rng = random.Random("party bound")
     coeffs = []
     for _ in range(PARTIES_MAX // 2):
@@ -385,7 +385,7 @@ def test_fidelity_holds_at_the_party_bound_with_unbalanced_coefficients():
             coeffs.append(tuple(cmath.rect(r, rng.uniform(-math.pi, math.pi)) for r in sizes))
     spec = ProtocolSpec(2, PARTIES_MAX, (0,) * PARTIES_MAX, coeffs, THETA, ALPHA)
     report = generate(spec)
-    assert report.failed_stage is None and report.success_prob < 1e-300
+    assert report.failed_stage is None and report.success_prob == 0.0
     assert abs(report.fidelity_vs_target - 1.0) <= FIDELITY_TOL
     assert [abs(a) for a in _spec_target(spec).amps] == pytest.approx([1.0, 1.0], rel=1e-12)
 
