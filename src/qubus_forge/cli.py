@@ -14,9 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
+import stat
 import sys
 
 from .analysis import SweepGrid, run_sweep, verify_basis
@@ -363,6 +366,27 @@ def parse_argv(argv: list[str]) -> tuple[argparse.Namespace, bool]:
     return _normalize(parser.parse_args(argv)), dump_config
 
 
+def _check_out(path: str) -> None:
+    """Raise the ``OSError`` that opening ``path`` for writing would raise
+    when its parent cannot be reached or is no directory, or ``path`` names
+    a directory, creating nothing, so a run whose result cannot be written
+    never starts.  What only the write can tell (e.g. permissions, a full
+    disk) is reported by the write."""
+    try:
+        parent = os.stat(os.path.dirname(path.rstrip(os.sep)) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if not stat.S_ISDIR(parent.st_mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if path.endswith(os.sep) or os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output file: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -378,6 +402,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(config_to_text(args))
         return 0
 
+    if args.out:
+        try:
+            _check_out(args.out)
+        except OSError as exc:
+            return _cannot_write(exc)
     try:
         rendered, code = _RUNNERS[args.command](args)
     except ValueError as exc:
@@ -392,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            print(f"error: cannot write output file: {exc}", file=sys.stderr)
-            return 2
+            return _cannot_write(exc)
     else:
         sys.stdout.write(rendered)
     return code

@@ -109,7 +109,7 @@ def test_criterion_3_feasibility_numbers():
                                               1.0))) <= 1e-10
 
     common = _run_stage(ancilla, phased_coeffs(3, 0), 0, THETA, ALPHA,
-                        DetectorModel.on_off(0.7))
+                        DetectorModel(0.7))
     assert common.error_prob < 1e-4
     print(
         "ACCEPTANCE 3 (feasibility: mean photons "

@@ -243,7 +243,7 @@ _XPM_STATE = HybridState(
         (lambda: apply_xpm(_XPM_STATE, 0, 1, 0, 10**400), "theta"),
         (lambda: apply_qubus_phase(_XPM_STATE, 0, 10**400), "phi"),
         (lambda: prep_rotation(10**400, 0), "n"),
-        (lambda: DetectorModel.on_off(10**400), "efficiency"),
+        (lambda: DetectorModel(10**400), "efficiency"),
     ],
     ids=["spec-theta", "spec-alpha", "grid-theta", "grid-alpha", "grid-eta", "sweep_point",
          "mean_photons-theta", "mean_photons-alpha", "closed_form", "xpm", "qubus_phase",

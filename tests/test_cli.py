@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,34 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
         assert err.startswith("error: cannot write output file: ") and reason in err, err
         assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # a missing directory, a directory and a parent that is a file are
+    # found before the run, which never starts; the check creates nothing
+    # and prints what open() raises
+    import qubus_forge.cli as cli
+
+    def no_run(spec):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr(cli, "generate", no_run)
+    (tmp_path / "file").touch()
+    for out, code in ((tmp_path / "no" / "x.json", errno.ENOENT), (tmp_path, errno.EISDIR),
+                      (tmp_path / "file" / "x.json", errno.ENOTDIR)):
+        exit_code, stdout, err = run_cli(capsys, "generate", "--n", "256", "--balanced",
+                                         "--out", str(out))
+        reason = OSError(code, os.strerror(code), str(out))
+        assert (exit_code, stdout, err) == (2, "", f"error: cannot write output file: {reason}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_fails_on_write_exits_2(capsys):
+    # what only the write can tell: /dev/full opens, and every write fails
+    code, stdout, err = run_cli(capsys, "generate", "--n", "3", "--balanced", "--out", "/dev/full")
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot write output file: [Errno 28] No space left on device\n"
 
 
 def test_sweep_json_to_stdout(capsys):

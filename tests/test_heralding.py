@@ -73,14 +73,14 @@ def stage_one_pre_herald(n=3, alpha=ALPHA, theta=THETA):
 def test_detector_model_kinds():
     assert DetectorModel() == DetectorModel.on_off(1.0)
     with pytest.raises(ValueError):
-        DetectorModel.on_off(1.5)
+        DetectorModel(1.5)
     with pytest.raises(ValueError):
-        DetectorModel.on_off(-0.1)
+        DetectorModel(-0.1)
 
 
 def test_detector_no_click_probability():
     # each branch record holds the silence log -eta |beta|^2 of its class
-    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel.on_off(0.7))
+    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel(0.7))
     for record in outcome.branch_table:
         expected = -0.7 * abs(record.beam_amp) ** 2
         assert record.no_click_log == pytest.approx(expected, rel=1e-15, abs=1e-300)
@@ -117,7 +117,7 @@ def test_herald_error_matches_closed_form():
 
 
 def test_herald_with_finite_efficiency():
-    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel.on_off(0.7))
+    outcome = herald_vacuum(stage_one_pre_herald(), 0, DetectorModel(0.7))
     assert outcome.success_prob == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert outcome.error_prob == pytest.approx(qutrit_silent_failure_prob(ALPHA, THETA, 0.7),
                                                rel=1e-12)
@@ -163,13 +163,13 @@ def test_herald_error_monotone_in_alpha_and_eta():
     pre = {a: stage_one_pre_herald(alpha=a) for a in (1.0, 5.0, 20.0, 100.0)}
     for eta in (0.3, 0.7, 1.0):
         errs = [
-            herald_vacuum(pre[a], 0, DetectorModel.on_off(eta)).error_prob
+            herald_vacuum(pre[a], 0, DetectorModel(eta)).error_prob
             for a in (1.0, 5.0, 20.0, 100.0)
         ]
         assert all(x >= y - 1e-15 for x, y in zip(errs, errs[1:]))
     for alpha in (1.0, 20.0):
         errs = [
-            herald_vacuum(pre[alpha], 0, DetectorModel.on_off(eta)).error_prob
+            herald_vacuum(pre[alpha], 0, DetectorModel(eta)).error_prob
             for eta in (0.2, 0.5, 0.8, 1.0)
         ]
         assert all(x >= y - 1e-15 for x, y in zip(errs, errs[1:]))
@@ -316,7 +316,7 @@ def test_branch_table_orders_equal_weights_by_rounded_beam():
     state = HybridState(
         layout, [Term(a, (j,), (b,)) for j, (a, b) in enumerate(zip(amps, beams))]
     )
-    outcome = herald_vacuum(state, 0, DetectorModel.on_off(0.7))
+    outcome = herald_vacuum(state, 0, DetectorModel(0.7))
     table = outcome.branch_table
     assert table == tuple(sorted(table, key=lambda r: (-r.weight, _beam_key(r.beam_amp))))
     assert [r.beam_amp for r in table] == [2.0, 3.0 + 1.0j, -1.0, 0.0, 0.5j, 3.0 - 1.0j]
@@ -861,7 +861,7 @@ def test_stage_two_error_uses_actual_branch_weights():
         DetectorModel(),
     )
     second = _run_stage(first.heralded_state, b, k, THETA, ALPHA,
-                        DetectorModel.on_off(eta))
+                        DetectorModel(eta))
     expected = 0.0
     for j in range(n):
         for m in range(n):

@@ -1348,7 +1348,7 @@ def test_internal_states_are_ones_the_public_constructors_accept():
             shifts=(0,) + tuple(rng.randrange(n) for _ in range(parties - 1)),
             theta=rng.uniform(0.005, 0.05),
             alpha=rng.uniform(100.0, 500.0),
-            detector=DetectorModel.on_off(rng.uniform(0.5, 1.0)),
+            detector=DetectorModel(rng.uniform(0.5, 1.0)),
             phase_indices=tuple(rng.randrange(n) for _ in range(parties)),
         )
         for state in _protocol_layers(spec):

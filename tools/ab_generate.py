@@ -39,38 +39,36 @@ parent's time) three times: with the garbage collector off, which shows the
 work each call does; with it on at the interpreter's thresholds, which adds
 the cyclic collections that the objects a call allocates start; and cold,
 with the collector on and ``generate``'s erasure memo
-(``protocols._erased``) cleared before every call, in a tree that has one.
-A repeated spec reuses its erasure in the first two passes, so the cold
-pass is the one to compare with ratios taken before the memo existed.  Each
-batch starts from a full collection and one untimed call: a full
-collection empties CPython's free lists of small tuples, and a call that
-finds them empty allocates its tuples as counted objects.  It prints, per
-case and per pass, the median of the per-round ratios change / parent and
-each side's median time per call, then each side's collections started
-per call in the pass with the collector on (``gc.callbacks`` counts them;
-a collection starts when generation 0 overflows its threshold, whichever
-generation it then collects), and each side's erasure-memo hits per call
-in the two warm passes ("-" for a tree without the memo).
+(``protocols._erased``) cleared before every call.  A repeated spec reuses
+its erasure in the first two passes, so the cold pass is the one to compare
+with ratios taken before the memo existed.  Each batch starts from a full
+collection and one untimed call: a full collection empties CPython's free
+lists of small tuples, and a call that finds them empty allocates its
+tuples as counted objects.  It prints, per case and per pass, the median of
+the per-round ratios change / parent and each side's median time per call,
+then each side's collections started per call in the pass with the
+collector on (``gc.callbacks`` counts them; a collection starts when
+generation 0 overflows its threshold, whichever generation it then
+collects), and each side's erasure-memo hits per call in the two warm
+passes.
 
 ``--only CASE`` runs only the case of that label (as printed, e.g.
 ``--only "n=48, M=2"``); give it more than once for more cases.
 
-``--layers`` prints, after the end-to-end cases, each tree's cold split of
-``generate`` into its layers for every ``generate`` class run (by default
-the paper's range and the five wide classes): attaching each party,
-coupling it, heralding with the spectator beam dropped (each summed over
-the stages), the Fourier step, the feedforward outcomes, the outcome checks
-and the target overlap (building the target with ``generate``'s own
-``protocols._spec_target`` included, so both trees need it).  It walks the
-same path as ``generate`` through the tree's own functions, with no memo of
-a whole erasure, and checks that it reaches ``generate``'s final state.
-Each layer is the fastest of 21 runs (``LAYER_RUNS``) on the same input with
-the collector off.  The outcome checks are the feedforward with its checks
-(``measure_ancilla_and_feedforward``) less the outcomes alone
-(``feedforward_outcomes``), the two timed in turns, each the fastest of
-its runs.  The rows give
-milliseconds per call and, per class, the ratio change / parent of each
-layer.
+``--layers`` splits each ``generate`` class run (by default the paper's
+range and the five wide classes) into the layers of :data:`LAYER_OF`:
+attaching each party, coupling it, heralding with the spectator beam
+dropped, the Fourier step, the feedforward outcomes, the outcome checks and
+the target overlap.  In each round each side times one more cold batch
+with every function of that table rebound, in its own tree, to a wrapper
+that adds the call's self time (less that of the wrapped calls inside it,
+so the checks are the feedforward less its outcomes) to its layer; the
+bindings are restored after the batch.  ``generate`` looks these functions
+up when it runs, so the split times ``generate`` itself; a tree that lacks
+one stops the tool.  The rows give each side's median time per call of
+each layer and of their total, and the median of the per-round ratios
+change / parent.  A wrapper costs about 0.4 µs a call (2-3% of a cold
+n = 2 call), the same in both trees.
 
 Pin the process to one CPU for steadier numbers, e.g. ``taskset -c 1``.
 """
@@ -80,7 +78,6 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import math
 import random
 import shutil
 import statistics
@@ -182,18 +179,15 @@ def masked_repr(module, call) -> str:
     return repr(call()).replace(module.__name__, "qubus_forge")
 
 
-def erasure_memo(module):
-    """The tree's erasure memo, or None in a tree without one."""
-    return getattr(module.protocols, "_erased", None)
+def cold(module, call):
+    """``call`` with ``generate``'s erasure memo cleared before it."""
+    clear = module.protocols._erased.clear
+    return lambda: (clear(), call())
 
 
-def _no_reset():
-    pass
-
-
-def time_calls(call, calls: int, collector: bool = False, reset=_no_reset) -> tuple[float, int]:
+def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
     """(seconds per ``call()``, collections started) over ``calls`` calls,
-    with the garbage collector on or off, and ``reset()`` before each."""
+    with the garbage collector on or off."""
     started = 0
 
     def count(phase, info):
@@ -202,7 +196,6 @@ def time_calls(call, calls: int, collector: bool = False, reset=_no_reset) -> tu
             started += 1
 
     gc.collect()
-    reset()
     call()  # fills the free lists again
     if not collector:
         gc.disable()
@@ -210,7 +203,6 @@ def time_calls(call, calls: int, collector: bool = False, reset=_no_reset) -> tu
     try:
         start = time.perf_counter()
         for _ in range(calls):
-            reset()
             call()
         return (time.perf_counter() - start) / calls, started
     finally:
@@ -230,84 +222,84 @@ def timing_columns(times, passes) -> str:
     return row
 
 
-LAYERS = ("attach", "couple", "herald", "fourier", "outcomes", "checks", "overlap")
+# Each function that generate looks up when it runs, as module.name in a
+# tree, and the layer its self time goes to.
+LAYER_OF = {
+    "protocols._attach_party": "attach",
+    "protocols._couple": "couple",
+    "protocols.herald_vacuum": "herald",
+    "protocols.drop_uniform_beam": "herald",
+    "protocols.apply_fourier_lomi": "fourier",
+    "heralding.feedforward_outcomes": "outcomes",
+    "protocols.measure_ancilla_and_feedforward": "checks",
+    "protocols._spec_target": "overlap",
+    "protocols.overlap_sq": "overlap",
+}
+LAYERS = tuple(dict.fromkeys(LAYER_OF.values()))
 
-# runs per layer in the split, of which each layer takes the fastest
-LAYER_RUNS = 21
+
+def layer_bindings(module, side: str):
+    """(namespace, attribute, layer) of each name of :data:`LAYER_OF` in
+    ``module``; a name the tree lacks stops the tool."""
+    bindings = []
+    for name, layer in LAYER_OF.items():
+        owner, attr = name.split(".")
+        namespace = getattr(module, owner, None)
+        if not callable(getattr(namespace, attr, None)):
+            raise SystemExit(f"error: the {side} tree has no {name} for --layers")
+        bindings.append((namespace, attr, layer))
+    return bindings
 
 
-def layer_split(module, n: int, shifts: tuple[int, ...]) -> dict[str, float]:
-    """Seconds per call of each layer of a cold ``generate`` of class
-    (n, shifts), each the fastest of :data:`LAYER_RUNS` runs, the collector
-    off."""
-    protocols, heralding = module.protocols, module.heralding
-    spec = module.ProtocolSpec.balanced(n, len(shifts), shifts, 0.01, 500.0)
+def layer_split(bindings, call, calls: int) -> list[float]:
+    """Seconds per call of each layer of :data:`LAYERS` over ``calls``
+    cold calls, the collector on, each of ``bindings`` rebound to a wrapper
+    that adds its call's self time to its layer, then restored."""
     split = dict.fromkeys(LAYERS, 0.0)
+    nested = []  # per open wrapped call, the time of the wrapped calls inside it
 
-    def fastest(layer, fn, *args):
-        best = math.inf
-        for _ in range(LAYER_RUNS):
+    def wrap(fn, layer):
+        def timed(*args, **kwargs):
+            nested.append(0.0)
             start = time.perf_counter()
-            out = fn(*args)
-            best = min(best, time.perf_counter() - start)
-        split[layer] += best
-        return out
+            out = fn(*args, **kwargs)
+            elapsed = time.perf_counter() - start
+            split[layer] += elapsed - nested.pop()
+            if nested:
+                nested[-1] += elapsed
+            return out
 
-    def herald(state, beam):
-        outcome = heralding.herald_vacuum(state, beam, spec.detector)
-        return module.state.drop_uniform_beam(outcome.heralded_state, beam)
+        return timed
 
-    def overlap(state):
-        return protocols.overlap_sq(state, protocols._spec_target(spec))
-
-    state = module.prepare_single_photon_qudit(n)
-    gc.collect()
-    gc.disable()
+    originals = [(namespace, attr, getattr(namespace, attr)) for namespace, attr, _ in bindings]
     try:
-        for party in range(spec.parties):
-            attached = fastest(
-                "attach", protocols._attach_party, state, spec.coeffs[party], spec.alpha
-            )
-            coupled, beam = fastest(
-                "couple", protocols._couple, attached, shifts[party], spec.theta
-            )
-            state = fastest("herald", herald, coupled, beam)
-        fourier = fastest("fourier", module.apply_fourier_lomi, state)
-        # the outcomes alone and with their checks, in turns, so that a slow
-        # stretch of the machine hits both
-        alone = checked = math.inf
-        for _ in range(LAYER_RUNS):
-            start = time.perf_counter()
-            heralding.feedforward_outcomes(fourier, 0)
-            middle = time.perf_counter()
-            final = heralding.measure_ancilla_and_feedforward(fourier, 0)
-            alone = min(alone, middle - start)
-            checked = min(checked, time.perf_counter() - middle)
-        split["outcomes"], split["checks"] = alone, checked - alone
-        fastest("overlap", overlap, final)
+        for namespace, attr, layer in bindings:
+            setattr(namespace, attr, wrap(getattr(namespace, attr), layer))
+        time_calls(call, calls, True)
     finally:
-        gc.enable()
-    if repr(final) != repr(module.generate(spec).final_state):
-        raise SystemExit(f"error: the layer split of n={n}, M={len(shifts)} misses generate's state")
-    return split
+        for namespace, attr, fn in originals:
+            setattr(namespace, attr, fn)
+    # time_calls makes one untimed call first, as cold as the rest
+    return [split[layer] / (calls + 1) for layer in LAYERS]
 
 
-def print_layers(modules, classes) -> None:
-    """The per-layer split of each class in ``classes``, per tree."""
-    print(f"\ncold layer split, ms per call (fastest of {LAYER_RUNS} runs, collector off)")
+def print_layers(splits) -> None:
+    """Per class of ``splits`` (label -> side -> one layer split per round):
+    each side's median ms per call of each layer and of their total, then
+    the median of the per-round ratios change / parent."""
+    print("\ncold layer split, ms per call (median of rounds, collector on)")
     print(f"{'case':<16} {'side':<7}" + "".join(f" {layer:>9}" for layer in LAYERS)
           + f" {'total':>9}")
-    for n, shifts in classes:
-        label = generate_case(n, shifts)[0]
-        splits = {side: layer_split(modules[side], n, shifts) for side in SIDES}
+    for label, rounds in splits.items():
+        # per side, each column's value in each round, the total last
+        columns = {side: list(zip(*[[*split, sum(split)] for split in rounds[side]]))
+                   for side in SIDES}
         for side in SIDES:
-            values = [splits[side][layer] for layer in LAYERS]
-            print(f"{label:<16} {side:<7}" + "".join(f" {1e3 * v:>9.3f}" for v in values)
-                  + f" {1e3 * sum(values):>9.3f}")
-        ratios = [splits["change"][layer] / splits["parent"][layer] for layer in LAYERS]
-        total = sum(splits["change"].values()) / sum(splits["parent"].values())
-        print(f"{label:<16} {'ratio':<7}" + "".join(f" {r:>9.3f}" for r in ratios)
-              + f" {total:>9.3f}")
+            print(f"{label:<16} {side:<7}"
+                  + "".join(f" {1e3 * statistics.median(c):>9.3f}" for c in columns[side]))
+        ratios = [statistics.median(c / p for p, c in zip(parent, change))
+                  for parent, change in zip(columns["parent"], columns["change"])]
+        print(f"{label:<16} {'ratio':<7}" + "".join(f" {r:>9.3f}" for r in ratios))
 
 
 def main(argv=None) -> None:
@@ -343,10 +335,13 @@ def compare(args, selected, tmp: str) -> None:
     print the layer split when ``args.layers`` asks for it."""
     sources = (args.parent_src, args.change_src)
     modules = {side: load(src, side, Path(tmp)) for side, src in zip(SIDES, sources)}
-    memos = {side: erasure_memo(modules[side]) for side in SIDES}
-    resets = {side: memos[side].clear if memos[side] else _no_reset for side in SIDES}
+    if args.layers:
+        bindings = {side: layer_bindings(modules[side], side) for side in SIDES}
+    memos = {side: modules[side].protocols._erased for side in SIDES}
+    generate_labels = {generate_case(n, shifts)[0] for n, shifts in GENERATE_CASES}
     wide_labels = {generate_case(n, shifts)[0] for n, shifts in WIDE_CASES}
     wide = {}  # (side, pass) -> per wide class, its time per call in each round
+    splits = {}  # label -> side -> per round, its cold layer split
     # (collector on, erasure memo cleared before each call)
     passes = ((False, False), (True, False), (True, True))
     columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
@@ -356,44 +351,46 @@ def compare(args, selected, tmp: str) -> None:
           f"  {'parent':>8} {'change':>8}  ({args.rounds} rounds)")
     for label, make in selected:
         calls = {side: make(modules[side]) for side in SIDES}
+        colds = {side: cold(modules[side], calls[side]) for side in SIDES}
         outputs = {masked_repr(modules[side], calls[side]) for side in SIDES}
         if len(outputs) != 1:
             raise SystemExit(f"error: outputs differ in case {label}")
         batch = max(1, round(0.02 / time_calls(calls["parent"], 1)[0]))
         times = {(side, p): [] for side in SIDES for p in passes}
+        layered = args.layers and label in generate_labels
+        if layered:
+            splits[label] = {side: [] for side in SIDES}
         started = dict.fromkeys(SIDES, 0)
         hits = dict.fromkeys(SIDES, 0)
         for r in range(args.rounds):
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                for on, cold in passes:
-                    memo = memos[side]
-                    before = memo.hits if memo and not cold else 0
-                    reset = resets[side] if cold else _no_reset
-                    seconds, count = time_calls(calls[side], batch, on, reset)
-                    times[side, (on, cold)].append(seconds)
-                    if on and not cold:
+                for on, is_cold in passes:
+                    before = memos[side].hits
+                    seconds, count = time_calls(colds[side] if is_cold else calls[side], batch, on)
+                    times[side, (on, is_cold)].append(seconds)
+                    if on and not is_cold:
                         started[side] += count
-                    if memo and not cold:
-                        hits[side] += memo.hits - before
+                    if not is_cold:
+                        hits[side] += memos[side].hits - before
+                if layered:
+                    splits[label][side].append(layer_split(bindings[side], colds[side], batch))
         if label in wide_labels:
             for key, seconds in times.items():
                 wide.setdefault(key, []).append(seconds)
         row = f"{label:<16}" + timing_columns(times, passes)
         per_call = [started[side] / (args.rounds * batch) for side in SIDES]
         row += f" {per_call[0]:>8.2f} {per_call[1]:>8.2f} "
-        for side in SIDES:
-            # two warm passes, each of a batch of calls and one untimed call
-            warm_calls = 2 * args.rounds * (batch + 1)
-            row += f" {hits[side] / warm_calls:>8.2f}" if memos[side] else f" {'-':>8}"
+        # two warm passes, each of a batch of calls and one untimed call
+        warm_calls = 2 * args.rounds * (batch + 1)
+        row += "".join(f" {hits[side] / warm_calls:>8.2f}" for side in SIDES)
         print(row)
     # each round's times summed over the wide classes, per side and pass
     labels = {label for label, _ in selected}
     if wide_labels <= labels:
         block = {key: [sum(r) for r in zip(*per_case)] for key, per_case in wide.items()}
         print(f"{'wide block':<16}" + timing_columns(block, passes))
-    if args.layers:
-        classes = [c for c in GENERATE_CASES if generate_case(*c)[0] in labels]
-        print_layers(modules, classes)
+    if splits:
+        print_layers(splits)
 
 
 if __name__ == "__main__":

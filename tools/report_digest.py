@@ -95,7 +95,7 @@ def _random_spec(rng: random.Random):
     theta = 10 ** rng.uniform(-3, -0.5)
     alpha = rng.uniform(20, 900) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
     eta = rng.choice((1.0, rng.uniform(0.5, 1.0)))
-    detector = DetectorModel.on_off(eta)
+    detector = DetectorModel(eta)
     if rng.random() < 0.8:
         phases = tuple(rng.randrange(n) for _ in range(parties))
         return functools.partial(
@@ -219,7 +219,7 @@ def results():
         yield _outcome(state_norm_sq, state)
         yield _outcome(inner_product, state, other)
         yield _outcome(lambda: herald_vacuum(
-            _normalized(state), 0, DetectorModel.on_off(rng.uniform(0.5, 1.0))
+            _normalized(state), 0, DetectorModel(rng.uniform(0.5, 1.0))
         ))
         yield repr([coherent_overlap(p, q) for p, q in zip(state.beams[0], other.beams[0])])
 
