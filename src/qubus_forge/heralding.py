@@ -158,12 +158,10 @@ def herald_vacuum(
     success = classes.success_prob
     canonical = classes.state
     if success > 0.0:
-        col = canonical.beams[beam]
         in_vacuum = map(classes.vacuum.__eq__, classes.class_of)
-        rows = list(itertools.compress(range(len(col)), in_vacuum))
+        rows = list(itertools.compress(itertools.count(), in_vacuum))
         if classes.vacuum_split:
-            order = _merge_groups([(col[i],) for i in rows])[0]
-            rows = [rows[p] for p in order]
+            rows = _merge_groups((canonical.beams[beam],), rows)[0]
         scale = 1.0 / math.sqrt(success)
         amps = canonical.amps
         heralded = _without_beam(canonical, beam, rows, tuple([amps[i] * scale for i in rows]))
@@ -208,7 +206,7 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     col = s.beams[beam]
     class_of_value = dict.fromkeys(col)
     values = list(class_of_value)
-    groups = _merge_groups(list(zip(values)))  # each value as a 1-tuple
+    groups = _merge_groups((values,), range(len(values)))
     for k, g in enumerate(groups):
         for p in g:
             class_of_value[values[p]] = k

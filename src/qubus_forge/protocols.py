@@ -135,6 +135,8 @@ class ProtocolSpec:
             norm = sum(c.real * c.real + c.imag * c.imag for c in vec)
             if not abs(norm - 1.0) <= COEFF_NORM_TOL:  # a NaN norm fails too
                 raise ValueError("coefficient vectors must have unit norm")
+        if not isinstance(self.detector, DetectorModel):
+            raise TypeError("detector must be a DetectorModel")
 
     @classmethod
     def balanced(

@@ -479,10 +479,6 @@ def qubus_close(u: complex, v: complex) -> bool:
     return abs(u - v) <= MERGE_TOL * max(1.0, abs(u), abs(v))
 
 
-def _tuples_close(p, q) -> bool:
-    return all(map(qubus_close, p, q))
-
-
 # The half-width of _merge_groups' window, per unit of max(1, |u0|):
 # qubus_close accepts |Re(u0 - v0)| up to MERGE_TOL max(1, |u0|) /
 # (1 - MERGE_TOL).  The window is taken on real parts rounded to 12
@@ -492,18 +488,19 @@ def _tuples_close(p, q) -> bool:
 _WINDOW = (MERGE_TOL / (1.0 - MERGE_TOL) + 1e-12) * 1.001
 
 
-def _merge_groups(beams, index=None) -> list[list[int]]:
-    """The one rule for "these beam tuples are the same value".
+def _merge_groups(beams, index) -> list[list[int]]:
+    """The one rule for "these terms' beams are the same value".
 
-    The ascending indices ``index`` into ``beams`` (all of them by default)
-    are visited in rounded-beam order (ties in index order).  Each joins the
-    first group whose first member agrees with it within :data:`MERGE_TOL`,
-    else starts a new group.  Groups come in creation order and list their
-    members in visit order, so a group's first index is its representative.
+    Over a state's beam columns ``beams``, the ascending term indices
+    ``index`` are visited in rounded-beam order (ties in index order).  Each
+    joins the first group whose first member agrees with it on every column
+    within :data:`MERGE_TOL`, else starts a new group.  Groups come in
+    creation order and list their members in visit order, so a group's first
+    index is its representative.
 
     A beam's rounded key is its real and imaginary parts rounded to the 12
     decimals of :data:`MERGE_TOL`, ``(round(q.real, 12), round(q.imag,
-    12))``.  Every part is rounded in one ``map``, and a tuple's key is its
+    12))``.  Every part is rounded in one ``map``, and a term's key is its
     beams' rounded parts in a row, which sorts and compares as its list of
     per-beam keys.  A stable sort of the positions in ``index`` on those
     keys gives the visit order.
@@ -517,30 +514,28 @@ def _merge_groups(beams, index=None) -> list[list[int]]:
     representatives' rounded real parts never decrease: the window is two
     bisects of an append-only list, and its slice is in creation order.
     """
-    if index is None:
-        index = range(len(beams))
-    if len(index) <= 1 or not beams[index[0]]:
+    if len(index) <= 1 or not beams:
         return [list(index)] if index else []
-    parts = [x for i in index for q in beams[i] for x in (q.real, q.imag)]
+    parts = [x for i in index for col in beams for x in (col[i].real, col[i].imag)]
     rounded = map(round, parts, itertools.repeat(12))
-    keys = list(zip(*[rounded] * (len(parts) // len(index))))
+    keys = list(zip(*[rounded] * (2 * len(beams))))
     groups: list[list[int]] = []
-    reps: list[tuple[complex, ...]] = []  # each group's representative tuple
-    rep_re: list[float] = []  # the rounded real part of its first beam
+    rep_re: list[float] = []  # each representative's first beam's rounded real part
     for p in sorted(range(len(index)), key=keys.__getitem__):
         i = index[p]
-        u = beams[i]
         u0_re = keys[p][0]
-        w = _WINDOW * max(1.0, abs(u[0]))
+        w = _WINDOW * max(1.0, abs(beams[0][i]))
         lo = bisect.bisect_left(rep_re, u0_re - w)
         hi = bisect.bisect_right(rep_re, u0_re + w)
-        for k in range(lo, hi):
-            if _tuples_close(reps[k], u):
-                groups[k].append(i)
+        for g in groups[lo:hi]:
+            for col in beams:  # a loop: all() over a generator took ~10% longer here
+                if not qubus_close(col[g[0]], col[i]):
+                    break
+            else:
+                g.append(i)
                 break
         else:
             groups.append([i])
-            reps.append(u)
             rep_re.append(u0_re)
     return groups
 
@@ -574,13 +569,10 @@ def canonicalize(state: HybridState) -> HybridState:
     # run r is order[starts[r]:starts[r + 1]]; a run starts where the label changes
     changes = itertools.compress(range(1, len(order)), map(operator.ne, ordered, ordered[1:]))
     starts = [0, *changes, len(order)] if order else []
-    rows = None  # the beam tuples, transposed only for a run to merge
     src, new_amps = [], []  # each kept group's first term, and its sum
     for start, stop in zip(starts, starts[1:]):
         if stop - start > 1:
-            if rows is None:
-                rows = _rows(state)
-            for g in _merge_groups(rows, order[start:stop]):
+            for g in _merge_groups(state._beams, order[start:stop]):
                 first = g[0]
                 amp = amps[first]
                 for i in g[1:]:
@@ -776,6 +768,13 @@ def state_to_dict(state: HybridState) -> dict:
     }
 
 
+def _pair(pair, name: str) -> complex:
+    """The number of a JSON ``[re, im]`` pair, each part coerced as a float."""
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a [re, im] pair")
+    return complex(_number(float, pair[0], name), _number(float, pair[1], name))
+
+
 def state_from_dict(data: dict) -> HybridState:
     """Inverse of :func:`state_to_dict`.
 
@@ -792,9 +791,9 @@ def state_from_dict(data: dict) -> HybridState:
     )
     terms = tuple(
         Term(
-            complex(t["amp"][0], t["amp"][1]),
+            _pair(t["amp"], "amp"),
             tuple(t["labels"]),
-            tuple(complex(q[0], q[1]) for q in t["qubus"]),
+            tuple([_pair(q, "qubus") for q in t["qubus"]]),
         )
         for t in data["terms"]
     )

@@ -263,7 +263,7 @@ def test_class_weights_and_norm_come_from_one_pass():
     )
     s = canonicalize(state)
     col = s.beams[1]
-    groups = _merge_groups([(q,) for q in col])
+    groups = _merge_groups((col,), range(len(col)))
     assert len(groups) == 3
     class_of = [0] * len(col)
     for k, g in enumerate(groups):
@@ -323,8 +323,8 @@ def test_branch_table_orders_equal_weights_by_rounded_beam():
 
 
 def classify_per_term(state, beam):
-    """Reference: the merge rule over one 1-tuple per term of the canonical
-    herald column, each term's class set from its group in a loop, and the
+    """Reference: the merge rule over every term of the canonical herald
+    column, each term's class set from its group in a loop, and the
     last class within MERGE_TOL of vacuum as the vacuum class, its rows in
     the group's member order.  Returns (canonical state, class of each term,
     vacuum class, whether it holds two or more distinct beam values,
@@ -332,7 +332,7 @@ def classify_per_term(state, beam):
     the vacuum rows that ``herald_vacuum`` keeps."""
     s = canonicalize(state)
     col = s.beams[beam]
-    groups = _merge_groups([(q,) for q in col])
+    groups = _merge_groups((col,), range(len(col)))
     class_of = [0] * len(col)
     for k, g in enumerate(groups):
         for i in g:
@@ -540,7 +540,7 @@ def _merge_cases(state):
         by_labels.setdefault(labels, []).append(i)
     cases = set()
     for index in by_labels.values():
-        groups = _merge_groups(rows, index)
+        groups = _merge_groups(state.beams, index)
         for g in groups:
             if len({rows[i] for i in g}) > 1:
                 cases.add("merged")

@@ -596,6 +596,16 @@ def test_protocol_spec_validation():
             ProtocolSpec(**{**ok, **bad})
     with pytest.raises(TypeError):  # a shift is never truncated to an int
         ProtocolSpec.balanced(3, 2, shifts=(0, 1.9))
+    # the detector is checked after the numeric fields
+    for build in (
+        lambda det: ProtocolSpec(**{**ok, "detector": det}),
+        lambda det: ProtocolSpec.balanced(3, detector=det),
+    ):
+        for bad in (0.7, "on_off", {"efficiency": 0.7}):
+            with pytest.raises(TypeError, match="detector"):
+                build(bad)
+    with pytest.raises(ValueError, match="theta"):
+        ProtocolSpec(**{**ok, "theta": 0.0, "detector": 0.7})
     # brighter beams leave a vacuum-branch residual above MERGE_TOL's floor
     ProtocolSpec(**{**ok, "alpha": -1j * ALPHA_MAX})
     for alpha in (ALPHA_MAX * (1 + 1e-15), 1e4j, 1e160):
@@ -932,16 +942,16 @@ def test_protocol_states_reach_canonicalize_in_canonical_form(monkeypatch):
 def test_protocol_traffic_merges_distinct_tuples_and_pairs_inner_by_index(monkeypatch):
     # Over the report digest's generate specs, with both memos cleared, and
     # a 10 x 5 x 4 sweep grid at n = 3 and at n = 5, every _merge_groups
-    # call is handed pairwise-distinct beam tuples, and every _inner call
-    # pairs its terms index by index.  _merge_groups and _inner keep their
+    # call is handed terms of pairwise-distinct beam values, and every
+    # _inner call pairs its terms index by index.  _merge_groups and _inner keep their
     # general rules for hand-built states; this pins the protocol traffic
     # that the herald's distinct values and the equal label columns shape.
     import qubus_forge.state as state_module
 
     merges, inners, reduced = [], [], []
 
-    def merge_groups(beams, index=None):
-        given = [beams[i] for i in (range(len(beams)) if index is None else index)]
+    def merge_groups(beams, index):
+        given = [tuple(col[i] for col in beams) for i in index]
         merges.append(len(set(given)) == len(given))
         return original_merge(beams, index)
 

@@ -21,12 +21,12 @@ from qubus_forge.state import (
     _inner,
     _logaddexp_reduce,
     _merge_groups,
-    _tuples_close,
     canonicalize,
     coherent_overlap,
     drop_uniform_beam,
     inner_product,
     overlap_sq,
+    qubus_close,
     state_from_dict,
     state_norm_sq,
     state_to_dict,
@@ -272,6 +272,12 @@ def _beam_key(q: complex) -> tuple[float, float]:
     return (round(q.real, 12), round(q.imag, 12))
 
 
+def merge_rows(rows, index=None):
+    """_merge_groups over one beam tuple per term: the rows transposed into
+    beam columns, grouping the terms ``index`` (all of them by default)."""
+    return _merge_groups(tuple(zip(*rows)), range(len(rows)) if index is None else index)
+
+
 def greedy_merge_groups(beams):
     """Oracle: the O(T K) greedy grouping that compares each visited tuple
     with every group representative."""
@@ -279,7 +285,7 @@ def greedy_merge_groups(beams):
     order = sorted(range(len(beams)), key=lambda i: tuple(map(_beam_key, beams[i])))
     for i in order:
         for g in groups:
-            if _tuples_close(beams[g[0]], beams[i]):
+            if all(map(qubus_close, beams[g[0]], beams[i])):
                 g.append(i)
                 break
         else:
@@ -312,7 +318,7 @@ beam_tuple_lists = st.integers(0, 2).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(beam_tuple_lists)
 def test_windowed_merge_groups_equal_the_greedy_rule(beams):
-    assert _merge_groups(beams) == greedy_merge_groups(beams)
+    assert merge_rows(beams) == greedy_merge_groups(beams)
 
 
 def test_merge_window_edges():
@@ -322,22 +328,22 @@ def test_merge_window_edges():
         scale = MERGE_TOL * max(1.0, abs(c))
         for d, groups in ((0.99 * scale, 1), (complex(0.99, 0.5) * scale, 2)):
             for beams in ([(c,), (c + d,)], [(c + d,), (c,)], [(c, 1.0), (c + d, 1.0)]):
-                assert len(_merge_groups(beams)) == groups, (c, d, beams)
-                assert _merge_groups(beams) == greedy_merge_groups(beams)
+                assert len(merge_rows(beams)) == groups, (c, d, beams)
+                assert merge_rows(beams) == greedy_merge_groups(beams)
     # both representatives accept the last tuple; it joins the older group,
     # although the newer one has the smaller first-beam real part
     beams = [(0.3e-12, -0.2e-12), (-0.3e-12, 1.4e-12), (0.0, 0.6e-12)]
-    assert _merge_groups(beams) == greedy_merge_groups(beams) == [[0, 2], [1]]
+    assert merge_rows(beams) == greedy_merge_groups(beams) == [[0, 2], [1]]
     # close pairs whose first real parts, once rounded to their keys, lie
     # farther apart than the window would without its rounding slack
     for beams in (
         [(5.005000000000006e-10 + 500.0000000000005j,), (5e-13 + 500.0000000000005j,)],
         [(1.0000000000028284 + 1j,), (1.0000000000014284 + 1j,)],
     ):
-        assert _merge_groups(beams) == greedy_merge_groups(beams) == [[1, 0]], beams
-    assert _merge_groups([(), (), ()]) == [[0, 1, 2]]
-    assert _merge_groups([(5.0,)]) == [[0]]
-    assert _merge_groups([]) == []
+        assert merge_rows(beams) == greedy_merge_groups(beams) == [[1, 0]], beams
+    assert merge_rows([(), (), ()]) == [[0, 1, 2]]
+    assert merge_rows([(5.0,)]) == [[0]]
+    assert merge_rows([]) == []
 
 
 def test_merge_groups_place_exact_repeats_like_the_greedy_rule():
@@ -348,10 +354,10 @@ def test_merge_groups_place_exact_repeats_like_the_greedy_rule():
     a, b, near_a = 500.0 + 0j, 500.0 + 1e-3j, 500.0 + 0.9 * tol
     # the same rounded _beam_key, yet |u - v| = 1.3e-12 > MERGE_TOL: apart
     u, v = complex(0.1 + 0.45e-12, 0.2 + 0.45e-12), complex(0.1 - 0.45e-12, 0.2 - 0.45e-12)
-    assert _beam_key(u) == _beam_key(v) and not _tuples_close((u,), (v,))
+    assert _beam_key(u) == _beam_key(v) and not qubus_close(u, v)
     # the same rounded key and within MERGE_TOL: one group
     w = complex(0.1 + 0.3e-12, 0.2)
-    assert _beam_key(u) == _beam_key(w) and _tuples_close((u,), (w,))
+    assert _beam_key(u) == _beam_key(w) and qubus_close(u, w)
     neg_zero = complex(-0.0, 0.0)
     cases = [
         # repeats of one tuple interleaved with others
@@ -369,9 +375,9 @@ def test_merge_groups_place_exact_repeats_like_the_greedy_rule():
         [(0j, neg_zero), (neg_zero, 0j), (0j, 0j), (0j, 1e-3)],
     ]
     for beams in cases:
-        assert _merge_groups(beams) == greedy_merge_groups(beams), beams
-    assert _merge_groups(cases[0]) == [[0, 2, 4, 6, 3], [1, 5]]
-    assert _merge_groups(cases[4]) == [[0, 2, 4], [1, 3]]
+        assert merge_rows(beams) == greedy_merge_groups(beams), beams
+    assert merge_rows(cases[0]) == [[0, 2, 4, 6, 3], [1, 5]]
+    assert merge_rows(cases[4]) == [[0, 2, 4], [1, 3]]
 
 
 def canonicalize_by_label_dict(state):
@@ -383,7 +389,7 @@ def canonicalize_by_label_dict(state):
         by_labels.setdefault(labels, []).append(i)
     terms = []
     for labels in sorted(by_labels):
-        for g in _merge_groups(rows, by_labels[labels]):
+        for g in merge_rows(rows, by_labels[labels]):
             amp = state.amps[g[0]]
             for i in g[1:]:
                 amp += state.amps[i]
@@ -635,7 +641,7 @@ def test_inner_pairs_a_shared_label_column_index_by_index(monkeypatch):
 
 
 def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
-    # _merge_groups(beams, index) groups the beams at the ascending indices
+    # _merge_groups(columns, index) groups the terms at the ascending indices
     # `index` as the greedy rule groups that sublist
     rng = random.Random("merge-subset")
 
@@ -648,10 +654,10 @@ def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
     x, u, w = 0.1 - 0.55e-12, 0.1 + 0.2e-12, 0.1 + 0.4e-12
     assert _beam_key(x) < _beam_key(u) == _beam_key(w)
     beams = [(w,), (x,), (5.0,), (u,), (w,), (u,), (x,)]
-    assert _merge_groups(beams) == greedy_merge_groups(beams) == [[1, 6, 0, 3, 4, 5], [2]]
+    assert merge_rows(beams) == greedy_merge_groups(beams) == [[1, 6, 0, 3, 4, 5], [2]]
     index = [0, 1, 3, 4, 5]
-    assert _merge_groups(beams, index) == greedy_of(beams, index) == [[1, 0, 3, 4, 5]]
-    assert _merge_groups(beams, [0, 3, 4]) == [[0, 3, 4]]
+    assert merge_rows(beams, index) == greedy_of(beams, index) == [[1, 0, 3, 4, 5]]
+    assert merge_rows(beams, [0, 3, 4]) == [[0, 3, 4]]
     cases = [beams, [(NEAR_U,), (NEAR_W,), (NEAR_V,), (NEAR_W,), (NEAR_U,), (NEAR_V,)]]
     for _ in range(300):
         width = rng.randint(1, 2)
@@ -662,7 +668,7 @@ def test_merge_groups_of_an_index_subset_equal_the_greedy_rule():
     for beams in cases:
         for _ in range(4):
             index = sorted(rng.sample(range(len(beams)), rng.randint(0, len(beams))))
-            assert _merge_groups(beams, index) == greedy_of(beams, index), (beams, index)
+            assert merge_rows(beams, index) == greedy_of(beams, index), (beams, index)
 
 
 # a herald column holds a few distinct values, each many times: exact
@@ -686,11 +692,11 @@ herald_columns = herald_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(herald_columns, st.data())
 def test_merge_groups_of_herald_shaped_columns_equal_the_greedy_rule(beams, data):
-    assert _merge_groups(beams) == greedy_merge_groups(beams)
+    assert merge_rows(beams) == greedy_merge_groups(beams)
     keep = data.draw(st.lists(st.booleans(), min_size=len(beams), max_size=len(beams)))
     index = list(itertools.compress(range(len(beams)), keep))
     greedy = greedy_merge_groups([beams[i] for i in index])
-    assert _merge_groups(beams, index) == [[index[p] for p in g] for g in greedy]
+    assert merge_rows(beams, index) == [[index[p] for p in g] for g in greedy]
 
 
 def test_merge_neglects_at_most_the_stated_overlap_phase():
@@ -826,6 +832,24 @@ def test_serialization_round_trip():
     data["terms"][0]["labels"] = [1.7, 0]  # would truncate onto label 1
     with pytest.raises(TypeError):
         state_from_dict(data)
+
+
+def test_state_from_dict_coerces_both_parts_of_each_pair():
+    layout = RegisterLayout(party_dims=(2,), qubus_count=1)
+    data = state_to_dict(HybridState(layout, (Term(0.5, (1,), (2.0 - 1j,)),)))
+    term = data["terms"][0]
+    for key, bad in (("amp", [10**400, 0]), ("amp", [0, -(10**400)]), ("qubus", [[1.0, 10**400]])):
+        with pytest.raises(ValueError, match=f"^{key} is beyond float range$"):
+            state_from_dict({**data, "terms": [{**term, key: bad}]})
+    # a pair holds exactly two parts: none is dropped or made up
+    for key, bad in (
+        ("amp", [0.5, 0.0, 9.0]), ("amp", [0.5]), ("qubus", [[2.0, -1.0, 0.0]]), ("qubus", [[2.0]])
+    ):
+        with pytest.raises(ValueError, match=f"^{key} must be a \\[re, im\\] pair$"):
+            state_from_dict({**data, "terms": [{**term, key: bad}]})
+    with pytest.raises(TypeError, match="^amp: "):
+        state_from_dict({**data, "terms": [{**term, "amp": ["0.5", 0]}]})
+    assert state_from_dict(data).terms == (Term(0.5, (1,), (2.0 - 1j,)),)
 
 
 def test_drop_uniform_beam():

@@ -35,22 +35,20 @@ For each case the tool first asserts that both trees return the same
 ``repr`` of the result once the package name is masked.  Then it runs
 ``--rounds`` rounds, alternating which side runs first, and times each
 side with ``time.perf_counter`` over a batch of calls (about 20 ms of the
-parent's time) three times: with the garbage collector off, which shows the
-work each call does; with it on at the interpreter's thresholds, which adds
-the cyclic collections that the objects a call allocates start; and cold,
-with the collector on and ``generate``'s erasure memo
-(``protocols._erased``) cleared before every call.  A repeated spec reuses
-its erasure in the first two passes, so the cold pass is the one to compare
-with ratios taken before the memo existed.  Each batch starts from a full
-collection and one untimed call: a full collection empties CPython's free
-lists of small tuples, and a call that finds them empty allocates its
-tuples as counted objects.  It prints, per case and per pass, the median of
-the per-round ratios change / parent and each side's median time per call,
-then each side's collections started per call in the pass with the
-collector on (``gc.callbacks`` counts them; a collection starts when
+parent's time) twice, both times with the garbage collector on at the
+interpreter's thresholds, so a time includes the cyclic collections that
+the objects a call allocates start: warm, and cold, with ``generate``'s
+erasure memo (``protocols._erased``) cleared before every call.  A
+repeated spec reuses its erasure in the warm pass, so the cold pass is the
+one to compare with ratios taken before the memo existed.  Each batch
+starts from a full collection and one untimed call: a full collection
+empties CPython's free lists of small tuples, and a call that finds them
+empty allocates its tuples as counted objects.  It prints, per case and per
+pass, the median of the per-round ratios change / parent and each side's
+median time per call, then each side's collections started per call in the
+warm pass (``gc.callbacks`` counts them; a collection starts when
 generation 0 overflows its threshold, whichever generation it then
-collects), and each side's erasure-memo hits per call in the two warm
-passes.
+collects), and each side's erasure-memo hits per call in the warm pass.
 
 ``--only CASE`` runs only the case of that label (as printed, e.g.
 ``--only "n=48, M=2"``); give it more than once for more cases.
@@ -185,9 +183,9 @@ def cold(module, call):
     return lambda: (clear(), call())
 
 
-def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
+def time_calls(call, calls: int) -> tuple[float, int]:
     """(seconds per ``call()``, collections started) over ``calls`` calls,
-    with the garbage collector on or off."""
+    with the garbage collector on."""
     started = 0
 
     def count(phase, info):
@@ -197,8 +195,6 @@ def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
 
     gc.collect()
     call()  # fills the free lists again
-    if not collector:
-        gc.disable()
     gc.callbacks.append(count)
     try:
         start = time.perf_counter()
@@ -207,7 +203,6 @@ def time_calls(call, calls: int, collector: bool = False) -> tuple[float, int]:
         return (time.perf_counter() - start) / calls, started
     finally:
         gc.callbacks.remove(count)
-        gc.enable()
 
 
 def timing_columns(times, passes) -> str:
@@ -275,7 +270,7 @@ def layer_split(bindings, call, calls: int) -> list[float]:
     try:
         for namespace, attr, layer in bindings:
             setattr(namespace, attr, wrap(getattr(namespace, attr), layer))
-        time_calls(call, calls, True)
+        time_calls(call, calls)
     finally:
         for namespace, attr, fn in originals:
             setattr(namespace, attr, fn)
@@ -342,12 +337,10 @@ def compare(args, selected, tmp: str) -> None:
     wide_labels = {generate_case(n, shifts)[0] for n, shifts in WIDE_CASES}
     wide = {}  # (side, pass) -> per wide class, its time per call in each round
     splits = {}  # label -> side -> per round, its cold layer split
-    # (collector on, erasure memo cleared before each call)
-    passes = ((False, False), (True, False), (True, True))
+    passes = ("warm", "cold")  # cold: the erasure memo cleared before each call
     columns = f"{'ratio':>7} {'parent ms':>10} {'change ms':>10}"
-    print(f"{'':<16} {'gc off':^29} {'gc on':^29} {'cold, gc on':^29}"
-          f"  collections per call  memo hits per call")
-    print(f"{'case':<16} {columns} {columns} {columns} {'parent':>8} {'change':>8}"
+    print(f"{'':<16} {'warm':^29} {'cold':^29}  collections per call  memo hits per call")
+    print(f"{'case':<16} {columns} {columns} {'parent':>8} {'change':>8}"
           f"  {'parent':>8} {'change':>8}  ({args.rounds} rounds)")
     for label, make in selected:
         calls = {side: make(modules[side]) for side in SIDES}
@@ -364,14 +357,12 @@ def compare(args, selected, tmp: str) -> None:
         hits = dict.fromkeys(SIDES, 0)
         for r in range(args.rounds):
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                for on, is_cold in passes:
-                    before = memos[side].hits
-                    seconds, count = time_calls(colds[side] if is_cold else calls[side], batch, on)
-                    times[side, (on, is_cold)].append(seconds)
-                    if on and not is_cold:
-                        started[side] += count
-                    if not is_cold:
-                        hits[side] += memos[side].hits - before
+                before = memos[side].hits
+                seconds, count = time_calls(calls[side], batch)
+                times[side, "warm"].append(seconds)
+                started[side] += count
+                hits[side] += memos[side].hits - before
+                times[side, "cold"].append(time_calls(colds[side], batch)[0])
                 if layered:
                     splits[label][side].append(layer_split(bindings[side], colds[side], batch))
         if label in wide_labels:
@@ -380,8 +371,8 @@ def compare(args, selected, tmp: str) -> None:
         row = f"{label:<16}" + timing_columns(times, passes)
         per_call = [started[side] / (args.rounds * batch) for side in SIDES]
         row += f" {per_call[0]:>8.2f} {per_call[1]:>8.2f} "
-        # two warm passes, each of a batch of calls and one untimed call
-        warm_calls = 2 * args.rounds * (batch + 1)
+        # one warm pass a round, of a batch of calls and one untimed call
+        warm_calls = args.rounds * (batch + 1)
         row += "".join(f" {hits[side] / warm_calls:>8.2f}" for side in SIDES)
         print(row)
     # each round's times summed over the wide classes, per side and pass
