@@ -14,7 +14,18 @@ import itertools
 import math
 import operator
 
-from .state import POL_H, POL_V, HybridState, _check_beam, _derive, _integer, _number, canonicalize
+from .state import (
+    POL_H,
+    POL_V,
+    HybridState,
+    _check_beam,
+    _derive,
+    _integer,
+    _number,
+    _repeated,
+    _taker,
+    canonicalize,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _UNITARY_TOL = 1e-12
@@ -30,6 +41,15 @@ def apply_xpm(
     ``theta`` per photon in the party's upper (horizontal) rail, plus
     ``(s + shift) mod n`` units from the photon's mode of the n-mode spatial
     register.  Amplitudes, labels and beam magnitudes are untouched.
+
+    Each term's unit count comes from its party label and, through one
+    lookup list, its spatial label.  Each distinct pair of the term's beam
+    code and unit count, as the key ``code * K + units``, takes the next new
+    code when it first appears and maps to one new table entry
+    ``q * exp(i theta units)``: a protocol stage's n^2 terms take at most
+    2n - 1 rotations.  One plain loop over the terms with one dict lookup
+    each measured faster than building the keys and mapping them in C, at
+    n = 3 and at n = 48 alike.
     """
     shift = _integer(shift, "shift")
     _check_beam(state, beam)
@@ -48,27 +68,41 @@ def apply_xpm(
             f"theta = {theta!r} is too large: the largest XPM phase, "
             f"{top + n - 1} theta, overflows"
         )
-    # the phase of each unit count, built when a label first reaches it
-    rot = {}
-    beams = state.beams
-    col = tuple([
-        q * (rot[u] if u in rot else rot.setdefault(u, cmath.exp(1j * theta * u)))
-        for q, labels in zip(beams[beam], state.labels)
-        for u in [top - labels[party_slot] + (labels[spatial_slot] + shift) % n]
-    ])
-    return _derive(state, beams=beams[:beam] + (col,) + beams[beam + 1 :])
+    beams = state._beams
+    codes, table = beams[beam]
+    k = top + n  # unit counts run from 0 to top + n - 1
+    shift %= n
+    # top + (s + shift) mod n for each spatial mode s; a term's unit count
+    # is that of its mode less its party label
+    mode = [*range(top + shift, top + n), *range(top, top + shift)]
+    new_code = {}  # each distinct key, in order of first appearance -> its code
+    entries, new_codes = [], []
+    for code, j, s in zip(codes, state._labels[party_slot], state._labels[spatial_slot]):
+        units = mode[s] - j
+        key = code * k + units
+        c = new_code.get(key)
+        if c is None:
+            c = new_code[key] = len(entries)
+            entries.append(table[code] * cmath.exp(1j * theta * units))
+        new_codes.append(c)
+    column = (tuple(new_codes), tuple(entries))
+    return _derive(state, beams=beams[:beam] + (column,) + beams[beam + 1 :])
 
 
 def apply_qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
-    """Rotate one qubus beam in phase space: alpha -> alpha e^{i phi}."""
+    """Rotate one qubus beam in phase space: alpha -> alpha e^{i phi}.
+
+    The rotation multiplies the beam's table and shares its codes.
+    """
     _check_beam(state, beam)
     phi = _number(float, phi, "phi")
     if not math.isfinite(phi):  # it would make every rotated beam non-finite
         raise ValueError("qubus amplitudes must be finite")
     rot = cmath.exp(1j * phi)
-    beams = state.beams
-    col = tuple(map(operator.mul, beams[beam], itertools.repeat(rot)))
-    return _derive(state, beams=beams[:beam] + (col,) + beams[beam + 1 :])
+    beams = state._beams
+    codes, table = beams[beam]
+    column = (codes, tuple(map(operator.mul, table, itertools.repeat(rot))))
+    return _derive(state, beams=beams[:beam] + (column,) + beams[beam + 1 :])
 
 
 def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
@@ -76,17 +110,34 @@ def apply_bs_5050(state: HybridState, beams: tuple[int, int]) -> HybridState:
 
     Per term, (a, b) -> ((a - b)/sqrt(2), (a + b)/sqrt(2)); the total beam
     energy |a|^2 + |b|^2 is conserved identically.
+
+    Each distinct pair of the terms' two codes, as the key
+    ``code_a * len(table_b) + code_b``, takes the next new code when it
+    first appears and maps to one entry of each new table; both beams share
+    the one new codes tuple.
     """
     b1, b2 = beams
     if b1 == b2:
         raise ValueError("beam splitter needs two distinct beams")
     for b in (b1, b2):
         _check_beam(state, b)
-    col1, col2 = state.beams[b1], state.beams[b2]
-    root2 = itertools.repeat(_SQRT2)
-    beams = list(state.beams)
-    beams[b1] = tuple(map(operator.truediv, map(operator.sub, col1, col2), root2))
-    beams[b2] = tuple(map(operator.truediv, map(operator.add, col1, col2), root2))
+    (codes_a, table_a), (codes_b, table_b) = state._beams[b1], state._beams[b2]
+    size = len(table_b)
+    new_code = {}  # each distinct key, in order of first appearance -> its code
+    diffs, sums, codes = [], [], []
+    for a, b in zip(codes_a, codes_b):
+        key = a * size + b
+        c = new_code.get(key)
+        if c is None:
+            c = new_code[key] = len(diffs)
+            qa, qb = table_a[a], table_b[b]
+            diffs.append((qa - qb) / _SQRT2)
+            sums.append((qa + qb) / _SQRT2)
+        codes.append(c)
+    codes = tuple(codes)
+    beams = list(state._beams)
+    beams[b1] = (codes, tuple(diffs))
+    beams[b2] = (codes, tuple(sums))
     return _derive(state, beams=tuple(beams))
 
 
@@ -156,23 +207,26 @@ def apply_su2(state: HybridState, u) -> HybridState:
     work = layout.work_mode
     if not finite:  # it would make the amplitudes it multiplies non-finite
         raise ValueError("su2 matrix entries must be finite")
-    sp_slot = layout.prep_spatial_slot
+    columns = state._labels
     pol_slot = layout.prep_pol_slot
-    src, amps, labels_out = [], [], []  # source term, amplitude, labels
-    for i, (amp, labels) in enumerate(zip(state.amps, state.labels)):
-        if labels[sp_slot] != work:
+    src, amps, pols = [], [], []  # source term, amplitude, polarization
+    for i, (amp, mode, pol) in enumerate(
+        zip(state._amps, columns[layout.prep_spatial_slot], columns[pol_slot])
+    ):
+        if mode != work:
             src.append(i)
             amps.append(amp)
-            labels_out.append(labels)
+            pols.append(pol)
             continue
-        pol = labels[pol_slot]
         for new_pol in (POL_H, POL_V):
             new_amp = u[new_pol][pol] * amp
             if new_amp != 0:
                 src.append(i)
                 amps.append(new_amp)
-                labels_out.append(labels[:pol_slot] + (new_pol,) + labels[pol_slot + 1 :])
-    return canonicalize(_derive(state, src, amps=tuple(amps), labels=tuple(labels_out)))
+                pols.append(new_pol)
+    labels = list(map(_taker(src), columns))
+    labels[pol_slot] = tuple(pols)
+    return canonicalize(_derive(state, src, amps=tuple(amps), labels=tuple(labels)))
 
 
 def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
@@ -187,13 +241,12 @@ def apply_pbs(state: HybridState, from_mode: int, new_mode: int) -> HybridState:
     for mode in (from_mode, new_mode):
         if not 0 <= mode < layout.prep_modes:
             raise ValueError(f"spatial mode {mode} out of range")
-    pol_slot = layout.prep_pol_slot
-    labels = tuple([
-        labels[:sp_slot] + (new_mode,) + labels[sp_slot + 1 :]
-        if labels[sp_slot] == from_mode and labels[pol_slot] == POL_V else labels
-        for labels in state.labels
+    labels = list(state._labels)
+    labels[sp_slot] = tuple([
+        new_mode if mode == from_mode and pol == POL_V else mode
+        for mode, pol in zip(labels[sp_slot], labels[layout.prep_pol_slot])
     ])
-    return canonicalize(_derive(state, labels=labels))
+    return canonicalize(_derive(state, labels=tuple(labels)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,9 +268,10 @@ def apply_fourier_lomi(state: HybridState) -> HybridState:
     Mode j maps to (1/sqrt(n)) sum_k exp(2 pi i j k / n) |k>; all other
     labels and the qubus beams are untouched.
 
-    Each source term scales its amplitude by 1/sqrt(n) and slices its
-    labels once (``for x in [...]`` binds a value in a comprehension), and
-    takes mode j's phases as one row of the memo of :func:`_fourier_row`.
+    Each source term scales its amplitude by 1/sqrt(n) once and takes mode
+    j's phases as one row of the memo of :func:`_fourier_row`.  Each other
+    label column and each beam's codes repeat every entry n times, in C, and
+    the spatial column is ``range(n)`` once per source term.
     """
     layout = state.layout
     slot = layout.ancilla_slot
@@ -225,17 +279,14 @@ def apply_fourier_lomi(state: HybridState) -> HybridState:
     scale = 1.0 / math.sqrt(n)
     amps = tuple([
         scaled * phase
-        for amp, labels in zip(state.amps, state.labels)
-        for scaled in [amp * scale]
-        for phase in _fourier_row(n, labels[slot])
+        for scaled, row in zip(
+            map(operator.mul, state._amps, itertools.repeat(scale)),
+            map(_fourier_row, itertools.repeat(n), state._labels[slot]),
+        )
+        for phase in row
     ])
-    modes = [(k,) for k in range(n)]
-    new_labels = tuple([
-        head + k + tail
-        for labels in state.labels
-        for head in [labels[:slot]]
-        for tail in [labels[slot + 1 :]]
-        for k in modes
-    ])
-    beams = tuple(tuple([q for q in col for _ in range(n)]) for col in state.beams)
-    return canonicalize(_derive(state, amps=amps, labels=new_labels, beams=beams))
+    columns = state._labels
+    labels = list(map(_repeated, columns[:slot] + columns[slot + 1 :], itertools.repeat(n)))
+    labels.insert(slot, tuple(range(n)) * len(state._amps))
+    beams = [(_repeated(codes, n), table) for codes, table in state._beams]
+    return canonicalize(_derive(state, amps=amps, labels=tuple(labels), beams=tuple(beams)))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from .state import (
     HybridState,
     _abs_sq,
     _check_beam,
+    _decoded,
     _derive,
     _inner,
     _logaddexp_reduce,
@@ -120,7 +120,8 @@ class _BranchClasses(NamedTuple):
     ``state`` is the canonical state, ``class_of`` the class number of each
     of its terms and ``vacuum`` the number of the vacuum class (None when
     no class is vacuum), whose weight is ``success_prob``; ``vacuum_split``
-    says whether that class holds two or more distinct beam values.
+    says whether that class holds two or more distinct beam values (one
+    value under two codes is one value).
     ``branches`` holds one (representative beam, weight, |beam|^2) entry per
     beam-amplitude class, in class order; ``failures`` holds (log weight,
     |beam|^2) of each failure class of positive weight, in the same order.
@@ -151,17 +152,17 @@ def herald_vacuum(
     its vacuum-class rows, each amplitude scaled by 1/sqrt(success_prob),
     without the consumed beam.  The rows come in index order; when the
     vacuum class holds two or more distinct beam values, the merge rule
-    over those rows alone puts them back in its member order, which
-    restricted to one group's members is the same.
+    over those rows' decoded values alone puts them back in its member
+    order, which restricted to one group's members is the same.
     """
     classes = _classify_branches(state, beam)
     success = classes.success_prob
     canonical = classes.state
     if success > 0.0:
-        in_vacuum = map(classes.vacuum.__eq__, classes.class_of)
-        rows = list(itertools.compress(itertools.count(), in_vacuum))
+        vacuum = classes.vacuum
+        rows = [i for i, k in enumerate(classes.class_of) if k == vacuum]
         if classes.vacuum_split:
-            rows = _merge_groups((canonical.beams[beam],), rows)[0]
+            rows = _merge_groups((_decoded(canonical._beams[beam]),), rows)[0]
         scale = 1.0 / math.sqrt(success)
         amps = canonical.amps
         heralded = _without_beam(canonical, beam, rows, tuple([amps[i] * scale for i in rows]))
@@ -188,12 +189,14 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     ``beam`` amplitude and find the vacuum class, for any detector.
 
     A protocol state's herald column holds at most 2n - 1 distinct values
-    among its n^2 terms, so the merge rule runs over the column's distinct
-    values, in order of first appearance; 0j and -0j are one value, the
-    first its representative.  Over the whole column the rule would visit
-    equal values in index order, and a repeat would join the group of the
-    first, so the classes are the same.  Each term takes its value's
-    class through one dict lookup in C.  The class weights come from one
+    among its n^2 terms, so the merge rule runs over the values of the
+    column's distinct codes, in order of first appearance (``dict.fromkeys``
+    over ints).  Over the whole column the rule would visit equal values in
+    index order, and a repeat would join the group of the first, so the
+    classes are the same; that holds too for one value under two codes,
+    such as 0j and -0j, the first its group's representative.  Each code
+    takes its class from a list, and each term its code's class through one
+    list lookup in C.  The class weights come from one
     class-weighted :func:`state._inner` pass, which skips its
     repeated-label check when :func:`canonicalize` returned the state as it
     is.  Only :func:`herald_vacuum` reads the vacuum class's rows, so it
@@ -203,14 +206,15 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     if not state.amps:
         raise ValueError("empty state")
     s = canonicalize(state)
-    col = s.beams[beam]
-    class_of_value = dict.fromkeys(col)
-    values = list(class_of_value)
+    codes, table = s._beams[beam]
+    used = list(dict.fromkeys(codes))  # the codes terms hold, in order of first appearance
+    values = list(map(table.__getitem__, used))
     groups = _merge_groups((values,), range(len(values)))
+    class_of_code = [0] * len(table)
     for k, g in enumerate(groups):
         for p in g:
-            class_of_value[values[p]] = k
-    class_of = list(map(class_of_value.__getitem__, col))
+            class_of_code[used[p]] = k
+    class_of = list(map(class_of_code.__getitem__, codes))
     norm_sq, weights = _inner(s, s, classes=class_of, distinct=s is state)
     if abs(norm_sq.real - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized before heralding")
@@ -236,7 +240,12 @@ def _classify_branches(state: HybridState, beam: int) -> _BranchClasses:
     # may exceed 1 by as much.
     if not -NORM_TOL <= success <= 1.0 + NORM_TOL:
         raise ValueError("success probability out of [0, 1]")
-    split = vacuum is not None and len(groups[vacuum]) > 1
+    # a set holds equal values, 0j and -0j among them, once
+    split = (
+        vacuum is not None
+        and len(groups[vacuum]) > 1
+        and len({values[p] for p in groups[vacuum]}) > 1
+    )
     return _BranchClasses(s, class_of, vacuum, split, success, tuple(branches), tuple(failures))
 
 
@@ -286,9 +295,9 @@ def feedforward_outcomes(
     canonicalize and one norm per outcome.
 
     The passes over every term run in C: the party and spatial label
-    columns through ``itemgetter``, each term's phase and corrected
-    amplitude through ``map``, and one strip of the spatial label over the
-    whole column, from which each outcome takes its rows.  When
+    columns are read as they are, each term's phase and corrected
+    amplitude come through ``map``, and each outcome picks its rows of
+    every label column but the spatial one, which is dropped.  When
     :func:`canonicalize` returns the corrected state as it is, its labels
     strictly increase, so the norm pass skips its repeated-label check.
 
@@ -303,17 +312,16 @@ def feedforward_outcomes(
     slot = layout.ancilla_slot
     party_slot = layout.party_slot(correction_party)
     n = layout.ancilla_modes
-    js = list(map(operator.itemgetter(party_slot), state.labels))
-    k0s = list(map(operator.itemgetter(slot), state.labels))
+    js, k0s = state._labels[party_slot], state._labels[slot]
     # one row per label value the state holds, whatever the party's dimension
     phases = {j: _correction_row(n, j) for j in set(js)}
     corrections = map(operator.getitem, map(phases.__getitem__, js), k0s)
     derived = _derive(state, amps=tuple(map(operator.mul, state.amps, corrections)))
     corrected = canonicalize(derived)
     proven = corrected is derived
-    all_amps, all_labels = corrected.amps, corrected.labels
+    all_amps, columns = corrected._amps, corrected._labels
     if not proven:
-        k0s = list(map(operator.itemgetter(slot), all_labels))
+        k0s = columns[slot]
     by_outcome: list[list[int]] = [[] for _ in range(n)]
     for i, k0 in enumerate(k0s):
         by_outcome[k0].append(i)
@@ -327,14 +335,13 @@ def feedforward_outcomes(
                 f"feedforward failed: detection outcome {k0} is unreachable"
             )
     new_layout = layout.replace(ancilla_modes=0)
-    # every term's labels without the spatial one, in one pass
-    keep = [k for k in range(len(layout.label_dims())) if k != slot]
-    stripped = tuple(map(_taker(keep), all_labels))
+    stripped = columns[:slot] + columns[slot + 1 :]  # every label column but the spatial one
     outcomes = []
     for rows, norm_sq in zip(by_outcome, norms):
         scale = 1.0 / math.sqrt(norm_sq.real)
         amps = tuple([all_amps[i] * scale for i in rows])
-        outcomes.append(_derive(corrected, rows, new_layout, amps, _taker(rows)(stripped)))
+        labels = tuple(map(_taker(rows), stripped))
+        outcomes.append(_derive(corrected, rows, new_layout, amps, labels))
     return outcomes
 
 

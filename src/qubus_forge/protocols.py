@@ -44,8 +44,10 @@ from .state import (
     _count,
     _derive,
     _integer,
+    _label_rows,
     _logaddexp_reduce,
     _number,
+    _repeated,
     _shown,
     drop_uniform_beam,
     overlap_sq,
@@ -120,7 +122,9 @@ class ProtocolSpec:
         object.__setattr__(self, "n", _count(self.n, "n"))
         object.__setattr__(self, "parties", _count(self.parties, "parties"))
         object.__setattr__(self, "shifts", tuple([_integer(k, "shifts") for k in self.shifts]))
-        object.__setattr__(self, "coeffs", tuple([tuple(map(complex, v)) for v in self.coeffs]))
+        object.__setattr__(self, "coeffs", tuple([
+            tuple([_number(complex, c, "coeffs") for c in v]) for v in self.coeffs
+        ]))
         object.__setattr__(self, "theta", _number(float, self.theta, "theta"))
         object.__setattr__(self, "alpha", _number(complex, self.alpha, "alpha"))
         _check_working_point(self.n, self.theta, self.alpha)
@@ -216,20 +220,19 @@ def _prepared(n: int) -> HybridState:
     """Run the preparation cascade of :func:`prepare_single_photon_qudit`."""
     prep_layout = RegisterLayout(prep_modes=n + 1)
     work = prep_layout.work_mode
-    state = _columns(prep_layout, (1 + 0j,), ((work, POL_H),), ())
+    state = _columns(prep_layout, (1 + 0j,), ((work,), (POL_H,)), ())
     for j in range(n - 1):
         state = apply_su2(state, prep_rotation(n, j))
         state = apply_pbs(state, work, j)
     state = apply_su2(state, pol_flip())
     state = apply_pbs(state, work, n - 1)
 
-    pol_slot = prep_layout.prep_pol_slot
-    sp_slot = prep_layout.prep_spatial_slot
-    for labels in state.labels:
-        if labels[pol_slot] != POL_V or labels[sp_slot] >= n:
-            raise RuntimeError("preparation cascade left a stray component")
-    labels = tuple([(labels[sp_slot],) for labels in state.labels])
-    return _derive(state, layout=RegisterLayout(ancilla_modes=n), labels=labels)
+    modes = state._labels[prep_layout.prep_spatial_slot]
+    if any(pol != POL_V for pol in state._labels[prep_layout.prep_pol_slot]) or any(
+        mode >= n for mode in modes
+    ):
+        raise RuntimeError("preparation cascade left a stray component")
+    return _derive(state, layout=RegisterLayout(ancilla_modes=n), labels=(modes,))
 
 
 def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
@@ -237,20 +240,23 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     (|alpha>, |alpha>) qubus pair onto a state that holds a single-photon
     spatial register of len(coeffs) modes.
 
-    The new party's label m goes after the labels of the parties before it
-    (the head of each label tuple).  Each run of source terms with equal
-    heads takes every m in turn, and the run's terms in source order for
-    each m, so a state whose labels are in order gives one whose labels are
-    in order, and :func:`canonicalize` returns it as it is.  Terms with
-    equal labels keep their source order, so any state canonicalizes to the
-    same state as before.
+    The new party's label column goes after the columns of the parties
+    before it.  Each run of source terms with equal party labels (heads)
+    takes every m in turn, and the run's terms in source order for each m,
+    so a state whose labels are in order gives one whose labels are in
+    order, and :func:`canonicalize` returns it as it is.  Terms with equal
+    labels keep their source order, so any state canonicalizes to the same
+    state as before.
 
     Each source term first gives its terms in a row, one per m with a
-    nonzero coefficient.  That is the order of a run of one term, and past
-    the first stage of a protocol every head is held by one term.  A run of
-    two or more, such as the first stage's single run of empty heads, is
-    then regrouped m by m: its block is read with a stride of that many
-    terms, once from each m.
+    nonzero coefficient: every column repeats each entry that many times in
+    C, and the new party's column is those m once per source term.  That is
+    the order of a run of one term, and past the first stage of a protocol
+    every head is held by one term.  A run of two or more, such as the
+    first stage's single run of empty heads, is then regrouped m by m: its
+    block is read with a stride of that many terms, once from each m.  The
+    fresh pair is one ``(codes, table)`` column, every code 0 into
+    ``(alpha,)``, given for both beams.
     """
     layout = state.layout
     if layout.ancilla_modes == 0:
@@ -263,30 +269,29 @@ def _attach_party(state: HybridState, coeffs, alpha: complex) -> HybridState:
     )
     cut = layout.num_parties
     alpha = complex(alpha)
-    picked = [((m,), c) for m, c in enumerate(coeffs) if c != 0]
-    heads = [labels[:cut] for labels in state.labels]
-    amps = tuple([amp * c for amp in state.amps for _, c in picked])
-    # each source term's tail slices once (for x in [...] binds a value)
-    labels = tuple([
-        head + m + tail
-        for head, labels in zip(heads, state.labels)
-        for tail in [labels[cut:]]
-        for m, _ in picked
-    ])
-    beams = tuple(tuple([q for q in col for _ in picked]) for col in state.beams)
+    picked = [(m, c) for m, c in enumerate(coeffs) if c != 0]
+    p = len(picked)
+    columns = state._labels
+    size = len(state._amps)
+    amps = tuple([amp * c for amp in state._amps for _, c in picked])
+    labels = [_repeated(col, p) for col in columns]
+    labels.insert(cut, tuple([m for m, _ in picked]) * size)
+    beams = [(_repeated(codes, p), table) for codes, table in state._beams]
+    heads = list(_label_rows(columns[:cut], size))
     # run r is terms starts[r] to starts[r + 1]; a run starts where the head changes
-    changes = itertools.compress(range(1, len(heads)), map(operator.ne, heads, heads[1:]))
-    starts = [0, *changes, len(heads)]
-    if len(starts) <= len(heads):  # a run holds two or more terms
-        p = len(picked)
+    changes = itertools.compress(range(1, size), map(operator.ne, heads, heads[1:]))
+    starts = [0, *changes, size]
+    if len(starts) <= size:  # a run holds two or more terms
         reads = [slice(a * p + k, b * p, p) for a, b in zip(starts, starts[1:]) for k in range(p)]
 
         def regroup(col):
             return tuple(itertools.chain.from_iterable(map(col.__getitem__, reads)))
 
-        amps, labels, beams = regroup(amps), regroup(labels), tuple(map(regroup, beams))
-    return _derive(state, layout=new_layout, amps=amps, labels=labels,
-                   beams=beams + ((alpha,) * len(amps),) * 2)
+        amps, labels = regroup(amps), list(map(regroup, labels))
+        beams = [(regroup(codes), table) for codes, table in beams]
+    fresh = ((0,) * len(amps), (alpha,))
+    return _derive(state, layout=new_layout, amps=amps, labels=tuple(labels),
+                   beams=(*beams, fresh, fresh))
 
 
 def _couple(state: HybridState, shift: int, theta: float) -> tuple[HybridState, int]:
@@ -366,7 +371,8 @@ def target_state(n: int, m: int, k, parties: int = 2) -> HybridState:
         shifts = (0,) + (_integer(k, "k"),) * (parties - 1)
     _check_shifts(shifts, n, parties)
     layout = _NO_REGISTERS.replace(party_dims=(n,) * parties)
-    labels = tuple([tuple([(j + s) % n for s in shifts]) for j in range(n)])
+    # party i's label column holds (j + k_i) mod n for each j
+    labels = tuple([tuple([(j + k) % n for j in range(n)]) for k in shifts])
     return _columns(layout, phased_coeffs(n, m), labels, ())
 
 
@@ -387,7 +393,7 @@ def _spec_target(spec: ProtocolSpec) -> HybridState:
         top = max(map(abs, amps))
         amps = [a / top for a in amps]
     balanced = target_state(spec.n, 0, spec.shifts, spec.parties)
-    return _columns(balanced.layout, tuple(amps), balanced.labels, ())
+    return _columns(balanced.layout, tuple(amps), balanced._labels, ())
 
 
 # Label cells the erasure memo may hold: a cell is one label of one term,
@@ -405,20 +411,21 @@ _ERASURE_CELLS = 8192
 
 
 def _exact_key(state: HybridState):
-    """The layout, and the labels and the bits of every amplitude and beam
-    of ``state`` as bytes: equal keys are bit-identical states.  A state's
-    own ``==`` counts -0.0 equal to 0.0, so a state cannot be the key.  The
-    layout fixes how many labels and beams a term has, so the bytes split
-    one way only; as bytes the labels take 8 bytes each, where the label
-    tuples would take ~24 (n 24..48, two parties)."""
+    """The layout, and the label columns and the bits of every amplitude
+    and decoded beam of ``state`` as bytes: equal keys are bit-identical
+    states.  A state's own ``==`` counts -0.0 equal to 0.0, so a state
+    cannot be the key.  The layout fixes how many label columns and beams a
+    state has, and the amplitudes how many terms, so the bytes split one
+    way only; as bytes the labels take 8 bytes each and hold no int
+    object."""
     parts = [x for col in (state.amps, *state.beams) for z in col for x in (z.real, z.imag)]
-    labels = array("q", itertools.chain.from_iterable(state.labels))
+    labels = array("q", itertools.chain(*state._labels))
     return state.layout, labels.tobytes(), array("d", parts).tobytes()
 
 
 def _cells(state: HybridState) -> int:
     """The label cells of ``state``: its layout fixes every label's length."""
-    return len(state.labels) * len(state.layout.label_dims())
+    return len(state.amps) * len(state.layout.label_dims())
 
 
 class _ErasureMemo:

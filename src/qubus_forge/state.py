@@ -6,21 +6,28 @@ qudits, the spatial register of a single photon, an optional preparation
 register) and one complex coherent amplitude per qubus beam.
 
 A state stores its terms as parallel columns: ``amps`` (one amplitude per
-term), ``labels`` (one label tuple per term) and ``beams`` (one column per
-qubus beam, each holding that beam's amplitude in every term).  An operation
-rewrites only the columns it changes and passes the others on: a phase
-rotation of one beam builds one new beam column and shares the amplitudes,
-labels and other beams with its input.  :class:`Term` and
-``HybridState(layout, terms)`` are the validating public constructors, and
-``state.terms`` gives the same state back as :class:`Term` objects.
+term), one label column per register slot (each holding that slot's label
+in every term), and one column per qubus beam.  A beam column is a pair
+``(codes, table)``: term i holds ``table[codes[i]]``.  The table may repeat
+a value, and may hold entries no term references, so anything that reads
+values goes through the codes.  A protocol stage's n^2 terms carry at most
+2n - 1 distinct beam values, so the couple step and the herald work once
+per table entry or distinct code, not once per term.  An operation rewrites
+only the columns it changes and passes the others on: a phase rotation of
+one beam builds one new table and shares its codes, the amplitudes, the
+label columns and the other beams with its input.  The public ``labels``,
+``beams`` and ``terms`` are views built on each access: the label tuple of
+each term, each beam's decoded values, and :class:`Term` objects.
+:class:`Term` and ``HybridState(layout, terms)`` are the validating public
+constructors.
 
 Every state the library derives from another is built by ``_derive``
 from one that is already valid: the elements, the herald, feedforward
 and the protocol stages hand it the columns they compute, and it checks
-each new amplitude or beam column for finiteness, once.  Columns carried
-over from the source are not checked again.  The removal of a qubus beam,
-with which the herald also cuts out and rescales its surviving terms, and
-the beam-index check live here too.
+each new amplitude column or beam table for finiteness, once.  Columns
+carried over from the source are not checked again.  The removal of a
+qubus beam, with which the herald also cuts out and rescales its surviving
+terms, and the beam-index check live here too.
 
 Coherent beams are tracked symbolically by their amplitude, never by
 Fock-space truncation: every optical element supported here maps coherent
@@ -302,11 +309,16 @@ class HybridState:
     result of a failed herald; norm computations reject it.
 
     A state is held as parallel columns, index i of each describing term i:
-    ``amps`` (its amplitude), ``labels`` (its label tuple) and ``beams``,
-    one column per qubus beam holding each term's amplitude of that beam.
-    ``terms`` is the same state as :class:`Term` objects, built on each access
-    (``state.terms is state.terms`` is False).  ``==`` and ``hash`` compare
-    the layout and the columns; ``repr`` is that of ``(layout, terms)``.
+    ``amps`` (its amplitude), one label column per slot of
+    ``layout.label_dims()`` (its label in that slot) and, per qubus beam, a
+    pair ``(codes, table)`` of which term i holds ``table[codes[i]]``.  A
+    table may repeat a value and may hold entries that no term references.
+    ``labels`` (each term's label tuple), ``beams`` (each beam's decoded
+    column) and ``terms`` (:class:`Term` objects) are views built on each
+    access (``state.terms is state.terms`` is False).  ``==`` and ``hash``
+    compare the layout, the amplitudes, the labels and the decoded beams, so
+    two states that hold one value under different codes are equal; ``repr``
+    is that of ``(layout, terms)``.
     """
 
     __slots__ = ("_layout", "_amps", "_labels", "_beams")
@@ -333,22 +345,32 @@ class HybridState:
             rows.append(t.qubus)
         self._layout = layout
         self._amps = tuple(amps)
-        self._labels = tuple(labels)
-        self._beams = tuple(zip(*rows)) if rows else ((),) * layout.qubus_count
+        self._labels = tuple(zip(*labels)) if labels else ((),) * len(dims)
+        # each term's value is its own table entry, under the code of its index
+        codes = tuple(range(len(rows)))
+        tables = tuple(zip(*rows)) if rows else ((),) * layout.qubus_count
+        self._beams = tuple([(codes, table) for table in tables])
 
     # Read-only: a state is a value, and assigning to any of these raises.
     layout = property(operator.attrgetter("_layout"))
     amps = property(operator.attrgetter("_amps"), doc="Amplitude of each term.")
-    labels = property(operator.attrgetter("_labels"), doc="Label tuple of each term.")
-    beams = property(
-        operator.attrgetter("_beams"),
-        doc="One column per qubus beam: that beam's amplitude in each term.",
-    )
+
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        """The label tuple of each term, built from the label columns on
+        each access."""
+        return tuple(_label_rows(self._labels, len(self._amps)))
+
+    @property
+    def beams(self) -> tuple[tuple[complex, ...], ...]:
+        """One column per qubus beam, that beam's amplitude in each term,
+        decoded from its codes on each access."""
+        return tuple([_decoded(beam) for beam in self._beams])
 
     @property
     def terms(self) -> tuple[Term, ...]:
         """The state as :class:`Term` objects, built on each access."""
-        return tuple(map(_view_term, self._amps, self._labels, _rows(self)))
+        return tuple(map(_view_term, self._amps, self.labels, _rows(self)))
 
     def __repr__(self) -> str:
         return f"HybridState(layout={self._layout!r}, terms={self.terms!r})"
@@ -356,13 +378,14 @@ class HybridState:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # equal terms, compared column by column
-        return (self._layout, self._amps, self._labels, self._beams) == (
-            other._layout, other._amps, other._labels, other._beams
-        )
+        # equal terms: equal label columns are equal label tuples, since the
+        # layout fixes the slot count and the amplitudes the term count
+        return (self._layout, self._amps, self._labels) == (
+            other._layout, other._amps, other._labels
+        ) and self.beams == other.beams
 
     def __hash__(self) -> int:
-        return hash((self._layout, self._amps, self._labels, self._beams))
+        return hash((self._layout, self._amps, self._labels, self.beams))
 
     def __reduce__(self):
         return _columns, (self._layout, self._amps, self._labels, self._beams)
@@ -372,20 +395,40 @@ class HybridState:
 # its two fresh states, the input photon and a target, from columns valid by
 # construction, and every other state from one that is already valid, with
 # labels drawn from range(dim) and layouts of the shape they declare, through
-# _derive, which checks only finiteness, once per new column.
+# _derive, which checks only finiteness, once per new amplitude column or
+# beam table.
 _new = object.__new__
 _set_field = object.__setattr__
 
 
 def _columns(layout: RegisterLayout, amps: tuple, labels: tuple, beams: tuple) -> HybridState:
     """A :class:`HybridState` from columns that already fit ``layout``,
-    without the per-term checks."""
+    without the per-term checks: ``labels`` holds one column per label slot
+    and ``beams`` one ``(codes, table)`` pair per beam."""
     s = _new(HybridState)
     s._layout = layout
     s._amps = amps
     s._labels = labels
     s._beams = beams
     return s
+
+
+def _label_rows(columns: tuple, count: int):
+    """An iterator over the label tuple of each of ``count`` terms, from
+    their label ``columns``; a layout with no slot gives ``()`` per term."""
+    return zip(*columns) if columns else itertools.repeat((), count)
+
+
+def _decoded(beam: tuple) -> tuple[complex, ...]:
+    """The value of each term of the beam column ``(codes, table)``."""
+    codes, table = beam
+    return tuple(map(table.__getitem__, codes))
+
+
+def _repeated(column: tuple, times: int) -> tuple:
+    """Each entry of ``column`` ``times`` times in a row, in one pass in C:
+    ``zip`` of ``times`` copies of the column gives each entry's run."""
+    return tuple(itertools.chain.from_iterable(zip(*[column] * times)))
 
 
 def _taker(index):
@@ -397,44 +440,56 @@ def _taker(index):
     return lambda column: tuple([column[i] for i in index])
 
 
+def _referenced_finite(codes: tuple, table: tuple) -> bool:
+    """Whether every entry of ``table`` that ``codes`` references is finite.
+    An entry no term holds may be non-finite, so a table that is not
+    finite is read through its codes."""
+    return all(map(cmath.isfinite, map(table.__getitem__, set(codes))))
+
+
 def _derive(
     state: HybridState, src=None, layout=None, amps=None, labels=None, beams=None
 ) -> HybridState:
     """The state whose term r comes from term ``src[r]`` of ``state`` (term
     r when ``src`` is None), with the layout and columns given here.
 
-    A given amplitude or label column is the result's; a column not given
-    is the source's, picked by ``src``.  ``beams`` is the whole beam tuple,
-    one column per beam the result keeps, over the source's terms, so it is
-    picked by ``src`` too.  Each given amplitude or beam column that is not
-    one of the source's is checked for finiteness here, once: a column
-    given twice in a row, as :func:`protocols._attach_party` gives its fresh
-    (alpha, alpha) pair, is checked the first time only.
+    A given amplitude column or label-column tuple is the result's; a column
+    not given is the source's, picked by ``src``.  ``beams`` is the whole
+    tuple of ``(codes, table)`` pairs, one per beam the result keeps, with
+    codes over the source's terms, so it is picked by ``src`` too.  A pick
+    takes codes only, and leaves every table as it is.  Each given
+    amplitude column and each table that is not one of the source's is
+    checked for finiteness here, once: a table given twice in a row, as
+    :func:`protocols._attach_party` gives its fresh (alpha, alpha) pair, is
+    checked the first time only.
     """
-    take = None if src is None else _taker(src)
-    if amps is None:
-        amps = state._amps if take is None else take(state._amps)
-    elif not all(map(cmath.isfinite, amps)):
+    if amps is not None and not all(map(cmath.isfinite, amps)):
         raise ValueError("term amplitude must be finite")
-    if labels is None:
-        labels = state._labels if take is None else take(state._labels)
     if beams is None:
         beams = state._beams
-    else:
+    elif beams:
+        tables = [table for _, table in state._beams]
         last = None
-        for col in beams:
-            # `in` matches the source's own column by identity first; a
-            # column equal to a finite one is finite too, and so is one that
+        for codes, table in beams:
+            # `in` matches the source's own table by identity first; a
+            # table equal to a finite one is finite too, and so is one that
             # passed just before
             if (
-                col is not last
-                and col not in state._beams
-                and not all(map(cmath.isfinite, col))
+                table is not last
+                and table not in tables
+                and not all(map(cmath.isfinite, table))
+                and not _referenced_finite(codes, table)
             ):
                 raise ValueError("qubus amplitudes must be finite")
-            last = col
-    if take is not None:
-        beams = tuple(map(take, beams))
+            last = table
+    if src is None:
+        amps = state._amps if amps is None else amps
+        labels = state._labels if labels is None else labels
+    elif amps is None or labels is None or beams:
+        take = _taker(src)
+        amps = take(state._amps) if amps is None else amps
+        labels = tuple(map(take, state._labels)) if labels is None else labels
+        beams = tuple([(take(codes), table) for codes, table in beams])
     return _columns(state._layout if layout is None else layout, amps, labels, beams)
 
 
@@ -459,9 +514,9 @@ def _without_beam(state: HybridState, beam: int, src=None, amps=None) -> HybridS
 
 
 def _rows(state: HybridState) -> tuple[tuple[complex, ...], ...]:
-    """The beam tuple of each term: the ``beams`` columns transposed."""
+    """The beam tuple of each term: the decoded beam columns transposed."""
     if state._beams:
-        return tuple(zip(*state._beams))
+        return tuple(zip(*state.beams))
     return ((),) * len(state._amps)
 
 
@@ -551,19 +606,27 @@ def canonicalize(state: HybridState) -> HybridState:
     A state already in canonical form is returned as it is: its labels
     strictly increase and every |amp| is at least :data:`DROP_TOL`, so the
     walk below would keep every term in place and return an equal state,
-    column for column.  Two passes in C decide this.
+    column for column.  Two passes in C decide this; the first compares
+    each term's label tuple, zipped from the label columns, with the next.
 
     Any other state takes the walk.  One stable sort orders the terms by
-    label, and a walk over neighbours finds the runs of equal labels.  A
-    label held by one term is its own group; only a run of two or more goes
-    through :func:`_merge_groups`.  Each group sums its members in
-    merge-group order.
+    label tuple, and a walk over neighbours finds the runs of equal labels.
+    A label held by one term is its own group; only a run of two or more
+    goes through :func:`_merge_groups`, over the decoded beam columns.  Each
+    group sums its members in merge-group order.
     """
-    amps, labels = state._amps, state._labels
-    if all(map(operator.lt, labels, labels[1:])) and (
+    amps = state._amps
+    # with no label slot every term's label is (); a column of zeros
+    # orders and compares the terms the same way
+    columns = state._labels or ((0,) * len(amps),)
+    following = zip(*columns)
+    next(following, None)
+    if all(map(operator.lt, zip(*columns), following)) and (
         min(map(abs, amps), default=DROP_TOL) >= DROP_TOL
     ):
         return state
+    labels = tuple(zip(*columns))
+    beams = None  # decoded at the first run of two or more terms
     order = sorted(range(len(labels)), key=labels.__getitem__)
     ordered = [labels[i] for i in order]
     # run r is order[starts[r]:starts[r + 1]]; a run starts where the label changes
@@ -572,7 +635,9 @@ def canonicalize(state: HybridState) -> HybridState:
     src, new_amps = [], []  # each kept group's first term, and its sum
     for start, stop in zip(starts, starts[1:]):
         if stop - start > 1:
-            for g in _merge_groups(state._beams, order[start:stop]):
+            if beams is None:
+                beams = state.beams
+            for g in _merge_groups(beams, order[start:stop]):
                 first = g[0]
                 amp = amps[first]
                 for i in g[1:]:
@@ -616,18 +681,19 @@ def _inner(a: HybridState, b: HybridState, classes=None, distinct=False):
     in ``<a|a>`` weighs |amp_i|^2, with no overlap.
 
     Pairs are added in order of i, then of ascending j.  Two states with
-    equal label columns and no repeated label pair term i with term i
-    alone.  When ``a is b`` or neither state has a beam, as in ``<s|s>`` of
-    every protocol state, the feedforward's outcome checks and the target
-    overlap, the sum walks the amplitudes in index order and looks up no
-    label: each weight is conj(a_i) b_i, taken in C.  In ``<a|a>`` its real
-    part is amp.real^2 + amp.imag^2 to the bit and its imaginary part is
-    (-x) + x = +0.0; only past |amp| ~ 1e154, where the real part is inf,
-    does an overflowing x make it NaN.  Otherwise each label of b maps to
-    the list of its term indices.
+    equal label columns, as many terms and no repeated label pair term i
+    with term i alone.  When ``a is b`` or neither state has a beam, as in
+    ``<s|s>`` of every protocol state, the feedforward's outcome checks and
+    the target overlap, the sum walks the amplitudes in index order and
+    looks up no label: each weight is conj(a_i) b_i, taken in C.  In
+    ``<a|a>`` its real part is amp.real^2 + amp.imag^2 to the bit and its
+    imaginary part is (-x) + x = +0.0; only past |amp| ~ 1e154, where the
+    real part is inf, does an overflowing x make it NaN.  Otherwise each
+    label tuple of b, zipped from its columns, maps to the list of its term
+    indices, and the beams are decoded.
 
-    Whether a label repeats takes a ``set`` of ``a``'s labels, a pass over
-    every term.  ``distinct=True`` is the caller's proof that none does,
+    Whether a label repeats takes a ``set`` of ``a``'s label tuples, a pass
+    over every term.  ``distinct=True`` is the caller's proof that none does,
     and skips that pass.  The herald's class-weighted call and the
     feedforward's outcome norms pass it when :func:`canonicalize` returned
     their state as it is, so that its labels strictly increase.  The
@@ -636,15 +702,15 @@ def _inner(a: HybridState, b: HybridState, classes=None, distinct=False):
     canonical beamless state, whose equal labels have merged.  Every other
     caller leaves it False and gets the check.
     """
-    a_labels, b_labels, amps = a._labels, b._labels, a._amps
-    a_beams, b_beams, b_amps = a._beams, b._beams, b._amps
+    a_labels, b_labels, amps, b_amps = a._labels, b._labels, a._amps, b._amps
     total = 0j
     sums = None if classes is None else [0j] * (max(classes, default=-1) + 1)
     same = a is b
     if (
-        (same or not (a_beams or b_beams))
+        (same or not (a._beams or b._beams))
+        and len(amps) == len(b_amps)
         and (a_labels is b_labels or a_labels == b_labels)
-        and (distinct or len(set(a_labels)) == len(a_labels))
+        and (distinct or len(set(_label_rows(a_labels, len(amps)))) == len(amps))
     ):
         pairs = list(map(operator.mul, map(complex.conjugate, amps), b_amps))
         if sums is not None:
@@ -652,10 +718,11 @@ def _inner(a: HybridState, b: HybridState, classes=None, distinct=False):
                 sums[k] += pair
         total = functools.reduce(operator.add, pairs, total)
         return total if sums is None else (total, sums)
+    a_beams, b_beams = a.beams, b.beams
     by_labels: dict[tuple[int, ...], list[int]] = {}
-    for j, labels in enumerate(b_labels):
+    for j, labels in enumerate(_label_rows(b_labels, len(b_amps))):
         by_labels.setdefault(labels, []).append(j)
-    for i, labels in enumerate(a_labels):
+    for i, labels in enumerate(_label_rows(a_labels, len(amps))):
         for j in by_labels.get(labels, ()):
             if same and i == j:
                 # the cross-pair weight below is exactly this: every
@@ -738,11 +805,12 @@ def drop_uniform_beam(state: HybridState, beam: int) -> HybridState:
     the physics untouched.  Raises if the beam differs between terms.
     """
     _check_beam(state, beam)
-    col = state._beams[beam]
-    if col:
-        ref = col[0]
-        for q in col:
-            if not qubus_close(q, ref):
+    codes, table = state._beams[beam]
+    if codes:
+        ref = table[codes[0]]
+        # the value of each code a term holds, each once
+        for code in set(codes):
+            if not qubus_close(table[code], ref):
                 raise ValueError("beam is entangled with the rest of the state")
     return _without_beam(state, beam)
 
@@ -763,7 +831,7 @@ def state_to_dict(state: HybridState) -> dict:
                 "labels": list(labels),
                 "qubus": [[q.real, q.imag] for q in qubus],
             }
-            for amp, labels, qubus in zip(state._amps, state._labels, _rows(state))
+            for amp, labels, qubus in zip(state._amps, state.labels, _rows(state))
         ],
     }
 
@@ -775,26 +843,36 @@ def _pair(pair, name: str) -> complex:
     return complex(_number(float, pair[0], name), _number(float, pair[1], name))
 
 
+def _field(data: dict, name: str, owner: str):
+    """``data[name]``, or ValueError naming the missing field."""
+    try:
+        return data[name]
+    except KeyError:
+        raise ValueError(f"{owner} has no {name!r} field") from None
+
+
 def state_from_dict(data: dict) -> HybridState:
     """Inverse of :func:`state_to_dict`.
 
-    Raises ValueError when ``norm_mode`` names anything but ``gram_exact``.
+    Raises ValueError when ``norm_mode`` names anything but ``gram_exact``,
+    or when a field of the state, its layout or a term is missing.
     """
-    if data["norm_mode"] != GRAM_EXACT:
-        raise ValueError(f"unknown norm mode {data['norm_mode']!r}")
-    lay = data["layout"]
+    norm_mode = _field(data, "norm_mode", "state")
+    if norm_mode != GRAM_EXACT:
+        raise ValueError(f"unknown norm mode {norm_mode!r}")
+    lay = _field(data, "layout", "state")
     layout = RegisterLayout(
-        party_dims=tuple(lay["party_dims"]),
-        ancilla_modes=lay["ancilla_modes"],
-        prep_modes=lay["prep_modes"],
-        qubus_count=lay["qubus_count"],
+        party_dims=tuple(_field(lay, "party_dims", "layout")),
+        ancilla_modes=_field(lay, "ancilla_modes", "layout"),
+        prep_modes=_field(lay, "prep_modes", "layout"),
+        qubus_count=_field(lay, "qubus_count", "layout"),
     )
     terms = tuple(
         Term(
-            _pair(t["amp"], "amp"),
-            tuple(t["labels"]),
-            tuple([_pair(q, "qubus") for q in t["qubus"]]),
+            _pair(_field(t, "amp", "term"), "amp"),
+            tuple(_field(t, "labels", "term")),
+            tuple([_pair(q, "qubus") for q in _field(t, "qubus", "term")]),
         )
-        for t in data["terms"]
+        for t in _field(data, "terms", "state")
     )
     return HybridState(layout, terms)

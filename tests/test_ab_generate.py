@@ -1,9 +1,12 @@
 import importlib.util
+import random
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
+
+import qubus_forge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,6 +73,32 @@ def test_ab_generate_layers_rejects_a_tree_without_a_layer_function(tmp_path, ca
     assert exc.value.code == "error: the parent tree has no protocols._spec_target for --layers"
     assert capsys.readouterr().out == ""
     assert not [m for m in sys.modules if m.startswith(("qubus_forge_parent", "qubus_forge_change"))]
+
+
+def test_ab_generate_times_the_request_shaped_wide_case(capsys):
+    # req wide builds and generates eight seeded specs of the wide_qudit
+    # mix per call: every class of that workload, shifts past (0, 1),
+    # phased coefficients and detectors below eta = 1 among them
+    tool = _tool()
+    make = dict(tool.cases())["req wide"]
+    classes = tool.wide_request_classes(random.Random(tool.WIDE_REQUEST_SEED))
+    assert len(classes) == 8 and set(classes) == set(tool.WIDE_REQUEST_CLASSES)
+    specs = []
+
+    class Recording:  # builds the specs through the package, records them
+        ProtocolSpec = qubus_forge.ProtocolSpec
+        DetectorModel = qubus_forge.DetectorModel
+        generate = specs.append
+
+    make(Recording)()
+    assert [(spec.n, spec.parties) for spec in specs] == classes
+    assert any(spec.shifts[1:] != (1,) * (spec.parties - 1) for spec in specs)
+    assert any(len(set(vec)) > 1 for spec in specs for vec in spec.coeffs)
+    assert any(spec.detector.efficiency < 1.0 for spec in specs)
+    src = str(ROOT / "src")
+    tool.main([src, src, "--rounds", "1", "--only", "req wide"])
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("req wide")]
+    assert len(rows) == 1 and len(rows[0].split()) == 2 + 6 + 4
 
 
 def test_ab_generate_rejects_an_unknown_case(capsys):

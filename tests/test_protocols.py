@@ -606,6 +606,14 @@ def test_protocol_spec_validation():
                 build(bad)
     with pytest.raises(ValueError, match="theta"):
         ProtocolSpec(**{**ok, "theta": 0.0, "detector": 0.7})
+    # each coefficient passes the number coercion: a string is no number,
+    # and an int past float range is named
+    for bad in (("1", "0"), (1, b"0")):
+        with pytest.raises(TypeError, match="^coeffs: expected a number"):
+            ProtocolSpec(**{**ok, "n": 2, "coeffs": (bad, (1, 0))})
+    for bad in ((10**400, 0), (1, -(10**400))):
+        with pytest.raises(ValueError, match="^coeffs is beyond float range$"):
+            ProtocolSpec(**{**ok, "n": 2, "coeffs": (bad, (1, 0))})
     # brighter beams leave a vacuum-branch residual above MERGE_TOL's floor
     ProtocolSpec(**{**ok, "alpha": -1j * ALPHA_MAX})
     for alpha in (ALPHA_MAX * (1 + 1e-15), 1e4j, 1e160):
@@ -720,22 +728,24 @@ def _count_calls(monkeypatch, names):
 
 def _count_columns_built(monkeypatch):
     """Count what the state constructor ``state._columns`` is handed that is
-    new, each column once: ``rows``, the terms of every new label column,
-    and ``cells``, the entries of every new amplitude, label and beam
-    column.  A column passed on unchanged from an input state counts once."""
+    new, each object once: ``rows``, the terms of every new tuple of label
+    columns, and ``cells``, the entries of every new amplitude column, label
+    column, beam codes column and beam table.  An object passed on unchanged
+    from an input state counts once."""
     import qubus_forge.state
 
     original = qubus_forge.state._columns
-    seen = {}  # id -> column, kept alive so that no id is reused
+    seen = {}  # id -> object, kept alive so that no id is reused
     counts = {"rows": 0, "cells": 0}
 
     def counted(layout, amps, labels, beams):
-        for column in (amps, labels, *beams):
+        if id(labels) not in seen:
+            seen[id(labels)] = labels
+            counts["rows"] += len(amps)
+        for column in (amps, *labels, *(part for beam in beams for part in beam)):
             if id(column) not in seen:
                 seen[id(column)] = column
                 counts["cells"] += len(column)
-                if column is labels:
-                    counts["rows"] += len(labels)
         return original(layout, amps, labels, beams)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -1185,9 +1195,12 @@ def test_wide_generate_starts_almost_no_garbage_collection(monkeypatch):
     # that also built a 1-tuple per term of its beam column started 30
     # collections; grouping the column's distinct values instead, it starts
     # 10.  The erasure memo keeps nothing here, so every call runs the
-    # Fourier and feedforward passes.
+    # Fourier and feedforward passes.  Label tuples per term made 10
+    # collections at n = 48 and 120 at n = 64; with one label column per
+    # slot and beam codes into a table, no pass builds a tuple per term,
+    # and ten calls start 2 and 3.
     # n: most collections started over ten warm calls
-    caps = {32: 1, 40: 1, 48: 15}
+    caps = {32: 1, 40: 1, 48: 2, 64: 3}
     starts = []
     monkeypatch.setattr(_erased, "budget", 0)
     _erased.clear()

@@ -33,6 +33,16 @@ from qubus_forge.state import (
 )
 
 
+def label_columns(state):
+    """The stored label columns of ``state``, one tuple per label slot."""
+    return state._labels
+
+
+def beam_columns(state):
+    """The stored ``(codes, table)`` pair of each beam of ``state``."""
+    return state._beams
+
+
 def fock_series_overlap(a, b, nterms=120):
     """Independent oracle: <a|b> = e^{-(|a|^2+|b|^2)/2} sum_m (a* b)^m / m!.
 
@@ -621,8 +631,8 @@ def test_inner_pairs_a_shared_label_column_index_by_index(monkeypatch):
             ])
             b = _derive(a, amps=amps(len(labels)))
             twin = _derive(HybridState(layout, a.terms), amps=b.amps)
-            assert b.labels is a.labels and twin.labels == a.labels
-            assert twin.labels is not a.labels
+            assert label_columns(b) is label_columns(a) and twin.labels == a.labels
+            assert label_columns(twin) is not label_columns(a)
             check(a, b, shared=not beams)
             check(a, twin, shared=not beams)
             del paths[:]
@@ -852,6 +862,24 @@ def test_state_from_dict_coerces_both_parts_of_each_pair():
     assert state_from_dict(data).terms == (Term(0.5, (1,), (2.0 - 1j,)),)
 
 
+@pytest.mark.parametrize("path", [
+    ("norm_mode",), ("layout",), ("terms",),
+    ("layout", "party_dims"), ("layout", "ancilla_modes"), ("layout", "prep_modes"),
+    ("layout", "qubus_count"),
+    ("terms", 0, "amp"), ("terms", 0, "labels"), ("terms", 0, "qubus"),
+])
+def test_state_from_dict_names_a_missing_field(path):
+    layout = RegisterLayout(party_dims=(2,), qubus_count=1)
+    data = state_to_dict(HybridState(layout, (Term(0.5, (1,), (2.0 - 1j,)),)))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    where = {1: "state", 2: "layout", 3: "term"}[len(path)]
+    with pytest.raises(ValueError, match=f"^{where} has no '{path[-1]}' field$"):
+        state_from_dict(data)
+
+
 def test_drop_uniform_beam():
     layout = RegisterLayout(party_dims=(2,), qubus_count=2)
     uniform = HybridState(
@@ -968,6 +996,162 @@ def test_columnar_state_round_trips_and_stays_read_only():
     assert repr(copy) == repr(report)
 
 
+def recoded(state, rng):
+    """``state`` rebuilt from columns as the library may hold it: each beam
+    table in shuffled order, some values under two codes (same bits),
+    entries that no term references (NaN among them), and the labels as
+    one column per slot."""
+    layout, amps = state.layout, state.amps
+    columns = tuple(zip(*state.labels)) if amps else ((),) * len(layout.label_dims())
+    beams = []
+    for col in state.beams:
+        entries = [complex(rng.gauss(0, 9), rng.gauss(0, 9)) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            entries.append(complex("nan"))
+        codes = []
+        for q in col:
+            same = [c for c, e in enumerate(entries) if repr(e) == repr(q)]
+            if same and rng.random() < 0.7:
+                codes.append(rng.choice(same))
+            else:
+                codes.append(len(entries))
+                entries.append(q)
+        order = list(range(len(entries)))
+        rng.shuffle(order)
+        position = {c: k for k, c in enumerate(order)}
+        beams.append((tuple(position[c] for c in codes), tuple(entries[c] for c in order)))
+    return state_module._columns(layout, amps, columns, tuple(beams))
+
+
+def _views(state):
+    """What a reader sees of ``state``, with every bit: the views, repr
+    (signed zeros show there) and the serialized form."""
+    return (repr(state.labels), repr(state.beams), repr(state.terms), repr(state),
+            state_to_dict(state))
+
+
+def test_coded_states_equal_the_states_built_from_terms():
+    # A state held as label columns and (codes, table) beams reads the same
+    # as the one HybridState(layout, terms) builds: views, ==, hash, repr,
+    # pickle and state_to_dict.  The states hold repeated labels, beams
+    # within MERGE_TOL of each other, 0j against -0j, no beam, one term or
+    # none; canonicalize picks rows and leaves table entries no term holds.
+    import pickle
+
+    rng = random.Random("coded states")
+    pool = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5, 0.5 + 0.4e-12, 0.5 - 0.3e-12,
+            2.0 - 1.0j, -1.5j)
+    seen = set()
+    for _ in range(400):
+        beams = rng.choice((0, 1, 2, 3))
+        layout = RegisterLayout(
+            party_dims=tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2))),
+            ancilla_modes=rng.choice((0, 2)), prep_modes=rng.choice((0, 2)), qubus_count=beams,
+        )
+        dims = layout.label_dims()
+        labels = [tuple(rng.randrange(d) for d in dims) for _ in range(3)]
+        terms = [
+            Term(rng.choice((1e-15, complex(rng.gauss(0, 1), rng.gauss(0, 1)))),
+                 rng.choice(labels), tuple(rng.choice(pool) for _ in range(beams)))
+            for _ in range(rng.choice((0, 1, rng.randint(2, 8))))
+        ]
+        public = HybridState(layout, terms)
+        canonical = canonicalize(public)
+        for built in (public, canonical):
+            coded = recoded(built, rng)
+            reference = HybridState(layout, built.terms)
+            for state in (coded, built):
+                assert state == reference and reference == state
+                assert hash(state) == hash(reference)
+                assert _views(state) == _views(reference)
+                copy = pickle.loads(pickle.dumps(state))
+                assert copy == reference and _views(copy) == _views(reference)
+                assert state_from_dict(state_to_dict(state)) == reference
+            assert canonicalize(coded) == canonicalize(reference)
+            assert _views(canonicalize(coded)) == _views(canonicalize(reference))
+        seen.add(len(public.amps) if len(public.amps) < 2 else "many")
+        if beams == 0:
+            seen.add("beamless")
+        if len(set(public.labels)) < len(public.labels):
+            seen.add("repeated label")
+        if any(len(set(codes)) < len(table) for codes, table in beam_columns(canonical)):
+            seen.add("unreferenced entry")
+    assert seen == {0, 1, "many", "beamless", "repeated label", "unreferenced entry"}
+
+
+def test_a_beam_value_no_term_holds_may_overflow():
+    # canonicalize drops the term with the huge beam, whose value stays in
+    # the table; a phase rotation overflows that entry alone, and no term
+    # holds it, so the rotation succeeds with the one term's rotated beam
+    from qubus_forge.elements import apply_qubus_phase
+
+    layout = RegisterLayout(party_dims=(2,), qubus_count=1)
+    state = canonicalize(HybridState(layout, [
+        Term(1e-15, (0,), (1.5e308 + 1.5e308j,)), Term(1.0, (1,), (1.0,))
+    ]))
+    codes, table = beam_columns(state)[0]
+    assert 1.5e308 + 1.5e308j in table and codes == (1,)
+    rotated = apply_qubus_phase(state, 0, -math.pi / 4)
+    assert rotated.beams == ((1.0 * cmath.exp(-0.25j * math.pi),),)
+    assert not all(map(cmath.isfinite, beam_columns(rotated)[0][1]))
+
+
+def test_terms_of_a_layout_without_label_slots_share_one_label():
+    # No slot, no label column: every term's label is (), so terms with
+    # equal beams merge, and every pair of terms interferes
+    layout = RegisterLayout(qubus_count=1)
+    state = HybridState(layout, [
+        Term(0.3, (), (1.0,)), Term(0.4, (), (1.0,)), Term(0.5, (), (2.0,))
+    ])
+    assert label_columns(state) == () and state.labels == ((),) * 3
+    merged = canonicalize(state)
+    assert merged.terms == (Term(0.3 + 0.4, (), (1.0,)), Term(0.5, (), (2.0,)))
+    one = HybridState(RegisterLayout(), [Term(1.0, ())])
+    three = HybridState(RegisterLayout(), [Term(0.5, ()), Term(0.25j, ()), Term(-1.0, ())])
+    assert inner_product(one, three) == 0.5 + 0.25j - 1.0
+
+
+def test_herald_reads_values_through_the_codes():
+    # A herald column held as codes into a shuffled table, with values under
+    # two codes (0j and -0j among them, and one value twice) and entries
+    # that no term references, heralds exactly as the state built from the
+    # same terms, one table entry per term (whose classes the per-term rule
+    # pins in test_heralding.py): the classes, the vacuum split, the branch
+    # table and the heralded state.
+    from qubus_forge.heralding import DetectorModel, _classify_branches, herald_vacuum
+
+    rng = random.Random("coded herald")
+    layout = RegisterLayout(party_dims=(3, 3), qubus_count=2)
+    every_label = [(a, b) for a in range(3) for b in range(3)]
+    pool = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.3e-12, -0.9e-12, 1.0,
+            500.0, 500.0 + 0.9 * MERGE_TOL * 500.0, 3.0 + 4.0j)
+    seen = set()
+    for _ in range(300):
+        values = rng.sample(pool, rng.randint(1, 5))
+        terms = [
+            Term(complex(rng.gauss(0, 1), rng.gauss(0, 1)), lab,
+                 (rng.choice(values), rng.choice(values)))
+            for lab in rng.sample(every_label, rng.randint(1, len(every_label)))
+        ]
+        scale = 1.0 / math.sqrt(state_norm_sq(HybridState(layout, terms)))
+        public = HybridState(layout, [Term(t.amp * scale, t.labels, t.qubus) for t in terms])
+        coded = recoded(public, rng)
+        beam = rng.randrange(2)
+        classes = _classify_branches(coded, beam)
+        assert repr(tuple(classes)) == repr(tuple(_classify_branches(public, beam)))
+        detector = DetectorModel(0.7)
+        assert repr(herald_vacuum(coded, beam, detector)) == repr(
+            herald_vacuum(public, beam, detector)
+        )
+        codes, table = beam_columns(coded)[beam]
+        vacuum = [table[c] for c in set(codes) if qubus_close(table[c], 0.0)]
+        if len(vacuum) > len(set(vacuum)):
+            seen.add("one vacuum value under two codes")
+        if classes.vacuum_split:
+            seen.add("split")
+    assert seen == {"one vacuum value under two codes", "split"}
+
+
 def test_first_terms_access_from_many_threads_gives_equal_tuples():
     # .terms builds its tuple from the columns on each access; threads
     # reading it at once must all see the same terms
@@ -1012,9 +1196,10 @@ def test_first_terms_access_from_many_threads_gives_equal_tuples():
 
 
 def test_derive_checks_a_repeated_beam_column_object_once(monkeypatch):
-    # A stage's fresh (alpha, alpha) pair is one column object given twice
-    # in a row: _derive checks it for finiteness once.  A non-finite column
-    # given twice raises with the message a single one gets.
+    # A stage's fresh (alpha, alpha) pair is one (codes, table) pair given
+    # twice in a row: _derive checks its table for finiteness once.  A
+    # non-finite table given twice raises with the message a single one
+    # gets.  A non-finite entry that no term references passes.
     checked = []
 
     def isfinite(z):
@@ -1025,25 +1210,32 @@ def test_derive_checks_a_repeated_beam_column_object_once(monkeypatch):
     layout = RegisterLayout(party_dims=(3,), qubus_count=2)
     source = _derive(HybridState(RegisterLayout(party_dims=(3,)), [
         Term(0.6, (0,)), Term(0.8, (2,))
-    ]), layout=layout, beams=((1j, 2.0),) * 2)
+    ]), layout=layout, beams=(((0, 1), (1j, 2.0)),) * 2)
     checked.clear()
-    column = (3.0 + 0j, -4.0 + 0j)
+    table = (3.0 + 0j, -4.0 + 0j)
+    column = ((0, 1), table)
     derived = _derive(source, beams=(column, column))
-    assert derived.beams == (column, column) and derived.beams[1] is column
+    assert derived.beams == (table, table) and beam_columns(derived)[1][1] is table
     assert len(checked) == 2
-    # only the same object is skipped: an equal copy is checked again
+    # only the same table object is skipped: an equal copy is checked again
     checked.clear()
-    _derive(source, beams=(column, tuple(list(column))))
+    _derive(source, beams=(column, ((0, 1), tuple(list(table)))))
     assert len(checked) == 4
     checked.clear()
-    _derive(source, beams=(column, (5.0 + 0j, 6.0 + 0j)))
+    _derive(source, beams=(column, ((1, 0), (5.0 + 0j, 6.0 + 0j))))
     assert len(checked) == 4
     for bad in ((complex("nan"), 1.0), (1.0, complex("inf"))):
         checked.clear()
         with pytest.raises(ValueError, match="^qubus amplitudes must be finite$"):
-            _derive(source, beams=(bad, bad))
-        assert len(checked) == 1 + (bad[0] == 1.0)
-    # a column carried over from the source is not checked again
+            _derive(source, beams=(((0, 1), bad),) * 2)
+        # the table up to its first non-finite entry, then the referenced
+        # entries up to the first non-finite one
+        assert len(checked) == 2 * (1 + (bad[0] == 1.0))
+    # an entry that no term references may be non-finite
+    for bad in (complex("nan"), complex("inf")):
+        kept = ((1, 1), (bad, 1.0))
+        assert _derive(source, beams=(kept, kept)).beams == ((1.0, 1.0),) * 2
+    # a table carried over from the source is not checked again
     checked.clear()
-    _derive(source, beams=source.beams)
+    _derive(source, beams=beam_columns(source))
     assert checked == []

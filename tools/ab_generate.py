@@ -26,7 +26,11 @@ does.  The request-shaped ``req`` cases pay the spec's cost too, as a
 eight seeded specs through ``ProtocolSpec.balanced``, with the first shift
 0 and the rest drawn, balanced or drawn phase indices, alpha in
 [100, 500], theta in [0.005, 0.05] and eta 1 or in [0.5, 1], drawn as that
-workload draws them.  The ``run_sweep`` cases are the three grids of one
+workload draws them.  The last request-shaped case, ``req wide``, does the
+same for the ``wide_qudit`` mix: each call builds and generates eight
+seeded specs whose (n, parties) classes come from that workload's five in
+shuffled blocks, with the spec fields drawn as above.  The ``run_sweep``
+cases are the three grids of one
 ``sweep_grid`` benchmark block: 10 x 5 x 4 grids at n = 3, 3 and 5, alpha
 uniform in [50, 500], theta log-uniform in [0.001, 0.1], eta uniform in
 [0.5, 1], drawn from a fixed seed; each call builds its ``SweepGrid``.
@@ -95,11 +99,13 @@ GENERATE_CASES = (
     (2, (0, 1)), (3, (0, 1)), (4, (0, 1)), (5, (0, 1)), (3, (0, 1, 2)),
 ) + WIDE_CASES
 
-# the (n, parties) classes of a paper_point block, and the seeded specs
-# each request-shaped call builds
+# the (n, parties) classes of a paper_point block and of a wide_qudit block,
+# and the seeded specs each request-shaped call builds
 REQUEST_CLASSES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3))
+WIDE_REQUEST_CLASSES = ((24, 2), (32, 2), (40, 2), (48, 2), (24, 3))
 REQUESTS_PER_CALL = 8
 REQUEST_SEED = 23
+WIDE_REQUEST_SEED = 35
 
 # the grid dimensions of one sweep_grid block
 SWEEP_NS = (3, 3, 5)
@@ -125,17 +131,18 @@ def generate_case(n: int, shifts: tuple[int, ...]):
     return f"n={n}, M={len(shifts)}", make
 
 
-def request_case(n: int, parties: int, rng: random.Random):
+def request_case(label: str, classes, rng: random.Random):
     """(label, call maker): each call builds and generates the same seeded
-    specs of class (n, parties), as ``paper_point`` requests do."""
+    specs, one per (n, parties) of ``classes``, as the workload's requests
+    do."""
     items = []
-    for _ in range(REQUESTS_PER_CALL):
+    for n, parties in classes:
         shifts = (0,) + tuple(rng.randrange(n) for _ in range(parties - 1))
         phases = None if rng.random() < 0.5 else tuple(rng.randrange(n) for _ in range(parties))
         alpha = rng.uniform(100.0, 500.0)
         theta = rng.uniform(0.005, 0.05)
         eta = 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.0)
-        items.append((shifts, phases, alpha, theta, eta))
+        items.append((n, parties, shifts, phases, alpha, theta, eta))
 
     def make(module):
         def call():
@@ -143,12 +150,23 @@ def request_case(n: int, parties: int, rng: random.Random):
                 module.generate(module.ProtocolSpec.balanced(
                     n, parties, shifts, theta, alpha, module.DetectorModel(eta), phases
                 ))
-                for shifts, phases, alpha, theta, eta in items
+                for n, parties, shifts, phases, alpha, theta, eta in items
             ]
 
         return call
 
-    return f"req n={n}, M={parties}", make
+    return label, make
+
+
+def wide_request_classes(rng: random.Random):
+    """The (n, parties) class of each spec of the ``req wide`` case: the
+    ``wide_qudit`` classes in shuffled blocks, as that workload orders them."""
+    classes = []
+    while len(classes) < REQUESTS_PER_CALL:
+        block = list(WIDE_REQUEST_CLASSES)
+        rng.shuffle(block)
+        classes += block
+    return classes[:REQUESTS_PER_CALL]
 
 
 def sweep_case(k: int, n: int, rng: random.Random):
@@ -166,9 +184,12 @@ def sweep_case(k: int, n: int, rng: random.Random):
 def cases():
     requests = random.Random(REQUEST_SEED)
     rng = random.Random(SWEEP_SEED)
+    wide = random.Random(WIDE_REQUEST_SEED)
     return (
         [generate_case(n, shifts) for n, shifts in GENERATE_CASES]
-        + [request_case(n, parties, requests) for n, parties in REQUEST_CLASSES]
+        + [request_case(f"req n={n}, M={parties}", [(n, parties)] * REQUESTS_PER_CALL, requests)
+           for n, parties in REQUEST_CLASSES]
+        + [request_case("req wide", wide_request_classes(wide), wide)]
         + [sweep_case(k, n, rng) for k, n in enumerate(SWEEP_NS)]
     )
 
